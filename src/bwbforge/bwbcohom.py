@@ -2,13 +2,17 @@
 
 For an irreducible bundle E_lambda the recipe is mechanical: if lambda+rho
 lies on a wall, every cohomology group vanishes; otherwise exactly one
-survives, in degree ell(w), with dominant label w(lambda+rho)-rho.  The
-interesting machinery here is for *filtered* bundles (the cotangent bundle
-and friends): their graded pieces are completely reducible, RegInd collects
-the Bott indices of the regular pieces, and exact dimensions are certified
-whenever every connecting map of the long exact sequences is forced to
-vanish by a zero on one side.  Anything short of that certificate is
-reported as per-degree bounds, never silently guessed.
+survives, in degree ell(w), with dominant label w(lambda+rho)-rho.
+``bott`` applies the same recipe to a packed rho-shifted weight after a
+signed W_L-climb; the Koszul E1 assembly looks it up per weight through
+``bott_memo``.
+
+The interesting machinery here is for *filtered* bundles (the cotangent
+bundle and friends): their graded pieces are completely reducible, RegInd
+collects the Bott indices of the regular pieces, and exact dimensions are
+certified whenever every connecting map of the long exact sequences is
+forced to vanish by a zero on one side.  Anything short of that
+certificate is reported as per-degree bounds, never silently guessed.
 """
 
 from __future__ import annotations
@@ -81,6 +85,46 @@ def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
     hw = tuple(a - b for a, b in zip(res.dominant, rho(X.rs)))
     table.add_entry(res.length, hw)
     return table
+
+
+Bott = Optional[Tuple[int, int]]
+
+_bott_memos: Dict[HomSpace, Dict[int, Bott]] = {}
+
+
+def bott(X: HomSpace, x: int) -> Bott:
+    """BWB contribution of a packed rho-shifted weight x = mu + nu + rho.
+
+    This is the one route from a rho-shifted weight to cohomology: in the
+    Brauer-Klimyk sum for V_L(mu) (x) M, the weight nu of M contributes
+    sign * [w_L(x) - rho] after the W_L-climb, and that irreducible bundle
+    contributes dim V_G(hw) in degree q by Borel-Weil-Bott.  Returns None
+    when x lies on a wall of W_L or of W; otherwise (q, sign * dim V_G(hw))
+    with sign = (-1)^{#Levi reflections} and q the length of the G-climb
+    (Bott 1957; Kostant 1961).
+    """
+    levi = rc.climb(X.levi, rc.unpack(x, X.rs.rank))
+    if levi is None:
+        return None
+    flips, y = levi
+    full = rc.climb(X.group, y)
+    if full is None:
+        return None
+    q, dom = full
+    dim = rc.weyl_dim(X.group, tuple(a - b for a, b in zip(dom, rho(X.rs))))
+    return q, (-dim if flips & 1 else dim)
+
+
+def bott_memo(X: HomSpace) -> Dict[int, Bott]:
+    """The memo of :func:`bott` on X, keyed by the packed weight.
+
+    Callers fetch it once and fill a miss with ``memo[x] = bott(X, x)``;
+    looking it up per weight would hash the space on every weight.
+    """
+    memo = _bott_memos.get(X)
+    if memo is None:
+        memo = _bott_memos[X] = {}
+    return memo
 
 
 def bott_index(X: HomSpace, lam: Weight) -> Optional[int]:

@@ -209,9 +209,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sp.add_argument("space")
     sp.add_argument("bundle")
     sp.add_argument("--d", type=int, required=True, choices=(3, 4))
-    sp.add_argument("--no-h22", action="store_true",
-                    help="skip the h^{2,2} chase (it dominates the cost on "
-                    "large fourfolds); the cell is reported as unknown")
     sp = sub.add_parser("classify", help="search for trivial-canonical-bundle loci")
     sp.add_argument("--d", type=int, required=True, choices=(3, 4))
     sp.add_argument("--family", choices=("exceptional", "all"), default="exceptional")
@@ -386,7 +383,7 @@ def _dispatch(args) -> Tuple[str, str]:
             raise ParseError(
                 f"rank(F)={F.rank} gives a locus of dimension {Z.d}, not {args.d}"
             )
-        dia = _hodge.assemble(Z, with_h22=not getattr(args, "no_h22", False))
+        dia = _hodge.assemble(Z)
         chi = dia.euler_characteristic()
         results: Dict[str, object] = {
             "d": Z.d,
@@ -404,8 +401,7 @@ def _dispatch(args) -> Tuple[str, str]:
         else:
             names = {"h11": dia.get(1, 1), "h12": dia.get(1, 2)}
         results.update(names)
-        skipped_h22 = Z.d == 4 and getattr(args, "no_h22", False)
-        status = "exact" if dia.complete() or skipped_h22 else "ambiguous"
+        status = "exact" if dia.complete() else "ambiguous"
         payload = {
             "space": str(X),
             "bundle": format_bundle(F),

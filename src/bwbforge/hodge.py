@@ -322,7 +322,7 @@ class HodgeDiamond:
         return [[self.h.get((p, q)) for q in range(self.d + 1)] for p in range(self.d + 1)]
 
 
-def assemble(Z: ZeroLocus, with_h22: bool = True) -> HodgeDiamond:
+def assemble(Z: ZeroLocus) -> HodgeDiamond:
     """Full Hodge diamond of Z (d = 3 or 4) with symmetry-forced filling."""
     d = Z.d
     if d not in (3, 4):
@@ -335,13 +335,9 @@ def assemble(Z: ZeroLocus, with_h22: bool = True) -> HodgeDiamond:
     for q, v in enumerate(row1.values):
         dia.set(1, q, v, "computed" if v is not None else "ambiguous")
     if d == 4:
-        if with_h22:
-            try:
-                val = h22(Z, row0, row1)
-                dia.set(2, 2, val, "computed")
-            except AmbiguousCohomologyError:
-                dia.set(2, 2, None, "ambiguous")
-        else:
+        try:
+            dia.set(2, 2, h22(Z, row0, row1), "computed")
+        except AmbiguousCohomologyError:
             dia.set(2, 2, None, "ambiguous")
     # symmetry closure: h^{p,q} = h^{q,p} = h^{d-p,d-q}
     changed = True

@@ -3,11 +3,19 @@
 For Z the zero locus of a general section of a completely reducible bundle F
 of rank f on X, the Koszul complex resolves O_Z by the wedge powers of F^*.
 Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
-purely from Borel-Weil-Bott data.  Degeneration of the spectral sequence is
-never assumed: the bookkeeping solver below cancels entries only where the
-abutment forces it (total degrees outside 0..dim Z must die) and certifies
-exact dimensions only when no differential between surviving entries can be
-nonzero.  Anything else is reported as bounds.
+purely from Borel-Weil-Bott data.
+
+The wedge powers come from the per-weight product prod (1 + t x^nu) over the
+weights nu of F^*.  Each E_1 entry is read off by Brauer-Klimyk: the
+irreducible pieces E_mu of E, shifted by every weight of Lambda^p F^*, go
+straight through ``bwbcohom.bott``, so no tensor product is ever expanded
+or decomposed.
+
+Degeneration of the spectral sequence is never assumed: the bookkeeping
+solver below cancels entries only where the abutment forces it (total
+degrees outside 0..dim Z must die) and certifies exact dimensions only when
+no differential between surviving entries can be nonzero.  Anything else is
+reported as bounds.
 """
 
 from __future__ import annotations
@@ -17,9 +25,18 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import cache as _cache
 from . import repcalc as rc
-from .bwbcohom import CohomologyTable, FilteredBundle, bundle_cohomology
+from .bwbcohom import (
+    Bott,
+    CohomologyTable,
+    FilteredBundle,
+    bott,
+    bott_memo,
+    bundle_cohomology,
+)
 from .homspace import HomSpace, dex, dimension, fano_index
-from .rootdata import Weight
+from .rootdata import Weight, add, rho
+
+_MISSING = object()
 
 
 class EmptyLocusError(ValueError):
@@ -131,33 +148,48 @@ class KoszulPage:
         return out
 
 
+def _wedge_range(fstar: rc.PackedChar, rank: int) -> Tuple[Weight, Weight]:
+    """Per-coordinate extremes over the weights of every Lambda^p F^*.
+
+    A weight of Lambda^p is a sum of p distinct weights of F^*, so the least
+    and greatest coordinate sum the negative and the positive coordinates of
+    all of them; both are attained.
+    """
+    lo, hi = [0] * rank, [0] * rank
+    for v, m in fstar.items():
+        for i, c in enumerate(rc.unpack(v, rank)):
+            if c < 0:
+                lo[i] += m * c
+            else:
+                hi[i] += m * c
+    return tuple(lo), tuple(hi)
+
+
 def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
-    """Characters of Lambda^p F^* for p = 0..rank(F)."""
+    """Characters of Lambda^p F^* for p = 0..rank(F).
+
+    Built as the per-weight product prod_{nu in wt(F^*)} (1 + t x^nu): each
+    factor shifts the degree-(p-1) character by nu into degree p.
+    """
 
     def compute():
-        X = Z.space
-        rank = X.rs.rank
-        ctx = X.levi
-        total = Z.bundle.rank
-        tables: List[List[rc.PackedChar]] = []
-        for lam, mult in Z.bundle.dual().summands:
-            piece_char = rc.char_irr(ctx, lam)
-            if mult > 1:
-                piece_char = {v: m * mult for v, m in piece_char.items()}
-            piece_rank = rc.weyl_dim(ctx, lam) * mult
-            tables.append(rc.exterior_char_table(piece_char, piece_rank, rank))
-        acc = [{rc.pack((0,) * rank): 1}]
-        for tab in tables:
-            new: List[rc.PackedChar] = []
-            for p in range(min(total, len(acc) - 1 + len(tab) - 1) + 1):
-                term: rc.PackedChar = {}
-                for a in range(max(0, p - len(tab) + 1), min(p, len(acc) - 1) + 1):
-                    piece = rc.conv(acc[a], tab[p - a], rank)
-                    for v, m in piece.items():
-                        term[v] = term.get(v, 0) + m
-                new.append({v: m for v, m in term.items() if m})
-            acc = new
-        assert len(acc) == total + 1
+        rank = Z.space.rs.rank
+        fstar = Z.bundle.dual().char()
+        rc.check_packable(*_wedge_range(fstar, rank))
+        z = rc.pack((0,) * rank)
+        acc: List[rc.PackedChar] = [{z: 1}]
+        for v, m in sorted(fstar.items()):
+            shift = v - z
+            for _ in range(m):
+                acc.append({})
+                # descending p reads degree p-1 before this factor touches it
+                for p in range(len(acc) - 1, 0, -1):
+                    target = acc[p]
+                    get = target.get
+                    for key, c in acc[p - 1].items():
+                        key += shift
+                        target[key] = get(key, 0) + c
+        assert len(acc) == Z.bundle.rank + 1
         return acc
 
     return _cache.memo("wedge_chars", (str(Z.space), Z.bundle.summands), compute)
@@ -328,14 +360,15 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
 RestrictableBundle = Union[BundleSum, FilteredBundle, None]
 
 
-def _graded_chars(Z: ZeroLocus, E: RestrictableBundle) -> List[rc.PackedChar]:
-    """Characters of the graded pieces of E, subbundle end first."""
-    X = Z.space
+def _irreducible_gradeds(
+    Z: ZeroLocus, E: RestrictableBundle
+) -> List[Tuple[Tuple[Weight, int], ...]]:
+    """Irreducible decomposition of each graded piece of E, subbundle end first."""
     if E is None:
-        return [{rc.pack((0,) * X.rs.rank): 1}]
+        return [(((0,) * Z.space.rs.rank, 1),)]
     if isinstance(E, BundleSum):
-        return [E.char()]
-    return [rc.char_of_decomp(X.levi, dict(g)) for g in E.gradeds]
+        return [E.summands]
+    return list(E.gradeds)
 
 
 def restricted_cohomology(Z: ZeroLocus, E: RestrictableBundle) -> ZCohomology:
@@ -344,21 +377,40 @@ def restricted_cohomology(Z: ZeroLocus, E: RestrictableBundle) -> ZCohomology:
     ``E`` may be a completely reducible BundleSum, a FilteredBundle (its
     gradeds enter as extra filtration levels of the bookkeeping), or None
     for the structure sheaf.
+
+    The E_1 entry (p, j, q) is the H^q of Lambda^p F^* (x) gr_j E, read off
+    by Brauer-Klimyk without decomposing the product: for each irreducible
+    E_mu of gr_j E and each weight nu of Lambda^p F^*, ``bott`` gives the
+    signed contribution of mu + nu + rho.  A negative total would mean the
+    input was not a genuine module, and raises.
     """
     X = Z.space
     rank = X.rs.rank
-    f = Z.bundle.rank
     wedges = wedge_dual_chars(Z)
-    gradeds = _graded_chars(Z, E)
+    lo, hi = _wedge_range(wedges[1] if len(wedges) > 1 else {}, rank)
+    z = rc.pack((0,) * rank)
+    memo = bott_memo(X)
     entries: Dict[Tuple[int, int, int], int] = {}
-    for p in range(f + 1):
-        for j, gchar in enumerate(gradeds):
-            prod = rc.conv(wedges[p], gchar, rank)
-            dec = rc.decompose_character(X.levi, prod)
-            for q, v in bundle_cohomology(X, dec).dims().items():
-                if v:
-                    entries[(p, j, q)] = entries.get((p, j, q), 0) + v
-    return _spectral_solve(entries, Z.d)
+    for j, graded in enumerate(_irreducible_gradeds(Z, E)):
+        for mu, mult in graded:
+            shifted = add(mu, rho(X.rs))
+            rc.check_packable(add(shifted, lo), add(shifted, hi))
+            shift = rc.pack(shifted) - z
+            for p, wedge in enumerate(wedges):
+                tally: Dict[Bott, int] = {}
+                for v, m in wedge.items():
+                    x = v + shift
+                    b = memo.get(x, _MISSING)
+                    if b is _MISSING:
+                        b = memo[x] = bott(X, x)
+                    tally[b] = tally.get(b, 0) + m
+                for b, m in tally.items():
+                    if b is not None:
+                        key = (p, j, b[0])
+                        entries[key] = entries.get(key, 0) + mult * m * b[1]
+    if any(v < 0 for v in entries.values()):
+        raise AssertionError("negative multiplicity: input was not a character")
+    return _spectral_solve(dict(sorted(entries.items())), Z.d)
 
 
 def structure_cohomology(Z: ZeroLocus) -> ZCohomology:

@@ -14,8 +14,10 @@ recursion and never leak out.
 Decomposition of an arbitrary character into irreducibles uses the
 rho-shifted reflection trick: each weight mu contributes sgn(w) at the
 dominant representative of mu+rho (nothing on walls), which telescopes to
-the multiset of highest weights.  This is linear in the support size and is
-what makes wedge powers of the rank-29 bundles over E7/P1 cheap.
+the multiset of highest weights.  This is linear in the support size.
+Weights are packed 16 bits per coordinate; ``pack`` refuses a coordinate
+outside the field, and code adding packed weights first checks the
+per-coordinate extremes of the sum with ``check_packable``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cache as _cache
 from .rootdata import (
@@ -51,6 +53,10 @@ _MASK = (1 << _BITS) - 1
 
 class NonDominantError(ValueError):
     """Raised when an operation requires a context-dominant highest weight."""
+
+
+class WeightRangeError(ValueError):
+    """A weight coordinate does not fit the packed field width."""
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,12 @@ class Context:
         return f"{self.rs}|L{{{','.join(map(str, self.levi))}}}"
 
 
+@lru_cache(maxsize=None)
 def full_context(rs: RootSystem) -> Context:
     return Context(rs, tuple(range(1, rs.rank + 1)))
 
 
+@lru_cache(maxsize=None)
 def levi_context(rs: RootSystem, k: int) -> Context:
     """Levi of the k-th maximal parabolic (omit node k)."""
     return Context(rs, tuple(i for i in range(1, rs.rank + 1) if i != k))
@@ -108,6 +116,8 @@ def _require_dominant(ctx: Context, lam: Weight):
 def pack(w: Weight) -> int:
     v = 0
     for i, c in enumerate(w):
+        if not -_OFFSET <= c < _OFFSET:
+            raise WeightRangeError(f"weight {w} does not fit {_BITS}-bit packed coordinates")
         v |= (c + _OFFSET) << (_BITS * i)
     return v
 
@@ -119,6 +129,30 @@ def unpack(v: int, rank: int) -> Weight:
 @lru_cache(maxsize=None)
 def _pack_zero(rank: int) -> int:
     return pack((0,) * rank)
+
+
+def check_packable(lo: Sequence[int], hi: Sequence[int]) -> None:
+    """Refuse sums whose per-coordinate bounds ``lo``..``hi`` overflow a field.
+
+    Packed weights add as plain integers, so a coordinate outside the field
+    would carry into its neighbour and alias another weight; callers check
+    the extremes of a sum once, before adding any packed values.
+    """
+    if any(c < -_OFFSET for c in lo) or any(c >= _OFFSET for c in hi):
+        raise WeightRangeError(
+            f"weights up to {tuple(lo)}..{tuple(hi)} do not fit "
+            f"{_BITS}-bit packed coordinates"
+        )
+
+
+def char_extremes(char: PackedChar, rank: int) -> Tuple[Weight, Weight]:
+    """Per-coordinate least and greatest coordinate over the weights of a character."""
+    lo, hi = [], []
+    for i in range(rank):
+        fields = [(v >> (_BITS * i)) & _MASK for v in char]
+        lo.append(min(fields) - _OFFSET)
+        hi.append(max(fields) - _OFFSET)
+    return tuple(lo), tuple(hi)
 
 
 def char_from_weights(weights: Dict[Weight, int]) -> PackedChar:
@@ -138,6 +172,10 @@ def char_dim(char: PackedChar) -> int:
 
 def conv(a: PackedChar, b: PackedChar, rank: int) -> PackedChar:
     """Pointwise convolution (character of a tensor product)."""
+    if not a or not b:
+        return {}
+    (lo_a, hi_a), (lo_b, hi_b) = char_extremes(a, rank), char_extremes(b, rank)
+    check_packable([x + y for x, y in zip(lo_a, lo_b)], [x + y for x, y in zip(hi_a, hi_b)])
     z = _pack_zero(rank)
     out: PackedChar = {}
     if len(a) < len(b):
@@ -220,46 +258,59 @@ def dominant_rep(ctx: Context, w: Weight) -> Weight:
         cur = reflect(ctx.rs, cur, neg)
 
 
-_climb_memo: Dict[Tuple[Context, int], Optional[Tuple[int, int]]] = {}
+def climb(ctx: Context, w: Weight) -> Optional[Tuple[int, Weight]]:
+    """Push a rho-shifted weight into the dominant chamber of the context's Weyl group.
 
-
-def _climb_signed(ctx: Context, packed: int) -> Optional[Tuple[int, int]]:
-    """Signed dominant representative of a rho-shifted weight.
-
-    Returns None if the weight lies on a wall of the context, otherwise
-    (sign, packed dominant representative).
+    Returns None if the weight lies on a wall, otherwise (number of simple
+    reflections applied, dominant representative).  Reflecting at the
+    smallest negative index gives a reduced word, so the count is the length
+    of the climbing element.
     """
-    memo_key = (ctx, packed)
-    got = _climb_memo.get(memo_key, 0)
-    if got != 0:
-        return got
-    rank = ctx.rs.rank
-    cur = unpack(packed, rank)
-    sign = 1
+    rs = ctx.rs
+    cur = w
+    n = 0
     while True:
         neg = 0
         for i in ctx.levi:
             c = cur[i - 1]
             if c == 0:
-                _climb_memo[memo_key] = None
                 return None
             if c < 0 and neg == 0:
                 neg = i
         if neg == 0:
-            res = (sign, pack(cur))
-            _climb_memo[memo_key] = res
-            return res
-        cur = reflect(ctx.rs, cur, neg)
-        sign = -sign
+            return n, cur
+        cur = reflect(rs, cur, neg)
+        n += 1
+
+
+def _climb_signed(ctx: Context, packed: int) -> Optional[Tuple[int, int]]:
+    """Signed dominant representative of a packed rho-shifted weight.
+
+    Returns None if the weight lies on a wall of the context, otherwise
+    (sign, packed dominant representative).
+    """
+    res = climb(ctx, unpack(packed, ctx.rs.rank))
+    if res is None:
+        return None
+    n, dom = res
+    return (-1 if n & 1 else 1), pack(dom)
+
+
+_MISSING = object()
+_climb_memos: Dict[Context, Dict[int, Optional[Tuple[int, int]]]] = {}
 
 
 def decompose_character(ctx: Context, char: PackedChar) -> IrrDecomp:
     """Decompose a genuine (virtual-free) character into irreducibles."""
     rank = ctx.rs.rank
     shift = pack(rho(ctx.rs)) - _pack_zero(rank)
+    memo = _climb_memos.setdefault(ctx, {})
     acc: Dict[int, int] = {}
     for v, m in char.items():
-        res = _climb_signed(ctx, v + shift)
+        x = v + shift
+        res = memo.get(x, _MISSING)
+        if res is _MISSING:
+            res = memo[x] = _climb_signed(ctx, x)
         if res is None:
             continue
         sign, dom = res

@@ -116,6 +116,7 @@ def cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return _pairing_matrix(rs)
 
 
+@lru_cache(maxsize=None)
 def simple_root_weight(rs: RootSystem, i: int) -> Weight:
     """alpha_i (1-based) expressed in the fundamental-weight basis."""
     A = _pairing_matrix(rs)

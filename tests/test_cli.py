@@ -261,8 +261,8 @@ def test_classify_csv_format():
     assert len(lines) == 7
 
 
-def test_hodge_no_h22_flag():
-    out = run_cli("--format", "json", "hodge", "G2/P2", "O(3)", "--d", "4",
-                  "--no-h22")
-    res = json.loads(out)["results"]
-    assert res["h13"] == 258 and res["h22"] is None and res["chi"] is None
+@pytest.mark.parametrize("twist", ["-40000", "33000"])
+def test_packed_weight_overflow_exits_1(twist):
+    # a 16-bit packed coordinate would wrap into a wrong H^0; refuse instead
+    out = run_cli("cohomology", "G2/P2", "O(3)", "--restrict", f"O({twist})", expect=1)
+    assert out == ""

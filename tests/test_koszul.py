@@ -1,14 +1,23 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwbforge import repcalc as rc
-from bwbforge.bwbcohom import FilteredBundle
+from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology
+from bwbforge.hodge import (
+    _fstar_tensor_omega,
+    _omega_square,
+    _symmetric_square_bundle,
+    omega_filtration,
+)
 from bwbforge.homspace import dimension, fano_index, gradation, parse_homspace
 from bwbforge.koszul import (
     BundleSum,
     EmptyLocusError,
     ZeroLocus,
+    _spectral_solve,
     exterior_dual_powers,
     restricted_cohomology,
     structure_cohomology,
@@ -231,20 +240,58 @@ def test_wedge_chars_match_decomposition_dims():
         assert rc.char_dim(chars[p]) == rc.decomp_dim(Z.space.levi, page.terms[p])
 
 
+# -- oracle: the E1 page by convolution and decomposition ---------------------
+
+
+def _graded_chars(Z, E):
+    """Characters of the graded pieces of E, subbundle end first."""
+    X = Z.space
+    if E is None:
+        return [{rc.pack((0,) * X.rs.rank): 1}]
+    if isinstance(E, BundleSum):
+        return [E.char()]
+    return [rc.char_of_decomp(X.levi, dict(g)) for g in E.gradeds]
+
+
+def _oracle_entries(Z, E):
+    """E1 entries (p, j, q): convolve Lambda^p F^* with gr_j E, decompose, apply BWB."""
+    X = Z.space
+    entries = {}
+    for p, wedge in enumerate(wedge_dual_chars(Z)):
+        for j, gchar in enumerate(_graded_chars(Z, E)):
+            dec = rc.decompose_character(X.levi, rc.conv(wedge, gchar, X.rs.rank))
+            for q, v in bundle_cohomology(X, dec).dims().items():
+                if v:
+                    entries[(p, j, q)] = entries.get((p, j, q), 0) + v
+    return entries
+
+
+def _oracle_restricted(Z, E):
+    return _spectral_solve(_oracle_entries(Z, E), Z.d)
+
+
+def _newton_girard_wedges(Z):
+    """Lambda^p F^*: Newton-Girard table per summand of F^*, then convolved."""
+    X = Z.space
+    rank = X.rs.rank
+    acc = [{rc.pack((0,) * rank): 1}]
+    for lam, mult in Z.bundle.dual().summands:
+        piece = {v: m * mult for v, m in rc.char_irr(X.levi, lam).items()}
+        tab = rc.exterior_char_table(piece, rc.weyl_dim(X.levi, lam) * mult, rank)
+        new = []
+        for p in range(len(acc) + len(tab) - 1):
+            term = {}
+            for a in range(max(0, p - len(tab) + 1), min(p, len(acc) - 1) + 1):
+                for v, m in rc.conv(acc[a], tab[p - a], rank).items():
+                    term[v] = term.get(v, 0) + m
+            new.append(term)
+        acc = new
+    return acc
+
+
 def _chi_alternating(Z, E):
     """chi(Z, E|_Z) by pure alternating sums over the Koszul terms."""
-    from bwbforge.bwbcohom import bundle_cohomology
-    from bwbforge.koszul import _graded_chars
-
-    X = Z.space
-    total = 0
-    wch = wedge_dual_chars(Z)
-    for p in range(Z.bundle.rank + 1):
-        for gchar in _graded_chars(Z, E):
-            dec = rc.decompose_character(X.levi, rc.conv(wch[p], gchar, X.rs.rank))
-            t = bundle_cohomology(X, dec)
-            total += (-1) ** p * sum((-1) ** q * v for q, v in t.dims().items())
-    return total
+    return sum((-1) ** (q - p) * v for (p, _, q), v in _oracle_entries(Z, E).items())
 
 
 @pytest.mark.parametrize(
@@ -270,3 +317,104 @@ def test_solver_matches_euler_characteristic(space, weights):
         assert zc.status == "exact"
         chi = sum((-1) ** q * zc.dims[q] for q in range(Z.d + 1))
         assert chi == _chi_alternating(Z, E)
+
+
+# Table 1 and Table 2 loci except E7/P1 (its Newton-Girard tables take seconds)
+TABLE_LOCI = [
+    ("E6/P1", {w(6, i1=1): 12}),
+    ("E6/P2", {w(6, i1=1): 2, w(6, i2=1): 5}),
+    ("E6/P2", {w(6, i1=1): 1, w(6, i6=1): 1, w(6, i2=1): 5}),
+    ("E6/P2", {w(6, i6=1): 2, w(6, i2=1): 5}),
+    ("E6/P3", {w(6, i1=1): 3, w(6, i6=1): 3}),
+    ("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1}),
+    ("E6/P3", {w(6, i1=1): 1, w(6, i6=1): 4}),
+    ("F4/P1", {w(4, i4=1): 1, w(4, i1=1): 5}),
+    ("F4/P4", {w(4, i4=1): 11}),
+    ("F4/P4", {(1, 0, 0, 0): 1, w(4, i4=1): 4}),
+    ("G2/P1", {(5, 0): 1}),
+    ("G2/P2", {(0, 3): 1}),
+    ("G2/P1", {(1, 0): 1, (4, 0): 1}),
+    ("G2/P1", {(2, 0): 1, (3, 0): 1}),
+    ("G2/P1", {(1, 1): 1}),
+    ("G2/P2", {(0, 1): 1, (0, 2): 1}),
+    ("G2/P2", {(1, 1): 1}),
+]
+
+
+@pytest.mark.parametrize("space,weights", TABLE_LOCI)
+def test_wedge_product_matches_newton_girard(space, weights):
+    Z = mk(space, weights)
+    assert wedge_dual_chars(Z) == _newton_girard_wedges(Z)
+
+
+# the G2 and F4 loci of both tables, and one E6 locus
+ORACLE_LOCI = [(s, ws) for s, ws in TABLE_LOCI if s[0] in "FG"] + [
+    ("E6/P1", {w(6, i1=1): 12})
+]
+
+
+@pytest.mark.parametrize("space,weights", ORACLE_LOCI)
+def test_brauer_klimyk_page_matches_convolution_oracle(space, weights):
+    Z = mk(space, weights)
+    X = Z.space
+    targets = [
+        None,
+        Z.bundle.dual(),
+        omega_filtration(X).twist(X, 1),
+        _symmetric_square_bundle(Z),
+        _fstar_tensor_omega(Z),
+        _omega_square(Z),
+    ]
+    for E in targets:
+        got, want = restricted_cohomology(Z, E), _oracle_restricted(Z, E)
+        assert (got.dims, got.status, got.bounds) == (want.dims, want.status, want.bounds)
+
+
+SWEEP_LOCI = [(s, ws) for s, ws in TABLE_LOCI if s[0] in "FG"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    locus=st.sampled_from(SWEEP_LOCI),
+    parts=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-4, 4)),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_random_sums_match_convolution_oracle(locus, parts):
+    # one- or two-summand sums: Levi part 0, w_a or w_a + w_b, then a twist
+    Z = mk(*locus)
+    X = Z.space
+    levi = X.levi.levi
+    summands = {}
+    for a, b, t in parts:
+        lam = [0] * X.rs.rank
+        lam[levi[0] - 1] += a
+        lam[levi[-1] - 1] += b
+        lam[X.k - 1] += t
+        summands[tuple(lam)] = summands.get(tuple(lam), 0) + 1
+    E = BundleSum.make(X, summands)
+    got, want = restricted_cohomology(Z, E), _oracle_restricted(Z, E)
+    assert (got.dims, got.status, got.bounds) == (want.dims, want.status, want.bounds)
+
+
+@pytest.mark.parametrize("t", [-40000, 33000, -32767])
+def test_packed_weight_overflow_is_refused(t):
+    # O(-32767) fits a field, but Lambda^1 F^* = O(-3) pushes the sum past it
+    Z = mk("G2/P2", {(0, 3): 1})
+    with pytest.raises(rc.WeightRangeError):
+        restricted_cohomology(Z, BundleSum.make(Z.space, {(0, t): 1}))
+
+
+def test_largest_packable_twist_is_computed():
+    # O(-32765) + rho + (0,-3) = -32767 still fits, on this path and the oracle's
+    Z = mk("G2/P2", {(0, 3): 1})
+    E = BundleSum.make(Z.space, {(0, -32765): 1})
+    assert restricted_cohomology(Z, E).dims == _oracle_restricted(Z, E).dims
+
+
+def test_wedge_overflow_is_refused():
+    Z = mk("G2/P2", {(0, 20000): 1, (0, 20001): 1})
+    with pytest.raises(rc.WeightRangeError):
+        wedge_dual_chars(Z)
