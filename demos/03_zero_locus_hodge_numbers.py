@@ -9,7 +9,6 @@ row of the classification tables.
 
 from bwbforge.hodge import (
     assemble,
-    euler_characteristic,
     h0_row,
     h1_chase_report,
     h1_row,
@@ -43,7 +42,7 @@ dia = assemble(Z)
 print("full diamond:")
 for row in dia.rows():
     print("   ", row)
-print("Euler characteristic:", euler_characteristic(dia))
+print("Euler characteristic:", dia.euler_characteristic())
 
 print()
 print("== the hyperkaehler fourfold, for contrast ==")

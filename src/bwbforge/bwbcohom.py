@@ -4,8 +4,8 @@ For an irreducible bundle E_lambda the recipe is mechanical: if lambda+rho
 lies on a wall, every cohomology group vanishes; otherwise exactly one
 survives, in degree ell(w), with dominant label w(lambda+rho)-rho.
 ``bott`` applies the same recipe to a packed rho-shifted weight after a
-signed W_L-climb; the Koszul E1 assembly looks it up per weight through
-``bott_memo``.
+signed W_L-climb; the Koszul E1 assembly looks it up per weight in
+``cache.table("bott", X)``.
 
 The interesting machinery here is for *filtered* bundles (the cotangent
 bundle and friends): their graded pieces are completely reducible, RegInd
@@ -89,8 +89,6 @@ def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
 
 Bott = Optional[Tuple[int, int]]
 
-_bott_memos: Dict[HomSpace, Dict[int, Bott]] = {}
-
 
 def bott(X: HomSpace, x: int) -> Bott:
     """BWB contribution of a packed rho-shifted weight x = mu + nu + rho.
@@ -113,18 +111,6 @@ def bott(X: HomSpace, x: int) -> Bott:
     q, dom = full
     dim = rc.weyl_dim(X.group, tuple(a - b for a, b in zip(dom, rho(X.rs))))
     return q, (-dim if flips & 1 else dim)
-
-
-def bott_memo(X: HomSpace) -> Dict[int, Bott]:
-    """The memo of :func:`bott` on X, keyed by the packed weight.
-
-    Callers fetch it once and fill a miss with ``memo[x] = bott(X, x)``;
-    looking it up per weight would hash the space on every weight.
-    """
-    memo = _bott_memos.get(X)
-    if memo is None:
-        memo = _bott_memos[X] = {}
-    return memo
 
 
 def bott_index(X: HomSpace, lam: Weight) -> Optional[int]:

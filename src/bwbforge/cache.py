@@ -1,14 +1,18 @@
-"""Content-addressed memo cache with an optional on-disk layer.
+"""The one memo store of the engine, with an optional on-disk layer.
 
-Every expensive computation funnels through :func:`memo` with a namespace
-and a hashable key object.  Results live in an in-process dict; when a cache
-directory is attached (CLI flag or the BWBFORGE_CACHE environment variable)
-they are also pickled to one file per entry, stamped with the engine
-version.  A version mismatch silently invalidates the stored entry.
+Every memo whose key holds a user weight lives here, in a plain dict per
+``(namespace, owner)`` from :func:`table`, e.g. ``table("bott", X)``;
+``lru_cache`` is kept only on functions of root data.  :func:`stats`
+counts the entries of every table and :func:`clear` empties them all.
 
-Concurrent readers are safe; insertion of a missing entry is serialized by
-a lock, and a duplicate computation of the same key is benign because all
-values are idempotent.
+:func:`memo` keeps its results in ``table(namespace)``, keyed by the key
+object.  When a cache directory is attached (CLI flag or the
+BWBFORGE_CACHE environment variable) a miss is also pickled to one file,
+named by a sha256 of the key and stamped with a hash of the engine's
+source files, so an entry written by other code is never read.  Writers
+go through a temporary file of their own and an atomic rename; an entry
+that cannot be read back is counted in ``stats()["corrupt"]`` and
+recomputed.
 """
 
 from __future__ import annotations
@@ -16,15 +20,18 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import tempfile
 import threading
-from typing import Any, Callable, Dict, Optional
+from functools import lru_cache
+from typing import Any, Callable, Dict, Optional, Tuple
 
 ENGINE_VERSION = "1.0.0"
 
-_mem: Dict[str, Any] = {}
+_tables: Dict[Tuple[str, Any], dict] = {}
 _lock = threading.Lock()
 _dir: Optional[str] = None
-_stats = {"hits": 0, "misses": 0, "disk_hits": 0}
+_stats = {"hits": 0, "misses": 0, "disk_hits": 0, "corrupt": 0}
+_MISSING = object()
 
 
 def set_cache_dir(path: Optional[str]) -> None:
@@ -41,43 +48,86 @@ def cache_dir() -> Optional[str]:
     return os.environ.get("BWBFORGE_CACHE") or None
 
 
+def table(namespace: str, owner: Any = None) -> dict:
+    """The in-memory memo of ``namespace`` for ``owner`` (a context, a space).
+
+    Callers fetch it once per call and fill a miss themselves; looking it
+    up per key would hash the owner on every key.
+    """
+    got = _tables.get((namespace, owner))
+    if got is None:
+        with _lock:
+            got = _tables.setdefault((namespace, owner), {})
+    return got
+
+
+@lru_cache(maxsize=None)
+def source_stamp() -> str:
+    """sha256 over the engine's source files; computed on first disk access."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 def _key(namespace: str, key_obj: Any) -> str:
-    raw = f"{ENGINE_VERSION}|{namespace}|{key_obj!r}"
+    raw = f"{source_stamp()}|{namespace}|{key_obj!r}"
     return hashlib.sha256(raw.encode()).hexdigest()
 
 
+def _read(path: str) -> Any:
+    """The value stored at ``path``, or _MISSING when there is none to trust."""
+    try:
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+    except FileNotFoundError:
+        return _MISSING
+    except Exception:  # unpickling garbage can raise nearly anything
+        payload = None
+    if isinstance(payload, dict) and payload.get("stamp") == source_stamp():
+        return payload["value"]
+    _stats["corrupt"] += 1
+    return _MISSING
+
+
+def _write(directory: str, key: str, value: Any) -> None:
+    """Persist through a temporary file of this writer's own, then rename."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=key, suffix=".tmp")
+    except OSError:
+        return  # persistence is best-effort
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump({"stamp": source_stamp(), "value": value}, fh)
+        os.replace(tmp, os.path.join(directory, key + ".pkl"))
+    except (OSError, pickle.PicklingError):
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
 def memo(namespace: str, key_obj: Any, compute: Callable[[], Any]) -> Any:
-    key = _key(namespace, key_obj)
-    if key in _mem:
+    mem = table(namespace)
+    value = mem.get(key_obj, _MISSING)
+    if value is not _MISSING:
         _stats["hits"] += 1
-        return _mem[key]
+        return value
     directory = cache_dir()
     if directory:
-        path = os.path.join(directory, key + ".pkl")
-        if os.path.exists(path):
-            try:
-                with open(path, "rb") as fh:
-                    payload = pickle.load(fh)
-                if payload.get("version") == ENGINE_VERSION:
-                    value = payload["value"]
-                    with _lock:
-                        _mem[key] = value
-                    _stats["disk_hits"] += 1
-                    return value
-            except Exception:
-                pass  # corrupt entry: fall through and recompute
+        key = _key(namespace, key_obj)
+        value = _read(os.path.join(directory, key + ".pkl"))
+        if value is not _MISSING:
+            mem[key_obj] = value
+            _stats["disk_hits"] += 1
+            return value
     _stats["misses"] += 1
-    value = compute()
-    with _lock:
-        _mem[key] = value
+    value = mem[key_obj] = compute()
     if directory:
-        tmp = os.path.join(directory, key + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                pickle.dump({"version": ENGINE_VERSION, "value": value}, fh)
-            os.replace(tmp, os.path.join(directory, key + ".pkl"))
-        except Exception:
-            pass  # persistence is best-effort
+        _write(directory, key, value)
     return value
 
 
@@ -87,7 +137,7 @@ def stats() -> Dict[str, Any]:
     if directory and os.path.isdir(directory):
         entries = sum(1 for n in os.listdir(directory) if n.endswith(".pkl"))
     return {
-        "memory_entries": len(_mem),
+        "memory_entries": sum(len(t) for t in list(_tables.values())),
         "disk_entries": entries,
         "directory": directory,
         **_stats,
@@ -96,8 +146,8 @@ def stats() -> Dict[str, Any]:
 
 def clear(disk: bool = False) -> None:
     with _lock:
-        _mem.clear()
-    _stats.update({"hits": 0, "misses": 0, "disk_hits": 0})
+        _tables.clear()
+    _stats.update(dict.fromkeys(_stats, 0))
     directory = cache_dir()
     if disk and directory and os.path.isdir(directory):
         for name in os.listdir(directory):

@@ -34,7 +34,7 @@ from . import cache as _cache
 from . import classify as _classify
 from . import hodge as _hodge
 from . import repcalc as rc
-from .bwbcohom import CohomologyTable, bwb
+from .bwbcohom import CohomologyTable, bundle_cohomology, bwb
 from .homspace import (
     HomSpace,
     bundle_rank,
@@ -109,11 +109,6 @@ def parse_bundle(X: HomSpace, expr: str) -> BundleSum:
         if not rc.is_context_dominant(X.levi, lam):
             raise ParseError(f"weight {lam} is not P{X.k}-dominant on {X}")
     return BundleSum.make(X, weights)
-
-
-def format_bundle(B: BundleSum) -> str:
-    """Round-trippable rendering in the w/O grammar."""
-    return str(B)
 
 
 def _weight_str(w: Weight) -> str:
@@ -329,7 +324,7 @@ def _dispatch(args) -> Tuple[str, str]:
         ]
         payload = {
             "space": str(X),
-            "bundle": format_bundle(F),
+            "bundle": str(F),
             "results": {"p": args.p, "rows": rows},
             "status": "exact",
             "citations": [],
@@ -342,16 +337,10 @@ def _dispatch(args) -> Tuple[str, str]:
         X = parse_homspace(args.space)
         F = parse_bundle(X, args.bundle)
         if args.restrict is None:
-            t = CohomologyTable(X)
-            for lam, m in F.summands:
-                piece = bwb(X, lam)
-                for q, row in piece.entries.items():
-                    for hw, mult in row.items():
-                        t.add_entry(q, hw, mult * m)
-            rows = _table_payload(t)
+            rows = _table_payload(bundle_cohomology(X, F.as_dict()))
             payload = {
                 "space": str(X),
-                "bundle": format_bundle(F),
+                "bundle": str(F),
                 "results": {"rows": rows},
                 "status": "exact",
                 "citations": [],
@@ -366,8 +355,8 @@ def _dispatch(args) -> Tuple[str, str]:
         zc = restricted_cohomology(Z, E)
         payload = {
             "space": str(X),
-            "bundle": format_bundle(F),
-            "results": {"restrict": format_bundle(E), **_zc_payload(zc)},
+            "bundle": str(F),
+            "results": {"restrict": str(E), **_zc_payload(zc)},
             "status": zc.status,
             "citations": [],
         }
@@ -404,7 +393,7 @@ def _dispatch(args) -> Tuple[str, str]:
         status = "exact" if dia.complete() else "ambiguous"
         payload = {
             "space": str(X),
-            "bundle": format_bundle(F),
+            "bundle": str(F),
             "results": results,
             "status": status,
             "citations": [],
@@ -433,7 +422,7 @@ def _dispatch(args) -> Tuple[str, str]:
                 "space": r.space,
                 "dim": r.dim,
                 "iota": r.iota,
-                "bundle": format_bundle(BundleSum.make(parse_homspace(r.space), dict(r.weights))),
+                "bundle": str(BundleSum.make(parse_homspace(r.space), dict(r.weights))),
                 "orbit": r.orbit_tag,
                 "status": r.status,
                 "note": r.note,

@@ -284,9 +284,6 @@ def h22_chase_report(
     return ChaseReport([seq_a, seq_b], known, values, complete)
 
 
-UNKNOWN = None
-
-
 @dataclass
 class HodgeDiamond:
     """The h^{p,q} array of a d-fold with per-cell provenance flags."""
@@ -361,7 +358,3 @@ def assemble(Z: ZeroLocus) -> HodgeDiamond:
             if (p, q) not in dia.h:
                 dia.set(p, q, None, "ambiguous")
     return dia
-
-
-def euler_characteristic(dia: HodgeDiamond) -> Optional[int]:
-    return dia.euler_characteristic()

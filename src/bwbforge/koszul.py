@@ -30,7 +30,6 @@ from .bwbcohom import (
     CohomologyTable,
     FilteredBundle,
     bott,
-    bott_memo,
     bundle_cohomology,
 )
 from .homspace import HomSpace, dex, dimension, fano_index
@@ -97,6 +96,7 @@ class BundleSum:
         return out
 
     def __str__(self):
+        """Round-trippable rendering in the w/O bundle grammar of the CLI."""
         parts = []
         for lam, m in self.summands:
             t = lam[self.X.k - 1]
@@ -139,13 +139,6 @@ class KoszulPage:
     Z: ZeroLocus
     terms: Dict[int, rc.IrrDecomp]
     tables: Dict[int, CohomologyTable]
-
-    def cohomology_dims(self) -> Dict[Tuple[int, int], int]:
-        out = {}
-        for p, table in self.tables.items():
-            for q, dim in table.dims().items():
-                out[(p, q)] = dim
-        return out
 
 
 def _wedge_range(fstar: rc.PackedChar, rank: int) -> Tuple[Weight, Weight]:
@@ -389,7 +382,7 @@ def restricted_cohomology(Z: ZeroLocus, E: RestrictableBundle) -> ZCohomology:
     wedges = wedge_dual_chars(Z)
     lo, hi = _wedge_range(wedges[1] if len(wedges) > 1 else {}, rank)
     z = rc.pack((0,) * rank)
-    memo = bott_memo(X)
+    memo = _cache.table("bott", X)
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(_irreducible_gradeds(Z, E)):
         for mu, mult in graded:

@@ -189,12 +189,6 @@ def conv(a: PackedChar, b: PackedChar, rank: int) -> PackedChar:
     return {k: m for k, m in out.items() if m}
 
 
-def char_twist(char: PackedChar, rank: int, w: Weight) -> PackedChar:
-    """Translate every weight of the character by ``w``."""
-    shift = pack(w) - _pack_zero(rank)
-    return {v + shift: m for v, m in char.items()}
-
-
 def char_scale_weights(char: PackedChar, rank: int, m: int) -> PackedChar:
     """Adams operation psi^m: scale every weight by the integer m."""
     out: PackedChar = {}
@@ -227,12 +221,10 @@ def _coroot_vectors(ctx: Context) -> Tuple[Tuple[int, ...], ...]:
     return tuple(coroot_vector(ctx.rs, beta) for beta in context_positive_roots(ctx))
 
 
-_dim_memo: Dict[Tuple[Context, Weight], int] = {}
-
-
 def weyl_dim(ctx: Context, lam: Weight) -> int:
     """Dimension of the irreducible ctx-module with highest weight ``lam``."""
-    got = _dim_memo.get((ctx, lam))
+    memo = _cache.table("dim", ctx)
+    got = memo.get(lam)
     if got is not None:
         return got
     _require_dominant(ctx, lam)
@@ -244,7 +236,7 @@ def weyl_dim(ctx: Context, lam: Weight) -> int:
         num *= sum(ki * wi for ki, wi in zip(k, shifted))
         den *= sum(ki * wi for ki, wi in zip(k, one))
     assert num % den == 0
-    _dim_memo[(ctx, lam)] = num // den
+    memo[lam] = num // den
     return num // den
 
 
@@ -297,14 +289,13 @@ def _climb_signed(ctx: Context, packed: int) -> Optional[Tuple[int, int]]:
 
 
 _MISSING = object()
-_climb_memos: Dict[Context, Dict[int, Optional[Tuple[int, int]]]] = {}
 
 
 def decompose_character(ctx: Context, char: PackedChar) -> IrrDecomp:
     """Decompose a genuine (virtual-free) character into irreducibles."""
     rank = ctx.rs.rank
     shift = pack(rho(ctx.rs)) - _pack_zero(rank)
-    memo = _climb_memos.setdefault(ctx, {})
+    memo = _cache.table("climb", ctx)
     acc: Dict[int, int] = {}
     for v, m in char.items():
         x = v + shift
@@ -509,42 +500,33 @@ def symmetric_power(ctx: Context, rep: IrrDecomp, k: int) -> IrrDecomp:
     return decompose_character(ctx, table[k])
 
 
+@lru_cache(maxsize=None)
+def _invariant_form(rs: RootSystem, k: int) -> Tuple[Fraction, ...]:
+    """Coefficients in the weight basis of lam -> (lam, w_k)/(w_k, w_k)."""
+    basis = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    wk = basis[k - 1]
+    norm = inner_product(rs, wk, wk)
+    return tuple(inner_product(rs, w, wk) / norm for w in basis)
+
+
 def sum_of_weights(ctx: Context, lam: Weight) -> Weight:
     """Sum over the weight multiset of V_ctx(lam); Levi coordinates vanish.
 
-    Only defined for a Levi context with exactly one omitted node: the
-    surviving coordinate at the omitted node is the determinant twist.
+    Only defined for a Levi context with exactly one omitted node k: the
+    surviving coordinate at k is the determinant twist.
 
-    The sum equals dim * (W_L-invariant part of lam): writing lam = mu + y
-    with mu a rational combination of the Levi simple roots and y carrying
-    zero Levi coordinates, the barycenter of the weight multiset is y.  The
-    multiplicity-weighted sum from Freudenthal agrees (property-tested) but
-    this closed route stays cheap on the big E8 Levi sweeps.
+    The weights are W_L-stable, so their sum is W_L-invariant, hence a
+    multiple of w_k, the only fundamental weight orthogonal to every Levi
+    root.  Pairing with w_k gives dim V_L(lam) * (lam, w_k)/(w_k, w_k) * w_k.
+    The multiplicity-weighted sum from Freudenthal agrees (property-tested).
     """
     if len(ctx.omitted()) != 1:
         raise ValueError("sum_of_weights needs a Levi context omitting one node")
-    _require_dominant(ctx, lam)
-
-    def compute():
-        rs = ctx.rs
-        rank = rs.rank
-        k = ctx.omitted()[0]
-        A = [[Fraction(x) for x in row] for row in
-             ( _pairing_rows(rs) )]
-        levi = list(ctx.levi)
-        n = len(levi)
-        # solve sum_j c_j * A[i][j] = lam_i over the Levi block
-        M = [[A[levi[i] - 1][levi[j] - 1] for j in range(n)] for i in range(n)]
-        b = [Fraction(lam[i - 1]) for i in levi]
-        c = _solve_fraction_system(M, b)
-        y_k = Fraction(lam[k - 1]) - sum(c[j] * A[k - 1][levi[j] - 1] for j in range(n))
-        total = weyl_dim(ctx, lam) * y_k
-        assert total.denominator == 1
-        res = [0] * rank
-        res[k - 1] = int(total)
-        return tuple(res)
-
-    return _cache.memo("sumwts", (str(ctx), lam), compute)
+    k = ctx.omitted()[0]
+    form = _invariant_form(ctx.rs, k)
+    total = weyl_dim(ctx, lam) * sum(c * x for c, x in zip(form, lam))
+    assert total.denominator == 1
+    return tuple(int(total) if i == k - 1 else 0 for i in range(ctx.rs.rank))
 
 
 def sum_of_weights_bruteforce(ctx: Context, lam: Weight) -> Weight:
@@ -555,24 +537,3 @@ def sum_of_weights_bruteforce(ctx: Context, lam: Weight) -> Weight:
         for i in range(rank):
             total[i] += m * w[i]
     return tuple(total)
-
-
-def _pairing_rows(rs: RootSystem):
-    from .rootdata import cartan_matrix
-
-    return cartan_matrix(rs)
-
-
-def _solve_fraction_system(M: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
-    n = len(b)
-    A = [row[:] + [b[i]] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][n] for i in range(n)]

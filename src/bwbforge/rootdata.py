@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 Weight = Tuple[int, ...]
 Root = Tuple[int, ...]
@@ -320,12 +320,6 @@ def to_dominant_chamber(
             return ChamberResult(singular=False, dominant=cur, word=tuple(word))
         cur = reflect(rs, cur, neg)
         word.append(neg)
-
-
-def is_dominant(w: Weight, indices: Optional[Iterable[int]] = None) -> bool:
-    if indices is None:
-        return all(c >= 0 for c in w)
-    return all(w[i - 1] >= 0 for i in indices)
 
 
 def parse_root_system(text: str) -> RootSystem:

@@ -1,0 +1,66 @@
+import os
+import pickle
+
+import pytest
+
+from bwbforge import cache
+from bwbforge.homspace import parse_homspace
+from bwbforge.koszul import BundleSum, ZeroLocus, restricted_cohomology
+
+
+@pytest.fixture
+def disk(tmp_path):
+    cache.set_cache_dir(str(tmp_path))
+    cache.clear()
+    yield str(tmp_path)
+    cache.set_cache_dir(None)
+    cache.clear()
+
+
+def _entry(directory, namespace, key_obj):
+    return os.path.join(directory, cache._key(namespace, key_obj) + ".pkl")
+
+
+def test_squatted_temp_name_does_not_block_persisting(disk):
+    os.mkdir(_entry(disk, "t", "k")[: -len(".pkl")] + ".tmp")
+    cache.memo("t", "k", lambda: 7)
+    assert os.path.isfile(_entry(disk, "t", "k"))
+
+
+def test_garbage_entry_is_recomputed_and_counted(disk):
+    with open(_entry(disk, "t", "k"), "wb") as fh:
+        fh.write(b"not a pickle")
+    assert cache.memo("t", "k", lambda: 7) == 7
+    assert cache.stats()["corrupt"] == 1
+    assert cache.stats()["misses"] == 1
+    cache.clear()
+    assert cache.memo("t", "k", lambda: pytest.fail("recomputed")) == 7
+
+
+def test_entry_under_another_stamp_is_not_read(disk, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cache, "source_stamp", lambda: "another engine")
+        cache.memo("t", "k", lambda: "stale")
+    cache.clear()
+    assert cache.memo("t", "k", lambda: "fresh") == "fresh"
+    assert cache.stats()["disk_hits"] == 0
+
+
+def test_entry_with_a_foreign_stamp_inside_is_not_read(disk):
+    with open(_entry(disk, "t", "k"), "wb") as fh:
+        pickle.dump({"stamp": "another engine", "value": "stale"}, fh)
+    assert cache.memo("t", "k", lambda: "fresh") == "fresh"
+    assert cache.stats()["corrupt"] == 1
+
+
+def test_memory_entries_count_every_table():
+    cache.clear()
+    X = parse_homspace("G2/P2")
+    Z = ZeroLocus(X, BundleSum.make(X, {X.line(3): 1}))
+    restricted_cohomology(Z, BundleSum.make(X, {X.line(-3): 1}))
+    bott = len(cache.table("bott", X))
+    assert bott > 0
+    assert cache.stats()["memory_entries"] >= bott + len(cache.table("wedge_chars"))
+    cache.clear()
+    assert cache.stats()["memory_entries"] == 0
+    assert cache.table("bott", X) == {}

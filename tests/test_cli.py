@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bwbforge.cli import ParseError, format_bundle, main, parse_bundle, parse_weight
+from bwbforge.cli import ParseError, main, parse_bundle, parse_weight
 from bwbforge.homspace import parse_homspace
 
 
@@ -80,7 +80,7 @@ def test_bundle_round_trip():
     for space, expr in cases:
         X = parse_homspace(space)
         B = parse_bundle(X, expr)
-        assert parse_bundle(X, format_bundle(B)).as_dict() == B.as_dict()
+        assert parse_bundle(X, str(B)).as_dict() == B.as_dict()
 
 
 # -- commands -------------------------------------------------------------------

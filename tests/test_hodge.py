@@ -5,7 +5,6 @@ from bwbforge.hodge import (
     ChaseStuckError,
     HodgeDiamond,
     assemble,
-    euler_characteristic,
     h0_row,
     h1_row,
     h22,
@@ -103,7 +102,7 @@ def test_h22_g2p1_complete_intersection_crosscheck():
     Z = mk("G2/P1", {(5, 0): 1})
     assert h22(Z) == 1472
     dia = assemble(Z)
-    assert euler_characteristic(dia) == 2190
+    assert dia.euler_characteristic() == 2190
 
 
 def test_diamond_g2p2():
@@ -116,7 +115,7 @@ def test_diamond_g2p2():
         [0, 258, 0, 1, 0],
         [1, 0, 0, 0, 1],
     ]
-    assert euler_characteristic(dia) == 1602
+    assert dia.euler_characteristic() == 1602
     assert dia.flags[(3, 1)] == "symmetry-forced"
     assert dia.flags[(1, 1)] == "computed"
 
@@ -141,7 +140,7 @@ def test_chi_formula_consistency():
         ("G2/P1", {(5, 0): 1}, 356, 1472),
     ]:
         dia = assemble(mk(space, weights))
-        assert euler_characteristic(dia) == 4 + 2 * 1 + 2 * h13 + h22v
+        assert dia.euler_characteristic() == 4 + 2 * 1 + 2 * h13 + h22v
 
 
 def test_chi_trivial_arithmetic():
@@ -160,8 +159,8 @@ def test_threefold_chi_reporting():
     r1 = h1_row(Z)
     assert r1.values == [0, 1, 73, 0]
     dia = assemble(Z)
-    assert euler_characteristic(dia) == -144
-    assert euler_characteristic(dia) == 2 * (1 - 73)
+    assert dia.euler_characteristic() == -144
+    assert dia.euler_characteristic() == 2 * (1 - 73)
 
 
 def test_h22_requires_fourfold():
@@ -263,7 +262,7 @@ def test_table2_engine_values(space, weights, h12, chi):
     r1 = h1_row(Z, r0)
     assert r0.values == [1, 0, 0, 1]
     assert r1.values == [0, 1, h12, 0]
-    assert euler_characteristic(assemble(Z)) == chi
+    assert assemble(Z).euler_characteristic() == chi
 
 
 def test_omega_filtration_matches_gradation():

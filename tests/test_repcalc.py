@@ -203,6 +203,12 @@ def test_sum_of_weights_matches_freudenthal_oracle():
         (rc.levi_context(E6, 3), w(6, i5=1)),
         (rc.levi_context(G2, 1), (0, 1)),
         (rc.levi_context(RootSystem("A", 5), 2), (3, 0, 0, 0, 0)),
+        # one negatively twisted case per exceptional type
+        (rc.levi_context(E6, 1), w(6, i1=-3, i6=1)),
+        (rc.levi_context(E7, 2), w(7, i2=-1, i7=1)),
+        (rc.levi_context(RootSystem("E", 8), 1), w(8, i1=-2, i8=1)),
+        (rc.levi_context(F4, 1), (-1, 0, 0, 1)),
+        (rc.levi_context(G2, 2), (2, -3)),
     ]
     for ctx, lam in cases:
         assert rc.sum_of_weights(ctx, lam) == rc.sum_of_weights_bruteforce(ctx, lam)
