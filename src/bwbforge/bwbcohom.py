@@ -150,13 +150,6 @@ class FilteredBundle:
             [{X.twist(lam, t): m for lam, m in g} for g in self.gradeds]
         )
 
-    def total_decomp(self) -> rc.IrrDecomp:
-        out: rc.IrrDecomp = {}
-        for g in self.gradeds:
-            for lam, m in g:
-                out[lam] = out.get(lam, 0) + m
-        return out
-
 
 def reg_ind(X: HomSpace, bundle: FilteredBundle) -> Set[int]:
     """Bott indices of the regular-shifted graded constituents."""

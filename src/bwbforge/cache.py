@@ -12,7 +12,8 @@ named by a sha256 of the key and stamped with a hash of the engine's
 source files, so an entry written by other code is never read.  Writers
 go through a temporary file of their own and an atomic rename; an entry
 that cannot be read back is counted in ``stats()["corrupt"]`` and
-recomputed.
+recomputed; ``clear(disk=True)`` also removes the temporary files that
+killed writers left behind.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def clear(disk: bool = False) -> None:
     directory = cache_dir()
     if disk and directory and os.path.isdir(directory):
         for name in os.listdir(directory):
-            if name.endswith(".pkl"):
+            if name.endswith((".pkl", ".tmp")):
                 try:
                     os.remove(os.path.join(directory, name))
                 except OSError:

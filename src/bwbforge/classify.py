@@ -278,9 +278,6 @@ class ClassifyReport:
             seen.setdefault(row.orbit_tag, row)
         return list(seen.values())
 
-    def pairs(self) -> List[Tuple[str, Tuple[Tuple[Weight, int], ...]]]:
-        return [(r.space, r.weights) for r in self.rows]
-
 
 def classify(
     spaces: Sequence[HomSpace],

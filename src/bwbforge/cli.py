@@ -49,8 +49,8 @@ from .koszul import (
     BundleSum,
     EmptyLocusError,
     ZeroLocus,
-    exterior_dual_powers,
     restricted_cohomology,
+    wedge_dual_chars,
 )
 from .rootdata import Weight, parse_root_system, positive_roots
 
@@ -312,11 +312,9 @@ def _dispatch(args) -> Tuple[str, str]:
     if args.command == "ext":
         X = parse_homspace(args.space)
         F = parse_bundle(X, args.bundle)
-        Z = ZeroLocus(X, F)
-        page = exterior_dual_powers(Z)
         if not 0 <= args.p <= F.rank:
             raise ParseError(f"wedge degree {args.p} out of range 0..{F.rank}")
-        dec = page.terms[args.p]
+        dec = rc.decompose_character(X.levi, wedge_dual_chars(ZeroLocus(X, F))[args.p])
         rows = [
             {"weight": _weight_str(lam), "multiplicity": m,
              "rank": rc.weyl_dim(X.levi, lam)}

@@ -6,6 +6,11 @@ with the values forced by Hodge symmetry and Serre duality; for fourfolds
 h^{2,2} follows from the second wedge of the conormal sequence, split at
 its kernel sheaf into two short exact sequences sharing unknowns.
 
+The bundles of that second wedge are built from Levi characters by the
+routes of ``repcalc``: S^2 F^* and Lambda^2 of a cotangent piece by the
+per-weight plethysm, F^* (x) g_{-l} and g_{-i} (x) g_{-j} by Brauer-Klimyk,
+shifting the character of g_{-l} by each irreducible of the other factor.
+
 All chases run through one small solver: an exact sequence whose entries
 are known integers or named unknowns splits at its zero entries into
 segments with vanishing alternating sum, and a segment with a single
@@ -202,38 +207,36 @@ def _symmetric_square_bundle(Z: ZeroLocus) -> BundleSum:
 def _fstar_tensor_omega(Z: ZeroLocus) -> FilteredBundle:
     """(F^* (x) Omega_X) filtered by the cotangent gradation, deep end first."""
     X = Z.space
-    rank = X.rs.rank
-    fchar = Z.bundle.dual().char()
-    grad = gradation(X)
-    decomps = []
-    for ell in grad.levels:
-        prod = rc.conv(fchar, graded_module_char(X, ell), rank)
-        decomps.append(rc.decompose_character(X.levi, prod))
-    return FilteredBundle.from_decomps(decomps)
+    fstar = Z.bundle.dual().as_dict()
+    return FilteredBundle.from_decomps(
+        [
+            rc.tensor_char(X.levi, fstar, graded_module_char(X, ell))
+            for ell in gradation(X).levels
+        ]
+    )
 
 
 def _omega_square(Z: ZeroLocus) -> FilteredBundle:
     """Lambda^2 Omega_X graded by total depth (deepest first)."""
     X = Z.space
-    rank = X.rs.rank
     grad = gradation(X)
-    chars = {ell: graded_module_char(X, ell) for ell in grad.levels}
-    m = grad.depth
+    pieces = dict(zip(grad.levels, grad.as_filtration()))
     decomps = []
-    for s in range(2 * m, 1, -1):
-        acc: rc.PackedChar = {}
+    for s in range(2 * grad.depth, 1, -1):
+        acc: rc.IrrDecomp = {}
         for i in grad.levels:
             j = s - i
-            if j < i or j not in chars:
+            if j < i or j not in pieces:
                 continue
             if i == j:
-                piece = rc.exterior_char_table(chars[i], 2, rank)[2]
+                wedge = rc.exterior_char_table(graded_module_char(X, i), 2, X.rs.rank)[2]
+                piece = rc.decompose_character(X.levi, wedge)
             else:
-                piece = rc.conv(chars[i], chars[j], rank)
-            for v, mult in piece.items():
-                acc[v] = acc.get(v, 0) + mult
+                piece = rc.tensor_char(X.levi, pieces[i], graded_module_char(X, j))
+            for lam, mult in piece.items():
+                acc[lam] = acc.get(lam, 0) + mult
         if acc:
-            decomps.append(rc.decompose_character(X.levi, acc))
+            decomps.append(acc)
     return FilteredBundle.from_decomps(decomps)
 
 

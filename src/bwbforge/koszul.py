@@ -5,11 +5,15 @@ of rank f on X, the Koszul complex resolves O_Z by the wedge powers of F^*.
 Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
 purely from Borel-Weil-Bott data.
 
-The wedge powers come from the per-weight product prod (1 + t x^nu) over the
-weights nu of F^*.  Each E_1 entry is read off by Brauer-Klimyk: the
-irreducible pieces E_mu of E, shifted by every weight of Lambda^p F^*, go
-straight through ``bwbcohom.bott``, so no tensor product is ever expanded
-or decomposed.
+The wedge powers come from ``repcalc.exterior_char_table``, the per-weight
+product prod (1 + t x^nu) over the weights nu of F^*.  Each E_1 entry is
+read off by Brauer-Klimyk: the irreducible pieces E_mu of E, shifted by
+every weight of Lambda^p F^*, go straight through ``bwbcohom.bott``, so no
+tensor product is ever expanded or decomposed.
+
+F must be generated by its sections, or the Koszul complex does not
+resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
+G-dominant, since such a summand has no sections at all.
 
 Degeneration of the spectral sequence is never assumed: the bookkeeping
 solver below cancels entries only where the abutment forces it (total
@@ -25,13 +29,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import cache as _cache
 from . import repcalc as rc
-from .bwbcohom import (
-    Bott,
-    CohomologyTable,
-    FilteredBundle,
-    bott,
-    bundle_cohomology,
-)
+from .bwbcohom import Bott, FilteredBundle, bott
+from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
 from .rootdata import Weight, add, rho
 
@@ -121,6 +120,12 @@ class ZeroLocus:
     def __post_init__(self):
         if self.bundle.X != self.space:
             raise ValueError("bundle lives on a different space")
+        for lam, _ in self.bundle.summands:
+            if not rc.is_context_dominant(self.space.group, lam):
+                raise ValueError(
+                    f"summand {lam} is not {self.space.rs}-dominant: it has no "
+                    "sections, so its zero locus has no Koszul resolution"
+                )
         if self.d < 0:
             raise ValueError("bundle rank exceeds the ambient dimension")
 
@@ -132,79 +137,22 @@ class ZeroLocus:
         return self.bundle.dex == fano_index(self.space)
 
 
-@dataclass
-class KoszulPage:
-    """Wedge powers of F^* and their Borel-Weil-Bott cohomology."""
-
-    Z: ZeroLocus
-    terms: Dict[int, rc.IrrDecomp]
-    tables: Dict[int, CohomologyTable]
-
-
-def _wedge_range(fstar: rc.PackedChar, rank: int) -> Tuple[Weight, Weight]:
-    """Per-coordinate extremes over the weights of every Lambda^p F^*.
-
-    A weight of Lambda^p is a sum of p distinct weights of F^*, so the least
-    and greatest coordinate sum the negative and the positive coordinates of
-    all of them; both are attained.
-    """
-    lo, hi = [0] * rank, [0] * rank
-    for v, m in fstar.items():
-        for i, c in enumerate(rc.unpack(v, rank)):
-            if c < 0:
-                lo[i] += m * c
-            else:
-                hi[i] += m * c
-    return tuple(lo), tuple(hi)
-
-
 def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     """Characters of Lambda^p F^* for p = 0..rank(F).
 
-    Built as the per-weight product prod_{nu in wt(F^*)} (1 + t x^nu): each
-    factor shifts the degree-(p-1) character by nu into degree p.
+    The top one is checked against the determinant: the Koszul tail is
+    the line bundle O(-dex F), a single weight of multiplicity one.
     """
 
     def compute():
-        rank = Z.space.rs.rank
-        fstar = Z.bundle.dual().char()
-        rc.check_packable(*_wedge_range(fstar, rank))
-        z = rc.pack((0,) * rank)
-        acc: List[rc.PackedChar] = [{z: 1}]
-        for v, m in sorted(fstar.items()):
-            shift = v - z
-            for _ in range(m):
-                acc.append({})
-                # descending p reads degree p-1 before this factor touches it
-                for p in range(len(acc) - 1, 0, -1):
-                    target = acc[p]
-                    get = target.get
-                    for key, c in acc[p - 1].items():
-                        key += shift
-                        target[key] = get(key, 0) + c
-        assert len(acc) == Z.bundle.rank + 1
-        return acc
+        X = Z.space
+        chars = rc.exterior_char_table(Z.bundle.dual().char(), Z.bundle.rank, X.rs.rank)
+        top = chars[-1]
+        assert len(top) == 1 and list(top.values()) == [1], "top wedge is not a line"
+        assert rc.unpack(next(iter(top)), X.rs.rank)[X.k - 1] == -Z.bundle.dex
+        return chars
 
     return _cache.memo("wedge_chars", (str(Z.space), Z.bundle.summands), compute)
-
-
-def exterior_dual_powers(Z: ZeroLocus) -> KoszulPage:
-    """Decomposed wedge powers Lambda^p F^* with their cohomology tables."""
-    X = Z.space
-    chars = wedge_dual_chars(Z)
-
-    def compute():
-        return [rc.decompose_character(X.levi, ch) for ch in chars]
-
-    decomps = _cache.memo("wedge_decomps", (str(X), Z.bundle.summands), compute)
-    terms = {p: decomps[p] for p in range(len(decomps))}
-    # determinant consistency: the Koszul tail is the line O(-dex F)
-    top = terms[Z.bundle.rank]
-    assert len(top) == 1 and next(iter(top.values())) == 1
-    top_weight = next(iter(top))
-    assert top_weight[X.k - 1] == -Z.bundle.dex
-    tables = {p: bundle_cohomology(X, dec) for p, dec in terms.items()}
-    return KoszulPage(Z, terms, tables)
 
 
 # -- hypercohomology bookkeeping ---------------------------------------------
@@ -380,7 +328,7 @@ def restricted_cohomology(Z: ZeroLocus, E: RestrictableBundle) -> ZCohomology:
     X = Z.space
     rank = X.rs.rank
     wedges = wedge_dual_chars(Z)
-    lo, hi = _wedge_range(wedges[1] if len(wedges) > 1 else {}, rank)
+    lo, hi = rc.power_extremes(wedges[1] if len(wedges) > 1 else {}, len(wedges) - 1, rank)
     z = rc.pack((0,) * rank)
     memo = _cache.table("bott", X)
     entries: Dict[Tuple[int, int, int], int] = {}

@@ -15,6 +15,13 @@ Decomposition of an arbitrary character into irreducibles uses the
 rho-shifted reflection trick: each weight mu contributes sgn(w) at the
 dominant representative of mu+rho (nothing on walls), which telescopes to
 the multiset of highest weights.  This is linear in the support size.
+Shifting every weight by a dominant lambda first gives V(lambda) (x) M by
+Brauer-Klimyk, which is the one route for tensor products.
+
+Wedge and symmetric powers have one routine as well: the per-weight
+product of (1 + t x^nu), resp. 1/(1 - t x^nu), over the weights nu of the
+character, truncated at the largest degree asked for.
+
 Weights are packed 16 bits per coordinate; ``pack`` refuses a coordinate
 outside the field, and code adding packed weights first checks the
 per-coordinate extremes of the sum with ``check_packable``.
@@ -171,7 +178,11 @@ def char_dim(char: PackedChar) -> int:
 
 
 def conv(a: PackedChar, b: PackedChar, rank: int) -> PackedChar:
-    """Pointwise convolution (character of a tensor product)."""
+    """Pointwise convolution (character of a tensor product).
+
+    No engine route uses it: tensor products go through Brauer-Klimyk in
+    ``tensor_char``.  The tests keep it as their convolution oracle.
+    """
     if not a or not b:
         return {}
     (lo_a, hi_a), (lo_b, hi_b) = char_extremes(a, rank), char_extremes(b, rank)
@@ -187,19 +198,6 @@ def conv(a: PackedChar, b: PackedChar, rank: int) -> PackedChar:
             key = va + shift
             out[key] = get(key, 0) + ma * mb
     return {k: m for k, m in out.items() if m}
-
-
-def char_scale_weights(char: PackedChar, rank: int, m: int) -> PackedChar:
-    """Adams operation psi^m: scale every weight by the integer m."""
-    out: PackedChar = {}
-    for v, mult in char.items():
-        key = pack(tuple(m * c for c in unpack(v, rank)))
-        out[key] = out.get(key, 0) + mult
-    return out
-
-
-def char_negate(char: PackedChar, rank: int) -> PackedChar:
-    return char_scale_weights(char, rank, -1)
 
 
 # -- context data ------------------------------------------------------------
@@ -291,29 +289,46 @@ def _climb_signed(ctx: Context, packed: int) -> Optional[Tuple[int, int]]:
 _MISSING = object()
 
 
-def decompose_character(ctx: Context, char: PackedChar) -> IrrDecomp:
-    """Decompose a genuine (virtual-free) character into irreducibles."""
+def decompose_character(
+    ctx: Context, char: PackedChar, shift: Optional[Weight] = None
+) -> IrrDecomp:
+    """Decompose a genuine (virtual-free) character into irreducibles.
+
+    With a dominant ``shift`` lambda, every weight is moved by lambda first,
+    which decomposes V(lambda) (x) M for M the module of ``char``
+    (Brauer-Klimyk).  The extremes of the rho-shifted weights are checked
+    once, so a weight that would leave the packed field raises.
+    """
+    if not char:
+        return {}
     rank = ctx.rs.rank
-    shift = pack(rho(ctx.rs)) - _pack_zero(rank)
+    if shift is None:
+        lift = rho(ctx.rs)
+    else:
+        _require_dominant(ctx, shift)
+        lift = add(shift, rho(ctx.rs))
+    lo, hi = char_extremes(char, rank)
+    check_packable(add(lo, lift), add(hi, lift))
+    # pack(v + lift) - pack(v), which need not itself be a packable weight
+    offset = sum(c << (_BITS * i) for i, c in enumerate(lift))
     memo = _cache.table("climb", ctx)
     acc: Dict[int, int] = {}
     for v, m in char.items():
-        x = v + shift
+        x = v + offset
         res = memo.get(x, _MISSING)
         if res is _MISSING:
             res = memo[x] = _climb_signed(ctx, x)
         if res is None:
             continue
         sign, dom = res
-        key = dom - shift
-        acc[key] = acc.get(key, 0) + sign * m
+        acc[dom] = acc.get(dom, 0) + sign * m
     out: IrrDecomp = {}
-    for key, m in acc.items():
+    for dom, m in acc.items():
         if m == 0:
             continue
         if m < 0:
             raise AssertionError("negative multiplicity: input was not a character")
-        out[unpack(key, rank)] = m
+        out[sub(unpack(dom, rank), rho(ctx.rs))] = m
     return out
 
 
@@ -425,61 +440,72 @@ def dual_highest_weight(ctx: Context, lam: Weight) -> Weight:
     return dominant_rep(ctx, tuple(-c for c in lam))
 
 
-def tensor_decompose(ctx: Context, a: IrrDecomp, b: IrrDecomp) -> IrrDecomp:
-    """Decompose the tensor product of two formal sums of irreducibles."""
+def tensor_char(ctx: Context, rep: IrrDecomp, char: PackedChar) -> IrrDecomp:
+    """Decompose rep (x) M for a formal sum ``rep`` and the character of M."""
     out: IrrDecomp = {}
-    for la, ma in a.items():
-        for lb, mb in b.items():
-            for lam, m in _tensor_pair(ctx, la, lb).items():
-                out[lam] = out.get(lam, 0) + ma * mb * m
+    for lam, m in rep.items():
+        for mu, c in decompose_character(ctx, char, lam).items():
+            out[mu] = out.get(mu, 0) + m * c
     return out
 
 
-def _tensor_pair(ctx: Context, la: Weight, lb: Weight) -> IrrDecomp:
-    def compute():
-        prod = conv(char_irr(ctx, la), char_irr(ctx, lb), ctx.rs.rank)
-        return decompose_character(ctx, prod)
+def tensor_decompose(ctx: Context, a: IrrDecomp, b: IrrDecomp) -> IrrDecomp:
+    """Decompose the tensor product of two formal sums of irreducibles."""
+    return tensor_char(ctx, a, char_of_decomp(ctx, b))
 
-    return _cache.memo("tensor", (str(ctx), la, lb), compute)
+
+def power_extremes(
+    char: PackedChar, kmax: int, rank: int, exterior: bool = True
+) -> Tuple[Weight, Weight]:
+    """Per-coordinate extremes over the weights of degrees 0..kmax.
+
+    A weight of Lambda^p is a sum of p weights of ``char`` taken without
+    repetition, one of S^p with repetition; the least (greatest) coordinate
+    sums the negative (positive) ones among the kmax smallest (largest), and
+    both are attained.
+    """
+    lo, hi = [], []
+    for i in range(rank):
+        coords = sorted(
+            c
+            for v, m in char.items()
+            for c in [((v >> (_BITS * i)) & _MASK) - _OFFSET] * (m if exterior else kmax)
+        )
+        lo.append(sum(c for c in coords[:kmax] if c < 0))
+        hi.append(sum(c for c in coords[::-1][:kmax] if c > 0))
+    return tuple(lo), tuple(hi)
+
+
+def _power_table(
+    char: PackedChar, kmax: int, rank: int, exterior: bool
+) -> List[PackedChar]:
+    """Degrees 0..kmax of prod (1 + t x^nu) or prod 1/(1 - t x^nu) over wt(char)."""
+    check_packable(*power_extremes(char, kmax, rank, exterior))
+    z = _pack_zero(rank)
+    table: List[PackedChar] = [{z: 1}] + [{} for _ in range(kmax)]
+    # descending p reads degree p-1 before this factor touches it (one copy
+    # of x^nu); ascending p reads it after, which sums every power of x^nu
+    degrees = range(kmax, 0, -1) if exterior else range(1, kmax + 1)
+    for v, m in sorted(char.items()):
+        shift = v - z
+        for _ in range(m):
+            for p in degrees:
+                target = table[p]
+                get = target.get
+                for key, c in table[p - 1].items():
+                    key += shift
+                    target[key] = get(key, 0) + c
+    return table
 
 
 def exterior_char_table(char: PackedChar, kmax: int, rank: int) -> List[PackedChar]:
-    """Characters of Lambda^0..Lambda^kmax via the Newton/Girard recursion."""
-    psi = [None] + [char_scale_weights(char, rank, m) for m in range(1, kmax + 1)]
-    es: List[PackedChar] = [{_pack_zero(rank): 1}]
-    for k in range(1, kmax + 1):
-        acc: PackedChar = {}
-        for m in range(1, k + 1):
-            term = conv(es[k - m], psi[m], rank)
-            sgn = 1 if m % 2 == 1 else -1
-            for v, mult in term.items():
-                acc[v] = acc.get(v, 0) + sgn * mult
-        ek: PackedChar = {}
-        for v, mult in acc.items():
-            if mult:
-                assert mult % k == 0
-                ek[v] = mult // k
-        es.append(ek)
-    return es
+    """Characters of Lambda^0..Lambda^kmax: the per-weight product of (1 + t x^nu)."""
+    return _power_table(char, kmax, rank, exterior=True)
 
 
 def symmetric_char_table(char: PackedChar, kmax: int, rank: int) -> List[PackedChar]:
-    """Characters of S^0..S^kmax via the Newton/Girard recursion."""
-    psi = [None] + [char_scale_weights(char, rank, m) for m in range(1, kmax + 1)]
-    hs: List[PackedChar] = [{_pack_zero(rank): 1}]
-    for k in range(1, kmax + 1):
-        acc: PackedChar = {}
-        for m in range(1, k + 1):
-            term = conv(hs[k - m], psi[m], rank)
-            for v, mult in term.items():
-                acc[v] = acc.get(v, 0) + mult
-        hk: PackedChar = {}
-        for v, mult in acc.items():
-            if mult:
-                assert mult % k == 0
-                hk[v] = mult // k
-        hs.append(hk)
-    return hs
+    """Characters of S^0..S^kmax: the per-weight product of 1/(1 - t x^nu)."""
+    return _power_table(char, kmax, rank, exterior=False)
 
 
 def exterior_power(ctx: Context, rep: IrrDecomp, k: int) -> IrrDecomp:

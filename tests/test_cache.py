@@ -64,3 +64,13 @@ def test_memory_entries_count_every_table():
     cache.clear()
     assert cache.stats()["memory_entries"] == 0
     assert cache.table("bott", X) == {}
+
+
+def test_clear_removes_temp_files_of_killed_writers(disk):
+    key = cache._key("t", "k")
+    left = os.path.join(disk, key + "x1y2z3.tmp")
+    with open(left, "wb") as fh:
+        fh.write(b"half a pickle")
+    cache.memo("t", "k", lambda: 7)
+    cache.clear(disk=True)
+    assert os.listdir(disk) == []

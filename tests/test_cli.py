@@ -266,3 +266,18 @@ def test_packed_weight_overflow_exits_1(twist):
     # a 16-bit packed coordinate would wrap into a wrong H^0; refuse instead
     out = run_cli("cohomology", "G2/P2", "O(3)", "--restrict", f"O({twist})", expect=1)
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hodge", "G2/P1", "O(-1)", "--d", "4"],
+        ["cohomology", "G2/P1", "O(-1)", "--restrict", "O(0)"],
+    ],
+)
+def test_bundle_without_sections_exits_1(argv, capsys):
+    # O(-1) has no sections, so there is no Koszul resolution to push through
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "G2-dominant" in err

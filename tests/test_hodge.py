@@ -232,7 +232,11 @@ def test_f4p1_h13_cross_validated_three_ways():
     tangent = FilteredBundle.from_decomps(
         [
             rc.decompose_character(
-                X.levi, rc.char_negate(graded_module_char(X, ell), X.rs.rank)
+                X.levi,
+                {
+                    rc.pack(tuple(-c for c in rc.unpack(v, X.rs.rank))): m
+                    for v, m in graded_module_char(X, ell).items()
+                },
             )
             for ell in sorted(gradation(X).levels)
         ]

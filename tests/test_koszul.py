@@ -12,13 +12,18 @@ from bwbforge.hodge import (
     _symmetric_square_bundle,
     omega_filtration,
 )
-from bwbforge.homspace import dimension, fano_index, gradation, parse_homspace
+from bwbforge.homspace import (
+    dimension,
+    fano_index,
+    gradation,
+    graded_module_char,
+    parse_homspace,
+)
 from bwbforge.koszul import (
     BundleSum,
     EmptyLocusError,
     ZeroLocus,
     _spectral_solve,
-    exterior_dual_powers,
     restricted_cohomology,
     structure_cohomology,
     wedge_dual_chars,
@@ -35,6 +40,11 @@ def w(rank, **kw):
     for key, val in kw.items():
         v[int(key[1:]) - 1] = val
     return tuple(v)
+
+
+def wedge_decomp(Z, p):
+    """Lambda^p F^* decomposed into irreducibles, as ``bwbforge ext`` prints it."""
+    return rc.decompose_character(Z.space.levi, wedge_dual_chars(Z)[p])
 
 
 def test_bundle_sum_validation():
@@ -63,13 +73,12 @@ def test_trivial_summand_rejected():
 def test_wedge_powers_f4p4_displays():
     # F = E_{w1} + O(1)^4 over F4/P4: the displayed decompositions
     Z = mk("F4/P4", {(1, 0, 0, 0): 1, (0, 0, 0, 1): 4})
-    page = exterior_dual_powers(Z)
-    assert page.terms[2] == {(0, 1, 0, -4): 1, (1, 0, 0, -3): 4, (0, 0, 0, -2): 6}
-    assert page.terms[3] == {
+    assert wedge_decomp(Z, 2) == {(0, 1, 0, -4): 1, (1, 0, 0, -3): 4, (0, 0, 0, -2): 6}
+    assert wedge_decomp(Z, 3) == {
         (0, 0, 2, -6): 1, (0, 1, 0, -5): 4, (1, 0, 0, -4): 6, (0, 0, 0, -3): 4
     }
-    assert page.terms[10] == {(0, 0, 0, -10): 4, (1, 0, 0, -11): 1}
-    assert page.terms[11] == {(0, 0, 0, -11): 1}
+    assert wedge_decomp(Z, 10) == {(0, 0, 0, -10): 4, (1, 0, 0, -11): 1}
+    assert wedge_decomp(Z, 11) == {(0, 0, 0, -11): 1}
 
 
 def test_wedge_top_is_line_with_minus_dex():
@@ -79,7 +88,7 @@ def test_wedge_top_is_line_with_minus_dex():
         ("G2/P1", {(2, 0): 1, (3, 0): 1}),
     ]:
         Z = mk(space, weights)
-        top = exterior_dual_powers(Z).terms[Z.bundle.rank]
+        top = wedge_decomp(Z, Z.bundle.rank)
         (lam, mult), = top.items()
         assert mult == 1
         assert lam[Z.space.k - 1] == -Z.bundle.dex
@@ -88,17 +97,16 @@ def test_wedge_top_is_line_with_minus_dex():
 
 def test_line_bundle_determinant():
     Z = mk("E6/P1", {w(6, i1=1): 12})
-    top = exterior_dual_powers(Z).terms[12]
+    top = wedge_decomp(Z, 12)
     assert top == {w(6, i1=-12): 1}
 
 
 def test_wedge_ranks_binomial_convolution():
     Z = mk("E6/P2", {w(6, i1=1): 2, w(6, i2=1): 5})
-    page = exterior_dual_powers(Z)
     X = Z.space
     total = 0
-    for p, dec in page.terms.items():
-        rank_p = rc.decomp_dim(X.levi, dec)
+    for p in range(Z.bundle.rank + 1):
+        rank_p = rc.decomp_dim(X.levi, wedge_decomp(Z, p))
         expect = sum(
             comb(6, a) * comb(6, b) * comb(5, p - a - b)
             for a in range(0, min(6, p) + 1)
@@ -154,18 +162,17 @@ def _parse_weights(text):
 
 def test_e6p3_wedge_weight_table():
     Z = mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1})
-    page = exterior_dual_powers(Z)
     for p, text in E6P3_TABLE.items():
-        assert set(page.terms[p]) == _parse_weights(text), f"p = {p}"
+        assert set(wedge_decomp(Z, p)) == _parse_weights(text), f"p = {p}"
     # and the p = 3 multiplicities
-    assert page.terms[3] == {
+    assert wedge_decomp(Z, 3) == {
         (0, 0, -3, 1, 0, 0): 10,
         (0, 0, -2, 0, 1, 0): 20,
         (0, 1, -3, 1, 0, 0): 20,
         (0, 2, -3, 0, 0, 0): 6,
         (0, 3, -3, 0, 0, 0): 4,
     }
-    assert page.terms[21] == {w(6, i3=-9): 1}
+    assert wedge_decomp(Z, 21) == {w(6, i3=-9): 1}
 
 
 def test_structure_cohomology_anchors():
@@ -235,9 +242,8 @@ def test_honest_ambiguity_is_reported():
 def test_wedge_chars_match_decomposition_dims():
     Z = mk("E6/P3", {w(6, i1=1): 3, w(6, i6=1): 3})
     chars = wedge_dual_chars(Z)
-    page = exterior_dual_powers(Z)
     for p in range(len(chars)):
-        assert rc.char_dim(chars[p]) == rc.decomp_dim(Z.space.levi, page.terms[p])
+        assert rc.char_dim(chars[p]) == rc.decomp_dim(Z.space.levi, wedge_decomp(Z, p))
 
 
 # -- oracle: the E1 page by convolution and decomposition ---------------------
@@ -270,6 +276,27 @@ def _oracle_restricted(Z, E):
     return _spectral_solve(_oracle_entries(Z, E), Z.d)
 
 
+def _newton_girard_table(char, kmax, rank, exterior):
+    """Lambda^k (or S^k) for k <= kmax from the power sums psi^m by Newton-Girard."""
+    psi = [None]
+    for m in range(1, kmax + 1):
+        scaled = {}
+        for v, mult in char.items():
+            key = rc.pack(tuple(m * c for c in rc.unpack(v, rank)))
+            scaled[key] = scaled.get(key, 0) + mult
+        psi.append(scaled)
+    table = [{rc.pack((0,) * rank): 1}]
+    for k in range(1, kmax + 1):
+        acc = {}
+        for m in range(1, k + 1):
+            sgn = -1 if exterior and m % 2 == 0 else 1
+            for v, mult in rc.conv(table[k - m], psi[m], rank).items():
+                acc[v] = acc.get(v, 0) + sgn * mult
+        assert all(mult % k == 0 for mult in acc.values())
+        table.append({v: mult // k for v, mult in acc.items() if mult})
+    return table
+
+
 def _newton_girard_wedges(Z):
     """Lambda^p F^*: Newton-Girard table per summand of F^*, then convolved."""
     X = Z.space
@@ -277,7 +304,7 @@ def _newton_girard_wedges(Z):
     acc = [{rc.pack((0,) * rank): 1}]
     for lam, mult in Z.bundle.dual().summands:
         piece = {v: m * mult for v, m in rc.char_irr(X.levi, lam).items()}
-        tab = rc.exterior_char_table(piece, rc.weyl_dim(X.levi, lam) * mult, rank)
+        tab = _newton_girard_table(piece, rc.weyl_dim(X.levi, lam) * mult, rank, True)
         new = []
         for p in range(len(acc) + len(tab) - 1):
             term = {}
@@ -345,6 +372,66 @@ TABLE_LOCI = [
 def test_wedge_product_matches_newton_girard(space, weights):
     Z = mk(space, weights)
     assert wedge_dual_chars(Z) == _newton_girard_wedges(Z)
+
+
+@pytest.mark.parametrize("space,weights", TABLE_LOCI)
+def test_char_tables_match_newton_girard(space, weights):
+    # Lambda^k and S^k, k <= 3, of F^* and of every cotangent piece g_{-l}
+    Z = mk(space, weights)
+    X = Z.space
+    rank = X.rs.rank
+    chars = [Z.bundle.dual().char()]
+    chars += [graded_module_char(X, ell) for ell in gradation(X).levels]
+    for char in chars:
+        wedges, syms = (_newton_girard_table(char, 3, rank, ext) for ext in (True, False))
+        assert rc.exterior_char_table(char, 3, rank) == wedges
+        assert rc.symmetric_char_table(char, 3, rank) == syms
+
+
+def _convolved_builders(Z):
+    """S^2 F^*, F^* (x) Omega and Lambda^2 Omega by Newton-Girard, conv and decompose."""
+    X = Z.space
+    rank = X.rs.rank
+    levi = X.levi
+    fchar = Z.bundle.dual().char()
+    grad = gradation(X)
+    chars = {ell: graded_module_char(X, ell) for ell in grad.levels}
+    sym = _newton_girard_table(fchar, 2, rank, False)[2]
+    sym = BundleSum.make(X, rc.decompose_character(levi, sym))
+    tens = FilteredBundle.from_decomps(
+        [rc.decompose_character(levi, rc.conv(fchar, chars[ell], rank)) for ell in grad.levels]
+    )
+    square = []
+    for total in range(2 * grad.depth, 1, -1):
+        acc = {}
+        for i in grad.levels:
+            j = total - i
+            if j < i or j not in chars:
+                continue
+            if i == j:
+                piece = _newton_girard_table(chars[i], 2, rank, True)[2]
+            else:
+                piece = rc.conv(chars[i], chars[j], rank)
+            for v, m in piece.items():
+                acc[v] = acc.get(v, 0) + m
+        if acc:
+            square.append(rc.decompose_character(levi, acc))
+    return sym, tens, FilteredBundle.from_decomps(square)
+
+
+@pytest.mark.parametrize("space,weights", TABLE_LOCI)
+def test_hodge_builders_match_convolution_oracle(space, weights):
+    Z = mk(space, weights)
+    got = (_symmetric_square_bundle(Z), _fstar_tensor_omega(Z), _omega_square(Z))
+    assert got == _convolved_builders(Z)
+
+
+def test_char_table_overflow_is_refused():
+    # S^2 of a weight with coordinate 20000 leaves the field, Lambda^2 of it does not
+    char = rc.char_from_weights({(0, 20000): 1})
+    assert rc.exterior_char_table(char, 2, 2)[2] == {}
+    with pytest.raises(rc.WeightRangeError):
+        rc.symmetric_char_table(char, 2, 2)
 
 
 # the G2 and F4 loci of both tables, and one E6 locus

@@ -251,3 +251,38 @@ def test_convolution_is_associative_and_counts_dims(a, b, c):
     right = rc.conv(pa, rc.conv(pb, pc, 4), 4)
     assert left == right
     assert rc.char_dim(left) == rc.char_dim(pa) * rc.char_dim(pb) * rc.char_dim(pc)
+
+
+@pytest.mark.parametrize("a,fits", [(32763, True), (32764, False)])
+def test_decompose_character_refuses_wrapping_rho_shift(a, fits):
+    # V_L((a, 1)) on the G2/P1 Levi holds the weight (a + 3, -1); adding rho
+    # puts a + 4 into the first field, which must fit -32768..32767
+    ctx = rc.levi_context(G2, 1)
+    ch = rc.char_irr(ctx, (a, 1))
+    if fits:
+        assert rc.decompose_character(ctx, ch) == {(a, 1): 1}
+    else:
+        with pytest.raises(rc.WeightRangeError):
+            rc.decompose_character(ctx, ch)
+
+
+def test_brauer_klimyk_shift_is_range_checked():
+    ctx = rc.levi_context(G2, 1)
+    ch = rc.char_irr(ctx, (0, 1))
+    assert rc.decompose_character(ctx, ch, (32763, 0)) == {(32763, 1): 1}
+    with pytest.raises(rc.WeightRangeError):
+        rc.decompose_character(ctx, ch, (32764, 0))
+    with pytest.raises(rc.NonDominantError):
+        rc.decompose_character(ctx, ch, (0, -1))
+
+
+def test_tensor_char_matches_convolution_oracle():
+    # E6/P3 Levi: w1 + w6 against the character of w1(-1) + w6
+    ctx = rc.levi_context(E6, 3)
+    rep = {w(6, i1=1): 1, w(6, i6=1): 2}
+    other = {w(6, i1=1, i3=-1): 1, w(6, i6=1): 1}
+    char = rc.char_of_decomp(ctx, other)
+    got = rc.tensor_char(ctx, rep, char)
+    want = rc.decompose_character(ctx, rc.conv(rc.char_of_decomp(ctx, rep), char, 6))
+    assert got == want
+    assert got == rc.tensor_decompose(ctx, rep, other)
