@@ -3,9 +3,11 @@
 For an irreducible bundle E_lambda the recipe is mechanical: if lambda+rho
 lies on a wall, every cohomology group vanishes; otherwise exactly one
 survives, in degree ell(w), with dominant label w(lambda+rho)-rho.
-``bott`` applies the same recipe to a packed rho-shifted weight after a
-signed W_L-climb; the Koszul E1 assembly looks it up per weight in
-``cache.table("bott", X)``.
+``tensor_cohomology`` applies it to E_mu (x) M for an L-module M given by
+its character, as the Koszul E1 page needs it: Brauer-Klimyk splits the
+product into L-irreducibles by one W_L-climb per weight (memoised per
+space in ``cache.table("bott", X)``), and the recipe above then runs once
+per irreducible (``cache.table("bwb", X)``), not once per weight.
 
 The interesting machinery here is for *filtered* bundles (the cotangent
 bundle and friends): their graded pieces are completely reducible, RegInd
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from . import cache as _cache
 from . import repcalc as rc
 from .homspace import HomSpace, dimension
 from .rootdata import Weight, add, rho, to_dominant_chamber
@@ -87,30 +90,83 @@ def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
     return table
 
 
-Bott = Optional[Tuple[int, int]]
+_MISSING = object()
 
 
-def bott(X: HomSpace, x: int) -> Bott:
-    """BWB contribution of a packed rho-shifted weight x = mu + nu + rho.
+def _bwb_entry(X: HomSpace, y: int, bwbs: dict) -> Optional[Tuple[int, int]]:
+    """(q, dim V_G) for the packed rho-shifted Levi highest weight y; None on a W wall."""
+    got = bwbs.get(y, _MISSING)
+    if got is _MISSING:
+        got = rc.climb(X.group, rc.unpack(y, X.rs.rank))
+        if got is not None:
+            q, dom = got
+            got = q, rc.weyl_dim(X.group, tuple(c - 1 for c in dom))
+        bwbs[y] = got
+    return got
 
-    This is the one route from a rho-shifted weight to cohomology: in the
-    Brauer-Klimyk sum for V_L(mu) (x) M, the weight nu of M contributes
-    sign * [w_L(x) - rho] after the W_L-climb, and that irreducible bundle
-    contributes dim V_G(hw) in degree q by Borel-Weil-Bott.  Returns None
-    when x lies on a wall of W_L or of W; otherwise (q, sign * dim V_G(hw))
-    with sign = (-1)^{#Levi reflections} and q the length of the G-climb
-    (Bott 1957; Kostant 1961).
+
+def _levi_top(X: HomSpace, levi: rc.Context, x: int, bwbs: dict) -> Optional[int]:
+    """Packed W_L-dominant representative y of x, negated for an odd climb.
+
+    None when x lies on a wall of W_L, or y on a wall of W.
     """
-    levi = rc.climb(X.levi, rc.unpack(x, X.rs.rank))
-    if levi is None:
+    climbed = rc.climb(levi, rc.unpack(x, X.rs.rank))
+    if climbed is None:
         return None
-    flips, y = levi
-    full = rc.climb(X.group, y)
-    if full is None:
+    flips, dom = climbed
+    y = rc.pack(dom)
+    if _bwb_entry(X, y, bwbs) is None:
         return None
-    q, dom = full
-    dim = rc.weyl_dim(X.group, tuple(a - b for a, b in zip(dom, rho(X.rs))))
-    return q, (-dim if flips & 1 else dim)
+    return -y if flips & 1 else y
+
+
+def tensor_cohomology(
+    X: HomSpace, mu: Weight, char: rc.PackedChar, extremes: Tuple[Weight, Weight]
+) -> Dict[int, int]:
+    """Dimensions of H^q(X, E_mu (x) M) for the L-module M with character ``char``.
+
+    Brauer-Klimyk first (mu must be P-dominant): each weight nu of M moves
+    mu + nu + rho into the dominant W_L-chamber, and the signed
+    multiplicities are summed per rho-shifted Levi highest weight y; a
+    negative sum means ``char`` was not a character, and raises.
+    Borel-Weil-Bott then runs once per L-irreducible E_{y - rho}: dim V_G
+    in degree q, the length of its W-climb, or nothing on a wall (Bott
+    1957; Kostant 1961).
+
+    ``extremes`` bounds the coordinates of the weights of ``char`` (a
+    caller with a table of characters computes it once); the shifted sums
+    are range-checked against it before any packed weight is added.
+    Both steps are memoised per space on packed ints: ``table("bott", X)``
+    maps x = mu + nu + rho to None or to y, negated when the W_L-climb has
+    odd length, and ``table("bwb", X)`` maps y to (q, dim V_G) or None.
+    """
+    _check_p_dominant(X, mu)
+    shifted = add(mu, rho(X.rs))
+    rc.check_packable(add(shifted, extremes[0]), add(shifted, extremes[1]))
+    shift = rc.pack(shifted) - rc.pack((0,) * X.rs.rank)
+    bott, bwbs = _cache.table("bott", X), _cache.table("bwb", X)
+    levi = X.levi
+    tally: Dict[Optional[int], int] = {}
+    for v, m in char.items():
+        x = v + shift
+        y = bott.get(x, _MISSING)
+        if y is _MISSING:
+            y = bott[x] = _levi_top(X, levi, x, bwbs)
+        tally[y] = tally.get(y, 0) + m
+    tally.pop(None, None)
+    irreducibles: Dict[int, int] = {}
+    for y, m in tally.items():
+        if y < 0:
+            y, m = -y, -m
+        irreducibles[y] = irreducibles.get(y, 0) + m
+    out: Dict[int, int] = {}
+    for y, m in irreducibles.items():
+        if m < 0:
+            raise AssertionError("negative multiplicity: input was not a character")
+        if m:
+            q, dim = _bwb_entry(X, y, bwbs)
+            out[q] = out.get(q, 0) + m * dim
+    return out
 
 
 def bott_index(X: HomSpace, lam: Weight) -> Optional[int]:
@@ -140,6 +196,8 @@ class FilteredBundle:
     def from_decomps(decomps: Sequence[rc.IrrDecomp]) -> "FilteredBundle":
         if not decomps:
             raise ValueError("a filtered bundle needs at least one graded piece")
+        if any(m <= 0 for d in decomps for m in d.values()):
+            raise ValueError("graded multiplicities must be positive")
         return FilteredBundle(tuple(tuple(sorted(d.items())) for d in decomps))
 
     def decomps(self) -> List[rc.IrrDecomp]:

@@ -1,9 +1,14 @@
 """The one memo store of the engine, with an optional on-disk layer.
 
 Every memo whose key holds a user weight lives here, in a plain dict per
-``(namespace, owner)`` from :func:`table`, e.g. ``table("bott", X)``;
-``lru_cache`` is kept only on functions of root data.  :func:`stats`
-counts the entries of every table and :func:`clear` empties them all.
+``(namespace, owner)`` from :func:`table`: per context ``dim`` (Weyl
+dimensions) and ``climb`` (signed W_L-climbs of ``decompose_character``),
+per space ``bott`` (packed rho-shifted weight -> signed packed Levi
+highest weight) and ``bwb`` (Levi highest weight -> degree and dimension
+of its cohomology).  ``lru_cache`` is kept only on functions of root
+data.  :func:`stats` counts the entries of every table,
+:func:`namespace_entries` per namespace, and :func:`clear` empties them
+all.
 
 :func:`memo` keeps its results in ``table(namespace)``, keyed by the key
 object.  When a cache directory is attached (CLI flag or the
@@ -143,6 +148,14 @@ def stats() -> Dict[str, Any]:
         "directory": directory,
         **_stats,
     }
+
+
+def namespace_entries() -> Dict[str, int]:
+    """In-memory entries per namespace, summed over owners."""
+    out: Dict[str, int] = {}
+    for (namespace, _), entries in list(_tables.items()):
+        out[namespace] = out.get(namespace, 0) + len(entries)
+    return out
 
 
 def clear(disk: bool = False) -> None:

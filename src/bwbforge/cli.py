@@ -220,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.cache:
         _cache.set_cache_dir(args.cache)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         out, status = _dispatch(args)
     except (ParseError, ValueError, EmptyLocusError) as exc:
@@ -232,9 +232,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     sys.stdout.write(out)
     if args.verbose:
         st = _cache.stats()
+        per_namespace = ", ".join(
+            f"{ns} {n}" for ns, n in sorted(_cache.namespace_entries().items())
+        )
         print(
-            f"[{time.time() - t0:.2f}s, cache: {st['memory_entries']} in memory, "
-            f"{st['hits']} hits, {st['misses']} misses]",
+            f"[{time.perf_counter() - t0:.2f}s, cache: {st['memory_entries']} in memory "
+            f"({per_namespace}), {st['hits']} hits, {st['misses']} misses]",
             file=sys.stderr,
         )
     if status == "ambiguous":
@@ -397,6 +400,9 @@ def _dispatch(args) -> Tuple[str, str]:
             "citations": [],
         }
         lines = [f"{k}={v}" for k, v in sorted(names.items())] + [f"chi={chi}"]
+        if status == "ambiguous" and dia.blocked:
+            results["blocked"] = dict(dia.blocked)
+            lines += [f"blocked {k}: {v}" for k, v in sorted(dia.blocked.items())]
         return _emit(payload, fmt, lines), status
 
     if args.command == "classify":

@@ -289,11 +289,17 @@ def h22_chase_report(
 
 @dataclass
 class HodgeDiamond:
-    """The h^{p,q} array of a d-fold with per-cell provenance flags."""
+    """The h^{p,q} array of a d-fold with per-cell provenance flags.
+
+    ``blocked`` maps a named cell the chase left undetermined (``"h22"``)
+    to the reason, e.g. the restricted bundle whose cohomology is only
+    bounded, with its bounds.
+    """
 
     d: int
     h: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
     flags: Dict[Tuple[int, int], str] = field(default_factory=dict)
+    blocked: Dict[str, str] = field(default_factory=dict)
 
     def set(self, p: int, q: int, value: Optional[int], flag: str):
         self.h[(p, q)] = value
@@ -337,8 +343,9 @@ def assemble(Z: ZeroLocus) -> HodgeDiamond:
     if d == 4:
         try:
             dia.set(2, 2, h22(Z, row0, row1), "computed")
-        except AmbiguousCohomologyError:
+        except AmbiguousCohomologyError as exc:
             dia.set(2, 2, None, "ambiguous")
+            dia.blocked["h22"] = str(exc)
     # symmetry closure: h^{p,q} = h^{q,p} = h^{d-p,d-q}
     changed = True
     while changed:

@@ -6,10 +6,12 @@ Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
 purely from Borel-Weil-Bott data.
 
 The wedge powers come from ``repcalc.exterior_char_table``, the per-weight
-product prod (1 + t x^nu) over the weights nu of F^*.  Each E_1 entry is
-read off by Brauer-Klimyk: the irreducible pieces E_mu of E, shifted by
-every weight of Lambda^p F^*, go straight through ``bwbcohom.bott``, so no
-tensor product is ever expanded or decomposed.
+product prod (1 + t x^nu) over the weights nu of F^*.  ``e1_page`` reads
+each E_1 entry off by Brauer-Klimyk: for every irreducible piece E_mu of E
+and every p, ``bwbcohom.tensor_cohomology`` sums the weights of
+Lambda^p F^*, shifted by mu + rho, into L-irreducibles and applies
+Borel-Weil-Bott once per irreducible, so no tensor product is ever
+expanded.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -29,12 +31,10 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import cache as _cache
 from . import repcalc as rc
-from .bwbcohom import Bott, FilteredBundle, bott
+from .bwbcohom import FilteredBundle, tensor_cohomology
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
-from .rootdata import Weight, add, rho
-
-_MISSING = object()
+from .rootdata import Weight
 
 
 class EmptyLocusError(ValueError):
@@ -312,46 +312,41 @@ def _irreducible_gradeds(
     return list(E.gradeds)
 
 
+def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], int]:
+    """The Koszul E_1 page of E|_Z: {(p, j, q): dim H^q(X, Lambda^p F^* (x) gr_j E)}.
+
+    Each entry is read off by Brauer-Klimyk without expanding the product:
+    for every irreducible E_mu of gr_j E, ``tensor_cohomology`` sums the
+    weights of Lambda^p F^*, shifted by mu + rho, into L-irreducibles and
+    applies Borel-Weil-Bott once per irreducible.  Only nonzero entries
+    are kept, sorted; a negative total would mean the input was not a
+    genuine module, and raises.
+    """
+    X = Z.space
+    wedges = wedge_dual_chars(Z)
+    extremes = rc.power_extremes(
+        wedges[1] if len(wedges) > 1 else {}, len(wedges) - 1, X.rs.rank
+    )
+    entries: Dict[Tuple[int, int, int], int] = {}
+    for j, graded in enumerate(_irreducible_gradeds(Z, E)):
+        for mu, mult in graded:
+            for p, wedge in enumerate(wedges):
+                for q, n in tensor_cohomology(X, mu, wedge, extremes).items():
+                    key = (p, j, q)
+                    entries[key] = entries.get(key, 0) + mult * n
+    if any(v < 0 for v in entries.values()):
+        raise AssertionError("negative multiplicity: input was not a character")
+    return dict(sorted(entries.items()))
+
+
 def restricted_cohomology(Z: ZeroLocus, E: RestrictableBundle) -> ZCohomology:
     """H^q(Z, E|_Z) via the Koszul resolution tensored with E.
 
     ``E`` may be a completely reducible BundleSum, a FilteredBundle (its
     gradeds enter as extra filtration levels of the bookkeeping), or None
     for the structure sheaf.
-
-    The E_1 entry (p, j, q) is the H^q of Lambda^p F^* (x) gr_j E, read off
-    by Brauer-Klimyk without decomposing the product: for each irreducible
-    E_mu of gr_j E and each weight nu of Lambda^p F^*, ``bott`` gives the
-    signed contribution of mu + nu + rho.  A negative total would mean the
-    input was not a genuine module, and raises.
     """
-    X = Z.space
-    rank = X.rs.rank
-    wedges = wedge_dual_chars(Z)
-    lo, hi = rc.power_extremes(wedges[1] if len(wedges) > 1 else {}, len(wedges) - 1, rank)
-    z = rc.pack((0,) * rank)
-    memo = _cache.table("bott", X)
-    entries: Dict[Tuple[int, int, int], int] = {}
-    for j, graded in enumerate(_irreducible_gradeds(Z, E)):
-        for mu, mult in graded:
-            shifted = add(mu, rho(X.rs))
-            rc.check_packable(add(shifted, lo), add(shifted, hi))
-            shift = rc.pack(shifted) - z
-            for p, wedge in enumerate(wedges):
-                tally: Dict[Bott, int] = {}
-                for v, m in wedge.items():
-                    x = v + shift
-                    b = memo.get(x, _MISSING)
-                    if b is _MISSING:
-                        b = memo[x] = bott(X, x)
-                    tally[b] = tally.get(b, 0) + m
-                for b, m in tally.items():
-                    if b is not None:
-                        key = (p, j, b[0])
-                        entries[key] = entries.get(key, 0) + mult * m * b[1]
-    if any(v < 0 for v in entries.values()):
-        raise AssertionError("negative multiplicity: input was not a character")
-    return _spectral_solve(dict(sorted(entries.items())), Z.d)
+    return _spectral_solve(e1_page(Z, E), Z.d)
 
 
 def structure_cohomology(Z: ZeroLocus) -> ZCohomology:

@@ -29,6 +29,7 @@ per-coordinate extremes of the sum with ``check_packable``.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -129,8 +130,15 @@ def pack(w: Weight) -> int:
     return v
 
 
+@lru_cache(maxsize=None)
+def _fields(rank: int) -> struct.Struct:
+    """Little-endian unsigned fields of ``_BITS`` = 16 bits, one per coordinate."""
+    return struct.Struct(f"<{rank}H")
+
+
 def unpack(v: int, rank: int) -> Weight:
-    return tuple(((v >> (_BITS * i)) & _MASK) - _OFFSET for i in range(rank))
+    raw = _fields(rank).unpack(v.to_bytes(2 * rank, "little"))
+    return tuple([c - _OFFSET for c in raw])
 
 
 @lru_cache(maxsize=None)
@@ -248,28 +256,38 @@ def dominant_rep(ctx: Context, w: Weight) -> Weight:
         cur = reflect(ctx.rs, cur, neg)
 
 
+@lru_cache(maxsize=None)
+def _climb_rows(ctx: Context) -> Tuple[Tuple[int, Weight], ...]:
+    """(coordinate index, alpha_i in the weight basis) for each simple root of ctx."""
+    return tuple((i - 1, simple_root_weight(ctx.rs, i)) for i in ctx.levi)
+
+
 def climb(ctx: Context, w: Weight) -> Optional[Tuple[int, Weight]]:
     """Push a rho-shifted weight into the dominant chamber of the context's Weyl group.
 
     Returns None if the weight lies on a wall, otherwise (number of simple
     reflections applied, dominant representative).  Reflecting at the
     smallest negative index gives a reduced word, so the count is the length
-    of the climbing element.
+    of the climbing element, as in ``to_dominant_chamber`` restricted to the
+    context's indices.  Walls are Weyl-invariant, so a zero coordinate is
+    looked for in ``w`` and then only up to the index of each reflection:
+    a weight on a wall reaches one before it could end dominant.
     """
-    rs = ctx.rs
+    rows = _climb_rows(ctx)
+    if any(w[i] == 0 for i, _ in rows):
+        return None
     cur = w
     n = 0
     while True:
-        neg = 0
-        for i in ctx.levi:
-            c = cur[i - 1]
-            if c == 0:
-                return None
-            if c < 0 and neg == 0:
-                neg = i
-        if neg == 0:
+        for i, alpha in rows:
+            c = cur[i]
+            if c <= 0:
+                break
+        else:
             return n, cur
-        cur = reflect(rs, cur, neg)
+        if c == 0:
+            return None
+        cur = tuple([x - c * y for x, y in zip(cur, alpha)])
         n += 1
 
 

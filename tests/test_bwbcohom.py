@@ -11,6 +11,7 @@ from bwbforge.bwbcohom import (
     filtered_cohomology,
     reg_ind,
     serre_dual_weight,
+    tensor_cohomology,
 )
 from bwbforge.homspace import dimension, gradation, parse_homspace
 
@@ -76,6 +77,28 @@ def test_euler_characteristic_additive():
     )
 
 
+@pytest.mark.parametrize("name", ["G2/P1", "G2/P2", "F4/P4", "E6/P3"])
+def test_tensor_cohomology_with_trivial_module_is_bwb(name):
+    X = parse_homspace(name)
+    zero = (0,) * X.rs.rank
+    trivial = {rc.pack(zero): 1}
+    rng = random.Random(name)
+    for _ in range(12):
+        lam = tuple(
+            rng.randint(0, 2) if i != X.k - 1 else rng.randint(-12, 3)
+            for i in range(X.rs.rank)
+        )
+        assert tensor_cohomology(X, lam, trivial, (zero, zero)) == bwb(X, lam).dims()
+
+
+def test_tensor_cohomology_refuses_non_characters():
+    zero = (0, 0)
+    with pytest.raises(AssertionError, match="not a character"):
+        tensor_cohomology(G2P2, zero, {rc.pack(zero): -1}, (zero, zero))
+    with pytest.raises(NotPDominantError):
+        tensor_cohomology(G2P2, (-1, 0), {rc.pack(zero): 1}, (zero, zero))
+
+
 def test_reg_ind_anchors():
     assert reg_ind(G2P2, omega(G2P2)) == {1}
     om1 = omega(G2P1)
@@ -114,6 +137,15 @@ def test_filtered_cohomology_anchors():
     # Omega itself: only H^1 = C survives (RegInd vanishing)
     t = filtered_cohomology(G2P2, omega(G2P2))
     assert t.exact and t.dims() == {1: 1}
+
+
+@pytest.mark.parametrize("mult", [-1, 0])
+def test_filtered_bundle_refuses_nonpositive_multiplicity(mult):
+    # a multiplicity of -1 used to come back as H^0 of dimension -14, marked exact
+    with pytest.raises(ValueError, match="positive"):
+        FilteredBundle.from_decomps([{(0, 1): mult}])
+    with pytest.raises(ValueError, match="positive"):
+        FilteredBundle.from_decomps([{(0, 1): 1}, {(1, 0): 2, (0, 2): mult}])
 
 
 def test_filtered_single_graded_matches_bundle_cohomology():

@@ -145,6 +145,34 @@ def test_hodge_beauville_donagi():
     assert res["chi"] is None
 
 
+def test_hodge_names_the_bundle_that_blocks_h22():
+    # Table 1 row F4/P4, E_w1 + O(1)^4: F^* (x) Omega|_Z is only bounded
+    args = ["hodge", "F4/P4", "w1 + O(1)^4", "--d", "4"]
+    reason = "F^* (x) Omega|_Z: {3: (0, 3), 4: (9138, 9141)}"
+    res = json.loads(run_cli("--format", "json", *args, expect=1))["results"]
+    assert res["h22"] is None and res["h13"] == 87
+    assert res["blocked"] == {"h22": reason}
+    lines = run_cli(*args, expect=1).splitlines()
+    assert lines[-2:] == ["chi=None", f"blocked h22: {reason}"]
+
+
+def test_exact_hodge_output_has_no_blocked_entry():
+    res = json.loads(run_cli("--format", "json", "hodge", "G2/P2", "O(3)", "--d", "4"))
+    assert "blocked" not in res["results"]
+
+
+def test_verbose_changes_only_stderr():
+    args = ["--format", "json", "cohomology", "G2/P2", "O(3)", "--restrict", "O(-3)"]
+    quiet = subprocess.run([sys.executable, "-m", "bwbforge.cli", *args],
+                           capture_output=True, text=True)
+    loud = subprocess.run([sys.executable, "-m", "bwbforge.cli", "-v", *args],
+                          capture_output=True, text=True)
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stdout == loud.stdout and quiet.stderr == ""
+    # one line naming the in-memory entries of each memo namespace
+    assert "bott " in loud.stderr and "bwb " in loud.stderr and "wedge_chars " in loud.stderr
+
+
 def test_hodge_dimension_mismatch_is_an_error():
     proc = subprocess.run(
         [sys.executable, "-m", "bwbforge.cli", "hodge", "G2/P2", "O(3)", "--d", "3"],

@@ -120,6 +120,14 @@ def test_diamond_g2p2():
     assert dia.flags[(1, 1)] == "computed"
 
 
+def test_diamond_keeps_the_reason_h22_is_blocked():
+    # Table 1 row E6/P3, E_w3 + E_w6^4: S^2 F^*|_Z is only bounded
+    dia = assemble(mk("E6/P3", {w(6, i3=1): 1, w(6, i6=1): 4}))
+    assert dia.get(2, 2) is None and dia.flags[(2, 2)] == "ambiguous"
+    assert dia.blocked == {"h22": "S^2F^*|_Z: {3: (0, 10), 4: (7320, 7330)}"}
+    assert assemble(mk("G2/P2", {(0, 3): 1})).blocked == {}
+
+
 def test_diamond_symmetry_everywhere():
     for space, weights in [
         ("G2/P2", {(0, 3): 1}),

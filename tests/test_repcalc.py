@@ -3,7 +3,13 @@ import random
 import pytest
 
 from bwbforge import repcalc as rc
-from bwbforge.rootdata import RootSystem, positive_roots, reflect, root_to_weight
+from bwbforge.rootdata import (
+    RootSystem,
+    positive_roots,
+    reflect,
+    root_to_weight,
+    to_dominant_chamber,
+)
 
 
 E6 = RootSystem("E", 6)
@@ -286,3 +292,29 @@ def test_tensor_char_matches_convolution_oracle():
     want = rc.decompose_character(ctx, rc.conv(rc.char_of_decomp(ctx, rep), char, 6))
     assert got == want
     assert got == rc.tensor_decompose(ctx, rep, other)
+
+
+_CLIMB_CONTEXTS = [
+    ctx
+    for rs in (E6, E7, F4, G2)
+    for ctx in [rc.full_context(rs)] + [rc.levi_context(rs, k) for k in range(1, rs.rank + 1)]
+]
+
+
+@st.composite
+def _context_and_weight(draw):
+    ctx = draw(st.sampled_from(_CLIMB_CONTEXTS))
+    return ctx, draw(st.tuples(*[st.integers(-6, 6)] * ctx.rs.rank))
+
+
+@given(_context_and_weight())
+@settings(max_examples=300, deadline=None)
+def test_climb_agrees_with_to_dominant_chamber(case):
+    # the hot-path climb must give the verdict, length and chamber of the reference
+    ctx, wt = case
+    ref = to_dominant_chamber(ctx.rs, wt, ctx.levi)
+    got = rc.climb(ctx, wt)
+    if ref.singular:
+        assert got is None
+    else:
+        assert got == (len(ref.word), ref.dominant)
