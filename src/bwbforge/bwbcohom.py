@@ -3,11 +3,13 @@
 For an irreducible bundle E_lambda the recipe is mechanical: if lambda+rho
 lies on a wall, every cohomology group vanishes; otherwise exactly one
 survives, in degree ell(w), with dominant label w(lambda+rho)-rho.
-``tensor_cohomology`` applies it to E_mu (x) M for an L-module M given by
-its character, as the Koszul E1 page needs it: Brauer-Klimyk splits the
-product into L-irreducibles by one W_L-climb per weight (memoised per
-space in ``cache.table("bott", X)``), and the recipe above then runs once
-per irreducible (``cache.table("bwb", X)``), not once per weight.
+``tensor_cohomology`` applies it to E (x) M for a sum E of irreducibles
+given by highest weights and an L-module M given by its character, as the
+Koszul E1 page needs it, with either factor in either role: Brauer-Klimyk
+splits the product into L-irreducibles by one W_L-climb per shifted weight
+(memoised per space in ``cache.table("bott", X)``), and the recipe above
+then runs once per irreducible (``cache.table("bwb", X)``), not once per
+weight.
 
 The interesting machinery here is for *filtered* bundles (the cotangent
 bundle and friends): their graded pieces are completely reducible, RegInd
@@ -121,38 +123,57 @@ def _levi_top(X: HomSpace, levi: rc.Context, x: int, bwbs: dict) -> Optional[int
 
 
 def tensor_cohomology(
-    X: HomSpace, mu: Weight, char: rc.PackedChar, extremes: Tuple[Weight, Weight]
+    X: HomSpace, shifts: rc.IrrDecomp, char: rc.PackedChar, extremes: Tuple[Weight, Weight]
 ) -> Dict[int, int]:
-    """Dimensions of H^q(X, E_mu (x) M) for the L-module M with character ``char``.
+    """Dimensions of H^q(X, E (x) M) for E = sum n_s E_s and the L-module M of ``char``.
 
-    Brauer-Klimyk first (mu must be P-dominant): each weight nu of M moves
-    mu + nu + rho into the dominant W_L-chamber, and the signed
-    multiplicities are summed per rho-shifted Levi highest weight y; a
-    negative sum means ``char`` was not a character, and raises.
-    Borel-Weil-Bott then runs once per L-irreducible E_{y - rho}: dim V_G
-    in degree q, the length of its W-climb, or nothing on a wall (Bott
-    1957; Kostant 1961).
+    ``shifts`` is the formal sum {s: n_s} of P-dominant highest weights.
+    Brauer-Klimyk first: each weight nu of M moves s + nu + rho into the
+    dominant W_L-chamber, and the signed multiplicities n_s * m_nu are summed
+    in one tally per rho-shifted Levi highest weight y; a negative sum means
+    ``char`` was not a character, and raises.  Borel-Weil-Bott then runs once
+    per L-irreducible E_{y - rho}: dim V_G in degree q, the length of its
+    W-climb, or nothing on a wall (Bott 1957; Kostant 1961).
 
-    ``extremes`` bounds the coordinates of the weights of ``char`` (a
-    caller with a table of characters computes it once); the shifted sums
-    are range-checked against it before any packed weight is added.
-    Both steps are memoised per space on packed ints: ``table("bott", X)``
-    maps x = mu + nu + rho to None or to y, negated when the W_L-climb has
-    odd length, and ``table("bwb", X)`` maps y to (q, dim V_G) or None.
+    The rule is symmetric in its factors, so a caller may hand either factor
+    over as highest weights and the other as a character: the Koszul E1 page
+    passes {mu: 1} with the weights of Lambda^p F^*, or the Levi
+    decomposition of Lambda^p F^* with the weights of V_L(mu), whichever
+    iterates fewer weights.
+
+    ``extremes`` bounds the coordinates of the weights of ``char`` (a caller
+    with a table of characters computes it once); the least and greatest
+    coordinates of the shifted sums are range-checked before any packed
+    weight is added.  Both steps are memoised per space on packed ints:
+    ``table("bott", X)`` maps x = s + nu + rho to None or to y, negated when
+    the W_L-climb has odd length, and ``table("bwb", X)`` maps y to
+    (q, dim V_G) or None.
     """
-    _check_p_dominant(X, mu)
-    shifted = add(mu, rho(X.rs))
-    rc.check_packable(add(shifted, extremes[0]), add(shifted, extremes[1]))
-    shift = rc.pack(shifted) - rc.pack((0,) * X.rs.rank)
+    if not shifts:
+        return {}
+    # per-coordinate least and greatest shift: every shift is P-dominant
+    # exactly when the least one is
+    lows = [min(column) for column in zip(*shifts)]
+    highs = [max(column) for column in zip(*shifts)]
+    if not rc.is_context_dominant(X.levi, lows):
+        for s in shifts:
+            _check_p_dominant(X, s)
+    if not char:
+        return {}
+    rr = rho(X.rs)
+    rc.check_packable(add(add(lows, rr), extremes[0]), add(add(highs, rr), extremes[1]))
+    lift = rc.packed_offset(rr)
     bott, bwbs = _cache.table("bott", X), _cache.table("bwb", X)
     levi = X.levi
     tally: Dict[Optional[int], int] = {}
-    for v, m in char.items():
-        x = v + shift
-        y = bott.get(x, _MISSING)
-        if y is _MISSING:
-            y = bott[x] = _levi_top(X, levi, x, bwbs)
-        tally[y] = tally.get(y, 0) + m
+    for s, n in shifts.items():
+        shift = rc.packed_offset(s) + lift
+        for v, m in char.items():
+            x = v + shift
+            y = bott.get(x, _MISSING)
+            if y is _MISSING:
+                y = bott[x] = _levi_top(X, levi, x, bwbs)
+            tally[y] = tally.get(y, 0) + n * m
     tally.pop(None, None)
     irreducibles: Dict[int, int] = {}
     for y, m in tally.items():

@@ -124,10 +124,15 @@ class CandidatePair:
     def orbit_tag(self) -> str:
         """Canonical form under the E6 diagram automorphism (1<->6, 3<->5).
 
-        On the automorphism-fixed spaces (k = 2, 4) the automorphism acts
-        summand by summand and identifies E_{w1} with E_{w6} as bundles, so
-        each summand is canonicalised separately; on the other spaces the
-        whole pair (space, bundle) maps to its partner space.
+        On the automorphism-fixed spaces (k = 2, 4) each summand is
+        canonicalised separately, so E_{w1} and E_{w6} get one tag.  They
+        are not isomorphic bundles: on E6/P2, h^0(Hom(E_{w1}, E_{w6})) = 0
+        while h^0(End E_{w1}) = 1.  The automorphism fixes
+        w6 + O(1)^5 + w1 and swaps w1^2 + O(1)^5 with w6^2 + O(1)^5, two
+        orbits; the tag folds all three into one, following the paper's
+        row numbering (rows 2, 2', 2''), which is what ``dedup_count``
+        counts.  On the other spaces the whole pair (space, bundle) maps to
+        its partner space.
         """
         if self.space.rs != RootSystem("E", 6):
             return repr((str(self.space), self.weights))

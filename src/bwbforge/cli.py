@@ -50,7 +50,7 @@ from .koszul import (
     EmptyLocusError,
     ZeroLocus,
     restricted_cohomology,
-    wedge_dual_chars,
+    wedge_dual_decomps,
 )
 from .rootdata import Weight, parse_root_system, positive_roots
 
@@ -317,7 +317,7 @@ def _dispatch(args) -> Tuple[str, str]:
         F = parse_bundle(X, args.bundle)
         if not 0 <= args.p <= F.rank:
             raise ParseError(f"wedge degree {args.p} out of range 0..{F.rank}")
-        dec = rc.decompose_character(X.levi, wedge_dual_chars(ZeroLocus(X, F))[args.p])
+        dec = wedge_dual_decomps(ZeroLocus(X, F))[args.p]
         rows = [
             {"weight": _weight_str(lam), "multiplicity": m,
              "rank": rc.weyl_dim(X.levi, lam)}

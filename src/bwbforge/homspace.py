@@ -56,7 +56,8 @@ class HomSpace:
 
     def twist(self, lam: Weight, t: int) -> Weight:
         """E_lambda(t) = E_{lambda + t * w_k}."""
-        return tuple(c + (t if m == self.k - 1 else 0) for m, c in enumerate(lam))
+        k = self.k
+        return lam[: k - 1] + (lam[k - 1] + t,) + lam[k:]
 
 
 def parse_homspace(text: str) -> HomSpace:

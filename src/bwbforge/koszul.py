@@ -6,12 +6,15 @@ Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
 purely from Borel-Weil-Bott data.
 
 The wedge powers come from ``repcalc.exterior_char_table``, the per-weight
-product prod (1 + t x^nu) over the weights nu of F^*.  ``e1_page`` reads
-each E_1 entry off by Brauer-Klimyk: for every irreducible piece E_mu of E
-and every p, ``bwbcohom.tensor_cohomology`` sums the weights of
-Lambda^p F^*, shifted by mu + rho, into L-irreducibles and applies
-Borel-Weil-Bott once per irreducible, so no tensor product is ever
-expanded.
+product prod (1 + t x^nu) over the weights nu of F^*, and their Levi
+decompositions from ``wedge_dual_decomps``, once per locus.  ``e1_page``
+reads each E_1 entry off by Brauer-Klimyk, over the smaller factor: for
+every irreducible piece E_mu of E and every p, ``bwbcohom.tensor_cohomology``
+either shifts the weights of Lambda^p F^* by mu, or the weights of V_L(mu)
+by each Levi highest weight of Lambda^p F^*, whichever is fewer steps.  The
+rule is symmetric in its factors, and either way the shifted weights are
+summed into L-irreducibles and Borel-Weil-Bott runs once per irreducible,
+so no tensor product is ever expanded.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -153,6 +156,21 @@ def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
         return chars
 
     return _cache.memo("wedge_chars", (str(Z.space), Z.bundle.summands), compute)
+
+
+def wedge_dual_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
+    """Levi decompositions {lambda: m} of Lambda^p F^* for p = 0..rank(F).
+
+    Decomposed from ``wedge_dual_chars`` on first use, not when the
+    characters are built, so a caller that only needs the characters never
+    pays for them.
+    """
+
+    def compute():
+        levi = Z.space.levi
+        return [rc.decompose_character(levi, char) for char in wedge_dual_chars(Z)]
+
+    return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)
 
 
 # -- hypercohomology bookkeeping ---------------------------------------------
@@ -315,23 +333,41 @@ def _irreducible_gradeds(
 def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], int]:
     """The Koszul E_1 page of E|_Z: {(p, j, q): dim H^q(X, Lambda^p F^* (x) gr_j E)}.
 
-    Each entry is read off by Brauer-Klimyk without expanding the product:
-    for every irreducible E_mu of gr_j E, ``tensor_cohomology`` sums the
-    weights of Lambda^p F^*, shifted by mu + rho, into L-irreducibles and
-    applies Borel-Weil-Bott once per irreducible.  Only nonzero entries
-    are kept, sorted; a negative total would mean the input was not a
-    genuine module, and raises.
+    Each entry is read off by Brauer-Klimyk without expanding the product,
+    for every irreducible E_mu of gr_j E and every p, from whichever factor
+    has fewer weights to shift.  Write mu = mu0 + t w_k with mu0[k] = 0;
+    w_k is a character of L, so V_L(mu) is V_L(mu0) twisted by it.  When
+    dim V_L(mu0) times the number of Levi irreducibles lambda of
+    Lambda^p F^* is below the number of its weights, ``tensor_cohomology``
+    shifts the weights of V_L(mu0) by every lambda + t w_k; otherwise it
+    shifts the weights of Lambda^p F^* by mu.  Only nonzero entries are
+    kept, sorted; a negative total would mean the input was not a genuine
+    module, and raises.
     """
     X = Z.space
+    k = X.k - 1
     wedges = wedge_dual_chars(Z)
+    decomps = wedge_dual_decomps(Z)
     extremes = rc.power_extremes(
         wedges[1] if len(wedges) > 1 else {}, len(wedges) - 1, X.rs.rank
     )
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(_irreducible_gradeds(Z, E)):
         for mu, mult in graded:
-            for p, wedge in enumerate(wedges):
-                for q, n in tensor_cohomology(X, mu, wedge, extremes).items():
+            t = mu[k]
+            mu0 = X.twist(mu, -t)
+            dim0 = rc.weyl_dim(X.levi, mu0)
+            levi_char = None
+            for p, (wedge, decomp) in enumerate(zip(wedges, decomps)):
+                if dim0 * len(decomp) < len(wedge):
+                    if levi_char is None:
+                        levi_char = rc.char_irr(X.levi, mu0)
+                        levi_extremes = rc.char_extremes(levi_char, X.rs.rank)
+                    shifts = {X.twist(lam, t): m for lam, m in decomp.items()}
+                    dims = tensor_cohomology(X, shifts, levi_char, levi_extremes)
+                else:
+                    dims = tensor_cohomology(X, {mu: 1}, wedge, extremes)
+                for q, n in dims.items():
                     key = (p, j, q)
                     entries[key] = entries.get(key, 0) + mult * n
     if any(v < 0 for v in entries.values()):

@@ -8,15 +8,20 @@ character remembers its twist along the omitted node(s).
 Characters are dicts mapping a packed weight (see ``pack``/``unpack``) to a
 positive integer multiplicity; formal sums of irreducibles (IrrDecomp) are
 dicts mapping highest-weight tuples to multiplicities.  Everything is exact
-big-integer arithmetic; rationals appear only inside the Freudenthal
-recursion and never leak out.
+big-integer arithmetic, the Freudenthal recursion included: it reads the
+invariant form as D times itself (``rootdata.integral_weight_gram``) and
+asserts that every multiplicity is an exact quotient; ``char_irr`` checks
+the total against the Weyl dimension.
 
 Decomposition of an arbitrary character into irreducibles uses the
 rho-shifted reflection trick: each weight mu contributes sgn(w) at the
 dominant representative of mu+rho (nothing on walls), which telescopes to
 the multiset of highest weights.  This is linear in the support size.
 Shifting every weight by a dominant lambda first gives V(lambda) (x) M by
-Brauer-Klimyk, which is the one route for tensor products.
+Brauer-Klimyk, which is the one route for tensor products.  The rule is
+symmetric in its two factors (Klimyk 1968; Humphreys, Introduction to Lie
+Algebras, 24 ex. 9), so either factor may supply the weights: the Koszul
+E1 page shifts whichever has fewer.
 
 Wedge and symmetric powers have one routine as well: the per-weight
 product of (1 + t x^nu), resp. 1/(1 - t x^nu), over the weights nu of the
@@ -33,6 +38,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cache as _cache
@@ -42,13 +48,13 @@ from .rootdata import (
     add,
     coroot_vector,
     inner_product,
+    integral_weight_gram,
     positive_roots,
     reflect,
     rho,
     root_to_weight,
     simple_root_weight,
     sub,
-    weight_to_root_coords,
 )
 
 PackedChar = Dict[int, int]
@@ -144,6 +150,14 @@ def unpack(v: int, rank: int) -> Weight:
 @lru_cache(maxsize=None)
 def _pack_zero(rank: int) -> int:
     return pack((0,) * rank)
+
+
+def packed_offset(w: Weight) -> int:
+    """pack(v + w) - pack(v), for every v with both sides in the field.
+
+    ``w`` itself need not fit a field: only the sums are range-checked.
+    """
+    return sum(map(lshift, w, range(0, _BITS * len(w), _BITS)))
 
 
 def check_packable(lo: Sequence[int], hi: Sequence[int]) -> None:
@@ -327,8 +341,7 @@ def decompose_character(
         lift = add(shift, rho(ctx.rs))
     lo, hi = char_extremes(char, rank)
     check_packable(add(lo, lift), add(hi, lift))
-    # pack(v + lift) - pack(v), which need not itself be a packable weight
-    offset = sum(c << (_BITS * i) for i, c in enumerate(lift))
+    offset = packed_offset(lift)
     memo = _cache.table("climb", ctx)
     acc: Dict[int, int] = {}
     for v, m in char.items():
@@ -353,68 +366,85 @@ def decompose_character(
 # -- irreducible characters (Freudenthal) ------------------------------------
 
 
-def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
+@lru_cache(maxsize=None)
+def _freudenthal_roots(ctx: Context) -> Tuple[Tuple[Weight, Tuple[int, ...], int], ...]:
+    """Per positive root beta of ctx: beta in the weight basis, D (beta, -) and D (beta, beta).
+
+    D (beta, -) is a row of D times the invariant form (``integral_weight_gram``),
+    so it pairs with a weight by a dot product.
+    """
     rs = ctx.rs
-    rank = rs.rank
-    pos = context_positive_roots(ctx)
-    pos_w = [root_to_weight(rs, b) for b in pos]
-    rr = rho(rs)
+    _, gram = integral_weight_gram(rs)
+    out = []
+    for b in context_positive_roots(ctx):
+        beta_w = root_to_weight(rs, b)
+        form = tuple(sum(x * row[j] for x, row in zip(beta_w, gram)) for j in range(rs.rank))
+        out.append((beta_w, form, sum(x * y for x, y in zip(form, beta_w))))
+    return tuple(out)
 
-    def ip(a: Weight, b: Weight) -> Fraction:
-        return inner_product(rs, a, b)
 
-    # all weights <= lam whose dominant representative stays <= lam
-    simple_w = [simple_root_weight(rs, i) for i in ctx.levi]
+def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
+    """Weight multiplicities of V_ctx(lam) by Freudenthal's formula, in integers.
 
-    def le_lam(mu: Weight) -> bool:
-        coords = weight_to_root_coords(rs, sub(lam, mu))
-        return all(c.denominator == 1 and c >= 0 for c in coords)
-
+    The weights are found level by level below lam.  The alpha_i-string
+    through a weight mu is unbroken and runs from mu + q alpha_i down to
+    mu - (q + mu_i) alpha_i, so mu - alpha_i is a weight exactly when q + mu_i
+    is positive; q is read off the weights above mu, whose levels are
+    complete by then.  Freudenthal's recursion only reads higher levels.
+    The invariant form enters as D times itself, so no rational number is
+    formed: every multiplicity is an exact positive quotient of integers,
+    which is asserted.
+    """
+    rank = ctx.rs.rank
+    rr = rho(ctx.rs)
+    simple = [(i - 1, simple_root_weight(ctx.rs, i)) for i in ctx.levi]
+    levels = [lam]
     seen = {lam}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for a in simple_w:
-                cand = sub(mu, a)
+            for i, a in simple:
+                cand = tuple([x - y for x, y in zip(mu, a)])
                 if cand in seen:
                     continue
-                if le_lam(dominant_rep(ctx, cand)):
+                depth = mu[i]  # q + mu_i, q counted below
+                above = tuple([x + y for x, y in zip(mu, a)])
+                while above in seen:
+                    depth += 1
+                    above = tuple([x + y for x, y in zip(above, a)])
+                if depth > 0:
                     seen.add(cand)
                     nxt.append(cand)
+        levels += nxt
         frontier = nxt
 
-    # depth = half the drop of the pairing with 2 rho_L^v
-    cov = _coroot_vectors(ctx)
+    roots = _freudenthal_roots(ctx)
+    _, gram = integral_weight_gram(ctx.rs)
 
-    def level(mu: Weight) -> int:
-        drop = sum(
-            sum(k[i] * (lam[i] - mu[i]) for i in range(rank)) for k in cov
-        )
-        assert drop % 2 == 0
-        return drop // 2
+    def norm(w: Weight) -> int:
+        # D (w, w)
+        return sum(w[i] * w[j] * gram[i][j] for i in range(rank) for j in range(rank))
 
-    by_level = sorted(seen, key=lambda mu: (level(mu), mu))
+    lam_norm = norm(add(lam, rr))
     mults: Dict[Weight, int] = {lam: 1}
-    lam_norm = ip(add(lam, rr), add(lam, rr))
-    for mu in by_level:
-        if mu == lam:
-            continue
-        acc = Fraction(0)
-        for beta_w in pos_w:
-            nu = add(mu, beta_w)
+    for mu in levels[1:]:
+        acc = 0
+        for beta_w, form, bb in roots:
+            nu = tuple([x + y for x, y in zip(mu, beta_w)])
+            if nu not in mults:
+                continue
+            # D (mu + k beta, beta) = D (mu, beta) + k D (beta, beta)
+            pair = sum([x * y for x, y in zip(form, mu)])
             k = 1
             while nu in mults:
-                acc += mults[nu] * ip(nu, beta_w)
+                acc += mults[nu] * (pair + k * bb)
                 k += 1
-                nu = add(mu, tuple(k * c for c in beta_w))
-        denom = lam_norm - ip(add(mu, rr), add(mu, rr))
-        if acc == 0:
-            continue
-        val = 2 * acc / denom
-        assert val.denominator == 1 and val >= 0
-        if val:
-            mults[mu] = int(val)
+                nu = tuple([x + y for x, y in zip(nu, beta_w)])
+        denom = lam_norm - norm(add(mu, rr))
+        val, rem = divmod(2 * acc, denom)
+        assert rem == 0 and val > 0, "inexact Freudenthal step"
+        mults[mu] = val
     return mults
 
 

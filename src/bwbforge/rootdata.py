@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence, Tuple
 
 Weight = Tuple[int, ...]
@@ -266,6 +267,22 @@ def inner_product(rs: RootSystem, a: Weight, b: Weight) -> Fraction:
     B = _root_gram(rs)
     r = rs.rank
     return sum(ra[i] * B[i][j] * rb[j] for i in range(r) for j in range(r))
+
+
+@lru_cache(maxsize=None)
+def integral_weight_gram(rs: RootSystem) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """(D, G) with G[i][j] = D * (w_{i+1}, w_{j+1}) integral, D least such.
+
+    ``sum a_i G[i][j] b_j`` is D times the invariant form of the weights a and b.
+    Since (alpha_k, w_j) = d_j if k = j and 0 otherwise, and w_i has simple-root
+    coordinates inv[k][i], (w_i, w_j) = inv[j][i] * d_j.
+    """
+    r = rs.rank
+    inv = _weight_to_root_matrix(rs)
+    d = rs.root_length_halves()
+    form = [[inv[j][i] * d[j] for j in range(r)] for i in range(r)]
+    D = lcm(*(x.denominator for row in form for x in row))
+    return D, tuple(tuple(int(x * D) for x in row) for row in form)
 
 
 def pair_coroot(rs: RootSystem, w: Weight, beta: Root) -> int:

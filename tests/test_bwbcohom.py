@@ -88,15 +88,15 @@ def test_tensor_cohomology_with_trivial_module_is_bwb(name):
             rng.randint(0, 2) if i != X.k - 1 else rng.randint(-12, 3)
             for i in range(X.rs.rank)
         )
-        assert tensor_cohomology(X, lam, trivial, (zero, zero)) == bwb(X, lam).dims()
+        assert tensor_cohomology(X, {lam: 1}, trivial, (zero, zero)) == bwb(X, lam).dims()
 
 
 def test_tensor_cohomology_refuses_non_characters():
     zero = (0, 0)
     with pytest.raises(AssertionError, match="not a character"):
-        tensor_cohomology(G2P2, zero, {rc.pack(zero): -1}, (zero, zero))
+        tensor_cohomology(G2P2, {zero: 1}, {rc.pack(zero): -1}, (zero, zero))
     with pytest.raises(NotPDominantError):
-        tensor_cohomology(G2P2, (-1, 0), {rc.pack(zero): 1}, (zero, zero))
+        tensor_cohomology(G2P2, {(-1, 0): 1}, {rc.pack(zero): 1}, (zero, zero))
 
 
 def test_reg_ind_anchors():

@@ -1,4 +1,6 @@
 from bwbforge import classify as cl
+from bwbforge import repcalc as rc
+from bwbforge.bwbcohom import bundle_cohomology
 from bwbforge.homspace import parse_homspace
 
 
@@ -150,11 +152,26 @@ def test_diagram_automorphism_orbits():
     rep = cl.classify_exceptional(4, with_hodge=False)
     e6p2 = [r for r in rep.rows if r.space == "E6/P2"]
     assert len(e6p2) == 3
-    assert len({r.orbit_tag for r in e6p2}) == 1  # one orbit: rows 2, 2', 2''
+    # one tag for the paper's rows 2, 2', 2'' (two true orbits: the
+    # automorphism fixes w6 + w1 and swaps w1^2 with w6^2)
+    assert len({r.orbit_tag for r in e6p2}) == 1
     e6p3 = [r for r in rep.rows if r.space == "E6/P3"]
     assert len({r.orbit_tag for r in e6p3}) == 2
-    # 12 rows fold into 10 orbits (only the E6/P2 triple merges)
+    # 12 rows fold into 10 tags, the paper's numbering (only the E6/P2 triple merges)
     assert len(rep.dedup_rows()) == 10
+
+
+def test_e6p2_w1_and_w6_bundles_are_not_isomorphic():
+    # why the E6/P2 tag follows the paper's numbering rather than the orbits
+    X = parse_homspace("E6/P2")
+    w1, w6 = w(6, i1=1), w(6, i6=1)
+
+    def h0_hom(a, b):
+        hom = rc.tensor_decompose(X.levi, {rc.dual_highest_weight(X.levi, a): 1}, {b: 1})
+        return bundle_cohomology(X, hom).dims().get(0, 0)
+
+    assert h0_hom(w1, w6) == 0
+    assert h0_hom(w1, w1) == 1
 
 
 def test_exception_list_documents_extra_families():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwbforge import repcalc as rc
-from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology
+from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology, tensor_cohomology
 from bwbforge.hodge import (
     _fstar_tensor_omega,
     _omega_square,
@@ -29,6 +29,7 @@ from bwbforge.koszul import (
     restricted_cohomology,
     structure_cohomology,
     wedge_dual_chars,
+    wedge_dual_decomps,
 )
 from bwbforge.rootdata import rho, to_dominant_chamber
 
@@ -47,7 +48,7 @@ def w(rank, **kw):
 
 def wedge_decomp(Z, p):
     """Lambda^p F^* decomposed into irreducibles, as ``bwbforge ext`` prints it."""
-    return rc.decompose_character(Z.space.levi, wedge_dual_chars(Z)[p])
+    return wedge_dual_decomps(Z)[p]
 
 
 def test_bundle_sum_validation():
@@ -502,20 +503,16 @@ def test_e1_page_matches_per_weight_route(space, weights):
 
 
 SWEEP_LOCI = [(s, ws) for s, ws in TABLE_LOCI if s[0] in "FG"]
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    locus=st.sampled_from(SWEEP_LOCI),
-    parts=st.lists(
-        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-4, 4)),
-        min_size=1,
-        max_size=2,
-    ),
+# one- or two-summand sums: Levi part 0, w_a or w_a + w_b, then a twist
+RANDOM_PARTS = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-4, 4)),
+    min_size=1,
+    max_size=2,
 )
-def test_random_sums_match_convolution_oracle(locus, parts):
-    # one- or two-summand sums: Levi part 0, w_a or w_a + w_b, then a twist
-    Z = mk(*locus)
+
+
+def _random_sum(Z, parts):
+    """The bundle sum drawn as ``RANDOM_PARTS``, w_a and w_b the first and last Levi nodes."""
     X = Z.space
     levi = X.levi.levi
     summands = {}
@@ -525,7 +522,14 @@ def test_random_sums_match_convolution_oracle(locus, parts):
         lam[levi[-1] - 1] += b
         lam[X.k - 1] += t
         summands[tuple(lam)] = summands.get(tuple(lam), 0) + 1
-    E = BundleSum.make(X, summands)
+    return BundleSum.make(X, summands)
+
+
+@settings(max_examples=30, deadline=None)
+@given(locus=st.sampled_from(SWEEP_LOCI), parts=RANDOM_PARTS)
+def test_random_sums_match_convolution_oracle(locus, parts):
+    Z = mk(*locus)
+    E = _random_sum(Z, parts)
     got, want = restricted_cohomology(Z, E), _oracle_restricted(Z, E)
     assert (got.dims, got.status, got.bounds) == (want.dims, want.status, want.bounds)
 
@@ -549,3 +553,77 @@ def test_wedge_overflow_is_refused():
     Z = mk("G2/P2", {(0, 20000): 1, (0, 20001): 1})
     with pytest.raises(rc.WeightRangeError):
         wedge_dual_chars(Z)
+
+
+# -- the two factor orders of the E1 kernel --------------------------------------
+
+
+def _levi_side(Z, mu, p):
+    """Weights of V_L(mu0) shifted by the Levi decomposition of Lambda^p F^*, twisted by t."""
+    X = Z.space
+    t = mu[X.k - 1]
+    char = rc.char_irr(X.levi, X.twist(mu, -t))
+    shifts = {X.twist(lam, t): m for lam, m in wedge_dual_decomps(Z)[p].items()}
+    return tensor_cohomology(X, shifts, char, rc.char_extremes(char, X.rs.rank))
+
+
+def _wedge_side(Z, mu, p):
+    """Weights of Lambda^p F^* shifted by mu."""
+    X = Z.space
+    wedge = wedge_dual_chars(Z)[p]
+    return tensor_cohomology(X, {mu: 1}, wedge, rc.char_extremes(wedge, X.rs.rank))
+
+
+@settings(max_examples=40, deadline=None)
+@given(locus=st.sampled_from(TABLE_LOCI), data=st.data())
+def test_both_factor_orders_give_the_same_dimensions(locus, data):
+    # Brauer-Klimyk is symmetric in its factors, whichever one e1_page picks
+    Z = mk(*locus)
+    X = Z.space
+    lam = [0] * X.rs.rank
+    for i in data.draw(st.lists(st.sampled_from(X.levi.levi), max_size=2)):
+        lam[i - 1] += 1
+    lam[X.k - 1] = data.draw(st.integers(-6, 4))
+    mu = tuple(lam)
+    p = data.draw(st.integers(0, Z.bundle.rank))
+    assert _levi_side(Z, mu, p) == _wedge_side(Z, mu, p)
+
+
+@pytest.mark.parametrize("t", [-40000, 33000, -32767])
+def test_levi_side_overflow_is_refused(t):
+    # the twist enters the shifts there, and the same range check catches it
+    Z = mk("G2/P2", {(0, 3): 1})
+    with pytest.raises(rc.WeightRangeError):
+        _levi_side(Z, (0, t), 1)
+
+
+def test_largest_packable_twist_on_the_levi_side():
+    Z = mk("G2/P2", {(0, 3): 1})
+    for p in (0, 1):
+        assert _levi_side(Z, (0, -32765), p) == _wedge_side(Z, (0, -32765), p)
+
+
+# -- invariants of restricted cohomology -----------------------------------------
+
+INVARIANT_LOCI = [(s, ws) for s, ws in TABLE_LOCI if s[0] in "FG" or s == "E6/P2"]
+
+
+def _interval(zc, q):
+    return (zc.dims[q], zc.dims[q]) if zc.dims[q] is not None else zc.bounds[q]
+
+
+@settings(max_examples=25, deadline=None)
+@given(locus=st.sampled_from(INVARIANT_LOCI), parts=RANDOM_PARTS)
+def test_restricted_serre_duality_and_euler_characteristic(locus, parts):
+    # K_Z is trivial on every Table locus, so H^q(Z, E|_Z) = H^{d-q}(Z, E^*|_Z)^*:
+    # equal dimensions when both are exact, mirrored intervals otherwise
+    Z = mk(*locus)
+    E = _random_sum(Z, parts)
+    got, dual = restricted_cohomology(Z, E), restricted_cohomology(Z, E.dual())
+    d = Z.d
+    assert [_interval(got, q) for q in range(d + 1)] == [
+        _interval(dual, d - q) for q in range(d + 1)
+    ]
+    if got.status == "exact":
+        chi = sum((-1) ** q * v for q, v in enumerate(got.dims))
+        assert chi == sum((-1) ** (q - p) * v for (p, _, q), v in e1_page(Z, E).items())

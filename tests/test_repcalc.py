@@ -1,14 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from bwbforge import repcalc as rc
 from bwbforge.rootdata import (
     RootSystem,
+    add,
+    inner_product,
     positive_roots,
     reflect,
+    rho,
     root_to_weight,
+    simple_root_weight,
+    sub,
     to_dominant_chamber,
+    weight_to_root_coords,
 )
 
 
@@ -81,6 +88,76 @@ def test_freudenthal_total_dimension_sweep():
     for ctx, lam in cases:
         mults = rc.weight_multiplicities(ctx, lam)
         assert sum(mults.values()) == rc.weyl_dim(ctx, lam)
+
+
+def _freudenthal_fraction(ctx, lam):
+    """Freudenthal's formula over the rationals: the oracle for the integer one.
+
+    The weights are every mu <= lam whose dominant representative stays <= lam,
+    tested through rational simple-root coordinates; each multiplicity is
+    2 sum_beta sum_k m(mu + k beta) (mu + k beta, beta) / (|lam + rho|^2 - |mu + rho|^2).
+    """
+    rs = ctx.rs
+    simple_w = [simple_root_weight(rs, i) for i in ctx.levi]
+
+    def le_lam(mu):
+        coords = weight_to_root_coords(rs, sub(lam, mu))
+        return all(c.denominator == 1 and c >= 0 for c in coords)
+
+    seen, frontier = {lam}, [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for a in simple_w:
+                cand = sub(mu, a)
+                if cand not in seen and le_lam(rc.dominant_rep(ctx, cand)):
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    depth = {mu: sum(weight_to_root_coords(rs, sub(lam, mu))) for mu in seen}
+    pos_w = [root_to_weight(rs, b) for b in rc.context_positive_roots(ctx)]
+    rr = rho(rs)
+    lam_norm = inner_product(rs, add(lam, rr), add(lam, rr))
+    mults = {lam: 1}
+    for mu in sorted(seen, key=lambda mu: (depth[mu], mu)):
+        if mu == lam:
+            continue
+        acc = Fraction(0)
+        for beta_w in pos_w:
+            nu = add(mu, beta_w)
+            while nu in mults:
+                acc += mults[nu] * inner_product(rs, nu, beta_w)
+                nu = add(nu, beta_w)
+        val = 2 * acc / (lam_norm - inner_product(rs, add(mu, rr), add(mu, rr)))
+        assert val.denominator == 1 and val >= 0
+        if val:
+            mults[mu] = int(val)
+    return mults
+
+
+def _oracle_cases():
+    """Two random weights per context, kept below 120 dimensions for the oracle's sake."""
+    rng = random.Random(11)
+    cases = []
+    for family, rank in (("A", 4), ("B", 4), ("C", 3), ("D", 5), ("E", 6), ("F", 4), ("G", 2)):
+        rs = RootSystem(family, rank)
+        for ctx in [rc.full_context(rs)] + [rc.levi_context(rs, k) for k in range(1, rank + 1)]:
+            found = 0
+            while found < 2:
+                lam = [0 if i + 1 in ctx.levi else rng.randint(-3, 3) for i in range(rank)]
+                for i in rng.sample(ctx.levi, min(2, len(ctx.levi))):
+                    lam[i - 1] = rng.randint(0, 2)
+                if rc.weyl_dim(ctx, tuple(lam)) < 120:
+                    cases.append((ctx, tuple(lam)))
+                    found += 1
+    return cases
+
+
+def test_integer_freudenthal_matches_rational_oracle():
+    # every type, the full group and each maximal Levi: the B, C, F and G
+    # forms have denominators, which the integral Gram matrix clears
+    for ctx, lam in _oracle_cases():
+        assert rc._freudenthal(ctx, lam) == _freudenthal_fraction(ctx, lam), (str(ctx), lam)
 
 
 def test_weight_multiset_levi_invariance():

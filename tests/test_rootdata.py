@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from bwbforge.rootdata import (
     cartan_matrix,
     inner_product,
     inner_product_roots,
+    integral_weight_gram,
     pair_coroot,
     parse_root_system,
     positive_roots,
@@ -200,3 +202,16 @@ def test_inner_product_weyl_invariance(rs):
         assert inner_product(rs, a, b) == inner_product(
             rs, reflect(rs, a, i), reflect(rs, b, i)
         )
+
+
+@pytest.mark.parametrize("rs", SMALL_SYSTEMS)
+def test_integral_weight_gram_is_the_scaled_form(rs):
+    D, gram = integral_weight_gram(rs)
+    rng = random.Random(5)
+    for _ in range(20):
+        a = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+        b = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+        scaled = sum(a[i] * gram[i][j] * b[j] for i in range(rs.rank) for j in range(rs.rank))
+        assert scaled == D * inner_product(rs, a, b)
+    # the least such D: the form itself has a denominator D
+    assert gcd(D, *(x for row in gram for x in row)) == 1
