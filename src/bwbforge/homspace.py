@@ -11,7 +11,6 @@ underlying Levi module, so that det(E_lambda) = O(dex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -163,42 +162,3 @@ def dex(X: HomSpace, lam: Weight) -> int:
 def bundle_rank(X: HomSpace, lam: Weight) -> int:
     return rc.weyl_dim(X.levi, lam)
 
-
-def dex_closed_form(X: HomSpace, lam: Weight) -> int:
-    """Closed forms for Grassmannians, symplectic Grassmannians and spinor
-    varieties; raises for spaces where no closed form is on record."""
-    if not rc.is_context_dominant(X.levi, lam):
-        raise rc.NonDominantError(f"{lam} not P{X.k}-dominant")
-    r = X.rs.rank
-    k = X.k
-    fam = X.rs.family
-    rank_e = Fraction(bundle_rank(X, lam))
-
-    def tail(j):  # sum_{i=j}^{r} lam_i with 1-based j
-        return sum(lam[i - 1] for i in range(j, r + 1))
-
-    if fam == "A":
-        val = (
-            Fraction(sum(tail(j) for j in range(1, k + 1)), k)
-            - Fraction(sum(tail(j) for j in range(k + 1, r + 1)), r + 1 - k)
-        ) * rank_e
-    elif fam == "C":
-        val = Fraction(sum(tail(j) for j in range(1, k + 1)), k) * rank_e
-    elif fam == "D" and k in (r - 1, r):
-        mu = list(lam)
-        if k == r - 1:  # the two spinor half-spaces swap under the flip
-            mu[r - 2], mu[r - 1] = mu[r - 1], mu[r - 2]
-        # epsilon-coordinate sum: a_m = sum_{j>=m, j<=r-2} mu_j + (mu_{r-1}+mu_r)/2
-        # for m <= r-2, a_{r-1} = (mu_{r-1}+mu_r)/2, a_r = (mu_r - mu_{r-1})/2.
-        # (The half-spin term enters r-1 times plus the signed tail, not r
-        # times: the two readings agree exactly when mu_{r-1} = 0.)
-        body = (
-            sum(sum(mu[i - 1] for i in range(j, r - 1)) for j in range(1, r - 1))
-            + (r - 1) * Fraction(mu[r - 2] + mu[r - 1], 2)
-            + Fraction(mu[r - 1] - mu[r - 2], 2)
-        )
-        val = 2 * Fraction(body, r) * rank_e
-    else:
-        raise ValueError(f"no closed dex formula for {X}")
-    assert val.denominator == 1
-    return int(val)

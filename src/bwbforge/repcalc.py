@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +47,6 @@ from .rootdata import (
     Weight,
     add,
     coroot_vector,
-    inner_product,
     integral_weight_gram,
     positive_roots,
     reflect,
@@ -237,24 +236,42 @@ def context_positive_roots(ctx: Context) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _coroot_vectors(ctx: Context) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(coroot_vector(ctx.rs, beta) for beta in context_positive_roots(ctx))
+def _weyl_kernel(
+    ctx: Context,
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...]], ...], int]:
+    """Per-context data of the Weyl dimension formula, over the positive roots beta.
+
+    The heights <rho, beta^v>; for each coordinate i on which some coroot is
+    nonzero, the column (i, (<w_i, beta^v>)_beta); and the denominator, the
+    product of the heights.
+    """
+    vecs = [coroot_vector(ctx.rs, beta) for beta in context_positive_roots(ctx)]
+    heights = tuple(sum(k) for k in vecs)
+    columns = tuple((i, col) for i, col in enumerate(zip(*vecs)) if any(col))
+    return heights, columns, prod(heights)
 
 
 def weyl_dim(ctx: Context, lam: Weight) -> int:
-    """Dimension of the irreducible ctx-module with highest weight ``lam``."""
+    """Dimension of the irreducible ctx-module with highest weight ``lam``.
+
+    Weyl's formula prod_beta <lam + rho, beta^v> / <rho, beta^v> over the
+    positive roots of the context, in integers: the factors are the heights
+    plus lam_i times the coroot column of each nonzero coordinate i, and the
+    constant denominator comes with the context (``_weyl_kernel``).  The
+    quotient is asserted exact; results are memoised per context.
+    """
     memo = _cache.table("dim", ctx)
     got = memo.get(lam)
     if got is not None:
         return got
     _require_dominant(ctx, lam)
-    num = 1
-    den = 1
-    shifted = add(lam, rho(ctx.rs))
-    one = rho(ctx.rs)
-    for k in _coroot_vectors(ctx):
-        num *= sum(ki * wi for ki, wi in zip(k, shifted))
-        den *= sum(ki * wi for ki, wi in zip(k, one))
+    heights, columns, den = _weyl_kernel(ctx)
+    factors = heights
+    for i, col in columns:
+        c = lam[i]
+        if c:
+            factors = [f + c * x for f, x in zip(factors, col)]
+    num = prod(factors)
     assert num % den == 0
     memo[lam] = num // den
     return num // den
@@ -575,12 +592,14 @@ def symmetric_power(ctx: Context, rep: IrrDecomp, k: int) -> IrrDecomp:
 
 
 @lru_cache(maxsize=None)
-def _invariant_form(rs: RootSystem, k: int) -> Tuple[Fraction, ...]:
-    """Coefficients in the weight basis of lam -> (lam, w_k)/(w_k, w_k)."""
-    basis = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
-    wk = basis[k - 1]
-    norm = inner_product(rs, wk, wk)
-    return tuple(inner_product(rs, w, wk) / norm for w in basis)
+def _invariant_form(rs: RootSystem, k: int) -> Tuple[Tuple[int, ...], int]:
+    """Column k of ``integral_weight_gram`` and its diagonal entry.
+
+    lam -> (lam, w_k)/(w_k, w_k) is the dot product with the column over the
+    entry: the scale D of the Gram matrix cancels.
+    """
+    _, gram = integral_weight_gram(rs)
+    return tuple(row[k - 1] for row in gram), gram[k - 1][k - 1]
 
 
 def sum_of_weights(ctx: Context, lam: Weight) -> Weight:
@@ -591,23 +610,14 @@ def sum_of_weights(ctx: Context, lam: Weight) -> Weight:
 
     The weights are W_L-stable, so their sum is W_L-invariant, hence a
     multiple of w_k, the only fundamental weight orthogonal to every Levi
-    root.  Pairing with w_k gives dim V_L(lam) * (lam, w_k)/(w_k, w_k) * w_k.
-    The multiplicity-weighted sum from Freudenthal agrees (property-tested).
+    root.  Pairing with w_k gives dim V_L(lam) * (lam, w_k)/(w_k, w_k) * w_k,
+    read off the integral Gram matrix with the quotient asserted exact.  The
+    multiplicity-weighted sum from Freudenthal agrees (property-tested).
     """
     if len(ctx.omitted()) != 1:
         raise ValueError("sum_of_weights needs a Levi context omitting one node")
     k = ctx.omitted()[0]
-    form = _invariant_form(ctx.rs, k)
-    total = weyl_dim(ctx, lam) * sum(c * x for c, x in zip(form, lam))
-    assert total.denominator == 1
-    return tuple(int(total) if i == k - 1 else 0 for i in range(ctx.rs.rank))
-
-
-def sum_of_weights_bruteforce(ctx: Context, lam: Weight) -> Weight:
-    """Multiplicity-weighted weight sum via Freudenthal; oracle for the above."""
-    rank = ctx.rs.rank
-    total = [0] * rank
-    for w, m in weight_multiplicities(ctx, lam).items():
-        for i in range(rank):
-            total[i] += m * w[i]
-    return tuple(total)
+    column, norm = _invariant_form(ctx.rs, k)
+    total, rem = divmod(weyl_dim(ctx, lam) * sum(c * x for c, x in zip(column, lam)), norm)
+    assert rem == 0
+    return tuple(total if i == k - 1 else 0 for i in range(ctx.rs.rank))

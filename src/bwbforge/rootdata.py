@@ -19,6 +19,15 @@ The simple reflection acts by ``s_i(w) = w - w[i-1] * alpha_i``; this is the
 convention under which e.g. the F4 weight (0,0,0,1) moves through
 (0,0,1,-1), (0,1,-1,0), (1,-1,1,0), (1,0,-1,1), (1,0,0,-1) under
 s4,s3,s2,s3,s4.
+
+Exactness: everything the engine reads from here is an integer.  Only two
+things are rational: ``root_length_halves`` (long roots normalised to
+d = 1), which is scaled to integers by the lcm of its denominators before
+any use, and the one inverse of the Cartan matrix behind
+``integral_weight_gram``, which is cleared to integers there.  The pairing
+matrix, the coroot vectors and the Gram matrix of the invariant form are
+integers, and each quotient that defines a coroot coordinate is asserted
+exact.
 """
 
 from __future__ import annotations
@@ -96,19 +105,33 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
+def _integral_length_halves(rs: RootSystem) -> Tuple[int, ...]:
+    """The d_i of ``root_length_halves`` times the lcm of their denominators.
+
+    G2 gives (1, 3); B, C and F give 1 and 2; simply laced types all 1.  The
+    integral form sum_ij x_i y_j e_i A[i][j] on simple-root coordinates is then
+    the invariant form times that lcm.
+    """
+    d = rs.root_length_halves()
+    s = lcm(*(x.denominator for x in d))
+    return tuple(int(x * s) for x in d)
+
+
+@lru_cache(maxsize=None)
 def _pairing_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     """A[i][j] = <alpha_{j+1}, alpha_{i+1}^v>, so alpha_j is column j in w-basis."""
     r = rs.rank
-    d = rs.root_length_halves()
+    e = _integral_length_halves(rs)
     A = [[0] * r for _ in range(r)]
     for i in range(r):
         A[i][i] = 2
     for a, b in rs.edges():
         i, j = a - 1, b - 1
-        # (alpha_i, alpha_j) = -max(d_i, d_j) for every bonded pair in finite type
-        prod = -max(d[i], d[j])
-        A[j][i] = int(prod / d[j])  # <alpha_i, alpha_j^v>
-        A[i][j] = int(prod / d[i])  # <alpha_j, alpha_i^v>
+        # (alpha_i, alpha_j) = -max(d_i, d_j) for every bonded pair in finite
+        # type, and <alpha_i, alpha_j^v> = (alpha_i, alpha_j)/d_j
+        prod = -max(e[i], e[j])
+        A[j][i] = prod // e[j]  # <alpha_i, alpha_j^v>
+        A[i][j] = prod // e[i]  # <alpha_j, alpha_i^v>
     return tuple(tuple(row) for row in A)
 
 
@@ -195,42 +218,22 @@ def root_to_weight(rs: RootSystem, beta: Root) -> Weight:
 
 @lru_cache(maxsize=None)
 def coroot_vector(rs: RootSystem, beta: Root) -> Tuple[int, ...]:
-    """Integer vector k with <w, beta^v> = sum_i k_i w_i for weights w."""
-    d = rs.root_length_halves()
-    dbeta = _root_norm_half(rs, beta)
+    """Integer vector k with <w, beta^v> = sum_i k_i w_i for weights w.
+
+    k_i = 2 beta_i d_i / (beta, beta), read with the integral halves e_i = s d_i:
+    s (beta, beta) = sum_ij beta_i beta_j e_i A[i][j], and each quotient
+    2 beta_i e_i / s (beta, beta) is asserted exact.
+    """
+    A = _pairing_matrix(rs)
+    e = _integral_length_halves(rs)
+    r = rs.rank
+    norm = sum(beta[i] * beta[j] * e[i] * A[i][j] for i in range(r) for j in range(r))
     vec = []
-    for i in range(rs.rank):
-        val = Fraction(beta[i]) * d[i] / dbeta
-        if val.denominator != 1:
-            raise AssertionError("coroot coordinates must be integral")
-        vec.append(int(val))
-    return tuple(vec)
-
-
-@lru_cache(maxsize=None)
-def _root_norm_half(rs: RootSystem, beta: Root) -> Fraction:
-    """(beta, beta)/2 for a root in simple-root coordinates."""
-    return inner_product_roots(rs, beta, beta) / 2
-
-
-@lru_cache(maxsize=None)
-def _root_gram(rs: RootSystem) -> Tuple[Tuple[Fraction, ...], ...]:
-    """B[i][j] = (alpha_i, alpha_j)."""
-    r = rs.rank
-    d = rs.root_length_halves()
-    B = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):
-        B[i][i] = 2 * d[i]
-    for a, b in rs.edges():
-        i, j = a - 1, b - 1
-        B[i][j] = B[j][i] = -max(d[i], d[j])
-    return tuple(tuple(row) for row in B)
-
-
-def inner_product_roots(rs: RootSystem, x: Root, y: Root) -> Fraction:
-    B = _root_gram(rs)
-    r = rs.rank
-    return sum(Fraction(x[i]) * B[i][j] * y[j] for i in range(r) for j in range(r))
+        val, rem = divmod(2 * beta[i] * e[i], norm)
+        assert rem == 0, "coroot coordinates must be integral"
+        vec.append(val)
+    return tuple(vec)
 
 
 @lru_cache(maxsize=None)
@@ -252,21 +255,6 @@ def _weight_to_root_matrix(rs: RootSystem) -> Tuple[Tuple[Fraction, ...], ...]:
                 A[row] = [x - f * y for x, y in zip(A[row], A[col])]
                 inv[row] = [x - f * y for x, y in zip(inv[row], inv[col])]
     return tuple(tuple(row) for row in inv)
-
-
-def weight_to_root_coords(rs: RootSystem, w: Weight) -> Tuple[Fraction, ...]:
-    inv = _weight_to_root_matrix(rs)
-    r = rs.rank
-    return tuple(sum(inv[i][j] * w[j] for j in range(r)) for i in range(r))
-
-
-def inner_product(rs: RootSystem, a: Weight, b: Weight) -> Fraction:
-    """W-invariant form on weights, long roots of squared length 2."""
-    ra = weight_to_root_coords(rs, a)
-    rb = weight_to_root_coords(rs, b)
-    B = _root_gram(rs)
-    r = rs.rank
-    return sum(ra[i] * B[i][j] * rb[j] for i in range(r) for j in range(r))
 
 
 @lru_cache(maxsize=None)

@@ -208,7 +208,8 @@ def test_criterion_7_geometry_oracle():
 
 
 def test_criterion_8_dex_oracle():
-    from bwbforge.homspace import HomSpace, dex, dex_closed_form
+    from bwbforge.homspace import HomSpace, dex
+    from rational_oracles import dex_closed_form
 
     checks = []
     tables = {

@@ -1,7 +1,12 @@
+from fractions import Fraction
+
+import pytest
+
+from bwbforge import cache
 from bwbforge import classify as cl
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology
-from bwbforge.homspace import parse_homspace
+from bwbforge.homspace import dimension, fano_index, parse_homspace
 
 
 def w(rank, **kw):
@@ -85,6 +90,50 @@ def test_enumerate_e6p3_two_families():
 def test_no_rank_budget_is_empty():
     search = cl.enumerate_candidates(parse_homspace("G2/P1"), 5)
     assert search.candidates == [] and "budget" in search.note
+
+
+# (pool size, ratio-pruned) per exceptional space, as found by the rational
+# Weyl dimensions and weight sums this search ran on before it went integral
+POOLS = {
+    "E6/P1": (13, False), "E6/P2": (15, False), "E6/P3": (24, False), "E6/P4": (31, True),
+    "E7/P1": (18, False), "E7/P2": (18, True), "E7/P3": (29, True), "E7/P4": (34, True),
+    "E7/P5": (27, True), "E7/P6": (29, True), "E7/P7": (18, True),
+    "E8/P1": (25, True), "E8/P2": (21, True), "E8/P3": (33, True), "E8/P4": (38, True),
+    "E8/P5": (25, True), "E8/P6": (32, True), "E8/P7": (43, True), "E8/P8": (29, True),
+    "F4/P1": (9, False), "F4/P2": (15, True), "F4/P3": (19, True), "F4/P4": (12, True),
+    "G2/P1": (7, False), "G2/P2": (5, False),
+}
+POOLS_D4 = {**POOLS, "F4/P4": (12, False), "G2/P1": (5, False), "G2/P2": (3, False)}
+
+
+@pytest.mark.parametrize("d, pools", [(3, POOLS), (4, POOLS_D4)])
+def test_search_visits_the_same_pool(d, pools):
+    got = {}
+    for X in cl.exceptional_spaces():
+        pool = cl.admissible_summands(X, dimension(X) - d, fano_index(X))
+        got[str(X)] = (len(pool), cl.enumerate_candidates(X, d).ratio_pruned)
+    assert got == pools
+
+
+def test_candidate_search_builds_no_fraction(monkeypatch):
+    X = parse_homspace("E8/P4")
+    cl.enumerate_candidates(X, 3)  # root data warm, memo tables then emptied
+    cache.clear()
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    search = cl.enumerate_candidates(X, 3, use_ratio=False)
+    assert made == [] and search.candidates == []
+    # with the ratio prune on, the only Fractions are the prune's own
+    # comparisons: iota/(dim - d) and one dex/rank per summand of the pool
+    cache.clear()
+    assert cl.enumerate_candidates(X, 3).ratio_pruned
+    assert len(made) == 1 + POOLS[str(X)][0]
 
 
 GOLDEN_D4 = {

@@ -5,7 +5,6 @@ from bwbforge.homspace import (
     HomSpace,
     bundle_rank,
     dex,
-    dex_closed_form,
     dimension,
     fano_index,
     gradation,
@@ -14,6 +13,8 @@ from bwbforge.homspace import (
     parse_homspace,
 )
 from bwbforge.rootdata import RootSystem
+
+from rational_oracles import dex_closed_form
 
 # dimensions, Fano indices and minimal embeddings of the 25 exceptional
 # spaces of Picard number one (E6/P5, E6/P6 fold onto E6/P3, E6/P1)

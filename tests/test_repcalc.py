@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bwbforge import cache
 from bwbforge import repcalc as rc
+from bwbforge.classify import exceptional_spaces
 from bwbforge.rootdata import (
     RootSystem,
     add,
-    inner_product,
+    parse_root_system,
     positive_roots,
     reflect,
     rho,
@@ -15,8 +19,14 @@ from bwbforge.rootdata import (
     simple_root_weight,
     sub,
     to_dominant_chamber,
+)
+
+from rational_oracles import (
+    inner_product,
+    sum_of_weights_bruteforce,
     weight_to_root_coords,
 )
+from rational_oracles import weyl_dim as rational_weyl_dim
 
 
 E6 = RootSystem("E", 6)
@@ -293,8 +303,34 @@ def test_sum_of_weights_matches_freudenthal_oracle():
         (rc.levi_context(F4, 1), (-1, 0, 0, 1)),
         (rc.levi_context(G2, 2), (2, -3)),
     ]
+    # and one case for each of the 25 exceptional G/P_k: the smallest
+    # fundamental Levi module next to node k, twisted down by 2
+    for X in exceptional_spaces():
+        ctx = X.levi
+        nbrs = [b if a == X.k else a for a, b in X.rs.edges() if X.k in (a, b)]
+        j = min(nbrs, key=lambda j: (rc.weyl_dim(ctx, X.fundamental(j)), j))
+        cases.append((ctx, X.twist(X.fundamental(j), -2)))
     for ctx, lam in cases:
-        assert rc.sum_of_weights(ctx, lam) == rc.sum_of_weights_bruteforce(ctx, lam)
+        got = rc.sum_of_weights(ctx, lam)
+        assert got == sum_of_weights_bruteforce(ctx, lam), (str(ctx), lam)
+
+
+_WEYL_CONTEXTS = [
+    ctx
+    for rs in map(parse_root_system, ("E6", "E7", "E8", "F4", "G2", "B4", "C4", "D5"))
+    for ctx in [rc.full_context(rs)] + [rc.levi_context(rs, k) for k in range(1, rs.rank + 1)]
+]
+
+
+@given(st.sampled_from(_WEYL_CONTEXTS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_weyl_dim_matches_rational_weyl_product(ctx, data):
+    lam = tuple(
+        data.draw(st.integers(0, 4) if i + 1 in ctx.levi else st.integers(-3, 3))
+        for i in range(ctx.rs.rank)
+    )
+    cache.clear()  # so the integer kernel runs, not the dimension memo
+    assert rc.weyl_dim(ctx, lam) == rational_weyl_dim(ctx, lam)
 
 
 def test_decompose_character_flags_non_characters():
@@ -309,9 +345,6 @@ def test_decompose_character_roundtrip():
     dec = {w(6, i1=1): 2, w(6, i3=1): 1, w(6, i2=3): 1}
     assert rc.decompose_character(ctx, rc.char_of_decomp(ctx, dec)) == dec
 
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 _coords = st.tuples(*[st.integers(-20, 20)] * 4)
 

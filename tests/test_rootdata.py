@@ -10,8 +10,7 @@ from bwbforge.rootdata import (
     RootDataError,
     RootSystem,
     cartan_matrix,
-    inner_product,
-    inner_product_roots,
+    coroot_vector,
     integral_weight_gram,
     pair_coroot,
     parse_root_system,
@@ -22,6 +21,9 @@ from bwbforge.rootdata import (
     simple_root_weight,
     to_dominant_chamber,
 )
+
+import rational_oracles as rat
+from rational_oracles import inner_product, inner_product_roots
 
 SMALL_SYSTEMS = [
     RootSystem("A", 3),
@@ -180,6 +182,11 @@ def test_inner_product_normalisation():
     f4 = RootSystem("F", 4)
     assert inner_product_roots(f4, (1, 0, 0, 0), (1, 0, 0, 0)) == 2  # long
     assert inner_product_roots(f4, (0, 0, 0, 1), (0, 0, 0, 1)) == 1  # short
+    # (alpha_i, alpha_i)/2 is the d_i the integral halves scale
+    for rs in SMALL_SYSTEMS:
+        for i, d in enumerate(rs.root_length_halves()):
+            simple = tuple(int(m == i) for m in range(rs.rank))
+            assert rat.root_norm_half(rs, simple) == d
 
 
 @pytest.mark.parametrize("rs", SMALL_SYSTEMS)
@@ -215,3 +222,21 @@ def test_integral_weight_gram_is_the_scaled_form(rs):
         assert scaled == D * inner_product(rs, a, b)
     # the least such D: the form itself has a denominator D
     assert gcd(D, *(x for row in gram for x in row)) == 1
+
+
+ALL_SYSTEMS = (
+    [RootSystem("A", r) for r in range(1, 9)]
+    + [RootSystem("B", r) for r in range(2, 9)]
+    + [RootSystem("C", r) for r in range(2, 9)]
+    + [RootSystem("D", r) for r in range(3, 9)]
+    + [RootSystem("E", r) for r in (6, 7, 8)]
+    + [RootSystem("F", 4), RootSystem("G", 2)]
+)
+
+
+@pytest.mark.parametrize("rs", ALL_SYSTEMS, ids=str)
+def test_integer_coroots_match_rational_oracle(rs):
+    # B, C, F and G have two root lengths: the integral halves must scale
+    # (beta, beta) and beta_i d_i alike for every root, short or long
+    for beta in positive_roots(rs):
+        assert coroot_vector(rs, beta) == rat.coroot_vector(rs, beta), beta
