@@ -22,7 +22,7 @@ certificate is reported as per-degree bounds, never silently guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from . import cache as _cache
 from . import repcalc as rc
@@ -220,9 +220,6 @@ class FilteredBundle:
         if any(m <= 0 for d in decomps for m in d.values()):
             raise ValueError("graded multiplicities must be positive")
         return FilteredBundle(tuple(tuple(sorted(d.items())) for d in decomps))
-
-    def decomps(self) -> List[rc.IrrDecomp]:
-        return [dict(g) for g in self.gradeds]
 
     def twist(self, X: HomSpace, t: int) -> "FilteredBundle":
         return FilteredBundle.from_decomps(

@@ -62,6 +62,21 @@ def exceptional_spaces() -> List[HomSpace]:
     return [parse_homspace(n) for n in names]
 
 
+def search_spaces(family: str, max_rank: int) -> List[HomSpace]:
+    """The spaces ``classify --family`` searches.
+
+    ``exceptional`` is :func:`exceptional_spaces`; ``all`` adds every
+    classical A, B, C, D G/P_k of rank at most ``max_rank``.
+    """
+    spaces = exceptional_spaces()
+    if family == "all":
+        for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+            for r in range(lo, max_rank + 1):
+                rs = RootSystem(fam, r)
+                spaces.extend(HomSpace(rs, k) for k in range(1, r + 1))
+    return spaces
+
+
 def admissible_summands(
     X: HomSpace, rank_cap: int, dex_cap: int
 ) -> List[Tuple[Weight, int, int]]:
@@ -77,11 +92,12 @@ def admissible_summands(
     levi_positions = [i - 1 for i in range(1, r + 1) if i != X.k]
     out: List[Tuple[Weight, int, int]] = []
 
-    def recurse(pos: int, coords: List[int]):
+    def recurse(pos: int, coords: List[int]) -> bool:
+        # False when ``coords`` itself is over the rank cap
         lam = tuple(coords)
         rank = rc.weyl_dim(X.levi, lam)
         if rank > rank_cap:
-            return
+            return False
         if pos == len(levi_positions):
             base_dex = dex(X, lam) if lam != (0,) * r else 0
             t0 = 0 if any(coords) else 1
@@ -91,17 +107,12 @@ def admissible_summands(
                 w[X.k - 1] = t
                 out.append((tuple(w), rank, base_dex + t * rank))
                 t += 1
-            return
+            return True
         i = levi_positions[pos]
-        c = 0
-        while True:
-            coords[i] = c
-            probe = tuple(coords)
-            if rc.weyl_dim(X.levi, probe) > rank_cap:
-                coords[i] = 0
-                return
-            recurse(pos + 1, coords)
-            c += 1
+        while recurse(pos + 1, coords):
+            coords[i] += 1
+        coords[i] = 0
+        return True
 
     recurse(0, [0] * r)
     return sorted(out)
@@ -262,7 +273,7 @@ def _hodge_fields(Z: ZeroLocus) -> Tuple[Dict[str, Optional[int]], str]:
         out["h11"] = row1.values[1]
         out["h12"] = row1.values[2]
         if row0.status == "exact" and row1.status == "exact":
-            dia = hodge.assemble(Z)
+            dia = hodge.assemble(Z, row0, row1)
             out["chi"] = dia.euler_characteristic()
         else:
             out["chi"] = None

@@ -15,6 +15,10 @@ Subcommands:
 Bundle grammar: ``term (+ term)*`` with
 ``term := ( O(t) | w<indices> | [c1,...,cr] ) [ (twist) ] [ ^mult ]``;
 for example ``w6^4 + O(1)`` or ``w1^2 + O(1)^5`` or ``[3,0,0,0,0]``.
+Each subcommand is one handler in ``_HANDLERS``; it returns a :class:`Reply`
+(results, table lines, status and, where it has them, space, bundle and
+citations), and ``main`` alone wraps that in the JSON envelope
+``{space, bundle, results, status, citations}`` and writes it out.
 Output is deterministic byte-for-byte for fixed inputs and engine version.
 Exit codes: 0 exact, 2 ambiguous (with --allow-bounds), 1 error.
 """
@@ -28,7 +32,7 @@ import json
 import re
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cache as _cache
 from . import classify as _classify
@@ -132,6 +136,31 @@ def _emit(payload: dict, fmt: str, table_lines: List[str]) -> str:
     return "\n".join(table_lines) + "\n"
 
 
+def _common_options(parser, suppress: bool):
+    # shared flags are accepted both before and after the subcommand; the
+    # post-subcommand copies use SUPPRESS so they only override when given
+    d = (lambda v: argparse.SUPPRESS if suppress else v)
+    parser.add_argument("--format", choices=("table", "json", "csv"),
+                        default=d("table"))
+    parser.add_argument("--cache", default=d(None),
+                        help="persistent cache directory (or $BWBFORGE_CACHE)")
+    parser.add_argument("--allow-bounds", action="store_true",
+                        default=d(False),
+                        help="exit 2 instead of 1 when results are only bounded")
+    parser.add_argument("-v", "--verbose", action="store_true", default=d(False))
+
+
+class Reply(NamedTuple):
+    """A subcommand's answer; ``main`` wraps it in the JSON envelope."""
+
+    results: dict
+    lines: List[str]
+    status: str = "exact"
+    space: Optional[str] = None
+    bundle: Optional[str] = None
+    citations: Sequence[str] = ()
+
+
 def _table_payload(t: CohomologyTable) -> List[dict]:
     rows = []
     for q in sorted(t.entries):
@@ -147,26 +176,163 @@ def _table_payload(t: CohomologyTable) -> List[dict]:
     return rows
 
 
-def _zc_payload(zc) -> dict:
-    return {
-        "dims": [v if v is not None else None for v in zc.dims],
+def _roots(args) -> Reply:
+    rs = parse_root_system(args.group)
+    roots = positive_roots(rs)
+    rows = [{"root": "(" + ",".join(map(str, b)) + ")", "height": sum(b)} for b in roots]
+    lines = [f"{rs} root: {r['root']}" for r in rows] + [f"count={len(roots)}"]
+    return Reply({"rows": rows, "count": len(roots)}, lines, space=str(rs))
+
+
+def _dim(args) -> Reply:
+    X = parse_homspace(args.space)
+    d, i, e = dimension(X), fano_index(X), minimal_embedding_dim(X)
+    return Reply({"dim": d, "index": i, "embedding": e},
+                 [f"dim={d} index={i} embed=P^{e}"], space=str(X))
+
+
+def _dex(args) -> Reply:
+    X = parse_homspace(args.space)
+    lam = parse_weight(X, args.weight)
+    if not rc.is_context_dominant(X.levi, lam):
+        raise ParseError(f"weight {lam} is not P{X.k}-dominant")
+    rk, dx = bundle_rank(X, lam), dex(X, lam)
+    return Reply({"rank": rk, "dex": dx}, [f"rank={rk} dex={dx}"],
+                 space=str(X), bundle=_weight_str(lam))
+
+
+def _bwb(args) -> Reply:
+    X = parse_homspace(args.space)
+    lam = parse_weight(X, args.weight)
+    rows = _table_payload(bwb(X, lam))
+    lines = [
+        f"H^{r['degree']} = V{r['weight']}^{{x{r['multiplicity']}}} dim {r['dim']}"
+        for r in rows
+    ] or ["all cohomology vanishes"]
+    return Reply({"rows": rows}, lines, space=str(X), bundle=_weight_str(lam))
+
+
+def _ext(args) -> Reply:
+    X = parse_homspace(args.space)
+    F = parse_bundle(X, args.bundle)
+    if not 0 <= args.p <= F.rank:
+        raise ParseError(f"wedge degree {args.p} out of range 0..{F.rank}")
+    dec = wedge_dual_decomps(ZeroLocus(X, F))[args.p]
+    rows = [
+        {"weight": _weight_str(lam), "multiplicity": m,
+         "rank": rc.weyl_dim(X.levi, lam)}
+        for lam, m in sorted(dec.items())
+    ]
+    lines = [f"L^{args.p} F* = " + " + ".join(
+        f"E{r['weight']}^{r['multiplicity']}" for r in rows)]
+    return Reply({"p": args.p, "rows": rows}, lines, space=str(X), bundle=str(F))
+
+
+def _cohomology(args) -> Reply:
+    X = parse_homspace(args.space)
+    F = parse_bundle(X, args.bundle)
+    if args.restrict is None:
+        rows = _table_payload(bundle_cohomology(X, F.as_dict()))
+        lines = [
+            f"H^{r['degree']} dim {r['dim']} (V{r['weight']} x{r['multiplicity']})"
+            for r in rows
+        ] or ["all cohomology vanishes"]
+        return Reply({"rows": rows}, lines, space=str(X), bundle=str(F))
+    E = parse_bundle(X, args.restrict)
+    zc = restricted_cohomology(ZeroLocus(X, F), E)
+    results = {
+        "restrict": str(E),
+        "dims": zc.dims,
         "status": zc.status,
         "bounds": {str(q): list(b) for q, b in sorted(zc.bounds.items())},
     }
+    lines = [f"H^{q}(Z, E|_Z) = {v if v is not None else zc.bounds.get(q)}"
+             for q, v in enumerate(zc.dims)]
+    return Reply(results, lines, zc.status, str(X), str(F))
 
 
-def _common_options(parser, suppress: bool):
-    # shared flags are accepted both before and after the subcommand; the
-    # post-subcommand copies use SUPPRESS so they only override when given
-    d = (lambda v: argparse.SUPPRESS if suppress else v)
-    parser.add_argument("--format", choices=("table", "json", "csv"),
-                        default=d("table"))
-    parser.add_argument("--cache", default=d(None),
-                        help="persistent cache directory (or $BWBFORGE_CACHE)")
-    parser.add_argument("--allow-bounds", action="store_true",
-                        default=d(False),
-                        help="exit 2 instead of 1 when results are only bounded")
-    parser.add_argument("-v", "--verbose", action="store_true", default=d(False))
+def _hodge_cmd(args) -> Reply:
+    X = parse_homspace(args.space)
+    F = parse_bundle(X, args.bundle)
+    Z = ZeroLocus(X, F)
+    if Z.d != args.d:
+        raise ParseError(
+            f"rank(F)={F.rank} gives a locus of dimension {Z.d}, not {args.d}"
+        )
+    dia = _hodge.assemble(Z)
+    chi = dia.euler_characteristic()
+    diamond = dia.rows()
+    if Z.d == 4:
+        names = {"h02": dia.get(0, 2), "h11": dia.get(1, 1),
+                 "h13": dia.get(1, 3), "h22": dia.get(2, 2),
+                 "hyperkaehler": diamond[0] == [1, 0, 1, 0, 1]}
+    else:
+        names = {"h11": dia.get(1, 1), "h12": dia.get(1, 2)}
+    results = {"d": Z.d, "dex": F.dex, "iota": fano_index(X),
+               "diamond": diamond, "chi": chi, **names}
+    status = "exact" if dia.complete() else "ambiguous"
+    lines = [f"{k}={v}" for k, v in sorted(names.items())] + [f"chi={chi}"]
+    if status == "ambiguous" and dia.blocked:
+        results["blocked"] = dict(dia.blocked)
+        lines += [f"blocked {k}: {v}" for k, v in sorted(dia.blocked.items())]
+    return Reply(results, lines, status, str(X), str(F))
+
+
+def _classify_cmd(args) -> Reply:
+    rep = _classify.classify(
+        _classify.search_spaces(args.family, args.max_rank), args.d,
+        with_hodge=not args.no_hodge,
+        use_exceptions=not args.no_exceptions,
+    )
+    rows = [
+        {"space": r.space, "dim": r.dim, "iota": r.iota, "bundle": r.bundle,
+         "orbit": r.orbit_tag, "status": r.status, "note": r.note, **r.hodge}
+        for r in rep.rows
+    ]
+    dedup = len(rep.dedup_rows())
+    results = {
+        "d": args.d,
+        "rows": rows,
+        "excluded": [
+            {"space": e.space, "bundle": repr(e.weights), "reason": e.reason}
+            for e in rep.excluded
+        ],
+        "pruned": [{"space": s, "reason": why} for s, why in rep.pruned],
+        "dedup_count": dedup,
+    }
+    keys = ("h02", "h11", "h13") if args.d == 4 else ("h11", "h12", "chi")
+    lines = [f"No. | space | dim | iota | bundle | {' '.join(keys)}"]
+    for i, row in enumerate(rows, 1):
+        h = "-" if args.no_hodge else " ".join(str(row.get(k)) for k in keys)
+        lines.append(
+            f"{i} | {row['space']} | {row['dim']} | {row['iota']} | {row['bundle']} | {h}"
+        )
+    lines.append(f"rows={len(rows)} dedup={dedup} "
+                 f"excluded={len(rep.excluded)} pruned={len(rep.pruned)}")
+    status = "exact" if all(r.status == "exact" for r in rep.rows) else "ambiguous"
+    return Reply(results, lines, status,
+                 citations=sorted({e.citation for e in rep.excluded}))
+
+
+def _cache_cmd(args) -> Reply:
+    if args.action == "stats":
+        st = _cache.stats()
+        return Reply(st, [f"{k}={v}" for k, v in sorted(st.items())])
+    _cache.clear(disk=True)
+    return Reply({"cleared": True}, ["cache cleared"])
+
+
+_HANDLERS: Dict[str, Callable[[argparse.Namespace], Reply]] = {
+    "roots": _roots,
+    "dim": _dim,
+    "dex": _dex,
+    "bwb": _bwb,
+    "ext": _ext,
+    "cohomology": _cohomology,
+    "hodge": _hodge_cmd,
+    "classify": _classify_cmd,
+    "cache": _cache_cmd,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -222,7 +388,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     t0 = time.perf_counter()
     try:
-        out, status = _dispatch(args)
+        reply = _HANDLERS[args.command](args)
+        payload = {"space": reply.space, "bundle": reply.bundle,
+                   "results": reply.results, "status": reply.status,
+                   "citations": list(reply.citations)}
+        out = _emit(payload, args.format, reply.lines)
     except (ParseError, ValueError, EmptyLocusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -240,243 +410,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({per_namespace}), {st['hits']} hits, {st['misses']} misses]",
             file=sys.stderr,
         )
-    if status == "ambiguous":
+    if reply.status == "ambiguous":
         return 2 if args.allow_bounds else 1
     return 0
-
-
-def _dispatch(args) -> Tuple[str, str]:
-    fmt = args.format
-    if args.command == "roots":
-        rs = parse_root_system(args.group)
-        roots = positive_roots(rs)
-        payload = {
-            "space": str(rs),
-            "bundle": None,
-            "results": {
-                "rows": [
-                    {"root": "(" + ",".join(map(str, b)) + ")", "height": sum(b)}
-                    for b in roots
-                ],
-                "count": len(roots),
-            },
-            "status": "exact",
-            "citations": [],
-        }
-        lines = [f"{rs} root: (" + ",".join(map(str, b)) + ")" for b in roots]
-        lines.append(f"count={len(roots)}")
-        return _emit(payload, fmt, lines), "exact"
-
-    if args.command == "dim":
-        X = parse_homspace(args.space)
-        d, i, e = dimension(X), fano_index(X), minimal_embedding_dim(X)
-        payload = {
-            "space": str(X),
-            "bundle": None,
-            "results": {"dim": d, "index": i, "embedding": e},
-            "status": "exact",
-            "citations": [],
-        }
-        return _emit(payload, fmt, [f"dim={d} index={i} embed=P^{e}"]), "exact"
-
-    if args.command == "dex":
-        X = parse_homspace(args.space)
-        lam = parse_weight(X, args.weight)
-        if not rc.is_context_dominant(X.levi, lam):
-            raise ParseError(f"weight {lam} is not P{X.k}-dominant")
-        rk, dx = bundle_rank(X, lam), dex(X, lam)
-        payload = {
-            "space": str(X),
-            "bundle": _weight_str(lam),
-            "results": {"rank": rk, "dex": dx},
-            "status": "exact",
-            "citations": [],
-        }
-        return _emit(payload, fmt, [f"rank={rk} dex={dx}"]), "exact"
-
-    if args.command == "bwb":
-        X = parse_homspace(args.space)
-        lam = parse_weight(X, args.weight)
-        t = bwb(X, lam)
-        rows = _table_payload(t)
-        payload = {
-            "space": str(X),
-            "bundle": _weight_str(lam),
-            "results": {"rows": rows},
-            "status": "exact",
-            "citations": [],
-        }
-        lines = [
-            f"H^{r['degree']} = V{r['weight']}^{{x{r['multiplicity']}}} dim {r['dim']}"
-            for r in rows
-        ] or ["all cohomology vanishes"]
-        return _emit(payload, fmt, lines), "exact"
-
-    if args.command == "ext":
-        X = parse_homspace(args.space)
-        F = parse_bundle(X, args.bundle)
-        if not 0 <= args.p <= F.rank:
-            raise ParseError(f"wedge degree {args.p} out of range 0..{F.rank}")
-        dec = wedge_dual_decomps(ZeroLocus(X, F))[args.p]
-        rows = [
-            {"weight": _weight_str(lam), "multiplicity": m,
-             "rank": rc.weyl_dim(X.levi, lam)}
-            for lam, m in sorted(dec.items())
-        ]
-        payload = {
-            "space": str(X),
-            "bundle": str(F),
-            "results": {"p": args.p, "rows": rows},
-            "status": "exact",
-            "citations": [],
-        }
-        lines = [f"L^{args.p} F* = " + " + ".join(
-            f"E{r['weight']}^{r['multiplicity']}" for r in rows)]
-        return _emit(payload, fmt, lines), "exact"
-
-    if args.command == "cohomology":
-        X = parse_homspace(args.space)
-        F = parse_bundle(X, args.bundle)
-        if args.restrict is None:
-            rows = _table_payload(bundle_cohomology(X, F.as_dict()))
-            payload = {
-                "space": str(X),
-                "bundle": str(F),
-                "results": {"rows": rows},
-                "status": "exact",
-                "citations": [],
-            }
-            lines = [
-                f"H^{r['degree']} dim {r['dim']} (V{r['weight']} x{r['multiplicity']})"
-                for r in rows
-            ] or ["all cohomology vanishes"]
-            return _emit(payload, fmt, lines), "exact"
-        Z = ZeroLocus(X, F)
-        E = parse_bundle(X, args.restrict)
-        zc = restricted_cohomology(Z, E)
-        payload = {
-            "space": str(X),
-            "bundle": str(F),
-            "results": {"restrict": str(E), **_zc_payload(zc)},
-            "status": zc.status,
-            "citations": [],
-        }
-        lines = [f"H^{q}(Z, E|_Z) = {v if v is not None else zc.bounds.get(q)}"
-                 for q, v in enumerate(zc.dims)]
-        return _emit(payload, fmt, lines), zc.status
-
-    if args.command == "hodge":
-        X = parse_homspace(args.space)
-        F = parse_bundle(X, args.bundle)
-        Z = ZeroLocus(X, F)
-        if Z.d != args.d:
-            raise ParseError(
-                f"rank(F)={F.rank} gives a locus of dimension {Z.d}, not {args.d}"
-            )
-        dia = _hodge.assemble(Z)
-        chi = dia.euler_characteristic()
-        results: Dict[str, object] = {
-            "d": Z.d,
-            "dex": F.dex,
-            "iota": fano_index(X),
-            "diamond": [[v for v in row] for row in dia.rows()],
-            "chi": chi,
-        }
-        names = {}
-        if Z.d == 4:
-            names = {"h02": dia.get(0, 2), "h11": dia.get(1, 1),
-                     "h13": dia.get(1, 3), "h22": dia.get(2, 2)}
-            row0 = [dia.get(0, q) for q in range(5)]
-            names["hyperkaehler"] = (row0 == [1, 0, 1, 0, 1])
-        else:
-            names = {"h11": dia.get(1, 1), "h12": dia.get(1, 2)}
-        results.update(names)
-        status = "exact" if dia.complete() else "ambiguous"
-        payload = {
-            "space": str(X),
-            "bundle": str(F),
-            "results": results,
-            "status": status,
-            "citations": [],
-        }
-        lines = [f"{k}={v}" for k, v in sorted(names.items())] + [f"chi={chi}"]
-        if status == "ambiguous" and dia.blocked:
-            results["blocked"] = dict(dia.blocked)
-            lines += [f"blocked {k}: {v}" for k, v in sorted(dia.blocked.items())]
-        return _emit(payload, fmt, lines), status
-
-    if args.command == "classify":
-        spaces = _classify.exceptional_spaces()
-        if args.family == "all":
-            from .rootdata import RootSystem
-
-            for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-                for r in range(lo, args.max_rank + 1):
-                    rs = RootSystem(fam, r)
-                    for k in range(1, r + 1):
-                        spaces.append(HomSpace(rs, k))
-        rep = _classify.classify(
-            spaces, args.d,
-            with_hodge=not args.no_hodge,
-            use_exceptions=not args.no_exceptions,
-        )
-        rows = []
-        for r in rep.rows:
-            row = {
-                "space": r.space,
-                "dim": r.dim,
-                "iota": r.iota,
-                "bundle": str(BundleSum.make(parse_homspace(r.space), dict(r.weights))),
-                "orbit": r.orbit_tag,
-                "status": r.status,
-                "note": r.note,
-            }
-            row.update({k: v for k, v in sorted(r.hodge.items())})
-            rows.append(row)
-        status = "exact" if all(r.status == "exact" for r in rep.rows) else "ambiguous"
-        payload = {
-            "space": None,
-            "bundle": None,
-            "results": {
-                "d": args.d,
-                "rows": rows,
-                "excluded": [
-                    {"space": e.space, "bundle": repr(e.weights), "reason": e.reason}
-                    for e in rep.excluded
-                ],
-                "pruned": [{"space": s, "reason": why} for s, why in rep.pruned],
-                "dedup_count": len(rep.dedup_rows()),
-            },
-            "status": status,
-            "citations": sorted({e.citation for e in rep.excluded}),
-        }
-        header = f"No. | space | dim | iota | bundle | " + (
-            "h02 h11 h13" if args.d == 4 else "h11 h12 chi"
-        )
-        lines = [header]
-        for i, row in enumerate(rows, 1):
-            h = " ".join(
-                str(row.get(k)) for k in (("h02", "h11", "h13") if args.d == 4 else ("h11", "h12", "chi"))
-            ) if not args.no_hodge else "-"
-            lines.append(
-                f"{i} | {row['space']} | {row['dim']} | {row['iota']} | {row['bundle']} | {h}"
-            )
-        lines.append(f"rows={len(rows)} dedup={payload['results']['dedup_count']} "
-                     f"excluded={len(rep.excluded)} pruned={len(rep.pruned)}")
-        return _emit(payload, fmt, lines), status
-
-    if args.command == "cache":
-        if args.action == "stats":
-            st = _cache.stats()
-            payload = {"space": None, "bundle": None, "results": st,
-                       "status": "exact", "citations": []}
-            return _emit(payload, fmt, [f"{k}={v}" for k, v in sorted(st.items())]), "exact"
-        _cache.clear(disk=True)
-        payload = {"space": None, "bundle": None, "results": {"cleared": True},
-                   "status": "exact", "citations": []}
-        return _emit(payload, fmt, ["cache cleared"]), "exact"
-
-    raise ParseError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

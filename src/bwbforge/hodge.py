@@ -328,13 +328,20 @@ class HodgeDiamond:
         return [[self.h.get((p, q)) for q in range(self.d + 1)] for p in range(self.d + 1)]
 
 
-def assemble(Z: ZeroLocus) -> HodgeDiamond:
-    """Full Hodge diamond of Z (d = 3 or 4) with symmetry-forced filling."""
+def assemble(
+    Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None
+) -> HodgeDiamond:
+    """Full Hodge diamond of Z (d = 3 or 4) with symmetry-forced filling.
+
+    Rows 0 and 1 are computed unless the caller already has them.
+    """
     d = Z.d
     if d not in (3, 4):
         raise ValueError("diamond assembly implemented for 3- and 4-folds")
-    row0 = h0_row(Z)
-    row1 = h1_row(Z, row0)
+    if row0 is None:
+        row0 = h0_row(Z)
+    if row1 is None:
+        row1 = h1_row(Z, row0)
     dia = HodgeDiamond(d)
     for q, v in enumerate(row0.values):
         dia.set(0, q, v, "computed" if v is not None else "ambiguous")

@@ -197,9 +197,6 @@ class ZCohomology:
             raise AmbiguousCohomologyError(f"degree {q} only bounded: {self.bounds.get(q)}")
         return v
 
-    def known(self, q: int) -> bool:
-        return q < 0 or q > self.d or self.dims[q] is not None
-
 
 _INF = 10**30
 

@@ -160,10 +160,6 @@ def sub(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def scale(a: Weight, c: int) -> Weight:
-    return tuple(c * x for x in a)
-
-
 def reflect(rs: RootSystem, w: Weight, i: int) -> Weight:
     """Simple reflection s_i acting on a weight (w-basis), i 1-based."""
     c = w[i - 1]

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from bwbforge import cache as _cache
 from bwbforge.cli import ParseError, main, parse_bundle, parse_weight
 from bwbforge.homspace import parse_homspace
 
@@ -309,3 +311,56 @@ def test_bundle_without_sections_exits_1(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "G2-dominant" in err
+
+
+# -- golden output --------------------------------------------------------------
+
+# Exit code, sha256 of stdout and the stderr text of each argv, pinned: any
+# byte that moves in any subcommand's output fails here.  ``cache stats`` and
+# ``-v`` are left out, their output depends on process state and time; the
+# ``cache clear`` cases run last since they empty the memo tables.
+GOLDEN = [
+    (['--format', 'table', 'roots', 'G2'], 0, 'adbb181abeb99c88f292bb95f3019bea2464984870b76f4efcd0a1bd764d1a99', ''),
+    (['--format', 'table', 'dim', 'E7/P1'], 0, '1d9b0f4ae24beed5f345e67757f3dd460368bc16e680d2d2eddd62063bac972a', ''),
+    (['--format', 'table', 'dex', 'F4/P4', 'w3'], 0, '1a9c131c9f32dd853d1dfb1d1d68adfee00ce1ad6fc9d543e1158b3032977f13', ''),
+    (['--format', 'table', 'bwb', 'G2/P2', 'O(-6)'], 0, '9c2136b9811524e928a38b43b87a932092299d63a05ead2ef81edb2306db16c0', ''),
+    (['--format', 'table', 'ext', 'F4/P4', 'w1 + O(1)^4', '2'], 0, 'e5e402beae4cbbbaf17d959e18fc04a9e375fb07020b9c42bbbb2377b095f954', ''),
+    (['--format', 'table', 'cohomology', 'G2/P2', 'O(3)', '--restrict', 'O(-3)'], 0, 'cd74226f760d06863ccad01fcc863075f5cd78a1b0b75a3c450f8878e909cd0b', ''),
+    (['--format', 'table', 'hodge', 'G2/P2', 'O(3)', '--d', '4'], 0, 'ba9b12c72480cdc4c90e59244e8849100bdb18bb8d4b1e73830c30397d3b19bb', ''),
+    (['--format', 'table', 'classify', '--d', '3'], 0, '8886381bc9918cd6b21ede479b33749b7ff659f3bca33bb23523e106dfa36a91', ''),
+    (['--format', 'json', 'roots', 'G2'], 0, '304875c65943a87ce9c7886c8b50849854488c7717c3e896ef79301efb756a52', ''),
+    (['--format', 'json', 'dim', 'E7/P1'], 0, 'e2c2717234bd7f3c952d48e04e465d10de9e117c68f9531be02e57bb31deeebb', ''),
+    (['--format', 'json', 'dex', 'F4/P4', 'w3'], 0, '17d9bc813ea1a99b063a2596550b9ff40e73f07aef12d7edeb614fd410c30c9c', ''),
+    (['--format', 'json', 'bwb', 'G2/P2', 'O(-6)'], 0, 'e1a0a23d294c2e4beca459273cbd6b11bfc159093f9356c0bd8bc0149ee329df', ''),
+    (['--format', 'json', 'ext', 'F4/P4', 'w1 + O(1)^4', '2'], 0, 'dab163ef34c2147cb94558a555d38af52b8d2507363a92c8cce50bb8a21a1a77', ''),
+    (['--format', 'json', 'cohomology', 'G2/P2', 'O(3)', '--restrict', 'O(-3)'], 0, '96451dca91a1859bf7e5e9a9eb110a0e277aa5548af422f3182d5157a0322ad3', ''),
+    (['--format', 'json', 'hodge', 'G2/P2', 'O(3)', '--d', '4'], 0, 'b9078c9961be294a29b8b4bf5f949e6af75103852b6fc427e2c74aab294cc08f', ''),
+    (['--format', 'json', 'classify', '--d', '3'], 0, 'ee7f44b5376de7432998510b5c9af6414f0fd6f23efac88153937726a37ddcd9', ''),
+    (['--format', 'csv', 'roots', 'G2'], 0, '4665c201771c192c1f46753e8845c6e3c0da44f144568205ad3dd167156844c0', ''),
+    (['--format', 'csv', 'dim', 'E7/P1'], 0, 'e939bca571c13f840a11597852c84ecc1d04214e1ef9834713e103acdf8b0994', ''),
+    (['--format', 'csv', 'dex', 'F4/P4', 'w3'], 0, 'd585ac3e248cd84ce9349118b7f448632fcba114ff67485fee0fef1623c505dd', ''),
+    (['--format', 'csv', 'bwb', 'G2/P2', 'O(-6)'], 0, 'dc22d8e13289a71a5c338e4eb9ad80bf1dc6fff313da5150b7657ad759e09a67', ''),
+    (['--format', 'csv', 'ext', 'F4/P4', 'w1 + O(1)^4', '2'], 0, '33a3dbbc2800138ce0d02df228773d918903cb57a37e47813c589967b7ca7522', ''),
+    (['--format', 'csv', 'cohomology', 'G2/P2', 'O(3)', '--restrict', 'O(-3)'], 0, '2ac7ab6524455422d2cf9ac33e90b4bd56f0563d764bb44d8d65a652b4d2e55e', ''),
+    (['--format', 'csv', 'hodge', 'G2/P2', 'O(3)', '--d', '4'], 0, '9f5f552dae64b9b299e2d95ed99ed020608e3f65be65a8b5b1961338f51ca5e4', ''),
+    (['--format', 'csv', 'classify', '--d', '3'], 0, 'f1d32ff7b42121a2cb4e682405bd2a9ea667657606c8b474536c75ea384cf589', ''),
+    (['cohomology', 'E6/P2', 'w1^2 + O(1)^5'], 0, '96be0f3a24cde91ed061412ea33c81f4c458f120eb24e591b5ab172b4b2aeddb', ''),
+    (['hodge', 'G2/P1', 'O(1) + O(4)', '--d', '3'], 0, '30181e682575bfc3d2a5c377d2d4778af5abfd9f4940061e427f7fde968ea259', ''),
+    (['--format', 'json', 'classify', '--d', '4', '--no-hodge', '--family', 'all', '--max-rank', '4'], 0, '58f71b35fe7a4cc3ca5fa3b936640aa365d9c0a16c50946626b40cb85d1ac9ef', ''),
+    (['--allow-bounds', '--format', 'json', 'hodge', 'F4/P4', 'w1 + O(1)^4', '--d', '4'], 2, '26d68da85b0a9dc6abcd5a896d1ae84303cb911ccce24e827def7fbbfebf35eb', ''),
+    (['dex', 'G2/P1', '[1,-1]'], 1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: weight (1, -1) is not P1-dominant\n'),
+    (['--format', 'table', 'cache', 'clear'], 0, '279971c9c5b47364b7664359c7294c8528d6261b3df1dea2b5e94b4759e32430', ''),
+    (['--format', 'json', 'cache', 'clear'], 0, '60a726e93ae78a9ef91f945e156d8ca81c506a4b136a80f18218e7c9668fdd1e', ''),
+    (['--format', 'csv', 'cache', 'clear'], 0, '7685a068da35f20a04c95c5e569fe82b6ac88200a4b3527e3e8eb13a047bf8cf', ''),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest,err", GOLDEN,
+                         ids=[" ".join(case[0]) for case in GOLDEN])
+def test_golden_output(argv, code, digest, err, capsys, monkeypatch):
+    monkeypatch.delenv("BWBFORGE_CACHE", raising=False)
+    monkeypatch.setattr(_cache, "_dir", None)
+    assert main(argv) == code
+    out, got_err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert got_err == err

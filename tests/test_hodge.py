@@ -120,6 +120,21 @@ def test_diamond_g2p2():
     assert dia.flags[(1, 1)] == "computed"
 
 
+def test_assemble_reuses_the_rows_it_is_given(monkeypatch):
+    # classify hands over the rows it already has; assemble must not redo them
+    Z = mk("G2/P1", {(1, 0): 1, (4, 0): 1})
+    row0 = h0_row(Z)
+    row1 = h1_row(Z, row0)
+    expected = assemble(Z).rows()
+
+    def recomputed(*args):
+        raise AssertionError("row recomputed")
+
+    monkeypatch.setattr("bwbforge.hodge.h0_row", recomputed)
+    monkeypatch.setattr("bwbforge.hodge.h1_row", recomputed)
+    assert assemble(Z, row0, row1).rows() == expected
+
+
 def test_diamond_keeps_the_reason_h22_is_blocked():
     # Table 1 row E6/P3, E_w3 + E_w6^4: S^2 F^*|_Z is only bounded
     dia = assemble(mk("E6/P3", {w(6, i3=1): 1, w(6, i6=1): 4}))
