@@ -7,9 +7,9 @@ survives, in degree ell(w), with dominant label w(lambda+rho)-rho.
 given by highest weights and an L-module M given by its character, as the
 Koszul E1 page needs it, with either factor in either role: Brauer-Klimyk
 splits the product into L-irreducibles by one W_L-climb per shifted weight
-(memoised per space in ``cache.table("bott", X)``), and the recipe above
-then runs once per irreducible (``cache.table("bwb", X)``), not once per
-weight.
+(memoised in the ``climb`` table of the Levi context, shared with
+``repcalc.decompose_character``), and the recipe above then runs once per
+irreducible (``cache.table("bwb", X)``), not once per weight.
 
 The interesting machinery here is for *filtered* bundles (the cotangent
 bundle and friends): their graded pieces are completely reducible, RegInd
@@ -107,21 +107,6 @@ def _bwb_entry(X: HomSpace, y: int, bwbs: dict) -> Optional[Tuple[int, int]]:
     return got
 
 
-def _levi_top(X: HomSpace, levi: rc.Context, x: int, bwbs: dict) -> Optional[int]:
-    """Packed W_L-dominant representative y of x, negated for an odd climb.
-
-    None when x lies on a wall of W_L, or y on a wall of W.
-    """
-    climbed = rc.climb(levi, rc.unpack(x, X.rs.rank))
-    if climbed is None:
-        return None
-    flips, dom = climbed
-    y = rc.pack(dom)
-    if _bwb_entry(X, y, bwbs) is None:
-        return None
-    return -y if flips & 1 else y
-
-
 def tensor_cohomology(
     X: HomSpace, shifts: rc.IrrDecomp, char: rc.PackedChar, extremes: Tuple[Weight, Weight]
 ) -> Dict[int, int]:
@@ -129,11 +114,12 @@ def tensor_cohomology(
 
     ``shifts`` is the formal sum {s: n_s} of P-dominant highest weights.
     Brauer-Klimyk first: each weight nu of M moves s + nu + rho into the
-    dominant W_L-chamber, and the signed multiplicities n_s * m_nu are summed
-    in one tally per rho-shifted Levi highest weight y; a negative sum means
-    ``char`` was not a character, and raises.  Borel-Weil-Bott then runs once
-    per L-irreducible E_{y - rho}: dim V_G in degree q, the length of its
-    W-climb, or nothing on a wall (Bott 1957; Kostant 1961).
+    dominant W_L-chamber, and ``repcalc.climb_tally`` sums the signed
+    multiplicities n_s * m_nu per rho-shifted Levi highest weight y (a
+    negative sum means ``char`` was not a character, and raises).
+    Borel-Weil-Bott then runs once per L-irreducible E_{y - rho}: dim V_G in
+    degree q, the length of its W-climb, or nothing on a wall (Bott 1957;
+    Kostant 1961).
 
     The rule is symmetric in its factors, so a caller may hand either factor
     over as highest weights and the other as a character: the Koszul E1 page
@@ -144,10 +130,9 @@ def tensor_cohomology(
     ``extremes`` bounds the coordinates of the weights of ``char`` (a caller
     with a table of characters computes it once); the least and greatest
     coordinates of the shifted sums are range-checked before any packed
-    weight is added.  Both steps are memoised per space on packed ints:
-    ``table("bott", X)`` maps x = s + nu + rho to None or to y, negated when
-    the W_L-climb has odd length, and ``table("bwb", X)`` maps y to
-    (q, dim V_G) or None.
+    weight is added.  Both steps are memoised on packed ints: the W_L-climbs
+    in the ``climb`` table of the Levi context, which ``decompose_character``
+    shares, and ``table("bwb", X)`` maps y to (q, dim V_G) or None.
     """
     if not shifts:
         return {}
@@ -163,29 +148,13 @@ def tensor_cohomology(
     rr = rho(X.rs)
     rc.check_packable(add(add(lows, rr), extremes[0]), add(add(highs, rr), extremes[1]))
     lift = rc.packed_offset(rr)
-    bott, bwbs = _cache.table("bott", X), _cache.table("bwb", X)
-    levi = X.levi
-    tally: Dict[Optional[int], int] = {}
-    for s, n in shifts.items():
-        shift = rc.packed_offset(s) + lift
-        for v, m in char.items():
-            x = v + shift
-            y = bott.get(x, _MISSING)
-            if y is _MISSING:
-                y = bott[x] = _levi_top(X, levi, x, bwbs)
-            tally[y] = tally.get(y, 0) + n * m
-    tally.pop(None, None)
-    irreducibles: Dict[int, int] = {}
-    for y, m in tally.items():
-        if y < 0:
-            y, m = -y, -m
-        irreducibles[y] = irreducibles.get(y, 0) + m
+    pairs = [(rc.packed_offset(s) + lift, n) for s, n in shifts.items()]
+    bwbs = _cache.table("bwb", X)
     out: Dict[int, int] = {}
-    for y, m in irreducibles.items():
-        if m < 0:
-            raise AssertionError("negative multiplicity: input was not a character")
-        if m:
-            q, dim = _bwb_entry(X, y, bwbs)
+    for y, m in rc.climb_tally(X.levi, char, pairs).items():
+        entry = _bwb_entry(X, y, bwbs)
+        if entry is not None:
+            q, dim = entry
             out[q] = out.get(q, 0) + m * dim
     return out
 

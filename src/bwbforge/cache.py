@@ -2,13 +2,13 @@
 
 Every memo whose key holds a user weight lives here, in a plain dict per
 ``(namespace, owner)`` from :func:`table`: per context ``dim`` (Weyl
-dimensions) and ``climb`` (signed W_L-climbs of ``decompose_character``),
-per space ``bott`` (packed rho-shifted weight -> signed packed Levi
-highest weight) and ``bwb`` (Levi highest weight -> degree and dimension
-of its cohomology).  ``lru_cache`` is kept only on functions of root
-data.  :func:`stats` counts the entries of every table,
-:func:`namespace_entries` per namespace, and :func:`clear` empties them
-all.
+dimensions) and ``climb`` (packed rho-shifted weight -> packed dominant
+representative, negated for an odd climb, or None on a wall; shared by
+``decompose_character`` and ``tensor_cohomology``), per space ``bwb``
+(Levi highest weight -> degree and dimension of its cohomology).
+``lru_cache`` is kept only on functions of root data.  :func:`stats`
+counts the entries of every table, :func:`namespace_entries` per
+namespace, and :func:`clear` empties them all.
 
 :func:`memo` keeps its results in ``table(namespace)``, keyed by the key
 object.  When a cache directory is attached (CLI flag or the

@@ -6,15 +6,16 @@ Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
 purely from Borel-Weil-Bott data.
 
 The wedge powers come from ``repcalc.exterior_char_table``, the per-weight
-product prod (1 + t x^nu) over the weights nu of F^*, and their Levi
-decompositions from ``wedge_dual_decomps``, once per locus.  ``e1_page``
-reads each E_1 entry off by Brauer-Klimyk, over the smaller factor: for
-every irreducible piece E_mu of E and every p, ``bwbcohom.tensor_cohomology``
-either shifts the weights of Lambda^p F^* by mu, or the weights of V_L(mu)
-by each Levi highest weight of Lambda^p F^*, whichever is fewer steps.  The
-rule is symmetric in its factors, and either way the shifted weights are
-summed into L-irreducibles and Borel-Weil-Bott runs once per irreducible,
-so no tensor product is ever expanded.
+product prod (1 + t x^nu) over the weights nu of F^*, up to half the rank
+f; Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*, gives
+the rest, characters and Levi decompositions (``wedge_dual_decomps``, once
+per locus) alike.  ``e1_page`` reads each E_1 entry off by Brauer-Klimyk,
+over the smaller factor: for every irreducible piece E_mu of E and every p,
+``bwbcohom.tensor_cohomology`` either shifts the weights of Lambda^p F^* by
+mu, or the weights of V_L(mu) by each Levi highest weight of Lambda^p F^*,
+whichever is fewer steps.  The rule is symmetric in its factors, and either
+way the shifted weights are summed into L-irreducibles and Borel-Weil-Bott
+runs once per irreducible, so no tensor product is ever expanded.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -143,17 +144,24 @@ class ZeroLocus:
 def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     """Characters of Lambda^p F^* for p = 0..rank(F).
 
-    The top one is checked against the determinant: the Koszul tail is
-    the line bundle O(-dex F), a single weight of multiplicity one.
+    Degrees up to f // 2 come from the per-weight product, the rest by Koszul
+    duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*: the weights of
+    degree f - p are det - nu for the weights nu of degree p.  det F^*, the
+    sum of the weights of F^*, is checked against the closed-form O(-dex F).
     """
 
     def compute():
         X = Z.space
-        chars = rc.exterior_char_table(Z.bundle.dual().char(), Z.bundle.rank, X.rs.rank)
-        top = chars[-1]
-        assert len(top) == 1 and list(top.values()) == [1], "top wedge is not a line"
-        assert rc.unpack(next(iter(top)), X.rs.rank)[X.k - 1] == -Z.bundle.dex
-        return chars
+        rank, f = X.rs.rank, Z.bundle.rank
+        char = Z.bundle.dual().char()
+        rc.check_packable(*rc.power_extremes(char, f, rank))
+        zero = rc.pack((0,) * rank)
+        det = zero + sum(m * (v - zero) for v, m in char.items())
+        assert det == rc.pack(X.line(-Z.bundle.dex)), "det F^* is not O(-dex F)"
+        chars = rc.exterior_char_table(char, f // 2, rank)
+        c = det + zero
+        upper = range(f // 2 + 1, f + 1)
+        return chars + [{c - v: m for v, m in chars[f - p].items()} for p in upper]
 
     return _cache.memo("wedge_chars", (str(Z.space), Z.bundle.summands), compute)
 
@@ -161,14 +169,22 @@ def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
 def wedge_dual_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
     """Levi decompositions {lambda: m} of Lambda^p F^* for p = 0..rank(F).
 
-    Decomposed from ``wedge_dual_chars`` on first use, not when the
-    characters are built, so a caller that only needs the characters never
-    pays for them.
+    Degrees up to f // 2 are decomposed from ``wedge_dual_chars``; degree
+    f - p is then the dual of degree p twisted by det F^* = O(-dex F).  Built
+    on first use, not with the characters, so a caller that only needs the
+    characters never pays for them.
     """
 
     def compute():
-        levi = Z.space.levi
-        return [rc.decompose_character(levi, char) for char in wedge_dual_chars(Z)]
+        X, levi, dex = Z.space, Z.space.levi, Z.bundle.dex
+        chars = wedge_dual_chars(Z)
+        f = len(chars) - 1
+        lower = [rc.decompose_character(levi, char) for char in chars[: f // 2 + 1]]
+        dual = rc.dual_highest_weight
+        return lower + [
+            {X.twist(dual(levi, lam), -dex): m for lam, m in lower[f - p].items()}
+            for p in range(f // 2 + 1, f + 1)
+        ]
 
     return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)
 

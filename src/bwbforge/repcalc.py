@@ -49,7 +49,6 @@ from .rootdata import (
     coroot_vector,
     integral_weight_gram,
     positive_roots,
-    reflect,
     rho,
     root_to_weight,
     simple_root_weight,
@@ -279,18 +278,46 @@ def weyl_dim(ctx: Context, lam: Weight) -> int:
 
 def dominant_rep(ctx: Context, w: Weight) -> Weight:
     """Dominant W_L-representative of a weight (zeros allowed, no word)."""
-    cur = w
+    rows = _climb_rows(ctx)
+    cur = list(w)
     while True:
-        neg = next((i for i in ctx.levi if cur[i - 1] < 0), 0)
-        if neg == 0:
-            return cur
-        cur = reflect(ctx.rs, cur, neg)
+        for i, alpha in rows:
+            c = cur[i]
+            if c < 0:
+                break
+        else:
+            return tuple(cur)
+        for j, a in alpha:
+            cur[j] -= c * a
 
 
 @lru_cache(maxsize=None)
-def _climb_rows(ctx: Context) -> Tuple[Tuple[int, Weight], ...]:
-    """(coordinate index, alpha_i in the weight basis) for each simple root of ctx."""
-    return tuple((i - 1, simple_root_weight(ctx.rs, i)) for i in ctx.levi)
+def _climb_rows(ctx: Context) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
+    """(i, nonzero (j, alpha[j])) per simple root alpha of ctx: at most 4 Cartan entries."""
+    return tuple(
+        (i - 1, tuple((j, a) for j, a in enumerate(simple_root_weight(ctx.rs, i)) if a))
+        for i in ctx.levi
+    )
+
+
+def _climb_in_place(rows, cur: List[int]) -> Optional[int]:
+    """Climb the list ``cur`` in place; the number of reflections, or None on a wall."""
+    for i, _ in rows:
+        if cur[i] == 0:
+            return None
+    n = 0
+    while True:
+        for i, alpha in rows:
+            c = cur[i]
+            if c <= 0:
+                break
+        else:
+            return n
+        if c == 0:
+            return None
+        for j, a in alpha:
+            cur[j] -= c * a
+        n += 1
 
 
 def climb(ctx: Context, w: Weight) -> Optional[Tuple[int, Weight]]:
@@ -302,40 +329,54 @@ def climb(ctx: Context, w: Weight) -> Optional[Tuple[int, Weight]]:
     of the climbing element, as in ``to_dominant_chamber`` restricted to the
     context's indices.  Walls are Weyl-invariant, so a zero coordinate is
     looked for in ``w`` and then only up to the index of each reflection:
-    a weight on a wall reaches one before it could end dominant.
+    a weight on a wall reaches one before it could end dominant.  A
+    reflection updates one list in place, on the nonzero entries of its root.
     """
-    rows = _climb_rows(ctx)
-    if any(w[i] == 0 for i, _ in rows):
+    cur = list(w)
+    n = _climb_in_place(_climb_rows(ctx), cur)
+    return None if n is None else (n, tuple(cur))
+
+
+def signed_climb(ctx: Context, x: int) -> Optional[int]:
+    """Packed ``climb``: None on a wall, else pack(dominant), negated for an odd length."""
+    rank = ctx.rs.rank
+    cur = [c - _OFFSET for c in _fields(rank).unpack(x.to_bytes(2 * rank, "little"))]
+    n = _climb_in_place(_climb_rows(ctx), cur)
+    if n is None:
         return None
-    cur = w
-    n = 0
-    while True:
-        for i, alpha in rows:
-            c = cur[i]
-            if c <= 0:
-                break
-        else:
-            return n, cur
-        if c == 0:
-            return None
-        cur = tuple([x - c * y for x, y in zip(cur, alpha)])
-        n += 1
-
-
-def _climb_signed(ctx: Context, packed: int) -> Optional[Tuple[int, int]]:
-    """Signed dominant representative of a packed rho-shifted weight.
-
-    Returns None if the weight lies on a wall of the context, otherwise
-    (sign, packed dominant representative).
-    """
-    res = climb(ctx, unpack(packed, ctx.rs.rank))
-    if res is None:
-        return None
-    n, dom = res
-    return (-1 if n & 1 else 1), pack(dom)
+    return -pack(cur) if n & 1 else pack(cur)
 
 
 _MISSING = object()
+
+
+def climb_tally(
+    ctx: Context, char: PackedChar, shifts: Sequence[Tuple[int, int]]
+) -> Dict[int, int]:
+    """Brauer-Klimyk: {y: m} for sum_s n_s x^s (x) M, y packed rho-shifted highest weights.
+
+    ``shifts`` holds range-checked pairs (packed offset of s + rho, n_s).  Each
+    x = s + nu + rho is climbed once per context (``table("climb", ctx)``); a
+    negative sum per y means ``char`` was not a character, and raises.
+    """
+    memo = _cache.table("climb", ctx)
+    tally: Dict[Optional[int], int] = {}
+    for shift, n in shifts:
+        for v, m in char.items():
+            x = v + shift
+            y = memo.get(x, _MISSING)
+            if y is _MISSING:
+                y = memo[x] = signed_climb(ctx, x)
+            tally[y] = tally.get(y, 0) + n * m
+    tally.pop(None, None)
+    out: Dict[int, int] = {}
+    for y, m in tally.items():
+        if y < 0:
+            y, m = -y, -m
+        out[y] = out.get(y, 0) + m
+    if any(m < 0 for m in out.values()):
+        raise AssertionError("negative multiplicity: input was not a character")
+    return {y: m for y, m in out.items() if m}
 
 
 def decompose_character(
@@ -358,26 +399,8 @@ def decompose_character(
         lift = add(shift, rho(ctx.rs))
     lo, hi = char_extremes(char, rank)
     check_packable(add(lo, lift), add(hi, lift))
-    offset = packed_offset(lift)
-    memo = _cache.table("climb", ctx)
-    acc: Dict[int, int] = {}
-    for v, m in char.items():
-        x = v + offset
-        res = memo.get(x, _MISSING)
-        if res is _MISSING:
-            res = memo[x] = _climb_signed(ctx, x)
-        if res is None:
-            continue
-        sign, dom = res
-        acc[dom] = acc.get(dom, 0) + sign * m
-    out: IrrDecomp = {}
-    for dom, m in acc.items():
-        if m == 0:
-            continue
-        if m < 0:
-            raise AssertionError("negative multiplicity: input was not a character")
-        out[sub(unpack(dom, rank), rho(ctx.rs))] = m
-    return out
+    tally = climb_tally(ctx, char, [(packed_offset(lift), 1)])
+    return {sub(unpack(y, rank), rho(ctx.rs)): m for y, m in tally.items()}
 
 
 # -- irreducible characters (Freudenthal) ------------------------------------
@@ -466,8 +489,19 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
 
 
 def char_irr(ctx: Context, lam: Weight) -> PackedChar:
-    """Character of the irreducible ctx-module with highest weight lam."""
+    """Character of the irreducible ctx-module with highest weight lam.
+
+    On a Levi context the part of lam at the omitted nodes is a character
+    of L, so Freudenthal runs once on lam with those coordinates zeroed
+    (one ``char`` entry per module) and the weights are shifted by the rest.
+    """
     _require_dominant(ctx, lam)
+    base = tuple(c if i + 1 in ctx.levi else 0 for i, c in enumerate(lam))
+    if base != lam:
+        twist, char = sub(lam, base), char_irr(ctx, base)
+        check_packable(*(add(e, twist) for e in char_extremes(char, ctx.rs.rank)))
+        offset = packed_offset(twist)
+        return {v + offset: m for v, m in char.items()}
 
     def compute():
         mults = _freudenthal(ctx, lam)

@@ -58,12 +58,22 @@ def test_memory_entries_count_every_table():
     X = parse_homspace("G2/P2")
     Z = ZeroLocus(X, BundleSum.make(X, {X.line(3): 1}))
     restricted_cohomology(Z, BundleSum.make(X, {X.line(-3): 1}))
-    bott = len(cache.table("bott", X))
-    assert bott > 0
-    assert cache.stats()["memory_entries"] >= bott + len(cache.table("wedge_chars"))
+    climb = len(cache.table("climb", X.levi))
+    assert climb > 0
+    assert cache.stats()["memory_entries"] >= climb + len(cache.table("wedge_chars"))
     cache.clear()
     assert cache.stats()["memory_entries"] == 0
-    assert cache.table("bott", X) == {}
+    assert cache.table("climb", X.levi) == {}
+
+
+def test_restricted_cohomology_shares_the_levi_climb_table():
+    # the E1 page climbs into the same per-context table as decompose_character
+    cache.clear()
+    X = parse_homspace("G2/P2")
+    Z = ZeroLocus(X, BundleSum.make(X, {X.line(3): 1}))
+    restricted_cohomology(Z, BundleSum.make(X, {X.line(-3): 1}))
+    assert "bott" not in cache.namespace_entries()
+    assert cache.table("climb", X.levi)
 
 
 def test_clear_removes_temp_files_of_killed_writers(disk):

@@ -172,7 +172,7 @@ def test_verbose_changes_only_stderr():
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stdout == loud.stdout and quiet.stderr == ""
     # one line naming the in-memory entries of each memo namespace
-    assert "bott " in loud.stderr and "bwb " in loud.stderr and "wedge_chars " in loud.stderr
+    assert "climb " in loud.stderr and "bwb " in loud.stderr and "wedge_chars " in loud.stderr
 
 
 def test_hodge_dimension_mismatch_is_an_error():

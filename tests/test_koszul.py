@@ -411,6 +411,21 @@ def test_wedge_product_matches_newton_girard(space, weights):
     assert wedge_dual_chars(Z) == _newton_girard_wedges(Z)
 
 
+# every Table locus, plus one more locus of odd and one of even rank f
+DUALITY_LOCI = TABLE_LOCI + [("G2/P1", {(1, 0): 1, (0, 1): 1}), ("G2/P2", {(0, 1): 2, (1, 0): 1})]
+
+
+@pytest.mark.parametrize("space,weights", DUALITY_LOCI)
+def test_wedge_duality_matches_full_exterior_table(space, weights):
+    # degrees above f // 2 come from Koszul duality: they must equal the full
+    # per-weight product and, decomposed, a decomposition per degree
+    Z = mk(space, weights)
+    f = Z.bundle.rank
+    full = rc.exterior_char_table(Z.bundle.dual().char(), f, Z.space.rs.rank)
+    assert wedge_dual_chars(Z) == full
+    assert wedge_dual_decomps(Z) == [rc.decompose_character(Z.space.levi, ch) for ch in full]
+
+
 @pytest.mark.parametrize("space,weights", TABLE_LOCI)
 def test_char_tables_match_newton_girard(space, weights):
     # Lambda^k and S^k, k <= 3, of F^* and of every cotangent piece g_{-l}

@@ -424,7 +424,28 @@ def test_climb_agrees_with_to_dominant_chamber(case):
     ctx, wt = case
     ref = to_dominant_chamber(ctx.rs, wt, ctx.levi)
     got = rc.climb(ctx, wt)
+    signed = rc.signed_climb(ctx, rc.pack(wt))
     if ref.singular:
-        assert got is None
+        assert got is None and signed is None
     else:
         assert got == (len(ref.word), ref.dominant)
+        # the packed form: pack(dominant), negated for an odd length
+        y = rc.pack(ref.dominant)
+        assert signed == (-y if len(ref.word) % 2 else y)
+
+
+@given(_context_and_weight())
+@settings(max_examples=300, deadline=None)
+def test_dominant_rep_agrees_with_to_dominant_chamber(case):
+    # walls allowed: 100 wt + rho is off every wall, and its climbing word
+    # takes wt to the closure of the dominant chamber
+    ctx, wt = case
+    got = rc.dominant_rep(ctx, wt)
+    plain = to_dominant_chamber(ctx.rs, wt, ctx.levi)
+    if not plain.singular:
+        assert got == plain.dominant
+    scaled = tuple(100 * c + r for c, r in zip(wt, rho(ctx.rs)))
+    want = wt
+    for i in to_dominant_chamber(ctx.rs, scaled, ctx.levi).word:
+        want = reflect(ctx.rs, want, i)
+    assert got == want
