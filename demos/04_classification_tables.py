@@ -7,7 +7,7 @@ ratio bound; the survivors are enumerated, the curated exception list
 removes bundles whose general sections vanish nowhere, and each emitted
 pair carries its Hodge numbers.
 
-Running this script takes under a minute; the E7/P1 Hodge row dominates.
+Running this script takes about two seconds; the E7/P1 Hodge row dominates.
 """
 
 import time

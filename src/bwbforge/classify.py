@@ -12,7 +12,6 @@ reason recorded; the numbers themselves cannot see such geometric facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import hodge
@@ -198,13 +197,10 @@ def enumerate_candidates(
     if frank < 1:
         return SpaceSearch(X, [], [], False, note="no positive rank budget")
     pool = admissible_summands(X, frank, iota)
-    if use_ratio and pool:
-        target = Fraction(iota, frank)
-        if all(Fraction(dx, rk) > target for _, rk, dx in pool):
-            return SpaceSearch(
-                X, [], [], True,
-                note=f"every summand has dex/rank > {iota}/{frank}",
-            )
+    if use_ratio and pool and all(dx * frank > iota * rk for _, rk, dx in pool):
+        return SpaceSearch(
+            X, [], [], True, note=f"every summand has dex/rank > {iota}/{frank}"
+        )
     if not pool:
         return SpaceSearch(X, [], [], False, note="no admissible summands")
 

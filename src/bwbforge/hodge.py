@@ -1,22 +1,24 @@
-"""Hodge numbers of zero loci via conormal-sequence chases.
+"""Hodge numbers of zero loci via the conormal sequence.
 
 The h^{0,q} row is the structure-sheaf cohomology; h^{1,q} comes from the
 long exact sequence of 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0, seeded
-with the values forced by Hodge symmetry and Serre duality; for fourfolds
-h^{2,2} follows from the second wedge of the conormal sequence, split at
-its kernel sheaf into two short exact sequences sharing unknowns.
+with the values forced by Hodge symmetry and Serre duality.  For fourfolds
+h^{2,2} comes from Euler characteristics: the second wedge of the conormal
+sequence, 0 -> S^2 F^*|_Z -> (F^* (x) Omega_X)|_Z -> Omega^2_X|_Z ->
+Omega^2_Z -> 0, is exact, so chi(Omega^2_Z) is the alternating sum of the
+chi of its first three terms, each exact on its Koszul E_1 page whatever
+the differentials are, and h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}.
 
 The bundles of that second wedge are built from Levi characters by the
 routes of ``repcalc``: S^2 F^* and Lambda^2 of a cotangent piece by the
 per-weight plethysm, F^* (x) g_{-l} and g_{-i} (x) g_{-j} by Brauer-Klimyk,
 shifting the character of g_{-l} by each irreducible of the other factor.
 
-All chases run through one small solver: an exact sequence whose entries
-are known integers or named unknowns splits at its zero entries into
-segments with vanishing alternating sum, and a segment with a single
-unknown determines it.  Iterating over all sequences to a fixpoint
-reproduces every determination step of the G2 computations without ever
-assuming a particular map vanishes.
+The h^{1,q} chase runs through one small solver: an exact sequence whose
+entries are known integers or named unknowns splits at its zero entries
+into segments with vanishing alternating sum, and a segment with a single
+unknown determines it.  Iterating over all sequences to a fixpoint never
+assumes that a particular map vanishes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .koszul import (
     BundleSum,
     ZCohomology,
     ZeroLocus,
+    euler_characteristic,
     restricted_cohomology,
     structure_cohomology,
 )
@@ -116,9 +119,9 @@ class ChaseReport:
 
     ``sequences`` holds the interleaved long exact sequences (integers for
     known dimensions, names for unknowns), ``known`` the symmetry-forced
-    seed values, ``solved`` every unknown the fixpoint determined.  A value
-    appears in ``solved`` only if it is forced by exactness plus the
-    recorded zero cells.
+    seed values and any Euler characteristics read off, ``solved`` every
+    unknown the chase determined.  A value appears in ``solved`` only if it
+    is forced by exactness plus the recorded zero cells.
     """
 
     sequences: List[List[Cell]]
@@ -147,9 +150,7 @@ def omega_filtration(X: HomSpace) -> FilteredBundle:
 def h0_row(Z: ZeroLocus) -> HodgeRow:
     """h^{0,q}(Z) for q = 0..d, straight from the Koszul resolution."""
     t = structure_cohomology(Z)
-    if t.status != "exact":
-        return HodgeRow([t.dims[q] for q in range(Z.d + 1)], "ambiguous")
-    return HodgeRow(list(t.dims), "exact")
+    return HodgeRow(list(t.dims), t.status)
 
 
 def is_hyperkaehler_candidate(Z: ZeroLocus, row0: HodgeRow) -> bool:
@@ -241,59 +242,46 @@ def _omega_square(Z: ZeroLocus) -> FilteredBundle:
 
 
 def h22(Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None) -> int:
-    """h^{2,2} of a fourfold via the second wedge of the conormal sequence.
-
-    0 -> S^2 F^*|_Z -> (F^* (x) Omega)|_Z -> Omega^2_X|_Z -> Omega^2_Z -> 0
-    is split at the kernel K of its last map; the two resulting short exact
-    sequences share the unknowns H^q(K), and the Omega^2_Z cells other than
-    (2,2) are forced by symmetry from the first two rows.
-    """
+    """h^{2,2} of a fourfold from chi(Omega^2_Z); see ``h22_chase_report``."""
     if Z.d != 4:
-        raise ValueError("h22 chase is for fourfolds")
+        raise ValueError("h22 is computed for fourfolds")
+    return h22_chase_report(Z, row0, row1).solved["h22"]
+
+
+def h22_chase_report(
+    Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None
+) -> ChaseReport:
+    """h^{2,2} from chi(Omega^2_Z) = chi_O2X - chi_FO + chi_S2, with its inputs.
+
+    The cells h^{2,q}, q != 2, are forced from rows 0 and 1, and
+    chi(Omega^2_Z) = x0 - x1 + h22 - x3 + x4 leaves h22 the one unknown.
+    """
     if row0 is None:
         row0 = h0_row(Z)
     if row1 is None:
         row1 = h1_row(Z, row0)
     if row0.status != "exact" or row1.status != "exact":
         raise AmbiguousCohomologyError("h22 needs exact h^{0,q} and h^{1,q} rows")
-    report = h22_chase_report(Z, row0, row1)
-    if "h22" not in report.solved:
-        raise AmbiguousCohomologyError("h^{2,2} not determined by the chase")
-    return report.solved["h22"]
-
-
-def h22_chase_report(
-    Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None
-) -> ChaseReport:
-    if row0 is None:
-        row0 = h0_row(Z)
-    if row1 is None:
-        row1 = h1_row(Z, row0)
-    a = _dims_or_fail(restricted_cohomology(Z, _symmetric_square_bundle(Z)), "S^2F^*|_Z")
-    b = _dims_or_fail(restricted_cohomology(Z, _fstar_tensor_omega(Z)), "F^* (x) Omega|_Z")
-    c = _dims_or_fail(restricted_cohomology(Z, _omega_square(Z)), "Omega^2|_Z")
-    # h^{2,q} forced by conjugation + Serre duality from rows 0 and 1
     known = {
         "x0": row0.values[2],  # h^{2,0} = h^{0,2}
         "x1": row1.values[2],  # h^{2,1} = h^{1,2}
         "x3": row1.values[2],  # h^{2,3} = h^{3,2} = h^{1,2}
         "x4": row0.values[2],  # h^{2,4} = h^{4,2} = h^{0,2}
+        "chi_S2": euler_characteristic(Z, _symmetric_square_bundle(Z)),
+        "chi_FO": euler_characteristic(Z, _fstar_tensor_omega(Z)),
+        "chi_O2X": euler_characteristic(Z, _omega_square(Z)),
     }
-    x: List[Cell] = [known["x0"], known["x1"], "h22", known["x3"], known["x4"]]
-    kcells: List[Cell] = [f"k{q}" for q in range(5)]
-    seq_a = _conormal_les(a, b, kcells)   # 0 -> S^2F^*|_Z -> (F^* x Omega)|_Z -> K -> 0
-    seq_b = _conormal_les(kcells, c, x)   # 0 -> K -> Omega^2_X|_Z -> Omega^2_Z -> 0
-    values, complete = solve_exact_system([seq_a, seq_b])
-    return ChaseReport([seq_a, seq_b], known, values, complete)
+    chi = known["chi_O2X"] - known["chi_FO"] + known["chi_S2"]
+    value = chi - known["x0"] + known["x1"] + known["x3"] - known["x4"]
+    return ChaseReport([], known, {"chi": chi, "h22": value}, True)
 
 
 @dataclass
 class HodgeDiamond:
     """The h^{p,q} array of a d-fold with per-cell provenance flags.
 
-    ``blocked`` maps a named cell the chase left undetermined (``"h22"``)
-    to the reason, e.g. the restricted bundle whose cohomology is only
-    bounded, with its bounds.
+    ``blocked`` maps a named cell left undetermined (``"h22"``) to the
+    reason: h^{2,2} needs exact h^{0,q} and h^{1,q} rows.
     """
 
     d: int
@@ -349,7 +337,7 @@ def assemble(
         dia.set(1, q, v, "computed" if v is not None else "ambiguous")
     if d == 4:
         try:
-            dia.set(2, 2, h22(Z, row0, row1), "computed")
+            dia.set(2, 2, h22(Z, row0, row1), "euler-characteristic")
         except AmbiguousCohomologyError as exc:
             dia.set(2, 2, None, "ambiguous")
             dia.blocked["h22"] = str(exc)

@@ -129,11 +129,10 @@ def test_candidate_search_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     search = cl.enumerate_candidates(X, 3, use_ratio=False)
     assert made == [] and search.candidates == []
-    # with the ratio prune on, the only Fractions are the prune's own
-    # comparisons: iota/(dim - d) and one dex/rank per summand of the pool
+    # the ratio prune compares dex * (dim - d) with iota * rank in integers
     cache.clear()
     assert cl.enumerate_candidates(X, 3).ratio_pruned
-    assert len(made) == 1 + POOLS[str(X)][0]
+    assert made == []
 
 
 GOLDEN_D4 = {

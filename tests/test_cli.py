@@ -148,14 +148,19 @@ def test_hodge_beauville_donagi():
 
 
 def test_hodge_names_the_bundle_that_blocks_h22():
-    # Table 1 row F4/P4, E_w1 + O(1)^4: F^* (x) Omega|_Z is only bounded
+    # Table 1 row F4/P4, E_w1 + O(1)^4: the Euler characteristic certifies
+    # h22 although F^* (x) Omega|_Z is only bounded
     args = ["hodge", "F4/P4", "w1 + O(1)^4", "--d", "4"]
-    reason = "F^* (x) Omega|_Z: {3: (0, 3), 4: (9138, 9141)}"
-    res = json.loads(run_cli("--format", "json", *args, expect=1))["results"]
-    assert res["h22"] is None and res["h13"] == 87
-    assert res["blocked"] == {"h22": reason}
-    lines = run_cli(*args, expect=1).splitlines()
-    assert lines[-2:] == ["chi=None", f"blocked h22: {reason}"]
+    res = json.loads(run_cli("--format", "json", *args))["results"]
+    assert res["h22"] == 396 and res["chi"] == 576 and res["h13"] == 87
+    assert "blocked" not in res
+    lines = run_cli(*args).splitlines()
+    assert lines[-2:] == ["hyperkaehler=False", "chi=576"]
+    # only inexact rows 0 and 1 block it: the Beauville-Donagi fourfold
+    out = run_cli("--allow-bounds", "--format", "json", "hodge", "A5/P2",
+                  "[3,0,0,0,0]", "--d", "4", expect=2)
+    blocked = json.loads(out)["results"]["blocked"]
+    assert blocked == {"h22": "h22 needs exact h^{0,q} and h^{1,q} rows"}
 
 
 def test_exact_hodge_output_has_no_blocked_entry():
@@ -347,7 +352,7 @@ GOLDEN = [
     (['cohomology', 'E6/P2', 'w1^2 + O(1)^5'], 0, '96be0f3a24cde91ed061412ea33c81f4c458f120eb24e591b5ab172b4b2aeddb', ''),
     (['hodge', 'G2/P1', 'O(1) + O(4)', '--d', '3'], 0, '30181e682575bfc3d2a5c377d2d4778af5abfd9f4940061e427f7fde968ea259', ''),
     (['--format', 'json', 'classify', '--d', '4', '--no-hodge', '--family', 'all', '--max-rank', '4'], 0, '58f71b35fe7a4cc3ca5fa3b936640aa365d9c0a16c50946626b40cb85d1ac9ef', ''),
-    (['--allow-bounds', '--format', 'json', 'hodge', 'F4/P4', 'w1 + O(1)^4', '--d', '4'], 2, '26d68da85b0a9dc6abcd5a896d1ae84303cb911ccce24e827def7fbbfebf35eb', ''),
+    (['--allow-bounds', '--format', 'json', 'hodge', 'F4/P4', 'w1 + O(1)^4', '--d', '4'], 0, '9ca7aaeea9b7c1902037253ff5ebdf349d6e03c47555e87193423f0ba626c929', ''),
     (['dex', 'G2/P1', '[1,-1]'], 1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: weight (1, -1) is not P1-dominant\n'),
     (['--format', 'table', 'cache', 'clear'], 0, '279971c9c5b47364b7664359c7294c8528d6261b3df1dea2b5e94b4759e32430', ''),
     (['--format', 'json', 'cache', 'clear'], 0, '60a726e93ae78a9ef91f945e156d8ca81c506a4b136a80f18218e7c9668fdd1e', ''),

@@ -1,8 +1,4 @@
-"""The walkthrough scripts under ``demos/`` run to completion.
-
-Demo 04 is left out: it repeats the d = 4 classification that the
-``report_d4`` fixture already computes, at several seconds a run.
-"""
+"""The walkthrough scripts under ``demos/`` run to completion."""
 
 import os
 import subprocess
@@ -21,6 +17,7 @@ SRC = os.path.join(ROOT, "src")
         "01_root_systems_and_weyl_chambers.py",
         "02_borel_weil_bott.py",
         "03_zero_locus_hodge_numbers.py",
+        "04_classification_tables.py",
     ],
 )
 def test_demo_runs(script):

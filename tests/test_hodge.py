@@ -1,9 +1,15 @@
+import re
+
 import pytest
 
 from bwbforge import repcalc as rc
 from bwbforge.hodge import (
     ChaseStuckError,
     HodgeDiamond,
+    _conormal_les,
+    _fstar_tensor_omega,
+    _omega_square,
+    _symmetric_square_bundle,
     assemble,
     h0_row,
     h1_row,
@@ -13,7 +19,13 @@ from bwbforge.hodge import (
     solve_exact_system,
 )
 from bwbforge.homspace import gradation, graded_module_char, parse_homspace
-from bwbforge.koszul import BundleSum, ZeroLocus, restricted_cohomology, wedge_dual_chars
+from bwbforge.koszul import (
+    AmbiguousCohomologyError,
+    BundleSum,
+    ZeroLocus,
+    restricted_cohomology,
+    wedge_dual_chars,
+)
 from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology
 
 
@@ -136,11 +148,16 @@ def test_assemble_reuses_the_rows_it_is_given(monkeypatch):
 
 
 def test_diamond_keeps_the_reason_h22_is_blocked():
-    # Table 1 row E6/P3, E_w3 + E_w6^4: S^2 F^*|_Z is only bounded
+    # Table 1 row E6/P3, E_w3 + E_w6^4: S^2 F^*|_Z is only bounded, which
+    # stalls a kernel chase but not the Euler characteristic
     dia = assemble(mk("E6/P3", {w(6, i3=1): 1, w(6, i6=1): 4}))
-    assert dia.get(2, 2) is None and dia.flags[(2, 2)] == "ambiguous"
-    assert dia.blocked == {"h22": "S^2F^*|_Z: {3: (0, 10), 4: (7320, 7330)}"}
+    assert dia.get(2, 2) == 336 and dia.flags[(2, 2)] == "euler-characteristic"
+    assert dia.blocked == {}
     assert assemble(mk("G2/P2", {(0, 3): 1})).blocked == {}
+    # only inexact rows 0 and 1 block h^{2,2}: the Beauville-Donagi fourfold
+    dia = assemble(mk("A5/P2", {(3, 0, 0, 0, 0): 1}))
+    assert dia.get(2, 2) is None and dia.flags[(2, 2)] == "ambiguous"
+    assert dia.blocked == {"h22": "h22 needs exact h^{0,q} and h^{1,q} rows"}
 
 
 def test_diamond_symmetry_everywhere():
@@ -309,30 +326,40 @@ def test_chase_reports_expose_the_audit_trail():
     assert rep.known == {"x0": 0, "x4": 0}
     assert len(rep.sequences) == 1 and rep.notes() == []
     rep = h22_chase_report(Z)
-    assert rep.complete and rep.solved["h22"] == 1080
-    assert rep.solved["k3"] == 1079 and rep.solved["k4"] == 91
-    assert len(rep.sequences) == 2
+    assert rep.complete and rep.sequences == [] and rep.notes() == []
+    assert rep.known == {"x0": 0, "x1": 0, "x3": 0, "x4": 0,
+                         "chi_S2": 3269, "chi_FO": 2281, "chi_O2X": 92}
+    assert rep.solved == {"chi": 1080, "h22": 1080}
 
 
-@pytest.mark.parametrize(
-    "space,weights,h22_expected",
-    [
-        ("G2/P2", {(0, 3): 1}, 1080),
-        ("G2/P1", {(5, 0): 1}, 1472),
-        ("F4/P1", {w(4, i4=1): 1, w(4, i1=1): 5}, 396),
-        ("E6/P1", {w(6, i1=1): 12}, 456),
-    ],
-)
+# The 12 rows of ``classify --d 4``; the first four keep their test ids.
+TABLE1_H22 = [
+    ("G2/P2", {(0, 3): 1}, 1080),
+    ("G2/P1", {(5, 0): 1}, 1472),
+    ("F4/P1", {w(4, i4=1): 1, w(4, i1=1): 5}, 396),
+    ("E6/P1", {w(6, i1=1): 12}, 456),
+    ("E6/P2", {w(6, i6=1): 2, w(6, i2=1): 5}, 396),
+    ("E6/P2", {w(6, i6=1): 1, w(6, i2=1): 5, w(6, i1=1): 1}, 396),
+    ("E6/P2", {w(6, i2=1): 5, w(6, i1=1): 2}, 396),
+    ("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1}, 336),
+    ("E6/P3", {w(6, i6=1): 3, w(6, i1=1): 3}, 240),
+    ("E7/P1", {w(7, i7=1): 2, w(7, i1=1): 5}, 396),
+    ("F4/P4", {w(4, i4=1): 11}, 456),
+    ("F4/P4", {w(4, i4=1): 4, w(4, i1=1): 1}, 396),
+]
+
+
+@pytest.mark.parametrize("space,weights,h22_expected", TABLE1_H22)
 def test_h22_satisfies_cy4_riemann_roch(space, weights, h22_expected):
     """Independent consistency oracle for the whole diamond.
 
     On a fourfold with trivial canonical bundle and h^{p,0} = 0 for
     p = 1, 2, 3, Riemann-Roch forces
     h^{2,2} = 2 (22 + 2 h^{1,1} + 2 h^{3,1} - h^{2,1}).
-    The chase never uses this identity, so agreement cross-validates the
-    h^{1,3} and h^{2,2} computations at once.  On the F4/P1 fourfold the
-    identity discriminates sharply: h^{1,3} = 87 forces 396 (computed),
-    while the reference table's 86 would force 392.
+    The Euler characteristic never uses this identity, so agreement
+    cross-validates the h^{1,3} and h^{2,2} computations at once.  On the
+    F4/P1 fourfold the identity discriminates sharply: h^{1,3} = 87 forces
+    396 (computed), while the reference table's 86 would force 392.
     """
     Z = mk(space, weights)
     r0 = h0_row(Z)
@@ -342,3 +369,64 @@ def test_h22_satisfies_cy4_riemann_roch(space, weights, h22_expected):
     assert value == h22_expected
     h11, h21, h31 = r1.values[1], r1.values[2], r1.values[3]
     assert value == 2 * (22 + 2 * h11 + 2 * h31 - h21)
+
+
+# -- the two-sequence kernel chase, an oracle for h^{2,2} --------------------
+
+
+def _kernel_chase(Z, row0, row1):
+    """h^{2,2} by splitting the second wedge of the conormal sequence.
+
+    0 -> S^2 F^*|_Z -> (F^* (x) Omega)|_Z -> Omega^2_X|_Z -> Omega^2_Z -> 0
+    is split at the kernel K of its last map; the two short exact sequences
+    share the unknowns k_q = h^q(K), and the Omega^2_Z cells other than (2, 2)
+    are forced from rows 0 and 1.  Returns the solved cells and whether all
+    were determined; raises when one of the three bundles is only bounded.
+    """
+
+    def dims(E, what):
+        t = restricted_cohomology(Z, E)
+        if t.status != "exact":
+            raise AmbiguousCohomologyError(f"{what}: {t.bounds}")
+        return t.dims
+
+    a = dims(_symmetric_square_bundle(Z), "S^2F^*|_Z")
+    b = dims(_fstar_tensor_omega(Z), "F^* (x) Omega|_Z")
+    c = dims(_omega_square(Z), "Omega^2|_Z")
+    x = [row0.values[2], row1.values[2], "h22", row1.values[2], row0.values[2]]
+    k = [f"k{q}" for q in range(5)]
+    return solve_exact_system([_conormal_les(a, b, k), _conormal_les(k, c, x)])
+
+
+# the Table 1 rows where a restricted bundle of the second wedge is only bounded
+KERNEL_CHASE_STUCK = [
+    ("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1}, "S^2F^*|_Z: {3: (0, 10), 4: (7320, 7330)}"),
+    ("E6/P3", {w(6, i6=1): 3, w(6, i1=1): 3}, "Omega^2|_Z: {3: (2, 817), 4: (3030, 3845)}"),
+    ("F4/P4", {w(4, i4=1): 4, w(4, i1=1): 1}, "F^* (x) Omega|_Z: {3: (0, 3), 4: (9138, 9141)}"),
+]
+# kernel cells h^q(K) of the worked G2/P2 computation
+KERNEL_CELLS = {"G2/P2": {"k3": 1079, "k4": 91}}
+KERNEL_CHASE_CERTIFIED = [
+    row for row in TABLE1_H22
+    if (row[0], row[1]) not in [(space, wts) for space, wts, _ in KERNEL_CHASE_STUCK]
+]
+
+
+@pytest.mark.parametrize("space,weights,h22_expected", KERNEL_CHASE_CERTIFIED)
+def test_kernel_chase_agrees_with_euler_characteristic(space, weights, h22_expected):
+    Z = mk(space, weights)
+    r0 = h0_row(Z)
+    r1 = h1_row(Z, r0)
+    values, complete = _kernel_chase(Z, r0, r1)
+    assert complete and values["h22"] == h22(Z, r0, r1) == h22_expected
+    cells = KERNEL_CELLS.get(space, {})
+    assert {name: values[name] for name in cells} == cells
+
+
+@pytest.mark.parametrize("space,weights,reason", KERNEL_CHASE_STUCK,
+                         ids=["E6/P3-w6^4+O(1)", "E6/P3-w6^3+w1^3", "F4/P4-O(1)^4+w1"])
+def test_kernel_chase_stalls_on_a_bounded_bundle(space, weights, reason):
+    Z = mk(space, weights)
+    r0 = h0_row(Z)
+    with pytest.raises(AmbiguousCohomologyError, match=re.escape(reason)):
+        _kernel_chase(Z, r0, h1_row(Z, r0))
