@@ -2,17 +2,12 @@
 
 The h^{0,q} row is the structure-sheaf cohomology; h^{1,q} comes from the
 long exact sequence of 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0, seeded
-with the values forced by Hodge symmetry and Serre duality.  For fourfolds
-h^{2,2} comes from Euler characteristics: the second wedge of the conormal
-sequence, 0 -> S^2 F^*|_Z -> (F^* (x) Omega_X)|_Z -> Omega^2_X|_Z ->
-Omega^2_Z -> 0, is exact, so chi(Omega^2_Z) is the alternating sum of the
-chi of its first three terms, each exact on its Koszul E_1 page whatever
-the differentials are, and h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}.
-
-The bundles of that second wedge are built from Levi characters by the
-routes of ``repcalc``: S^2 F^* and Lambda^2 of a cotangent piece by the
-per-weight plethysm, F^* (x) g_{-l} and g_{-i} (x) g_{-j} by Brauer-Klimyk,
-shifting the character of g_{-l} by each irreducible of the other factor.
+with the values forced by Hodge symmetry and Serre duality.  For a fourfold
+with trivial canonical bundle h^{2,2} is read off rows 0 and 1: Libgober-Wood
+(Topology 1990) with c_1 = 0 and Serre duality gives
+chi(Omega^2_Z) = 22 chi(O_Z) - 4 chi(Omega^1_Z), and
+h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}.  On any other fourfold
+h^{2,2} is reported as blocked.
 
 The h^{1,q} chase runs through one small solver: an exact sequence whose
 entries are known integers or named unknowns splits at its zero entries
@@ -26,15 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import repcalc as rc
 from .bwbcohom import FilteredBundle
-from .homspace import HomSpace, gradation, graded_module_char
+from .homspace import HomSpace, gradation
 from .koszul import (
     AmbiguousCohomologyError,
-    BundleSum,
     ZCohomology,
     ZeroLocus,
-    euler_characteristic,
     restricted_cohomology,
     structure_cohomology,
 )
@@ -161,9 +153,9 @@ def is_hyperkaehler_candidate(Z: ZeroLocus, row0: HodgeRow) -> bool:
 def _h1_chase(Z: ZeroLocus, row0: HodgeRow) -> Optional[ChaseReport]:
     d = Z.d
     known: Dict[str, int] = {}
-    # conjugation: h^{1,0} = h^{0,1}; triviality of K_Z: h^{1,d} = h^{d,1} = h^{0,1}
+    # conjugation: h^{1,0} = h^{0,1}; Serre duality: h^{1,d} = h^{d-1,0} = h^{0,d-1}
     known[f"x{0}"] = row0.values[1]
-    known[f"x{d}"] = row0.values[1]
+    known[f"x{d}"] = row0.values[d - 1]
     try:
         a = _dims_or_fail(restricted_cohomology(Z, Z.bundle.dual()), "F^*|_Z")
         b = _dims_or_fail(
@@ -198,49 +190,6 @@ def h1_row(Z: ZeroLocus, row0: Optional[HodgeRow] = None) -> HodgeRow:
     return HodgeRow(out, "exact" if all(v is not None for v in out) else "ambiguous")
 
 
-def _symmetric_square_bundle(Z: ZeroLocus) -> BundleSum:
-    X = Z.space
-    char = Z.bundle.dual().char()
-    table = rc.symmetric_char_table(char, 2, X.rs.rank)
-    return BundleSum.make(X, rc.decompose_character(X.levi, table[2]))
-
-
-def _fstar_tensor_omega(Z: ZeroLocus) -> FilteredBundle:
-    """(F^* (x) Omega_X) filtered by the cotangent gradation, deep end first."""
-    X = Z.space
-    fstar = Z.bundle.dual().as_dict()
-    return FilteredBundle.from_decomps(
-        [
-            rc.tensor_char(X.levi, fstar, graded_module_char(X, ell))
-            for ell in gradation(X).levels
-        ]
-    )
-
-
-def _omega_square(Z: ZeroLocus) -> FilteredBundle:
-    """Lambda^2 Omega_X graded by total depth (deepest first)."""
-    X = Z.space
-    grad = gradation(X)
-    pieces = dict(zip(grad.levels, grad.as_filtration()))
-    decomps = []
-    for s in range(2 * grad.depth, 1, -1):
-        acc: rc.IrrDecomp = {}
-        for i in grad.levels:
-            j = s - i
-            if j < i or j not in pieces:
-                continue
-            if i == j:
-                wedge = rc.exterior_char_table(graded_module_char(X, i), 2, X.rs.rank)[2]
-                piece = rc.decompose_character(X.levi, wedge)
-            else:
-                piece = rc.tensor_char(X.levi, pieces[i], graded_module_char(X, j))
-            for lam, mult in piece.items():
-                acc[lam] = acc.get(lam, 0) + mult
-        if acc:
-            decomps.append(acc)
-    return FilteredBundle.from_decomps(decomps)
-
-
 def h22(Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None) -> int:
     """h^{2,2} of a fourfold from chi(Omega^2_Z); see ``h22_chase_report``."""
     if Z.d != 4:
@@ -251,10 +200,12 @@ def h22(Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] 
 def h22_chase_report(
     Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None
 ) -> ChaseReport:
-    """h^{2,2} from chi(Omega^2_Z) = chi_O2X - chi_FO + chi_S2, with its inputs.
+    """h^{2,2} from chi(Omega^2_Z) = 22 chi_O - 4 chi_Omega1, with its inputs.
 
-    The cells h^{2,q}, q != 2, are forced from rows 0 and 1, and
+    chi_O and chi_Omega1 are the alternating sums of rows 0 and 1; the cells
+    h^{2,q}, q != 2, are forced from the same rows, and
     chi(Omega^2_Z) = x0 - x1 + h22 - x3 + x4 leaves h22 the one unknown.
+    The Libgober-Wood identity behind chi(Omega^2_Z) needs c_1(Z) = 0.
     """
     if row0 is None:
         row0 = h0_row(Z)
@@ -262,16 +213,17 @@ def h22_chase_report(
         row1 = h1_row(Z, row0)
     if row0.status != "exact" or row1.status != "exact":
         raise AmbiguousCohomologyError("h22 needs exact h^{0,q} and h^{1,q} rows")
+    if not Z.is_canonical_trivial():
+        raise AmbiguousCohomologyError("h22 needs a trivial canonical bundle")
     known = {
         "x0": row0.values[2],  # h^{2,0} = h^{0,2}
         "x1": row1.values[2],  # h^{2,1} = h^{1,2}
         "x3": row1.values[2],  # h^{2,3} = h^{3,2} = h^{1,2}
         "x4": row0.values[2],  # h^{2,4} = h^{4,2} = h^{0,2}
-        "chi_S2": euler_characteristic(Z, _symmetric_square_bundle(Z)),
-        "chi_FO": euler_characteristic(Z, _fstar_tensor_omega(Z)),
-        "chi_O2X": euler_characteristic(Z, _omega_square(Z)),
+        "chi_O": sum((-1) ** q * v for q, v in enumerate(row0.values)),
+        "chi_Omega1": sum((-1) ** q * v for q, v in enumerate(row1.values)),
     }
-    chi = known["chi_O2X"] - known["chi_FO"] + known["chi_S2"]
+    chi = 22 * known["chi_O"] - 4 * known["chi_Omega1"]
     value = chi - known["x0"] + known["x1"] + known["x3"] - known["x4"]
     return ChaseReport([], known, {"chi": chi, "h22": value}, True)
 
@@ -281,7 +233,8 @@ class HodgeDiamond:
     """The h^{p,q} array of a d-fold with per-cell provenance flags.
 
     ``blocked`` maps a named cell left undetermined (``"h22"``) to the
-    reason: h^{2,2} needs exact h^{0,q} and h^{1,q} rows.
+    reason: h^{2,2} needs exact h^{0,q} and h^{1,q} rows and a trivial
+    canonical bundle.
     """
 
     d: int

@@ -144,16 +144,6 @@ def gradation(X: HomSpace) -> GradedCotangent:
     return GradedCotangent(depth=m, levels=tuple(levels), pieces=tuple(pieces))
 
 
-def graded_module_char(X: HomSpace, ell: int) -> rc.PackedChar:
-    """Character of the Levi module g_{-ell} (all weights multiplicity one)."""
-    weights: Dict[Weight, int] = {}
-    for b in nilradical_roots(X):
-        if b[X.k - 1] == ell:
-            w = tuple(-c for c in root_to_weight(X.rs, b))
-            weights[w] = weights.get(w, 0) + 1
-    return rc.char_from_weights(weights)
-
-
 def dex(X: HomSpace, lam: Weight) -> int:
     """det E_lambda = O(dex): k-coordinate of the sum of module weights."""
     return rc.sum_of_weights(X.levi, lam)[X.k - 1]

@@ -25,7 +25,7 @@ Degeneration of the spectral sequence is never assumed: the bookkeeping
 solver below cancels entries only where the abutment forces it (total
 degrees outside 0..dim Z must die) and certifies exact dimensions only when
 no differential between surviving entries can be nonzero.  Anything else is
-reported as bounds.  ``euler_characteristic`` needs none of this.
+reported as bounds.
 """
 
 from __future__ import annotations
@@ -386,15 +386,6 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     if any(v < 0 for v in entries.values()):
         raise AssertionError("negative multiplicity: input was not a character")
     return dict(sorted(entries.items()))
-
-
-def euler_characteristic(Z: ZeroLocus, E: RestrictableBundle) -> int:
-    """chi(Z, E|_Z), the alternating sum of the Koszul E_1 page.
-
-    Every differential raises the total degree q - p by one, so the sum is
-    the same on every page and on the abutment, whatever the differentials.
-    """
-    return sum((-1) ** (q - p) * n for (p, _, q), n in e1_page(Z, E).items())
 
 
 def restricted_cohomology(Z: ZeroLocus, E: RestrictableBundle) -> ZCohomology:

@@ -189,19 +189,12 @@ def char_from_weights(weights: Dict[Weight, int]) -> PackedChar:
     return out
 
 
-def char_to_weights(char: PackedChar, rank: int) -> Dict[Weight, int]:
-    return {unpack(v, rank): m for v, m in char.items()}
-
-
-def char_dim(char: PackedChar) -> int:
-    return sum(char.values())
-
-
 def conv(a: PackedChar, b: PackedChar, rank: int) -> PackedChar:
     """Pointwise convolution (character of a tensor product).
 
     No engine route uses it: tensor products go through Brauer-Klimyk in
-    ``tensor_char``.  The tests keep it as their convolution oracle.
+    ``decompose_character`` with a shift.  The tests keep it as their
+    convolution oracle.
     """
     if not a or not b:
         return {}
@@ -513,44 +506,13 @@ def char_irr(ctx: Context, lam: Weight) -> PackedChar:
     return _cache.memo("char", (str(ctx), lam), compute)
 
 
-def weight_multiplicities(ctx: Context, lam: Weight) -> Dict[Weight, int]:
-    """Weight multiset of V_ctx(lam), in the ambient weight basis."""
-    return char_to_weights(char_irr(ctx, lam), ctx.rs.rank)
-
-
-def char_of_decomp(ctx: Context, decomp: IrrDecomp) -> PackedChar:
-    out: PackedChar = {}
-    for lam, m in decomp.items():
-        for v, mult in char_irr(ctx, lam).items():
-            out[v] = out.get(v, 0) + m * mult
-    return out
-
-
-def decomp_dim(ctx: Context, decomp: IrrDecomp) -> int:
-    return sum(m * weyl_dim(ctx, lam) for lam, m in decomp.items())
-
-
-# -- duals, tensor products, plethysms ---------------------------------------
+# -- duals and plethysms -----------------------------------------------------
 
 
 def dual_highest_weight(ctx: Context, lam: Weight) -> Weight:
     """Highest weight of the dual module: dominant representative of -lam."""
     _require_dominant(ctx, lam)
     return dominant_rep(ctx, tuple(-c for c in lam))
-
-
-def tensor_char(ctx: Context, rep: IrrDecomp, char: PackedChar) -> IrrDecomp:
-    """Decompose rep (x) M for a formal sum ``rep`` and the character of M."""
-    out: IrrDecomp = {}
-    for lam, m in rep.items():
-        for mu, c in decompose_character(ctx, char, lam).items():
-            out[mu] = out.get(mu, 0) + m * c
-    return out
-
-
-def tensor_decompose(ctx: Context, a: IrrDecomp, b: IrrDecomp) -> IrrDecomp:
-    """Decompose the tensor product of two formal sums of irreducibles."""
-    return tensor_char(ctx, a, char_of_decomp(ctx, b))
 
 
 def power_extremes(
@@ -603,26 +565,12 @@ def exterior_char_table(char: PackedChar, kmax: int, rank: int) -> List[PackedCh
 
 
 def symmetric_char_table(char: PackedChar, kmax: int, rank: int) -> List[PackedChar]:
-    """Characters of S^0..S^kmax: the per-weight product of 1/(1 - t x^nu)."""
+    """Characters of S^0..S^kmax: the per-weight product of 1/(1 - t x^nu).
+
+    No engine route uses it; the tests build S^2 F^* with it for their
+    h^{2,2} oracle.
+    """
     return _power_table(char, kmax, rank, exterior=False)
-
-
-def exterior_power(ctx: Context, rep: IrrDecomp, k: int) -> IrrDecomp:
-    """Lambda^k of a formal sum of irreducibles, decomposed again."""
-    total = decomp_dim(ctx, rep)
-    if k < 0 or k > total:
-        raise ValueError(f"wedge degree {k} out of range 0..{total}")
-    char = char_of_decomp(ctx, rep)
-    table = exterior_char_table(char, k, ctx.rs.rank)
-    return decompose_character(ctx, table[k])
-
-
-def symmetric_power(ctx: Context, rep: IrrDecomp, k: int) -> IrrDecomp:
-    if k < 0:
-        raise ValueError("symmetric degree must be nonnegative")
-    char = char_of_decomp(ctx, rep)
-    table = symmetric_char_table(char, k, ctx.rs.rank)
-    return decompose_character(ctx, table[k])
 
 
 @lru_cache(maxsize=None)

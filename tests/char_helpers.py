@@ -1,0 +1,70 @@
+"""Character helpers over formal sums of irreducibles, for the tests.
+
+The engine works on packed characters and reads tensor products off
+``repcalc.decompose_character`` with a shift (Brauer-Klimyk); these
+convenience forms (weight multisets, characters and dimensions of formal
+sums, tensor products, wedge and symmetric powers decomposed again) serve
+the tests and the oracles built on them.
+"""
+
+from __future__ import annotations
+
+from typing import Dict
+
+from bwbforge import repcalc as rc
+from bwbforge.rootdata import Weight
+
+
+def char_to_weights(char: rc.PackedChar, rank: int) -> Dict[Weight, int]:
+    return {rc.unpack(v, rank): m for v, m in char.items()}
+
+
+def char_dim(char: rc.PackedChar) -> int:
+    return sum(char.values())
+
+
+def weight_multiplicities(ctx: rc.Context, lam: Weight) -> Dict[Weight, int]:
+    """Weight multiset of V_ctx(lam), in the ambient weight basis."""
+    return char_to_weights(rc.char_irr(ctx, lam), ctx.rs.rank)
+
+
+def char_of_decomp(ctx: rc.Context, decomp: rc.IrrDecomp) -> rc.PackedChar:
+    out: rc.PackedChar = {}
+    for lam, m in decomp.items():
+        for v, mult in rc.char_irr(ctx, lam).items():
+            out[v] = out.get(v, 0) + m * mult
+    return out
+
+
+def decomp_dim(ctx: rc.Context, decomp: rc.IrrDecomp) -> int:
+    return sum(m * rc.weyl_dim(ctx, lam) for lam, m in decomp.items())
+
+
+def tensor_char(ctx: rc.Context, rep: rc.IrrDecomp, char: rc.PackedChar) -> rc.IrrDecomp:
+    """Decompose rep (x) M for a formal sum ``rep`` and the character of M."""
+    out: rc.IrrDecomp = {}
+    for lam, m in rep.items():
+        for mu, c in rc.decompose_character(ctx, char, lam).items():
+            out[mu] = out.get(mu, 0) + m * c
+    return out
+
+
+def tensor_decompose(ctx: rc.Context, a: rc.IrrDecomp, b: rc.IrrDecomp) -> rc.IrrDecomp:
+    """Decompose the tensor product of two formal sums of irreducibles."""
+    return tensor_char(ctx, a, char_of_decomp(ctx, b))
+
+
+def exterior_power(ctx: rc.Context, rep: rc.IrrDecomp, k: int) -> rc.IrrDecomp:
+    """Lambda^k of a formal sum of irreducibles, decomposed again."""
+    total = decomp_dim(ctx, rep)
+    if k < 0 or k > total:
+        raise ValueError(f"wedge degree {k} out of range 0..{total}")
+    table = rc.exterior_char_table(char_of_decomp(ctx, rep), k, ctx.rs.rank)
+    return rc.decompose_character(ctx, table[k])
+
+
+def symmetric_power(ctx: rc.Context, rep: rc.IrrDecomp, k: int) -> rc.IrrDecomp:
+    if k < 0:
+        raise ValueError("symmetric degree must be nonnegative")
+    table = rc.symmetric_char_table(char_of_decomp(ctx, rep), k, ctx.rs.rank)
+    return rc.decompose_character(ctx, table[k])

@@ -26,6 +26,8 @@ from bwbforge.rootdata import (
     root_to_weight,
 )
 
+from char_helpers import weight_multiplicities
+
 
 @lru_cache(maxsize=None)
 def root_gram(rs: RootSystem) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -91,7 +93,7 @@ def sum_of_weights_bruteforce(ctx: rc.Context, lam: Weight) -> Weight:
     """Multiplicity-weighted weight sum via Freudenthal."""
     rank = ctx.rs.rank
     total = [0] * rank
-    for w, m in rc.weight_multiplicities(ctx, lam).items():
+    for w, m in weight_multiplicities(ctx, lam).items():
         for i in range(rank):
             total[i] += m * w[i]
     return tuple(total)

@@ -34,6 +34,13 @@ from bwbforge.homspace import (
 from bwbforge.koszul import BundleSum, ZeroLocus, restricted_cohomology
 from bwbforge.rootdata import RootSystem, to_dominant_chamber
 
+from char_helpers import (
+    char_of_decomp,
+    exterior_power,
+    symmetric_power,
+    weight_multiplicities,
+)
+
 
 def w(rank, **kw):
     v = [0] * rank
@@ -281,22 +288,22 @@ def test_criterion_9_property_suites(report_d4, report_d3):
         (rc.levi_context(RootSystem("E", 6), 3), w(6, i5=1)),
         (rc.levi_context(RootSystem("F", 4), 4), (0, 0, 1, 0)),
     ]:
-        mults = rc.weight_multiplicities(ctx, lam)
+        mults = weight_multiplicities(ctx, lam)
         totals_ok = totals_ok and sum(mults.values()) == rc.weyl_dim(ctx, lam)
     checks["freudenthal-totals"] = totals_ok
 
     # lambda-ring re-expansion
     ctx = rc.levi_context(RootSystem("E", 6), 3)
     rep = {w(6, i1=1): 1, w(6, i6=1): 1}
-    char = rc.char_of_decomp(ctx, rep)
+    char = char_of_decomp(ctx, rep)
     sq = rc.conv(char, char, 6)
-    both = rc.char_of_decomp(ctx, rc.exterior_power(ctx, rep, 2))
-    for v, m in rc.char_of_decomp(ctx, rc.symmetric_power(ctx, rep, 2)).items():
+    both = char_of_decomp(ctx, exterior_power(ctx, rep, 2))
+    for v, m in char_of_decomp(ctx, symmetric_power(ctx, rep, 2)).items():
         both[v] = both.get(v, 0) + m
     checks["lambda-ring"] = both == sq
 
     # filtered exactness certificates on the cotangent bundles, their
-    # twists, and the second-wedge pieces that drive the h^{2,2} chases
+    # twists, and the second-wedge pieces of the h^{2,2} oracle
     cert_ok = True
     for name, twists in [("G2/P1", (0, -5)), ("G2/P2", (0, -3, -6))]:
         X = parse_homspace(name)

@@ -1,15 +1,13 @@
+import json
 import re
 
 import pytest
 
 from bwbforge import repcalc as rc
+from bwbforge.cli import main
 from bwbforge.hodge import (
     ChaseStuckError,
     HodgeDiamond,
-    _conormal_les,
-    _fstar_tensor_omega,
-    _omega_square,
-    _symmetric_square_bundle,
     assemble,
     h0_row,
     h1_row,
@@ -18,7 +16,7 @@ from bwbforge.hodge import (
     omega_filtration,
     solve_exact_system,
 )
-from bwbforge.homspace import gradation, graded_module_char, parse_homspace
+from bwbforge.homspace import gradation, parse_homspace
 from bwbforge.koszul import (
     AmbiguousCohomologyError,
     BundleSum,
@@ -27,6 +25,9 @@ from bwbforge.koszul import (
     wedge_dual_chars,
 )
 from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology
+
+import second_wedge
+from second_wedge import graded_module_char
 
 
 def mk(space, weights):
@@ -328,8 +329,32 @@ def test_chase_reports_expose_the_audit_trail():
     rep = h22_chase_report(Z)
     assert rep.complete and rep.sequences == [] and rep.notes() == []
     assert rep.known == {"x0": 0, "x1": 0, "x3": 0, "x4": 0,
-                         "chi_S2": 3269, "chi_FO": 2281, "chi_O2X": 92}
+                         "chi_O": 2, "chi_Omega1": -259}
     assert rep.solved == {"chi": 1080, "h22": 1080}
+
+
+def test_h22_is_blocked_unless_the_canonical_bundle_is_trivial(capsys):
+    # the quadric Q4 = Z(O(1)) on G2/P2 has exact rows, but K_Q4 = O(-4):
+    # 22 chi_O - 4 chi_Omega1 is chi(Omega^2) only when c_1 = 0
+    Q4 = mk("G2/P2", {(0, 1): 1})
+    dia = assemble(Q4)
+    assert dia.get(2, 2) is None and dia.flags[(2, 2)] == "ambiguous"
+    assert dia.blocked == {"h22": "h22 needs a trivial canonical bundle"}
+    args = ["--format", "json", "hodge", "G2/P2", "O(1)", "--d", "4"]
+    assert main(args) == 1
+    capsys.readouterr()
+    assert main(["--allow-bounds", *args]) == 2
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["h22"] is None
+    assert res["blocked"] == {"h22": "h22 needs a trivial canonical bundle"}
+    # the three pages hold on any fourfold; the ungated closed form does not
+    for Z, want, ungated in [(Q4, 2, 26), (mk("G2/P2", {(0, 4): 1}), 5510, 6578)]:
+        r0 = h0_row(Z)
+        r1 = h1_row(Z, r0)
+        assert second_wedge.h22(Z, r0, r1) == want
+        chi_o = sum((-1) ** q * v for q, v in enumerate(r0.values))
+        chi_1 = sum((-1) ** q * v for q, v in enumerate(r1.values))
+        assert 22 * chi_o - 4 * chi_1 - 2 * r0.values[2] + 2 * r1.values[2] == ungated
 
 
 # The 12 rows of ``classify --d 4``; the first four keep their test ids.
@@ -356,47 +381,24 @@ def test_h22_satisfies_cy4_riemann_roch(space, weights, h22_expected):
     On a fourfold with trivial canonical bundle and h^{p,0} = 0 for
     p = 1, 2, 3, Riemann-Roch forces
     h^{2,2} = 2 (22 + 2 h^{1,1} + 2 h^{3,1} - h^{2,1}).
-    The Euler characteristic never uses this identity, so agreement
-    cross-validates the h^{1,3} and h^{2,2} computations at once.  On the
-    F4/P1 fourfold the identity discriminates sharply: h^{1,3} = 87 forces
-    396 (computed), while the reference table's 86 would force 392.
+    The engine reads h^{2,2} off that same identity, so it is checked on
+    the three-page chi(Omega^2_Z) of the second wedge, which never uses it;
+    agreement cross-validates the h^{1,3} and h^{2,2} computations at once,
+    and the engine must equal the three-page value.  On the F4/P1 fourfold
+    the identity discriminates sharply: h^{1,3} = 87 forces 396 (computed),
+    while the reference table's 86 would force 392.
     """
     Z = mk(space, weights)
     r0 = h0_row(Z)
     r1 = h1_row(Z, r0)
     assert r0.values == [1, 0, 0, 0, 1]
-    value = h22(Z, r0, r1)
-    assert value == h22_expected
+    value = second_wedge.h22(Z, r0, r1)
+    assert h22(Z, r0, r1) == value == h22_expected
     h11, h21, h31 = r1.values[1], r1.values[2], r1.values[3]
     assert value == 2 * (22 + 2 * h11 + 2 * h31 - h21)
 
 
 # -- the two-sequence kernel chase, an oracle for h^{2,2} --------------------
-
-
-def _kernel_chase(Z, row0, row1):
-    """h^{2,2} by splitting the second wedge of the conormal sequence.
-
-    0 -> S^2 F^*|_Z -> (F^* (x) Omega)|_Z -> Omega^2_X|_Z -> Omega^2_Z -> 0
-    is split at the kernel K of its last map; the two short exact sequences
-    share the unknowns k_q = h^q(K), and the Omega^2_Z cells other than (2, 2)
-    are forced from rows 0 and 1.  Returns the solved cells and whether all
-    were determined; raises when one of the three bundles is only bounded.
-    """
-
-    def dims(E, what):
-        t = restricted_cohomology(Z, E)
-        if t.status != "exact":
-            raise AmbiguousCohomologyError(f"{what}: {t.bounds}")
-        return t.dims
-
-    a = dims(_symmetric_square_bundle(Z), "S^2F^*|_Z")
-    b = dims(_fstar_tensor_omega(Z), "F^* (x) Omega|_Z")
-    c = dims(_omega_square(Z), "Omega^2|_Z")
-    x = [row0.values[2], row1.values[2], "h22", row1.values[2], row0.values[2]]
-    k = [f"k{q}" for q in range(5)]
-    return solve_exact_system([_conormal_les(a, b, k), _conormal_les(k, c, x)])
-
 
 # the Table 1 rows where a restricted bundle of the second wedge is only bounded
 KERNEL_CHASE_STUCK = [
@@ -417,7 +419,7 @@ def test_kernel_chase_agrees_with_euler_characteristic(space, weights, h22_expec
     Z = mk(space, weights)
     r0 = h0_row(Z)
     r1 = h1_row(Z, r0)
-    values, complete = _kernel_chase(Z, r0, r1)
+    values, complete = second_wedge.kernel_chase(Z, r0, r1)
     assert complete and values["h22"] == h22(Z, r0, r1) == h22_expected
     cells = KERNEL_CELLS.get(space, {})
     assert {name: values[name] for name in cells} == cells
@@ -429,4 +431,4 @@ def test_kernel_chase_stalls_on_a_bounded_bundle(space, weights, reason):
     Z = mk(space, weights)
     r0 = h0_row(Z)
     with pytest.raises(AmbiguousCohomologyError, match=re.escape(reason)):
-        _kernel_chase(Z, r0, h1_row(Z, r0))
+        second_wedge.kernel_chase(Z, r0, h1_row(Z, r0))

@@ -8,13 +8,14 @@ from bwbforge.homspace import (
     dimension,
     fano_index,
     gradation,
-    graded_module_char,
     minimal_embedding_dim,
     parse_homspace,
 )
 from bwbforge.rootdata import RootSystem
 
+from char_helpers import char_dim, decomp_dim
 from rational_oracles import dex_closed_form
+from second_wedge import graded_module_char
 
 # dimensions, Fano indices and minimal embeddings of the 25 exceptional
 # spaces of Picard number one (E6/P5, E6/P6 fold onto E6/P3, E6/P1)
@@ -155,7 +156,7 @@ def test_gradation_projective_plane():
     g = gradation(X)
     assert g.depth == 1
     piece = g.piece_decomp(0)
-    assert rc.decomp_dim(X.levi, piece) == 2
+    assert decomp_dim(X.levi, piece) == 2
 
 
 @pytest.mark.parametrize(
@@ -168,8 +169,8 @@ def test_gradation_dimension_and_index_bookkeeping(name):
     dex_sum = 0
     for j, lev in enumerate(g.levels):
         dec = g.piece_decomp(j)
-        piece_dim = rc.decomp_dim(X.levi, dec)
-        assert piece_dim == rc.char_dim(graded_module_char(X, lev))
+        piece_dim = decomp_dim(X.levi, dec)
+        assert piece_dim == char_dim(graded_module_char(X, lev))
         # the graded module really is the sum of those irreducibles
         assert rc.decompose_character(X.levi, graded_module_char(X, lev)) == dec
         total += piece_dim

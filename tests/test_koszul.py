@@ -6,19 +6,8 @@ from hypothesis import strategies as st
 
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology, tensor_cohomology
-from bwbforge.hodge import (
-    _fstar_tensor_omega,
-    _omega_square,
-    _symmetric_square_bundle,
-    omega_filtration,
-)
-from bwbforge.homspace import (
-    dimension,
-    fano_index,
-    gradation,
-    graded_module_char,
-    parse_homspace,
-)
+from bwbforge.hodge import omega_filtration
+from bwbforge.homspace import dimension, fano_index, gradation, parse_homspace
 from bwbforge.koszul import (
     BundleSum,
     EmptyLocusError,
@@ -32,6 +21,14 @@ from bwbforge.koszul import (
     wedge_dual_decomps,
 )
 from bwbforge.rootdata import rho, to_dominant_chamber
+
+from char_helpers import char_dim, char_of_decomp, decomp_dim
+from second_wedge import (
+    fstar_tensor_omega,
+    graded_module_char,
+    omega_square,
+    symmetric_square_bundle,
+)
 
 
 def mk(space, weights):
@@ -110,7 +107,7 @@ def test_wedge_ranks_binomial_convolution():
     X = Z.space
     total = 0
     for p in range(Z.bundle.rank + 1):
-        rank_p = rc.decomp_dim(X.levi, wedge_decomp(Z, p))
+        rank_p = decomp_dim(X.levi, wedge_decomp(Z, p))
         expect = sum(
             comb(6, a) * comb(6, b) * comb(5, p - a - b)
             for a in range(0, min(6, p) + 1)
@@ -247,7 +244,7 @@ def test_wedge_chars_match_decomposition_dims():
     Z = mk("E6/P3", {w(6, i1=1): 3, w(6, i6=1): 3})
     chars = wedge_dual_chars(Z)
     for p in range(len(chars)):
-        assert rc.char_dim(chars[p]) == rc.decomp_dim(Z.space.levi, wedge_decomp(Z, p))
+        assert char_dim(chars[p]) == decomp_dim(Z.space.levi, wedge_decomp(Z, p))
 
 
 # -- oracle: the E1 page by convolution and decomposition ---------------------
@@ -260,7 +257,7 @@ def _graded_chars(Z, E):
         return [{rc.pack((0,) * X.rs.rank): 1}]
     if isinstance(E, BundleSum):
         return [E.char()]
-    return [rc.char_of_decomp(X.levi, dict(g)) for g in E.gradeds]
+    return [char_of_decomp(X.levi, dict(g)) for g in E.gradeds]
 
 
 def _oracle_entries(Z, E):
@@ -474,7 +471,7 @@ def _convolved_builders(Z):
 @pytest.mark.parametrize("space,weights", TABLE_LOCI)
 def test_hodge_builders_match_convolution_oracle(space, weights):
     Z = mk(space, weights)
-    got = (_symmetric_square_bundle(Z), _fstar_tensor_omega(Z), _omega_square(Z))
+    got = (symmetric_square_bundle(Z), fstar_tensor_omega(Z), omega_square(Z))
     assert got == _convolved_builders(Z)
 
 
@@ -500,9 +497,9 @@ def test_brauer_klimyk_page_matches_convolution_oracle(space, weights):
         None,
         Z.bundle.dual(),
         omega_filtration(X).twist(X, 1),
-        _symmetric_square_bundle(Z),
-        _fstar_tensor_omega(Z),
-        _omega_square(Z),
+        symmetric_square_bundle(Z),
+        fstar_tensor_omega(Z),
+        omega_square(Z),
     ]
     for E in targets:
         assert e1_page(Z, E) == _oracle_entries(Z, E)

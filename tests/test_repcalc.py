@@ -21,6 +21,16 @@ from bwbforge.rootdata import (
     to_dominant_chamber,
 )
 
+from char_helpers import (
+    char_dim,
+    char_of_decomp,
+    decomp_dim,
+    exterior_power,
+    symmetric_power,
+    tensor_char,
+    tensor_decompose,
+    weight_multiplicities,
+)
 from rational_oracles import (
     inner_product,
     sum_of_weights_bruteforce,
@@ -62,13 +72,13 @@ def test_weyl_dim_rejects_non_dominant():
 
 def test_rank_one_levi_string():
     ctx = rc.levi_context(G2, 2)  # A1 Levi on node 1
-    mults = rc.weight_multiplicities(ctx, (1, 0))
+    mults = weight_multiplicities(ctx, (1, 0))
     assert len(mults) == 2 and set(mults.values()) == {1}
 
 
 def test_adjoint_multiplicities_brute_force():
     ctx = rc.full_context(G2)
-    mults = rc.weight_multiplicities(ctx, (0, 1))
+    mults = weight_multiplicities(ctx, (0, 1))
     # oracle: the adjoint character is the 12 roots plus rank many zeros
     expected = {}
     for beta in positive_roots(G2):
@@ -82,7 +92,7 @@ def test_adjoint_multiplicities_brute_force():
 
 def test_spin7_levi_standard_module():
     ctx = rc.levi_context(F4, 4)
-    mults = rc.weight_multiplicities(ctx, (1, 0, 0, 0))
+    mults = weight_multiplicities(ctx, (1, 0, 0, 0))
     assert len(mults) == 7 and sum(mults.values()) == 7
 
 
@@ -96,7 +106,7 @@ def test_freudenthal_total_dimension_sweep():
         (rc.full_context(RootSystem("A", 3)), (1, 1, 1)),
     ]
     for ctx, lam in cases:
-        mults = rc.weight_multiplicities(ctx, lam)
+        mults = weight_multiplicities(ctx, lam)
         assert sum(mults.values()) == rc.weyl_dim(ctx, lam)
 
 
@@ -172,7 +182,7 @@ def test_integer_freudenthal_matches_rational_oracle():
 
 def test_weight_multiset_levi_invariance():
     ctx = rc.levi_context(F4, 4)
-    mults = rc.weight_multiplicities(ctx, (0, 0, 1, 0))
+    mults = weight_multiplicities(ctx, (0, 0, 1, 0))
     for i in ctx.levi:
         reflected = {}
         for wt, m in mults.items():
@@ -200,8 +210,8 @@ def test_dual_involution_and_dimension():
 
 def test_tensor_with_trivial_and_clebsch_gordan():
     a1 = rc.full_context(RootSystem("A", 1))
-    assert rc.tensor_decompose(a1, {(3,): 2}, {(0,): 1}) == {(3,): 2}
-    assert rc.tensor_decompose(a1, {(1,): 1}, {(1,): 1}) == {(2,): 1, (0,): 1}
+    assert tensor_decompose(a1, {(3,): 2}, {(0,): 1}) == {(3,): 2}
+    assert tensor_decompose(a1, {(1,): 1}, {(1,): 1}) == {(2,): 1, (0,): 1}
 
 
 def test_tensor_against_convolution_oracle():
@@ -215,8 +225,8 @@ def test_tensor_against_convolution_oracle():
                 small.append(lam)
     for la in small[:12]:
         for lb in small[:12]:
-            dec = rc.tensor_decompose(ctx, {la: 1}, {lb: 1})
-            lhs = rc.char_of_decomp(ctx, dec)
+            dec = tensor_decompose(ctx, {la: 1}, {lb: 1})
+            lhs = char_of_decomp(ctx, dec)
             rhs = rc.conv(rc.char_irr(ctx, la), rc.char_irr(ctx, lb), 2)
             assert lhs == rhs
 
@@ -224,32 +234,32 @@ def test_tensor_against_convolution_oracle():
 def test_exterior_identities_f4p4():
     ctx = rc.levi_context(F4, 4)
     e1 = {(1, 0, 0, 0): 1}
-    assert rc.exterior_power(ctx, e1, 0) == {(0, 0, 0, 0): 1}
-    assert rc.exterior_power(ctx, e1, 2) == {(0, 1, 0, 0): 1}
-    assert rc.exterior_power(ctx, e1, 3) == {(0, 0, 2, 0): 1}
-    assert rc.exterior_power(ctx, e1, 4) == {(0, 0, 2, 1): 1}
-    assert rc.exterior_power(ctx, e1, 5) == {(0, 1, 0, 3): 1}
-    assert rc.exterior_power(ctx, e1, 6) == {(1, 0, 0, 5): 1}
-    assert rc.exterior_power(ctx, e1, 7) == {(0, 0, 0, 7): 1}
+    assert exterior_power(ctx, e1, 0) == {(0, 0, 0, 0): 1}
+    assert exterior_power(ctx, e1, 2) == {(0, 1, 0, 0): 1}
+    assert exterior_power(ctx, e1, 3) == {(0, 0, 2, 0): 1}
+    assert exterior_power(ctx, e1, 4) == {(0, 0, 2, 1): 1}
+    assert exterior_power(ctx, e1, 5) == {(0, 1, 0, 3): 1}
+    assert exterior_power(ctx, e1, 6) == {(1, 0, 0, 5): 1}
+    assert exterior_power(ctx, e1, 7) == {(0, 0, 0, 7): 1}
     with pytest.raises(ValueError):
-        rc.exterior_power(ctx, e1, 8)
+        exterior_power(ctx, e1, 8)
 
 
 def test_lambda_ring_consistency():
     ctx = rc.levi_context(E6, 3)
     rep = {w(6, i1=1): 1, w(6, i6=1): 1}  # rank 7
-    char = rc.char_of_decomp(ctx, rep)
-    assert rc.exterior_power(ctx, rep, 1) == rep
-    assert rc.symmetric_power(ctx, rep, 1) == rep
+    char = char_of_decomp(ctx, rep)
+    assert exterior_power(ctx, rep, 1) == rep
+    assert symmetric_power(ctx, rep, 1) == rep
     # L^2 + S^2 re-expands to the full square of the character
     sq = rc.conv(char, char, 6)
-    both = rc.char_of_decomp(ctx, rc.exterior_power(ctx, rep, 2))
-    for v, m in rc.char_of_decomp(ctx, rc.symmetric_power(ctx, rep, 2)).items():
+    both = char_of_decomp(ctx, exterior_power(ctx, rep, 2))
+    for v, m in char_of_decomp(ctx, symmetric_power(ctx, rep, 2)).items():
         both[v] = both.get(v, 0) + m
     assert both == sq
     # sum of wedge ranks is 2^rank
     total = sum(
-        rc.decomp_dim(ctx, rc.exterior_power(ctx, rep, k)) for k in range(0, 8)
+        decomp_dim(ctx, exterior_power(ctx, rep, k)) for k in range(0, 8)
     )
     assert total == 2 ** 7
 
@@ -263,14 +273,14 @@ def test_wedge_rank_binomial_convolution():
         expect = sum(
             comb(6, a) * comb(2, k - a) for a in range(0, min(6, k) + 1) if k - a >= 0
         )
-        assert rc.decomp_dim(ctx, rc.exterior_power(ctx, rep, k)) == expect
+        assert decomp_dim(ctx, exterior_power(ctx, rep, k)) == expect
 
 
 def test_top_wedge_is_determinant():
     ctx = rc.levi_context(F4, 1)
     lam = (0, 0, 0, 1)
     rank = rc.weyl_dim(ctx, lam)
-    top = rc.exterior_power(ctx, {lam: 1}, rank)
+    top = exterior_power(ctx, {lam: 1}, rank)
     assert len(top) == 1
     det_weight, mult = next(iter(top.items()))
     assert mult == 1
@@ -343,7 +353,7 @@ def test_decompose_character_flags_non_characters():
 def test_decompose_character_roundtrip():
     ctx = rc.levi_context(E6, 2)
     dec = {w(6, i1=1): 2, w(6, i3=1): 1, w(6, i2=3): 1}
-    assert rc.decompose_character(ctx, rc.char_of_decomp(ctx, dec)) == dec
+    assert rc.decompose_character(ctx, char_of_decomp(ctx, dec)) == dec
 
 
 _coords = st.tuples(*[st.integers(-20, 20)] * 4)
@@ -366,7 +376,7 @@ def test_convolution_is_associative_and_counts_dims(a, b, c):
     left = rc.conv(rc.conv(pa, pb, 4), pc, 4)
     right = rc.conv(pa, rc.conv(pb, pc, 4), 4)
     assert left == right
-    assert rc.char_dim(left) == rc.char_dim(pa) * rc.char_dim(pb) * rc.char_dim(pc)
+    assert char_dim(left) == char_dim(pa) * char_dim(pb) * char_dim(pc)
 
 
 @pytest.mark.parametrize("a,fits", [(32763, True), (32764, False)])
@@ -397,11 +407,11 @@ def test_tensor_char_matches_convolution_oracle():
     ctx = rc.levi_context(E6, 3)
     rep = {w(6, i1=1): 1, w(6, i6=1): 2}
     other = {w(6, i1=1, i3=-1): 1, w(6, i6=1): 1}
-    char = rc.char_of_decomp(ctx, other)
-    got = rc.tensor_char(ctx, rep, char)
-    want = rc.decompose_character(ctx, rc.conv(rc.char_of_decomp(ctx, rep), char, 6))
+    char = char_of_decomp(ctx, other)
+    got = tensor_char(ctx, rep, char)
+    want = rc.decompose_character(ctx, rc.conv(char_of_decomp(ctx, rep), char, 6))
     assert got == want
-    assert got == rc.tensor_decompose(ctx, rep, other)
+    assert got == tensor_decompose(ctx, rep, other)
 
 
 _CLIMB_CONTEXTS = [
