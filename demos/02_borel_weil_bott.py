@@ -3,18 +3,14 @@
 An irreducible equivariant bundle E_lambda on G/P_k either has no
 cohomology at all (lambda + rho singular) or exactly one group, whose
 degree is the length of the climbing word and whose label is the dominant
-representative minus rho.  Reducible bundles need a filtration and the
-RegInd vanishing criterion.
+representative minus rho.  A filtered bundle goes through the Koszul route
+with a rank-0 F: then Z = X, the E1 page has only p = 0, one entry per
+graded piece and degree, and RegInd is the set of degrees on that page.
 """
 
-from bwbforge.bwbcohom import (
-    FilteredBundle,
-    bundle_cohomology,
-    bwb,
-    filtered_cohomology,
-    reg_ind,
-)
+from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology, bwb
 from bwbforge.homspace import gradation, parse_homspace
+from bwbforge.koszul import BundleSum, ZeroLocus, e1_page, restricted_cohomology
 from bwbforge.repcalc import weyl_dim
 
 X = parse_homspace("G2/P2")
@@ -34,13 +30,15 @@ print()
 print("== the cotangent bundle, a genuinely filtered object ==")
 om = FilteredBundle.from_decomps(gradation(X).as_filtration())
 print("graded pieces (subbundle end first):", [dict(g) for g in om.gradeds])
-print("RegInd(Omega) =", reg_ind(X, om))
-print("H(Omega) =", filtered_cohomology(X, om).dims(), " -- the Picard rank")
+on_x = ZeroLocus(X, BundleSum.make(X, {}))
+page = e1_page(on_x, om)
+print("E1 page {(p, graded, q): dim} =", page)
+print("RegInd(Omega) =", {q for (_, _, q) in page})
+print("H(Omega) =", restricted_cohomology(on_x, om).dims, " -- the Picard rank in H^1")
 
 for t in (-3, -6):
-    tw = om.twist(X, t)
-    table = filtered_cohomology(X, tw)
-    print(f"H(Omega({t})) =", table.dims(), "exact" if table.exact else "bounds")
+    zc = restricted_cohomology(on_x, om.twist(X, t))
+    print(f"H(Omega({t})) =", zc.dims, zc.status)
 
 print()
 print("== direct sums are exact: no certificates needed ==")

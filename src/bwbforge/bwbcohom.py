@@ -10,24 +10,17 @@ splits the product into L-irreducibles by one W_L-climb per shifted weight
 (memoised in the ``climb`` table of the Levi context, shared with
 ``repcalc.decompose_character``), and the recipe above then runs once per
 irreducible (``cache.table("bwb", X)``), not once per weight.
-
-The interesting machinery here is for *filtered* bundles (the cotangent
-bundle and friends): their graded pieces are completely reducible, RegInd
-collects the Bott indices of the regular pieces, and exact dimensions are
-certified whenever every connecting map of the long exact sequences is
-forced to vanish by a zero on one side.  Anything short of that
-certificate is reported as per-degree bounds, never silently guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import cache as _cache
 from . import repcalc as rc
-from .homspace import HomSpace, dimension
-from .rootdata import Weight, add, rho, to_dominant_chamber
+from .homspace import HomSpace
+from .rootdata import Weight, add, rho
 
 
 class NotPDominantError(ValueError):
@@ -41,17 +34,13 @@ def _check_p_dominant(X: HomSpace, lam: Weight):
 
 @dataclass
 class CohomologyTable:
-    """Cohomology of a bundle on X: degree -> {dominant G-weight: multiplicity}.
+    """Cohomology of a direct sum of irreducible bundles on X.
 
-    ``exact`` tables carry honest multiplicities; when the filtration
-    certificate fails the table degenerates to per-degree dimension bounds
-    (lower, upper) while ``entries`` keeps the upper-bound multiset.
+    ``entries`` maps each degree to {dominant G-weight: multiplicity}.
     """
 
     X: HomSpace
     entries: Dict[int, Dict[Weight, int]] = field(default_factory=dict)
-    exact: bool = True
-    bounds: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def add_entry(self, q: int, hw: Weight, mult: int = 1):
         row = self.entries.setdefault(q, {})
@@ -69,26 +58,23 @@ class CohomologyTable:
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * d for q, d in self.dims().items())
 
-    def merge(self, other: "CohomologyTable"):
-        assert self.X == other.X
-        for q, row in other.entries.items():
-            for hw, m in row.items():
-                self.add_entry(q, hw, m)
-        self.exact = self.exact and other.exact
-
     def is_zero(self) -> bool:
         return all(not row for row in self.entries.values())
 
 
 def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
-    """Cohomology of the irreducible bundle E_lambda by Borel-Weil-Bott."""
+    """Cohomology of the irreducible bundle E_lambda by Borel-Weil-Bott.
+
+    lambda + rho is climbed by ``repcalc.climb``, the climber ``_bwb_entry``
+    uses, but on the plain tuple: no packed coordinate range applies, so
+    every twist gets an answer.
+    """
     _check_p_dominant(X, lam)
     table = CohomologyTable(X)
-    res = to_dominant_chamber(X.rs, add(lam, rho(X.rs)))
-    if res.singular:
-        return table
-    hw = tuple(a - b for a, b in zip(res.dominant, rho(X.rs)))
-    table.add_entry(res.length, hw)
+    got = rc.climb(X.group, add(lam, rho(X.rs)))
+    if got is not None:
+        q, dom = got
+        table.add_entry(q, tuple(c - 1 for c in dom))
     return table
 
 
@@ -159,12 +145,6 @@ def tensor_cohomology(
     return out
 
 
-def bott_index(X: HomSpace, lam: Weight) -> Optional[int]:
-    """Length of the climbing word for lambda+rho, or None when singular."""
-    res = to_dominant_chamber(X.rs, add(lam, rho(X.rs)))
-    return None if res.singular else res.length
-
-
 def bundle_cohomology(X: HomSpace, bundle: rc.IrrDecomp) -> CohomologyTable:
     """Cohomology of a completely reducible bundle: direct sums are exact."""
     table = CohomologyTable(X)
@@ -178,7 +158,11 @@ def bundle_cohomology(X: HomSpace, bundle: rc.IrrDecomp) -> CohomologyTable:
 
 @dataclass(frozen=True)
 class FilteredBundle:
-    """Equivariant bundle given by its graded pieces, subbundle end first."""
+    """Equivariant bundle given by its graded pieces, subbundle end first.
+
+    The cohomology of such a bundle E on X is the Koszul route with F = 0:
+    ``restricted_cohomology(ZeroLocus(X, BundleSum.make(X, {})), E)``.
+    """
 
     gradeds: Tuple[Tuple[Tuple[Weight, int], ...], ...]
 
@@ -194,43 +178,6 @@ class FilteredBundle:
         return FilteredBundle.from_decomps(
             [{X.twist(lam, t): m for lam, m in g} for g in self.gradeds]
         )
-
-
-def reg_ind(X: HomSpace, bundle: FilteredBundle) -> Set[int]:
-    """Bott indices of the regular-shifted graded constituents."""
-    out: Set[int] = set()
-    for graded in bundle.gradeds:
-        for lam, _ in graded:
-            idx = bott_index(X, lam)
-            if idx is not None:
-                out.add(idx)
-    return out
-
-
-def filtered_cohomology(X: HomSpace, bundle: FilteredBundle) -> CohomologyTable:
-    """Cohomology of a filtered bundle through its long exact sequences.
-
-    Walking the filtration from the deep end, the accumulated cohomology is
-    exact as long as, at every step and every degree q, either the fresh
-    graded piece has H^q = 0 or the accumulated bundle has H^{q+1} = 0; that
-    kills every connecting map.  Otherwise the result degrades to bounds
-    (lower 0, upper the sum of the graded dimensions per degree).
-    """
-    acc = CohomologyTable(X)
-    certified = True
-    for graded in bundle.gradeds:
-        piece = bundle_cohomology(X, dict(graded))
-        if certified:
-            for q in piece.dims():
-                if acc.degree_dim(q + 1) != 0:
-                    certified = False
-                    break
-        acc.merge(piece)
-    if certified:
-        return acc
-    acc.exact = False
-    acc.bounds = {q: (0, d) for q, d in acc.dims().items()}
-    return acc
 
 
 def serre_dual_weight(X: HomSpace, lam: Weight) -> Weight:

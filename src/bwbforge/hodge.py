@@ -150,7 +150,7 @@ def is_hyperkaehler_candidate(Z: ZeroLocus, row0: HodgeRow) -> bool:
     return Z.d == 4 and row0.status == "exact" and row0.values[2] == 1
 
 
-def _h1_chase(Z: ZeroLocus, row0: HodgeRow) -> Optional[ChaseReport]:
+def _h1_chase(Z: ZeroLocus, row0: HodgeRow) -> ChaseReport:
     d = Z.d
     known: Dict[str, int] = {}
     # conjugation: h^{1,0} = h^{0,1}; Serre duality: h^{1,d} = h^{d-1,0} = h^{0,d-1}

@@ -110,9 +110,6 @@ class GradedCotangent:
     levels: Tuple[int, ...]
     pieces: Tuple[Tuple[Tuple[Weight, int], ...], ...]
 
-    def piece_decomp(self, j: int) -> rc.IrrDecomp:
-        return dict(self.pieces[j])
-
     def as_filtration(self) -> List[rc.IrrDecomp]:
         return [dict(p) for p in self.pieces]
 

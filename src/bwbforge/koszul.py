@@ -20,6 +20,8 @@ runs once per irreducible, so no tensor product is ever expanded.
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
 G-dominant, since such a summand has no sections at all.
+A rank-0 F gives Z = X and a page with only p = 0, and that is how the
+cohomology of a filtered bundle on X itself is computed.
 
 Degeneration of the spectral sequence is never assumed: the bookkeeping
 solver below cancels entries only where the abutment forces it (total

@@ -8,12 +8,19 @@ from bwbforge.bwbcohom import (
     NotPDominantError,
     bundle_cohomology,
     bwb,
-    filtered_cohomology,
-    reg_ind,
     serre_dual_weight,
     tensor_cohomology,
 )
+from bwbforge.classify import exceptional_spaces
 from bwbforge.homspace import dimension, gradation, parse_homspace
+from bwbforge.koszul import (
+    BundleSum,
+    ZeroLocus,
+    e1_page,
+    restricted_cohomology,
+    structure_cohomology,
+)
+from bwbforge.rootdata import add, rho, to_dominant_chamber
 
 G2P1 = parse_homspace("G2/P1")
 G2P2 = parse_homspace("G2/P2")
@@ -21,6 +28,21 @@ G2P2 = parse_homspace("G2/P2")
 
 def omega(X):
     return FilteredBundle.from_decomps(gradation(X).as_filtration())
+
+
+def on_x(X):
+    """X as the zero locus of a rank-0 F: Z = X, and the Koszul page has only p = 0."""
+    return ZeroLocus(X, BundleSum.make(X, {}))
+
+
+def page_degrees(X, bundle):
+    """RegInd: the degrees of the nonzero entries of the p = 0 page."""
+    return {q for (p, _, q) in e1_page(on_x(X), bundle)}
+
+
+def bott_index(X, lam):
+    (q,) = bwb(X, lam).entries or (None,)
+    return q
 
 
 def test_bwb_singular_gives_empty_table():
@@ -42,6 +64,18 @@ def test_bwb_degree_and_weight_anchor():
     assert t.dims() == {5: 273}
     assert bwb(G2P2, (0, -9)).dims() == {5: 3542}
     assert bwb(G2P1, (-10, 0)).dims() == {5: 378}
+
+
+@pytest.mark.parametrize("name", ["G2/P2", "A5/P2", "F4/P4", "E6/P1"])
+def test_bwb_matches_word_climb_beyond_packed_range(name):
+    # bwb climbs plain tuples, so twists outside the 16-bit packed field still get answers
+    X = parse_homspace(name)
+    rng = random.Random(name)
+    for t in (-40000, 33000, *(rng.randint(-50000, 50000) for _ in range(8))):
+        lam = tuple(t if i == X.k - 1 else rng.randint(0, 3) for i in range(X.rs.rank))
+        ref = to_dominant_chamber(X.rs, add(lam, rho(X.rs)))
+        want = {} if ref.singular else {ref.length: {tuple(c - 1 for c in ref.dominant): 1}}
+        assert bwb(X, lam).entries == want
 
 
 def test_bwb_rejects_non_p_dominant():
@@ -100,43 +134,43 @@ def test_tensor_cohomology_refuses_non_characters():
 
 
 def test_reg_ind_anchors():
-    assert reg_ind(G2P2, omega(G2P2)) == {1}
+    assert page_degrees(G2P2, omega(G2P2)) == {1}
     om1 = omega(G2P1)
-    assert reg_ind(G2P1, om1.twist(G2P1, -5)) == {5}
-    all_singular = FilteredBundle.from_decomps([{(3, -5): 1}, {(-1, 2): 1}])
-    assert reg_ind(G2P2, all_singular) == set()
+    assert page_degrees(G2P1, om1.twist(G2P1, -5)) == {5}
+    all_singular = FilteredBundle.from_decomps([{(3, -5): 1}, {(0, -1): 1}])
+    assert bott_index(G2P2, (3, -5)) is bott_index(G2P2, (0, -1)) is None
+    assert page_degrees(G2P2, all_singular) == set()
+    # (-1, 2) is not P2-dominant, so it is no bundle on G2/P2
+    with pytest.raises(ValueError, match="not dominant"):
+        page_degrees(G2P2, FilteredBundle.from_decomps([{(3, -5): 1}, {(-1, 2): 1}]))
 
 
 def test_reg_ind_twist_consistency():
     om = omega(G2P2)
     for t in range(-6, 1):
         twisted = om.twist(G2P2, t)
-        direct = set()
-        for g in twisted.gradeds:
-            for lam, _ in g:
-                from bwbforge.bwbcohom import bott_index
-
-                idx = bott_index(G2P2, lam)
-                if idx is not None:
-                    direct.add(idx)
-        assert reg_ind(G2P2, twisted) == direct
+        direct = {bott_index(G2P2, lam) for g in twisted.gradeds for lam, _ in g} - {None}
+        assert page_degrees(G2P2, twisted) == direct
 
 
 def test_filtered_cohomology_anchors():
     # E(-5) on G2/P1: two-step filtration with both pieces in degree 5
     E = FilteredBundle.from_decomps([{(-8, 1): 1}, {(-6, 0): 1}])
-    t = filtered_cohomology(G2P1, E)
-    assert t.exact and t.dims() == {5: 21}
+    t = restricted_cohomology(on_x(G2P1), E)
+    assert t.status == "exact" and t.dims == [0, 0, 0, 0, 0, 21]
     # Omega(-6) on G2/P2
-    t = filtered_cohomology(G2P2, omega(G2P2).twist(G2P2, -6))
-    assert t.exact and t.dims() == {5: 2295}
+    om6 = omega(G2P2).twist(G2P2, -6)
+    t = restricted_cohomology(on_x(G2P2), om6)
+    assert t.status == "exact" and t.dims == [0, 0, 0, 0, 0, 2295]
     parts = sorted(
-        m * rc.weyl_dim(G2P2.group, hw) for hw, m in t.entries[5].items()
+        m * rc.weyl_dim(G2P2.group, hw)
+        for g in om6.gradeds
+        for hw, m in bundle_cohomology(G2P2, dict(g)).entries[5].items()
     )
     assert parts == [748, 1547]
     # Omega itself: only H^1 = C survives (RegInd vanishing)
-    t = filtered_cohomology(G2P2, omega(G2P2))
-    assert t.exact and t.dims() == {1: 1}
+    t = restricted_cohomology(on_x(G2P2), omega(G2P2))
+    assert t.status == "exact" and t.dims == [0, 1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("mult", [-1, 0])
@@ -150,38 +184,80 @@ def test_filtered_bundle_refuses_nonpositive_multiplicity(mult):
 
 def test_filtered_single_graded_matches_bundle_cohomology():
     dec = {(-8, 1): 1, (-6, 0): 2}
-    a = filtered_cohomology(G2P1, FilteredBundle.from_decomps([dec]))
+    a = restricted_cohomology(on_x(G2P1), FilteredBundle.from_decomps([dec]))
     b = bundle_cohomology(G2P1, dec)
-    assert a.exact and a.dims() == b.dims() and a.entries == b.entries
+    assert a.status == "exact" and dict(enumerate(a.dims)) == {q: b.degree_dim(q) for q in range(6)}
 
 
 def test_filtered_exact_dims_add_over_gradeds():
     fb = omega(G2P1).twist(G2P1, -5)
-    t = filtered_cohomology(G2P1, fb)
-    assert t.exact
+    t = restricted_cohomology(on_x(G2P1), fb)
+    assert t.status == "exact"
     per_graded = {}
     for g in fb.gradeds:
         for q, v in bundle_cohomology(G2P1, dict(g)).dims().items():
             per_graded[q] = per_graded.get(q, 0) + v
-    assert per_graded == t.dims()
+    assert per_graded == {q: v for q, v in enumerate(t.dims) if v}
 
 
 def test_filtered_uncertified_reports_bounds():
-    # stack two copies of the same regular piece one degree apart so the
-    # connecting map cannot be excluded: sub in degree 2, quotient in 1
-    sub = {(-2, 1): 1}  # index 1 on G2/P1... use explicit Bott data instead
-    from bwbforge.bwbcohom import bott_index
-
-    lam_deg1 = (-2, 1)
+    # stack two regular pieces one degree apart so the connecting map cannot
+    # be excluded: sub in degree 2, quotient in 1
+    lam_deg1, lam_deg2 = (-2, 1), (-5, 2)
     assert bott_index(G2P1, lam_deg1) == 1
-    lam_deg2 = (-5, 2)
-    d2 = bott_index(G2P1, lam_deg2)
-    assert d2 is not None and d2 == 2
+    assert bott_index(G2P1, lam_deg2) == 2
     fb = FilteredBundle.from_decomps([{lam_deg2: 1}, {lam_deg1: 1}])
-    t = filtered_cohomology(G2P1, fb)
-    assert not t.exact
-    assert set(t.bounds) == {1, 2}
-    assert all(lo == 0 for lo, _ in t.bounds.values())
+    t = restricted_cohomology(on_x(G2P1), fb)
+    assert t.status == "ambiguous"
+    assert t.bounds == {1: (0, 1), 2: (0, 1)}
+
+
+def les_walk(X, bundle):
+    """The long-exact-sequence walk from the deep end: (certified, per-degree sums).
+
+    Exact when, at every step and degree q, the fresh graded has H^q = 0 or
+    the accumulated bundle has H^{q+1} = 0, so no connecting map can be nonzero.
+    """
+    acc, certified = {}, True
+    for graded in bundle.gradeds:
+        piece = bundle_cohomology(X, dict(graded)).dims()
+        certified = certified and all(acc.get(q + 1, 0) == 0 for q in piece)
+        for q, v in piece.items():
+            acc[q] = acc.get(q, 0) + v
+    return certified, acc
+
+
+@pytest.mark.parametrize(
+    "name", ["G2/P1", "G2/P2", "A3/P2", "F4/P4", "B3/P1", "C3/P2", "A4/P2"]
+)
+def test_rank_zero_route_against_les_walk(name):
+    X = parse_homspace(name)
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(300):
+        fb = FilteredBundle.from_decomps([
+            {
+                tuple(
+                    rng.randint(-10, 1) if i == X.k - 1 else rng.randint(0, 4)
+                    for i in range(X.rs.rank)
+                ): rng.randint(1, 2)
+                for _ in range(rng.randint(1, 2))
+            }
+            for _ in range(rng.randint(1, 3))
+        ])
+        got = restricted_cohomology(on_x(X), fb)
+        certified, sums = les_walk(X, fb)
+        seen.add(certified)
+        assert (got.status == "exact") == certified
+        for q, v in enumerate(got.dims):
+            # no degree of X is illegal, so nothing is forced to cancel
+            assert (v if v is not None else got.bounds[q][1]) == sums.get(q, 0)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("X", exceptional_spaces(), ids=str)
+def test_structure_cohomology_of_x_itself(X):
+    assert structure_cohomology(on_x(X)).dims == [1] + [0] * dimension(X)
 
 
 @pytest.mark.parametrize("name", ["G2/P1", "G2/P2", "A3/P1", "F4/P4", "A5/P2"])

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from bwbforge import cache as _cache
+from bwbforge.bwbcohom import bundle_cohomology, bwb
 from bwbforge.cli import ParseError, main, parse_bundle, parse_weight
 from bwbforge.homspace import parse_homspace
 
@@ -369,3 +370,26 @@ def test_golden_output(argv, code, digest, err, capsys, monkeypatch):
     out, got_err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert got_err == err
+
+
+def test_bwb_climbs_without_the_word_climber(monkeypatch, capsys):
+    # one Weyl climber in the engine: rootdata.to_dominant_chamber is only the
+    # word-returning reference the tests compare repcalc.climb against
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_dominant_chamber called from the engine")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bwbforge") and hasattr(module, "to_dominant_chamber"):
+            monkeypatch.setattr(module, "to_dominant_chamber", refuse)
+    X = parse_homspace("G2/P2")
+    assert bwb(X, (0, -6)).dims() == {5: 273}
+    assert bundle_cohomology(X, {(0, 0): 1, (0, -6): 1}).dims() == {0: 1, 5: 273}
+    monkeypatch.delenv("BWBFORGE_CACHE", raising=False)
+    monkeypatch.setattr(_cache, "_dir", None)
+    argvs = (["--format", "json", "bwb", "G2/P2", "O(-6)"], ["cohomology", "E6/P2", "w1^2 + O(1)^5"])
+    cases = [case for case in GOLDEN if case[0] in argvs]
+    assert len(cases) == len(argvs)
+    for argv, code, digest, err in cases:
+        assert main(argv) == code
+        out, got_err = capsys.readouterr()
+        assert (hashlib.sha256(out.encode()).hexdigest(), got_err) == (digest, err)

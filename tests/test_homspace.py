@@ -155,7 +155,7 @@ def test_gradation_projective_plane():
     X = parse_homspace("A2/P1")
     g = gradation(X)
     assert g.depth == 1
-    piece = g.piece_decomp(0)
+    piece = g.as_filtration()[0]
     assert decomp_dim(X.levi, piece) == 2
 
 
@@ -168,7 +168,7 @@ def test_gradation_dimension_and_index_bookkeeping(name):
     total = 0
     dex_sum = 0
     for j, lev in enumerate(g.levels):
-        dec = g.piece_decomp(j)
+        dec = g.as_filtration()[j]
         piece_dim = decomp_dim(X.levi, dec)
         assert piece_dim == char_dim(graded_module_char(X, lev))
         # the graded module really is the sum of those irreducibles

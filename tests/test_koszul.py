@@ -617,7 +617,6 @@ def test_largest_packable_twist_on_the_levi_side():
 
 # -- invariants of restricted cohomology -----------------------------------------
 
-INVARIANT_LOCI = [(s, ws) for s, ws in TABLE_LOCI if s[0] in "FG" or s == "E6/P2"]
 
 
 def _interval(zc, q):
@@ -625,7 +624,7 @@ def _interval(zc, q):
 
 
 @settings(max_examples=25, deadline=None)
-@given(locus=st.sampled_from(INVARIANT_LOCI), parts=RANDOM_PARTS)
+@given(locus=st.sampled_from(TABLE_LOCI), parts=RANDOM_PARTS)
 def test_restricted_serre_duality_and_euler_characteristic(locus, parts):
     # K_Z is trivial on every Table locus, so H^q(Z, E|_Z) = H^{d-q}(Z, E^*|_Z)^*:
     # equal dimensions when both are exact, mirrored intervals otherwise
