@@ -27,7 +27,7 @@ class NotPDominantError(ValueError):
     pass
 
 
-def _check_p_dominant(X: HomSpace, lam: Weight):
+def check_p_dominant(X: HomSpace, lam: Weight):
     if not rc.is_context_dominant(X.levi, lam):
         raise NotPDominantError(f"{lam} is not P{X.k}-dominant on {X}")
 
@@ -69,7 +69,7 @@ def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
     uses, but on the plain tuple: no packed coordinate range applies, so
     every twist gets an answer.
     """
-    _check_p_dominant(X, lam)
+    check_p_dominant(X, lam)
     table = CohomologyTable(X)
     got = rc.climb(X.group, add(lam, rho(X.rs)))
     if got is not None:
@@ -128,7 +128,7 @@ def tensor_cohomology(
     highs = [max(column) for column in zip(*shifts)]
     if not rc.is_context_dominant(X.levi, lows):
         for s in shifts:
-            _check_p_dominant(X, s)
+            check_p_dominant(X, s)
     if not char:
         return {}
     rr = rho(X.rs)

@@ -2,21 +2,26 @@
 
 A candidate pair (G/P_k, F) for a d-fold must satisfy rank(F) = dim - d and
 dex(F) = Fano index exactly; the summand pool is every nonzero G-dominant
-weight within those caps.  A whole space is rejected up front when even its
-best dex/rank ratio exceeds iota/(dim - d), which is what kills all the E8
-cases without enumerating multisets.  Bundles with a summand on the curated
-exception list (nowhere-vanishing general sections) are excluded and the
-reason recorded; the numbers themselves cannot see such geometric facts.
+weight within those caps.  dex/rank is linear in the weight, and that of a
+multiset lies between the least and greatest dex/rank of its summands, so
+the multiset search cuts each branch whose remaining budget leaves the slope
+range of the summands still to place.  At the root this rejects a whole
+space when even its best dex/rank exceeds iota/(dim - d), which is what
+kills all the E8 cases without enumerating multisets.  Bundles with a
+summand on the curated exception list (nowhere-vanishing general sections)
+are excluded and the reason recorded; the numbers themselves cannot see such
+geometric facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import hodge
 from . import repcalc as rc
-from .homspace import HomSpace, dex, dimension, fano_index, parse_homspace
+from .homspace import HomSpace, dimension, fano_index, parse_homspace
 from .koszul import BundleSum, ZeroLocus
 from .rootdata import RootSystem, Weight
 
@@ -84,36 +89,47 @@ def admissible_summands(
     The Levi part is enumerated by coordinate recursion (rank is strictly
     monotone in every coordinate, so each position is cut off as soon as the
     cap is exceeded); twists along w_k then raise dex by rank per step.
+
+    Rank and dex come in closed form, with no memo lookup per lattice point.
+    Two running values move by one column on each step of a coordinate: the
+    Weyl factors ``heights + sum lam_i column_i`` of ``repcalc.weyl_kernel``
+    and the invariant pairing <column, lam> of ``repcalc.invariant_form``.
+    Then rank = prod(factors) / den and dex = rank <column, lam> / norm, the
+    formulas of ``weyl_dim`` and ``sum_of_weights``, both asserted exact.
     """
     if rank_cap < 1 or dex_cap < 1:
         return []
     r = X.rs.rank
-    levi_positions = [i - 1 for i in range(1, r + 1) if i != X.k]
+    heights, columns, den = rc.weyl_kernel(X.levi)
+    form, norm = rc.invariant_form(X.rs, X.k)
+    # the coordinates with a nonzero coroot column are the Levi nodes
+    steps = [(i, col, form[i]) for i, col in columns]
+    coords = [0] * r
     out: List[Tuple[Weight, int, int]] = []
 
-    def recurse(pos: int, coords: List[int]) -> bool:
-        # False when ``coords`` itself is over the rank cap
-        lam = tuple(coords)
-        rank = rc.weyl_dim(X.levi, lam)
-        if rank > rank_cap:
-            return False
-        if pos == len(levi_positions):
-            base_dex = dex(X, lam) if lam != (0,) * r else 0
-            t0 = 0 if any(coords) else 1
-            t = t0
+    def recurse(pos: int, factors: Sequence[int], pairing: int, rank: int) -> None:
+        # ``coords`` is within the rank cap; its factors, pairing and rank ride along
+        if pos == len(steps):
+            base_dex, rem = divmod(rank * pairing, norm)
+            assert rem == 0
+            t = 0 if any(coords) else 1
             while base_dex + t * rank <= dex_cap:
                 w = list(coords)
                 w[X.k - 1] = t
                 out.append((tuple(w), rank, base_dex + t * rank))
                 t += 1
-            return True
-        i = levi_positions[pos]
-        while recurse(pos + 1, coords):
+            return
+        i, col, c = steps[pos]
+        while rank <= rank_cap:
+            recurse(pos + 1, factors, pairing, rank)
             coords[i] += 1
+            factors = [f + x for f, x in zip(factors, col)]
+            pairing += c
+            rank, rem = divmod(prod(factors), den)
+            assert rem == 0
         coords[i] = 0
-        return True
 
-    recurse(0, [0] * r)
+    recurse(0, heights, 0, 1)
     return sorted(out)
 
 
@@ -185,19 +201,41 @@ class SpaceSearch:
     note: str = ""
 
 
-def enumerate_candidates(
-    X: HomSpace,
-    d: int,
-    use_ratio: bool = True,
-    use_exceptions: bool = True,
-) -> SpaceSearch:
-    """All multisets of admissible summands with the exact rank/dex budget."""
+def _slope_bounds(
+    pool: Sequence[Tuple[Weight, int, int]]
+) -> List[Tuple[int, int, int, int]]:
+    """(rk_min, dx_min, rk_max, dx_max) per suffix pool[idx:]: least and greatest dex/rank.
+
+    Slopes are compared by cross-multiplying, so no ``Fraction`` is built.
+    """
+    out: List[Tuple[int, int, int, int]] = []
+    for _, rk, dx in reversed(pool):
+        rk_min, dx_min, rk_max, dx_max = out[-1] if out else (rk, dx, rk, dx)
+        if dx * rk_min < dx_min * rk:
+            rk_min, dx_min = rk, dx
+        if dx * rk_max > dx_max * rk:
+            rk_max, dx_max = rk, dx
+        out.append((rk_min, dx_min, rk_max, dx_max))
+    return out[::-1]
+
+
+def enumerate_candidates(X: HomSpace, d: int, use_exceptions: bool = True) -> SpaceSearch:
+    """All multisets of admissible summands with the exact rank/dex budget.
+
+    dex/rank of E_lambda(t) is <column, lambda>/norm + t, linear in the
+    weight, and the dex/rank of a multiset is a rank-weighted mean of its
+    summands'.  So a branch that still has to place rank R and dex D from
+    pool[idx:] is cut unless D/R lies between the least and greatest slope of
+    that suffix.  At the root the lower test is the ratio prune that rejects
+    a whole space (every summand has dex/rank above iota/(dim - d)).
+    """
     frank = dimension(X) - d
     iota = fano_index(X)
     if frank < 1:
         return SpaceSearch(X, [], [], False, note="no positive rank budget")
     pool = admissible_summands(X, frank, iota)
-    if use_ratio and pool and all(dx * frank > iota * rk for _, rk, dx in pool):
+    slopes = _slope_bounds(pool)
+    if pool and iota * slopes[0][0] < slopes[0][1] * frank:
         return SpaceSearch(
             X, [], [], True, note=f"every summand has dex/rank > {iota}/{frank}"
         )
@@ -215,6 +253,9 @@ def enumerate_candidates(
             found.append(tuple(chosen))
             return
         if idx == len(pool) or rank_left <= 0 or dex_left <= 0:
+            return
+        rk_min, dx_min, rk_max, dx_max = slopes[idx]
+        if dex_left * rk_min < dx_min * rank_left or dex_left * rk_max > dx_max * rank_left:
             return
         lam, rk, dx = pool[idx]
         max_copies = min(rank_left // rk, dex_left // dx)
@@ -295,14 +336,13 @@ def classify(
     spaces: Sequence[HomSpace],
     d: int,
     with_hodge: bool = True,
-    use_ratio: bool = True,
     use_exceptions: bool = True,
 ) -> ClassifyReport:
     rows: List[ClassifyRow] = []
     excluded: List[ExclusionRecord] = []
     pruned: List[Tuple[str, str]] = []
     for X in spaces:
-        search = enumerate_candidates(X, d, use_ratio, use_exceptions)
+        search = enumerate_candidates(X, d, use_exceptions)
         if search.ratio_pruned:
             pruned.append((str(X), search.note))
         excluded.extend(search.excluded)
@@ -335,10 +375,9 @@ def classify(
 def classify_exceptional(
     d: int,
     with_hodge: bool = True,
-    use_ratio: bool = True,
     use_exceptions: bool = True,
 ) -> ClassifyReport:
     """Reproduce the 4-fold (d=4) and 3-fold (d=3) tables over all 25 spaces."""
     if d not in (3, 4):
         raise ValueError("the classification search is for d in {3, 4}")
-    return classify(exceptional_spaces(), d, with_hodge, use_ratio, use_exceptions)
+    return classify(exceptional_spaces(), d, with_hodge, use_exceptions)

@@ -77,14 +77,15 @@ def dimension(X: HomSpace) -> int:
     return len(nilradical_roots(X))
 
 
+@lru_cache(maxsize=None)
 def fano_index(X: HomSpace) -> int:
-    """iota with K_X = O(-iota): k-coordinate of the sum over the nilradical."""
-    total = [0] * X.rs.rank
-    for b in nilradical_roots(X):
-        w = root_to_weight(X.rs, b)
-        for i in range(X.rs.rank):
-            total[i] += w[i]
-    return total[X.k - 1]
+    """iota with K_X = O(-iota): k-coordinate of the sum over the nilradical.
+
+    ``root_to_weight`` is linear, so the roots are summed first and
+    converted once.
+    """
+    total = [sum(column) for column in zip(*nilradical_roots(X))]
+    return root_to_weight(X.rs, total)[X.k - 1]
 
 
 def minimal_embedding_dim(X: HomSpace) -> int:

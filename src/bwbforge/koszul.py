@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import cache as _cache
 from . import repcalc as rc
-from .bwbcohom import FilteredBundle, tensor_cohomology
+from .bwbcohom import FilteredBundle, check_p_dominant, tensor_cohomology
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
 from .rootdata import Weight
@@ -369,6 +369,7 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(_irreducible_gradeds(Z, E)):
         for mu, mult in graded:
+            check_p_dominant(X, mu)
             t = mu[k]
             mu0 = X.twist(mu, -t)
             dim0 = rc.weyl_dim(X.levi, mu0)

@@ -228,7 +228,7 @@ def context_positive_roots(ctx: Context) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _weyl_kernel(
+def weyl_kernel(
     ctx: Context,
 ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...]], ...], int]:
     """Per-context data of the Weyl dimension formula, over the positive roots beta.
@@ -249,7 +249,7 @@ def weyl_dim(ctx: Context, lam: Weight) -> int:
     Weyl's formula prod_beta <lam + rho, beta^v> / <rho, beta^v> over the
     positive roots of the context, in integers: the factors are the heights
     plus lam_i times the coroot column of each nonzero coordinate i, and the
-    constant denominator comes with the context (``_weyl_kernel``).  The
+    constant denominator comes with the context (``weyl_kernel``).  The
     quotient is asserted exact; results are memoised per context.
     """
     memo = _cache.table("dim", ctx)
@@ -257,7 +257,7 @@ def weyl_dim(ctx: Context, lam: Weight) -> int:
     if got is not None:
         return got
     _require_dominant(ctx, lam)
-    heights, columns, den = _weyl_kernel(ctx)
+    heights, columns, den = weyl_kernel(ctx)
     factors = heights
     for i, col in columns:
         c = lam[i]
@@ -574,7 +574,7 @@ def symmetric_char_table(char: PackedChar, kmax: int, rank: int) -> List[PackedC
 
 
 @lru_cache(maxsize=None)
-def _invariant_form(rs: RootSystem, k: int) -> Tuple[Tuple[int, ...], int]:
+def invariant_form(rs: RootSystem, k: int) -> Tuple[Tuple[int, ...], int]:
     """Column k of ``integral_weight_gram`` and its diagonal entry.
 
     lam -> (lam, w_k)/(w_k, w_k) is the dot product with the column over the
@@ -599,7 +599,7 @@ def sum_of_weights(ctx: Context, lam: Weight) -> Weight:
     if len(ctx.omitted()) != 1:
         raise ValueError("sum_of_weights needs a Levi context omitting one node")
     k = ctx.omitted()[0]
-    column, norm = _invariant_form(ctx.rs, k)
+    column, norm = invariant_form(ctx.rs, k)
     total, rem = divmod(weyl_dim(ctx, lam) * sum(c * x for c, x in zip(column, lam)), norm)
     assert rem == 0
     return tuple(total if i == k - 1 else 0 for i in range(ctx.rs.rank))

@@ -141,7 +141,8 @@ def test_reg_ind_anchors():
     assert bott_index(G2P2, (3, -5)) is bott_index(G2P2, (0, -1)) is None
     assert page_degrees(G2P2, all_singular) == set()
     # (-1, 2) is not P2-dominant, so it is no bundle on G2/P2
-    with pytest.raises(ValueError, match="not dominant"):
+    # the refusal names the input weight, not its Levi part (-1, 0)
+    with pytest.raises(NotPDominantError, match=r"\(-1, 2\) is not P2-dominant"):
         page_degrees(G2P2, FilteredBundle.from_decomps([{(3, -5): 1}, {(-1, 2): 1}]))
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,9 @@ from bwbforge import cache
 from bwbforge import classify as cl
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology
-from bwbforge.homspace import dimension, fano_index, parse_homspace
+from bwbforge.homspace import dex, dimension, fano_index, parse_homspace
 
+import enumeration_oracle as oracle
 from char_helpers import tensor_decompose
 
 
@@ -118,8 +120,10 @@ def test_search_visits_the_same_pool(d, pools):
 
 
 def test_candidate_search_builds_no_fraction(monkeypatch):
-    X = parse_homspace("E8/P4")
-    cl.enumerate_candidates(X, 3)  # root data warm, memo tables then emptied
+    E7P1, E8P4 = parse_homspace("E7/P1"), parse_homspace("E8/P4")
+    for X in (E7P1, E8P4):  # root data warm, memo tables then emptied
+        cl.enumerate_candidates(X, 3)
+        oracle.enumerate_candidates(X, 3, use_ratio=False)
     cache.clear()
     made = []
     new = Fraction.__new__
@@ -129,12 +133,67 @@ def test_candidate_search_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    search = cl.enumerate_candidates(X, 3, use_ratio=False)
+    # a full search: the slope bounds do not cut E7/P1 at d = 3 at the root
+    frank, iota = dimension(E7P1) - 3, fano_index(E7P1)
+    rk_min, dx_min, rk_max, dx_max = cl._slope_bounds(cl.admissible_summands(E7P1, frank, iota))[0]
+    assert dx_min * frank <= iota * rk_min and iota * rk_max <= dx_max * frank
+    search = cl.enumerate_candidates(E7P1, 3)
+    assert made == [] and search.candidates == [] and not search.ratio_pruned
+    # the unpruned search on E8/P4 reads weyl_dim and dex, also in integers
+    search = oracle.enumerate_candidates(E8P4, 3, use_ratio=False)
     assert made == [] and search.candidates == []
-    # the ratio prune compares dex * (dim - d) with iota * rank in integers
+    # the root slope test compares dex * (dim - d) with iota * rank in integers
     cache.clear()
-    assert cl.enumerate_candidates(X, 3).ratio_pruned
+    assert cl.enumerate_candidates(E8P4, 3).ratio_pruned
     assert made == []
+
+
+ORACLE_SPACES = cl.search_spaces("all", 6)  # the 25 exceptional spaces first
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_search_equals_the_unbounded_oracle(d):
+    # candidates and exclusions in order, ratio_pruned and the note
+    for X in ORACLE_SPACES:
+        assert cl.enumerate_candidates(X, d) == oracle.enumerate_candidates(X, d), str(X)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_pool_ranks_and_dex_equal_weyl_dim_and_dex(d):
+    for X in ORACLE_SPACES:
+        caps = (dimension(X) - d, fano_index(X))
+        pool = cl.admissible_summands(X, *caps)
+        assert pool == oracle.admissible_summands(X, *caps), str(X)
+        for lam, rk, dx in pool:
+            assert (rk, dx) == (rc.weyl_dim(X.levi, lam), dex(X, lam)), (str(X), lam)
+
+
+def test_search_runs_without_weyl_dim_dex_or_weight_sums(monkeypatch):
+    # rank and dex come from the Weyl kernel and the invariant form in closed
+    # form: no memoised weyl_dim, dex or sum_of_weights per lattice point
+    spaces = [parse_homspace(n) for n in ("E6/P2", "E6/P3", "E7/P1", "F4/P4", "G2/P1")]
+    spaces += cl.search_spaces("all", 4)[25:]
+
+    def search():
+        out = []
+        for X in spaces:
+            for d in (3, 4):
+                pool = cl.admissible_summands(X, dimension(X) - d, fano_index(X))
+                out.append((pool, cl.enumerate_candidates(X, d)))
+        return out
+
+    want = search()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("memoised rank or dex read by the candidate search")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bwbforge"):
+            for attr in ("weyl_dim", "dex", "sum_of_weights"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    cache.clear()
+    assert search() == want
 
 
 GOLDEN_D4 = {
@@ -191,8 +250,8 @@ def test_ratio_prune_soundness_on_f4_and_g2():
     for name in ("F4/P1", "F4/P2", "F4/P3", "F4/P4", "G2/P1", "G2/P2"):
         X = parse_homspace(name)
         for d in (3, 4):
-            fast = cl.enumerate_candidates(X, d, use_ratio=True)
-            slow = cl.enumerate_candidates(X, d, use_ratio=False)
+            fast = cl.enumerate_candidates(X, d)
+            slow = oracle.enumerate_candidates(X, d, use_ratio=False)
             assert {c.weights for c in fast.candidates} == {
                 c.weights for c in slow.candidates
             }, (name, d)

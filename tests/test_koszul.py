@@ -1,4 +1,6 @@
+from itertools import product
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -638,3 +640,89 @@ def test_restricted_serre_duality_and_euler_characteristic(locus, parts):
     if got.status == "exact":
         chi = sum((-1) ** q * v for q, v in enumerate(got.dims))
         assert chi == sum((-1) ** (q - p) * v for (p, _, q), v in e1_page(Z, E).items())
+
+
+# -- the spectral solve against every differential rank its constraints allow ----
+
+
+def test_spectral_solve_certifies_more_with_an_entry_more():
+    # adding E1 entries can make a result more exact: an entry in the illegal
+    # degree n = -1 forces its differential, and that pins the rest
+    loose = _spectral_solve({(1, 0, 1): 1, (0, 0, 1): 1}, 2)
+    assert loose.status == "ambiguous"
+    assert loose.dims == [None, None, 0] and loose.bounds == {0: (0, 1), 1: (0, 1)}
+    tight = _spectral_solve({(1, 0, 1): 1, (0, 0, 1): 1, (2, 0, 1): 1}, 2)
+    assert tight.status == "exact" and tight.dims == [0, 1, 0]
+
+
+def _may_differ(a, b) -> bool:
+    """Some differential may run from entry a to entry b: n rises by one, (p, j) falls."""
+    return b[2] - b[0] == a[2] - a[0] + 1 and (b[0], b[1]) < (a[0], a[1])
+
+
+def _all_survivors(entries, d):
+    """Survivor vectors (degrees 0..d) over every integer assignment of the y_n.
+
+    Per connected component of the possible-differential graph, y_n >= 0 is
+    the total rank from degree n to n + 1, zero unless some differential may
+    run there, with y_{n-1} + y_n = E(n) at illegal degrees and <= E(n) at
+    legal ones: the constraints ``_spectral_solve`` propagates intervals over.
+    Both force y_n <= min(E(n), E(n + 1)), which bounds the enumeration.
+    """
+    keys = [k for k, v in entries.items() if v]
+    unseen, comps = set(keys), []
+    while unseen:
+        stack = [unseen.pop()]
+        comp = list(stack)
+        while stack:
+            cur = stack.pop()
+            near = {k for k in unseen if _may_differ(cur, k) or _may_differ(k, cur)}
+            unseen -= near
+            stack.extend(near)
+            comp.extend(near)
+        comps.append(comp)
+    totals = {(0,) * (d + 1)}
+    for comp in comps:
+        E = {}
+        for key in comp:
+            n = key[2] - key[0]
+            E[n] = E.get(n, 0) + entries[key]
+        linked = sorted({a[2] - a[0] for a in comp for b in comp if _may_differ(a, b)})
+        options = set()
+        for ranks in product(*(range(min(E[n], E[n + 1]) + 1) for n in linked)):
+            y = dict(zip(linked, ranks))
+            spent = {n: y.get(n - 1, 0) + y.get(n, 0) for n in E}
+            if all(
+                spent[n] <= e if 0 <= n <= d else spent[n] == e for n, e in E.items()
+            ):
+                options.add(tuple(E.get(n, 0) - spent.get(n, 0) for n in range(d + 1)))
+        totals = {tuple(map(add, t, o)) for t in totals for o in options}
+    return totals
+
+
+# most random pages are refused (an illegal entry cannot cancel); about a
+# third get certified values or bounds to check
+PAGES = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 4)),
+    st.integers(1, 3),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4), entries=PAGES)
+def test_spectral_solve_against_every_allowed_rank_assignment(d, entries):
+    values = _all_survivors(entries, d)
+    try:
+        got = _spectral_solve(entries, d)
+    except AssertionError:
+        # refused only when no assignment meets the constraints
+        assert not values
+        return
+    for n in range(d + 1):
+        seen = {v[n] for v in values}
+        if got.dims[n] is not None:
+            assert seen <= {got.dims[n]}
+        else:
+            lo, hi = got.bounds[n]
+            assert all(lo <= v <= hi for v in seen)
