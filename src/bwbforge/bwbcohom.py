@@ -5,9 +5,9 @@ lies on a wall, every cohomology group vanishes; otherwise exactly one
 survives, in degree ell(w), with dominant label w(lambda+rho)-rho.
 ``tensor_cohomology`` applies it to E (x) M for a sum E of irreducibles
 given by highest weights and an L-module M given by its character, as the
-Koszul E1 page needs it, with either factor in either role: Brauer-Klimyk
-splits the product into L-irreducibles by one W_L-climb per shifted weight
-(memoised in the ``climb`` table of the Levi context, shared with
+Koszul E1 page needs it: Brauer-Klimyk splits the product into
+L-irreducibles by one W_L-climb per shifted weight (memoised in the
+``climb`` table of the Levi context, shared with
 ``repcalc.decompose_character``), and the recipe above then runs once per
 irreducible (``cache.table("bwb", X)``), not once per weight.
 """
@@ -108,10 +108,10 @@ def tensor_cohomology(
     Kostant 1961).
 
     The rule is symmetric in its factors, so a caller may hand either factor
-    over as highest weights and the other as a character: the Koszul E1 page
-    passes {mu: 1} with the weights of Lambda^p F^*, or the Levi
-    decomposition of Lambda^p F^* with the weights of V_L(mu), whichever
-    iterates fewer weights.
+    over as highest weights and the other as a character.  The Koszul E1
+    page passes the Levi decomposition of Lambda^p F^*, twisted along w_k,
+    with the weights of V_L(mu0); a degree of lines only passes mu twisted
+    by each line, with the trivial module.
 
     ``extremes`` bounds the coordinates of the weights of ``char`` (a caller
     with a table of characters computes it once); the least and greatest

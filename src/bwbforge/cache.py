@@ -4,21 +4,24 @@ Every memo whose key holds a user weight lives here, in a plain dict per
 ``(namespace, owner)`` from :func:`table`: per context ``dim`` (Weyl
 dimensions) and ``climb`` (packed rho-shifted weight -> packed dominant
 representative, negated for an odd climb, or None on a wall; shared by
-``decompose_character`` and ``tensor_cohomology``), per space ``bwb``
+every ``repcalc.climb_tally``), per space ``bwb``
 (Levi highest weight -> degree and dimension of its cohomology).
 ``lru_cache`` is kept only on functions of root data.  :func:`stats`
 counts the entries of every table, :func:`namespace_entries` per
 namespace, and :func:`clear` empties them all.
 
 :func:`memo` keeps its results in ``table(namespace)``, keyed by the key
-object.  When a cache directory is attached (CLI flag or the
-BWBFORGE_CACHE environment variable) a miss is also pickled to one file,
-named by a sha256 of the key and stamped with a hash of the engine's
-source files, so an entry written by other code is never read.  Writers
-go through a temporary file of their own and an atomic rename; an entry
-that cannot be read back is counted in ``stats()["corrupt"]`` and
-recomputed; ``clear(disk=True)`` also removes the temporary files that
-killed writers left behind.
+object: ``char`` (Levi and group characters) and ``wedge_decomps`` (the
+Levi decompositions of the wedge powers of F^*, per locus).  The
+``wedge_chars`` namespace fills only when ``koszul.wedge_dual_chars`` is
+called, which no engine route does.  When a cache directory is attached
+(CLI flag or the BWBFORGE_CACHE environment variable) a miss is also
+pickled to one file, named by a sha256 of the key and stamped with a hash
+of the engine's source files, so an entry written by other code is never
+read.  Writers go through a temporary file of their own and an atomic
+rename; an entry that cannot be read back is counted in
+``stats()["corrupt"]`` and recomputed; ``clear(disk=True)`` also removes
+the temporary files that killed writers left behind.
 """
 
 from __future__ import annotations

@@ -360,7 +360,7 @@ def classify(
                     space=str(X),
                     dim=dimension(X),
                     iota=fano_index(X),
-                    bundle=str(cand.bundle()),
+                    bundle=str(Z.bundle),
                     weights=cand.weights,
                     d=d,
                     orbit_tag=cand.orbit_tag(),

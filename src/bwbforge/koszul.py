@@ -5,17 +5,18 @@ of rank f on X, the Koszul complex resolves O_Z by the wedge powers of F^*.
 Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
 purely from Borel-Weil-Bott data.
 
-The wedge powers come from ``repcalc.exterior_char_table``, the per-weight
-product prod (1 + t x^nu) over the weights nu of F^*, up to half the rank
-f; Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*, gives
-the rest, characters and Levi decompositions (``wedge_dual_decomps``, once
-per locus) alike.  ``e1_page`` reads each E_1 entry off by Brauer-Klimyk,
-over the smaller factor: for every irreducible piece E_mu of E and every p,
-``bwbcohom.tensor_cohomology`` either shifts the weights of Lambda^p F^* by
-mu, or the weights of V_L(mu) by each Levi highest weight of Lambda^p F^*,
-whichever is fewer steps.  The rule is symmetric in its factors, and either
-way the shifted weights are summed into L-irreducibles and Borel-Weil-Bott
-runs once per irreducible, so no tensor product is ever expanded.
+The wedge powers are Levi decompositions built from the summands of F:
+Lambda(A + B) = Lambda(A) (x) Lambda(B), so ``wedge_dual_decomps``
+multiplies the exterior powers of each irreducible summand of F^* into a
+running product by Brauer-Klimyk, up to half the rank f, and a line
+summand only twists; Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^*
+(x) det F^*, gives the rest, once per locus.  No character of a whole
+Lambda^p F^* is built.  ``e1_page`` reads each E_1 entry off by
+Brauer-Klimyk on the Levi side: for every irreducible piece E_mu of E and
+every p, ``bwbcohom.tensor_cohomology`` shifts the weights of V_L(mu) by
+each Levi highest weight of Lambda^p F^*, the shifted weights are summed
+into L-irreducibles and Borel-Weil-Bott runs once per irreducible, so no
+tensor product is ever expanded.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -33,6 +34,7 @@ reported as bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import cache as _cache
@@ -40,7 +42,7 @@ from . import repcalc as rc
 from .bwbcohom import FilteredBundle, check_p_dominant, tensor_cohomology
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
-from .rootdata import Weight
+from .rootdata import Weight, add, rho, sub
 
 
 class EmptyLocusError(ValueError):
@@ -146,6 +148,11 @@ class ZeroLocus:
 def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     """Characters of Lambda^p F^* for p = 0..rank(F).
 
+    No engine route calls it: the E1 page reads only the Levi
+    decompositions of ``wedge_dual_decomps``, built from the summands of F.
+    The benchmark warms its ``restrict-mix`` loci through this name, and
+    the tests keep it as their per-weight oracle.
+
     Degrees up to f // 2 come from the per-weight product, the rest by Koszul
     duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*: the weights of
     degree f - p are det - nu for the weights nu of degree p.  det F^*, the
@@ -168,24 +175,107 @@ def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     return _cache.memo("wedge_chars", (str(Z.space), Z.bundle.summands), compute)
 
 
+def _exterior_decomps(levi: rc.Context, lam: Weight, kmax: int) -> List[rc.IrrDecomp]:
+    """Levi decompositions of Lambda^c V_L(lam) for c = 0..min(dim, kmax).
+
+    Decomposed from the per-weight product of the one small module.
+    """
+    char = rc.char_irr(levi, lam)
+    table = rc.exterior_char_table(char, min(rc.weyl_dim(levi, lam), kmax), levi.rs.rank)
+    return [rc.decompose_character(levi, ch) for ch in table]
+
+
+def _graded_product(
+    levi: rc.Context, left: List[rc.IrrDecomp], right: List[rc.IrrDecomp], kmax: int
+) -> List[rc.IrrDecomp]:
+    """Degrees 0..kmax of the graded tensor product of two Levi decompositions.
+
+    Brauer-Klimyk, one ``climb_tally`` per irreducible nu of ``right`` and
+    degree of ``left``: the weights of V_L(nu) are shifted by every highest
+    weight of that degree, whose extremes are range-checked first.
+    """
+    rank, rr = levi.rs.rank, rho(levi.rs)
+    lift = rc.packed_offset(rr)
+    degrees = [
+        (
+            a,
+            add([min(column) for column in zip(*shifts)], rr),
+            add([max(column) for column in zip(*shifts)], rr),
+            [(rc.packed_offset(s) + lift, m) for s, m in shifts.items()],
+        )
+        for a, shifts in enumerate(left)
+        if shifts
+    ]
+    out = [dict(left[a]) if a < len(left) else {} for a in range(kmax + 1)]
+    for c in range(1, min(len(right) - 1, kmax) + 1):
+        for nu, n in right[c].items():
+            char = rc.char_irr(levi, nu)
+            lo, hi = rc.char_extremes(char, rank)
+            for a, low, high, pairs in degrees:
+                if a + c > kmax:
+                    break
+                rc.check_packable(add(low, lo), add(high, hi))
+                target = out[a + c]
+                for y, m in rc.climb_tally(levi, char, pairs).items():
+                    lam = sub(rc.unpack(y, rank), rr)
+                    target[lam] = target.get(lam, 0) + n * m
+    return out
+
+
 def wedge_dual_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
     """Levi decompositions {lambda: m} of Lambda^p F^* for p = 0..rank(F).
 
-    Degrees up to f // 2 are decomposed from ``wedge_dual_chars``; degree
-    f - p is then the dual of degree p twisted by det F^* = O(-dex F).  Built
-    on first use, not with the characters, so a caller that only needs the
-    characters never pays for them.
+    Lambda(A + B) = Lambda(A) (x) Lambda(B) as graded modules, so degrees
+    up to f // 2 are a running product over the summands of F^*, and no
+    character of the whole Lambda^p F^* is built.  Each nontrivial
+    irreducible V contributes its ``_exterior_decomps``, multiplied in by
+    ``_graded_product``; a line summand O(-t)^m then contributes C(m, c)
+    copies of the twist by -ct in degree c, with no climb.  The top degree,
+    det F^*, is the sum of the weights of the summands, checked against
+    the closed-form O(-dex F).  Degree f - p is the dual of degree p
+    twisted by det F^*.
     """
 
     def compute():
         X, levi, dex = Z.space, Z.space.levi, Z.bundle.dex
-        chars = wedge_dual_chars(Z)
-        f = len(chars) - 1
-        lower = [rc.decompose_character(levi, char) for char in chars[: f // 2 + 1]]
+        f, half = Z.bundle.rank, Z.bundle.rank // 2
+        zero = (0,) * X.rs.rank
+        det, graded = zero, [{zero: 1}]
+        modules, lines = [], []
+        for lam, m in Z.bundle.dual().summands:
+            if any(lam[i - 1] for i in levi.levi):
+                modules.append((lam, m))
+            else:
+                lines.append((lam[X.k - 1], m))
+                det = X.twist(det, m * lam[X.k - 1])
+        # a product step climbs dim V_L(nu) weights per running highest
+        # weight, 2^dim V per Lambda V: the largest V goes first
+        modules.sort(key=lambda summand: -rc.weyl_dim(levi, summand[0]))
+        for lam, m in modules:
+            for v, mult in rc.char_irr(levi, lam).items():
+                det = add(det, tuple(m * mult * c for c in rc.unpack(v, X.rs.rank)))
+            powers = _exterior_decomps(levi, lam, half)
+            for _ in range(m):
+                # times the trivial module, the factor itself: no character
+                # of its Levi modules, which can be large, is built
+                if graded == [{zero: 1}]:
+                    graded = powers
+                else:
+                    graded = _graded_product(levi, graded, powers, half)
+        for t, m in lines:
+            out: List[rc.IrrDecomp] = [{} for _ in range(half + 1)]
+            for a, dec in enumerate(graded):
+                for c in range(min(m, half - a) + 1):
+                    target, n = out[a + c], comb(m, c)
+                    for lam, mult in dec.items():
+                        key = X.twist(lam, c * t)
+                        target[key] = target.get(key, 0) + n * mult
+            graded = out
+        assert det == X.line(-dex), "det F^* is not O(-dex F)"
         dual = rc.dual_highest_weight
-        return lower + [
-            {X.twist(dual(levi, lam), -dex): m for lam, m in lower[f - p].items()}
-            for p in range(f // 2 + 1, f + 1)
+        return graded + [
+            {X.twist(dual(levi, lam), -dex): m for lam, m in graded[f - p].items()}
+            for p in range(half + 1, f + 1)
         ]
 
     return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)
@@ -349,40 +439,42 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     """The Koszul E_1 page of E|_Z: {(p, j, q): dim H^q(X, Lambda^p F^* (x) gr_j E)}.
 
     Each entry is read off by Brauer-Klimyk without expanding the product,
-    for every irreducible E_mu of gr_j E and every p, from whichever factor
-    has fewer weights to shift.  Write mu = mu0 + t w_k with mu0[k] = 0;
-    w_k is a character of L, so V_L(mu) is V_L(mu0) twisted by it.  When
-    dim V_L(mu0) times the number of Levi irreducibles lambda of
-    Lambda^p F^* is below the number of its weights, ``tensor_cohomology``
-    shifts the weights of V_L(mu0) by every lambda + t w_k; otherwise it
-    shifts the weights of Lambda^p F^* by mu.  Only nonzero entries are
-    kept, sorted; a negative total would mean the input was not a genuine
-    module, and raises.
+    for every irreducible E_mu of gr_j E and every p, on the Levi side.
+    Write mu = mu0 + t w_k with mu0[k] = 0; w_k is a character of L, so
+    V_L(mu) is V_L(mu0) twisted by it, and ``tensor_cohomology`` shifts the
+    weights of V_L(mu0) by every lambda + t w_k, for the Levi highest
+    weights lambda of Lambda^p F^* (``wedge_dual_decomps``).  A degree whose
+    lambdas are all lines only twists: V_L(mu) (x) O(lambda) is
+    V_L(mu + lambda), one shift each of the trivial module, so the weights
+    of V_L(mu0) are never built on a rank-0 or all-line F.
+    ``tensor_cohomology`` range-checks the extremes of the shifts, so a
+    twist that would leave the packed field raises
+    ``repcalc.WeightRangeError``.  Only nonzero entries are kept, sorted; a
+    negative total would mean the input was not a genuine module, and raises.
     """
     X = Z.space
-    k = X.k - 1
-    wedges = wedge_dual_chars(Z)
-    decomps = wedge_dual_decomps(Z)
-    extremes = rc.power_extremes(
-        wedges[1] if len(wedges) > 1 else {}, len(wedges) - 1, X.rs.rank
-    )
+    k, rank = X.k - 1, X.rs.rank
+    point = {rc.pack((0,) * rank): 1}, ((0,) * rank, (0,) * rank)
+    pages = [
+        (decomp, all(not lam[i - 1] for lam in decomp for i in X.levi.levi))
+        for decomp in wedge_dual_decomps(Z)
+    ]
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(_irreducible_gradeds(Z, E)):
         for mu, mult in graded:
             check_p_dominant(X, mu)
             t = mu[k]
-            mu0 = X.twist(mu, -t)
-            dim0 = rc.weyl_dim(X.levi, mu0)
-            levi_char = None
-            for p, (wedge, decomp) in enumerate(zip(wedges, decomps)):
-                if dim0 * len(decomp) < len(wedge):
-                    if levi_char is None:
-                        levi_char = rc.char_irr(X.levi, mu0)
-                        levi_extremes = rc.char_extremes(levi_char, X.rs.rank)
-                    shifts = {X.twist(lam, t): m for lam, m in decomp.items()}
-                    dims = tensor_cohomology(X, shifts, levi_char, levi_extremes)
+            levi = None
+            for p, (decomp, lines) in enumerate(pages):
+                if lines:
+                    shifts = {X.twist(mu, lam[k]): m for lam, m in decomp.items()}
+                    dims = tensor_cohomology(X, shifts, *point)
                 else:
-                    dims = tensor_cohomology(X, {mu: 1}, wedge, extremes)
+                    if levi is None:
+                        char = rc.char_irr(X.levi, X.twist(mu, -t))
+                        levi = char, rc.char_extremes(char, rank)
+                    shifts = {X.twist(lam, t): m for lam, m in decomp.items()}
+                    dims = tensor_cohomology(X, shifts, *levi)
                 for q, n in dims.items():
                     key = (p, j, q)
                     entries[key] = entries.get(key, 0) + mult * n

@@ -21,7 +21,8 @@ Shifting every weight by a dominant lambda first gives V(lambda) (x) M by
 Brauer-Klimyk, which is the one route for tensor products.  The rule is
 symmetric in its two factors (Klimyk 1968; Humphreys, Introduction to Lie
 Algebras, 24 ex. 9), so either factor may supply the weights: the Koszul
-E1 page shifts whichever has fewer.
+E1 page shifts the weights of a Levi irreducible V_L(mu) by the Levi
+highest weights of each wedge power.
 
 Wedge and symmetric powers have one routine as well: the per-weight
 product of (1 + t x^nu), resp. 1/(1 - t x^nu), over the weights nu of the

@@ -60,7 +60,7 @@ def test_memory_entries_count_every_table():
     restricted_cohomology(Z, BundleSum.make(X, {X.line(-3): 1}))
     climb = len(cache.table("climb", X.levi))
     assert climb > 0
-    assert cache.stats()["memory_entries"] >= climb + len(cache.table("wedge_chars"))
+    assert cache.stats()["memory_entries"] >= climb + len(cache.table("wedge_decomps"))
     cache.clear()
     assert cache.stats()["memory_entries"] == 0
     assert cache.table("climb", X.levi) == {}

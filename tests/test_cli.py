@@ -1,11 +1,14 @@
+import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from bwbforge import cache as _cache
+from bwbforge import koszul
 from bwbforge.bwbcohom import bundle_cohomology, bwb
 from bwbforge.cli import ParseError, main, parse_bundle, parse_weight
 from bwbforge.homspace import parse_homspace
@@ -178,7 +181,7 @@ def test_verbose_changes_only_stderr():
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stdout == loud.stdout and quiet.stderr == ""
     # one line naming the in-memory entries of each memo namespace
-    assert "climb " in loud.stderr and "bwb " in loud.stderr and "wedge_chars " in loud.stderr
+    assert "climb " in loud.stderr and "bwb " in loud.stderr and "wedge_decomps " in loud.stderr
 
 
 def test_hodge_dimension_mismatch_is_an_error():
@@ -387,6 +390,43 @@ def test_bwb_climbs_without_the_word_climber(monkeypatch, capsys):
     monkeypatch.delenv("BWBFORGE_CACHE", raising=False)
     monkeypatch.setattr(_cache, "_dir", None)
     argvs = (["--format", "json", "bwb", "G2/P2", "O(-6)"], ["cohomology", "E6/P2", "w1^2 + O(1)^5"])
+    cases = [case for case in GOLDEN if case[0] in argvs]
+    assert len(cases) == len(argvs)
+    for argv, code, digest, err in cases:
+        assert main(argv) == code
+        out, got_err = capsys.readouterr()
+        assert (hashlib.sha256(out.encode()).hexdigest(), got_err) == (digest, err)
+
+
+def test_engine_never_calls_wedge_dual_chars(monkeypatch, capsys):
+    # koszul.wedge_dual_chars is kept for the benchmark warm-up and as the
+    # tests' per-weight oracle; the E1 page reads only Levi decompositions
+    package = os.path.dirname(koszul.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            calls = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and "wedge_dual_chars" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ]
+            assert calls == [], f"{name} calls wedge_dual_chars at lines {calls}"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wedge_dual_chars called from the engine")
+
+    monkeypatch.setattr(koszul, "wedge_dual_chars", refuse)
+    monkeypatch.delenv("BWBFORGE_CACHE", raising=False)
+    monkeypatch.setattr(_cache, "_dir", None)
+    _cache.clear()
+    argvs = (
+        ["--format", "table", "ext", "F4/P4", "w1 + O(1)^4", "2"],
+        ["cohomology", "E6/P2", "w1^2 + O(1)^5"],
+        ["--format", "json", "hodge", "G2/P2", "O(3)", "--d", "4"],
+        ["--allow-bounds", "--format", "json", "hodge", "F4/P4", "w1 + O(1)^4", "--d", "4"],
+    )
     cases = [case for case in GOLDEN if case[0] in argvs]
     assert len(cases) == len(argvs)
     for argv, code, digest, err in cases:

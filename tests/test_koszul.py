@@ -569,6 +569,78 @@ def test_wedge_overflow_is_refused():
         wedge_dual_chars(Z)
 
 
+def test_restricted_cohomology_refuses_the_wedge_overflow():
+    # the line summands are twisted in unpacked, so the refusal comes from
+    # the range check of the shifts: Lambda^2 F^* = O(-40001)
+    Z = mk("G2/P2", {(0, 20000): 1, (0, 20001): 1})
+    with pytest.raises(rc.WeightRangeError):
+        restricted_cohomology(Z, None)
+
+
+# -- wedge decompositions built from the summands of F ----------------------------
+
+SUM_SPACES = (
+    [f"G2/P{k}" for k in (1, 2)]
+    + [f"F4/P{k}" for k in range(1, 5)]
+    + [f"E6/P{k}" for k in range(1, 7)]
+    + [f"{family}{r}/P{k}" for family, ranks in (("A", range(2, 6)), ("B", range(2, 6)),
+                                                  ("C", range(3, 6)), ("D", range(4, 6)))
+       for r in ranks for k in range(1, r + 1)]
+)
+
+
+@st.composite
+def bundle_sums(draw, max_rank=20, max_summand=8):
+    """A sum of lines and twisted Levi modules w_i, 2 w_i or w_i + w_j, repeated.
+
+    Among them are modules whose wedges have multiplicities, such as the
+    adjoint module of an A2 Levi factor.
+    """
+    X = parse_homspace(draw(st.sampled_from(SUM_SPACES)))
+    room = min(max_rank, dimension(X))
+    pool = [X.line(1), X.line(2)]
+    for i, j in product(X.levi.levi, repeat=2):
+        if i <= j:
+            lam = tuple(int(n == i) + int(n == j) for n in range(1, X.rs.rank + 1))
+            if rc.weyl_dim(X.levi, lam) <= min(max_summand, room):
+                pool += [lam, X.twist(lam, 1)]
+    weights = {}
+    for lam, m in draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 4)),
+                                min_size=1, max_size=3)):
+        m = min(m, room // rc.weyl_dim(X.levi, lam))
+        if m:
+            weights[lam] = weights.get(lam, 0) + m
+            room -= m * rc.weyl_dim(X.levi, lam)
+    return ZeroLocus(X, BundleSum.make(X, weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(Z=st.one_of(
+    st.sampled_from([mk("E6/P3", {w(6, i6=1): 4}), mk("E6/P3", {w(6, i6=1): 3, w(6, i1=1): 3}),
+                     mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1}),
+                     # twice the adjoint module of an A2 factor, whose wedges have multiplicities
+                     mk("E6/P4", {w(6, i5=1, i6=1): 2, w(6, i4=1): 1})]),
+    bundle_sums(),
+))
+def test_wedge_decomps_from_summands_equal_the_full_table(Z):
+    # Lambda(A + B) = Lambda(A) (x) Lambda(B): the running product over the
+    # summands equals the decomposition of the whole per-weight product
+    full = rc.exterior_char_table(Z.bundle.dual().char(), Z.bundle.rank, Z.space.rs.rank)
+    assert wedge_dual_decomps(Z) == [rc.decompose_character(Z.space.levi, ch) for ch in full]
+
+
+def test_b9_p8_wedge_decomps_have_binomial_dimensions():
+    # rank 48: the per-weight product of the whole F^* runs out of memory
+    # before degree 24, the product over its summands does not
+    X = parse_homspace("B9/P8")
+    Z = ZeroLocus(X, BundleSum.make(X, {w(9, i9=1): 3, X.line(1): 2, w(9, i1=1): 5}))
+    decomps = wedge_dual_decomps(Z)
+    assert Z.bundle.rank == 48 and len(decomps) == 49
+    for p, decomp in enumerate(decomps):
+        assert decomp_dim(X.levi, decomp) == comb(48, p)
+    assert decomps[48] == {X.line(-Z.bundle.dex): 1}
+
+
 # -- the two factor orders of the E1 kernel --------------------------------------
 
 
