@@ -219,7 +219,7 @@ def _slope_bounds(
     return out[::-1]
 
 
-def enumerate_candidates(X: HomSpace, d: int, use_exceptions: bool = True) -> SpaceSearch:
+def enumerate_candidates(X: HomSpace, d: int) -> SpaceSearch:
     """All multisets of admissible summands with the exact rank/dex budget.
 
     dex/rank of E_lambda(t) is <column, lambda>/norm + t, linear in the
@@ -242,9 +242,7 @@ def enumerate_candidates(X: HomSpace, d: int, use_exceptions: bool = True) -> Sp
     if not pool:
         return SpaceSearch(X, [], [], False, note="no admissible summands")
 
-    exceptions = {
-        e.weight: e for e in EXCEPTION_LIST if e.space == str(X)
-    } if use_exceptions else {}
+    exceptions = {e.weight: e for e in EXCEPTION_LIST if e.space == str(X)}
 
     found: List[Tuple[Tuple[Weight, int], ...]] = []
 
@@ -333,16 +331,13 @@ class ClassifyReport:
 
 
 def classify(
-    spaces: Sequence[HomSpace],
-    d: int,
-    with_hodge: bool = True,
-    use_exceptions: bool = True,
+    spaces: Sequence[HomSpace], d: int, with_hodge: bool = True
 ) -> ClassifyReport:
     rows: List[ClassifyRow] = []
     excluded: List[ExclusionRecord] = []
     pruned: List[Tuple[str, str]] = []
     for X in spaces:
-        search = enumerate_candidates(X, d, use_exceptions)
+        search = enumerate_candidates(X, d)
         if search.ratio_pruned:
             pruned.append((str(X), search.note))
         excluded.extend(search.excluded)
@@ -372,12 +367,8 @@ def classify(
     return ClassifyReport(d, rows, excluded, pruned)
 
 
-def classify_exceptional(
-    d: int,
-    with_hodge: bool = True,
-    use_exceptions: bool = True,
-) -> ClassifyReport:
+def classify_exceptional(d: int, with_hodge: bool = True) -> ClassifyReport:
     """Reproduce the 4-fold (d=4) and 3-fold (d=3) tables over all 25 spaces."""
     if d not in (3, 4):
         raise ValueError("the classification search is for d in {3, 4}")
-    return classify(exceptional_spaces(), d, with_hodge, use_exceptions)
+    return classify(exceptional_spaces(), d, with_hodge)

@@ -282,7 +282,6 @@ def _classify_cmd(args) -> Reply:
     rep = _classify.classify(
         _classify.search_spaces(args.family, args.max_rank), args.d,
         with_hodge=not args.no_hodge,
-        use_exceptions=not args.no_exceptions,
     )
     rows = [
         {"space": r.space, "dim": r.dim, "iota": r.iota, "bundle": r.bundle,
@@ -375,8 +374,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sp.add_argument("--family", choices=("exceptional", "all"), default="exceptional")
     sp.add_argument("--max-rank", type=int, default=4,
                     help="rank cap for classical groups with --family all")
-    sp.add_argument("--no-exceptions", action="store_true",
-                    help="keep candidates whose summands are on the exception list")
     sp.add_argument("--no-hodge", action="store_true",
                     help="emit the numeric candidates without Hodge rows")
     sp = sub.add_parser("cache", help="persistent cache control")

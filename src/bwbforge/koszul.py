@@ -103,12 +103,18 @@ class BundleSum:
         return out
 
     def __str__(self):
-        """Round-trippable rendering in the w/O bundle grammar of the CLI."""
+        """Round-trippable rendering in the w/O bundle grammar of the CLI.
+
+        ``w<indices>`` reads one digit per node, so a summand with a nonzero
+        Levi coordinate at a node >= 10 is written as ``[c1,...,cr]``.
+        """
         parts = []
         for lam, m in self.summands:
             t = lam[self.X.k - 1]
             levi = [(i + 1, c) for i, c in enumerate(lam) if c and i != self.X.k - 1]
-            if not levi:
+            if levi and levi[-1][0] >= 10:
+                s = "[" + ",".join(map(str, lam)) + "]"
+            elif not levi:
                 s = f"O({t})"
             else:
                 s = "w" + "".join(str(i) * c for i, c in levi)

@@ -9,7 +9,8 @@ Characters are dicts mapping a packed weight (see ``pack``/``unpack``) to a
 positive integer multiplicity; formal sums of irreducibles (IrrDecomp) are
 dicts mapping highest-weight tuples to multiplicities.  Everything is exact
 big-integer arithmetic, the Freudenthal recursion included: it reads the
-invariant form as D times itself (``rootdata.integral_weight_gram``) and
+invariant form through its integer Gram matrix B on the fundamental weights
+(``rootdata.integral_weight_gram``, a positive multiple of the form), and
 asserts that every multiplicity is an exact quotient; ``char_irr`` checks
 the total against the Weyl dimension.
 
@@ -402,13 +403,14 @@ def decompose_character(
 
 @lru_cache(maxsize=None)
 def _freudenthal_roots(ctx: Context) -> Tuple[Tuple[Weight, Tuple[int, ...], int], ...]:
-    """Per positive root beta of ctx: beta in the weight basis, D (beta, -) and D (beta, beta).
+    """Per positive root beta of ctx: beta in the weight basis, B(beta, -) and B(beta, beta).
 
-    D (beta, -) is a row of D times the invariant form (``integral_weight_gram``),
-    so it pairs with a weight by a dot product.
+    B is the integer multiple of the invariant form given by
+    ``integral_weight_gram``; B(beta, -) is a row of it, so it pairs with a
+    weight by a dot product.
     """
     rs = ctx.rs
-    _, gram = integral_weight_gram(rs)
+    gram = integral_weight_gram(rs)
     out = []
     for b in context_positive_roots(ctx):
         beta_w = root_to_weight(rs, b)
@@ -425,9 +427,9 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
     mu - (q + mu_i) alpha_i, so mu - alpha_i is a weight exactly when q + mu_i
     is positive; q is read off the weights above mu, whose levels are
     complete by then.  Freudenthal's recursion only reads higher levels.
-    The invariant form enters as D times itself, so no rational number is
-    formed: every multiplicity is an exact positive quotient of integers,
-    which is asserted.
+    The invariant form enters as its integer multiple B, whose scale cancels
+    in the quotient, so no rational number is formed: every multiplicity is
+    an exact positive quotient of integers, which is asserted.
     """
     rank = ctx.rs.rank
     rr = rho(ctx.rs)
@@ -454,10 +456,10 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
         frontier = nxt
 
     roots = _freudenthal_roots(ctx)
-    _, gram = integral_weight_gram(ctx.rs)
+    gram = integral_weight_gram(ctx.rs)
 
     def norm(w: Weight) -> int:
-        # D (w, w)
+        # B(w, w)
         return sum(w[i] * w[j] * gram[i][j] for i in range(rank) for j in range(rank))
 
     lam_norm = norm(add(lam, rr))
@@ -468,7 +470,7 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
             nu = tuple([x + y for x, y in zip(mu, beta_w)])
             if nu not in mults:
                 continue
-            # D (mu + k beta, beta) = D (mu, beta) + k D (beta, beta)
+            # B(mu + k beta, beta) = B(mu, beta) + k B(beta, beta)
             pair = sum([x * y for x, y in zip(form, mu)])
             k = 1
             while nu in mults:
@@ -579,9 +581,9 @@ def invariant_form(rs: RootSystem, k: int) -> Tuple[Tuple[int, ...], int]:
     """Column k of ``integral_weight_gram`` and its diagonal entry.
 
     lam -> (lam, w_k)/(w_k, w_k) is the dot product with the column over the
-    entry: the scale D of the Gram matrix cancels.
+    entry: the scale of the Gram matrix cancels.
     """
-    _, gram = integral_weight_gram(rs)
+    gram = integral_weight_gram(rs)
     return tuple(row[k - 1] for row in gram), gram[k - 1][k - 1]
 
 

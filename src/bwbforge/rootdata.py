@@ -20,22 +20,18 @@ convention under which e.g. the F4 weight (0,0,0,1) moves through
 (0,0,1,-1), (0,1,-1,0), (1,-1,1,0), (1,0,-1,1), (1,0,0,-1) under
 s4,s3,s2,s3,s4.
 
-Exactness: everything the engine reads from here is an integer.  Only two
-things are rational: ``root_length_halves`` (long roots normalised to
-d = 1), which is scaled to integers by the lcm of its denominators before
-any use, and the one inverse of the Cartan matrix behind
-``integral_weight_gram``, which is cleared to integers there.  The pairing
-matrix, the coroot vectors and the Gram matrix of the invariant form are
-integers, and each quotient that defines a coroot coordinate is asserted
-exact.
+Exactness: everything here is an integer, and no rational number is formed.
+The root lengths enter as integral halves ``e_i`` (the shortest simple root
+has e = 1), the pairing matrix and the coroot vectors are integers, each
+quotient that defines a coroot coordinate is asserted exact, and the Gram
+matrix of the invariant form on weights is summed from the coroots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from typing import Optional, Sequence, Tuple
 
 Weight = Tuple[int, ...]
@@ -90,36 +86,27 @@ class RootSystem:
             return ((1, 2), (2, 3), (3, 4))
         return ((1, 2),)  # G2
 
-    def root_length_halves(self) -> Tuple[Fraction, ...]:
-        """d_i = (alpha_i, alpha_i)/2 with long roots normalised to d = 1."""
-        r = self.rank
-        if self.family in ("A", "D", "E"):
-            return tuple([Fraction(1)] * r)
-        if self.family == "B":
-            return tuple([Fraction(1)] * (r - 1) + [Fraction(1, 2)])
-        if self.family == "C":
-            return tuple([Fraction(1, 2)] * (r - 1) + [Fraction(1)])
-        if self.family == "F":
-            return (Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2))
-        return (Fraction(1, 3), Fraction(1))  # G2
-
 
 @lru_cache(maxsize=None)
 def _integral_length_halves(rs: RootSystem) -> Tuple[int, ...]:
-    """The d_i of ``root_length_halves`` times the lcm of their denominators.
+    """e_i = (alpha_i, alpha_i)/2 in units of the shortest simple root.
 
     G2 gives (1, 3); B, C and F give 1 and 2; simply laced types all 1.  The
     integral form sum_ij x_i y_j e_i A[i][j] on simple-root coordinates is then
-    the invariant form times that lcm.
+    a positive multiple of the invariant form.
     """
-    d = rs.root_length_halves()
-    s = lcm(*(x.denominator for x in d))
-    return tuple(int(x * s) for x in d)
+    r = rs.rank
+    return {
+        "B": (2,) * (r - 1) + (1,),
+        "C": (1,) * (r - 1) + (2,),
+        "F": (2, 2, 1, 1),
+        "G": (1, 3),
+    }.get(rs.family, (1,) * r)
 
 
 @lru_cache(maxsize=None)
-def _pairing_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
-    """A[i][j] = <alpha_{j+1}, alpha_{i+1}^v>, so alpha_j is column j in w-basis."""
+def cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """A[i][j] = <alpha_{j+1}, alpha_{i+1}^v>, so alpha_j is column j in the w-basis."""
     r = rs.rank
     e = _integral_length_halves(rs)
     A = [[0] * r for _ in range(r)]
@@ -127,23 +114,18 @@ def _pairing_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
         A[i][i] = 2
     for a, b in rs.edges():
         i, j = a - 1, b - 1
-        # (alpha_i, alpha_j) = -max(d_i, d_j) for every bonded pair in finite
-        # type, and <alpha_i, alpha_j^v> = (alpha_i, alpha_j)/d_j
+        # on the scale of e, (alpha_i, alpha_j) = -max(e_i, e_j) for every bonded
+        # pair in finite type, and <alpha_i, alpha_j^v> = (alpha_i, alpha_j)/e_j
         prod = -max(e[i], e[j])
         A[j][i] = prod // e[j]  # <alpha_i, alpha_j^v>
         A[i][j] = prod // e[i]  # <alpha_j, alpha_i^v>
     return tuple(tuple(row) for row in A)
 
 
-def cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
-    """Cartan matrix with column j holding alpha_{j+1} in the w-basis."""
-    return _pairing_matrix(rs)
-
-
 @lru_cache(maxsize=None)
 def simple_root_weight(rs: RootSystem, i: int) -> Weight:
     """alpha_i (1-based) expressed in the fundamental-weight basis."""
-    A = _pairing_matrix(rs)
+    A = cartan_matrix(rs)
     return tuple(A[m][i - 1] for m in range(rs.rank))
 
 
@@ -177,7 +159,7 @@ def positive_roots(rs: RootSystem) -> Tuple[Root, ...]:
     deterministic order: graded lexicographic by height, then coordinates.
     """
     r = rs.rank
-    A = _pairing_matrix(rs)
+    A = cartan_matrix(rs)
     simple = [tuple(1 if m == i else 0 for m in range(r)) for i in range(r)]
     roots = set(simple)
     layer = list(simple)
@@ -207,7 +189,7 @@ def positive_roots(rs: RootSystem) -> Tuple[Root, ...]:
 
 def root_to_weight(rs: RootSystem, beta: Root) -> Weight:
     """Convert simple-root coordinates to fundamental-weight coordinates."""
-    A = _pairing_matrix(rs)
+    A = cartan_matrix(rs)
     r = rs.rank
     return tuple(sum(A[i][j] * beta[j] for j in range(r)) for i in range(r))
 
@@ -216,11 +198,11 @@ def root_to_weight(rs: RootSystem, beta: Root) -> Weight:
 def coroot_vector(rs: RootSystem, beta: Root) -> Tuple[int, ...]:
     """Integer vector k with <w, beta^v> = sum_i k_i w_i for weights w.
 
-    k_i = 2 beta_i d_i / (beta, beta), read with the integral halves e_i = s d_i:
-    s (beta, beta) = sum_ij beta_i beta_j e_i A[i][j], and each quotient
-    2 beta_i e_i / s (beta, beta) is asserted exact.
+    k_i = 2 beta_i e_i / (beta, beta), both read on the scale of the integral
+    halves e: (beta, beta) = sum_ij beta_i beta_j e_i A[i][j], and each
+    quotient is asserted exact.
     """
-    A = _pairing_matrix(rs)
+    A = cartan_matrix(rs)
     e = _integral_length_halves(rs)
     r = rs.rank
     norm = sum(beta[i] * beta[j] * e[i] * A[i][j] for i in range(r) for j in range(r))
@@ -233,46 +215,22 @@ def coroot_vector(rs: RootSystem, beta: Root) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weight_to_root_matrix(rs: RootSystem) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Inverse of the Cartan matrix: weight coords -> simple-root coords."""
-    r = rs.rank
-    A = [[Fraction(x) for x in row] for row in _pairing_matrix(rs)]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next(row for row in range(col, r) if A[row][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for row in range(r):
-            if row != col and A[row][col] != 0:
-                f = A[row][col]
-                A[row] = [x - f * y for x, y in zip(A[row], A[col])]
-                inv[row] = [x - f * y for x, y in zip(inv[row], inv[col])]
-    return tuple(tuple(row) for row in inv)
+def integral_weight_gram(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """G[i][j] = D (w_{i+1}, w_{j+1}) for the least D making every entry an integer.
 
-
-@lru_cache(maxsize=None)
-def integral_weight_gram(rs: RootSystem) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """(D, G) with G[i][j] = D * (w_{i+1}, w_{j+1}) integral, D least such.
-
-    ``sum a_i G[i][j] b_j`` is D times the invariant form of the weights a and b.
-    Since (alpha_k, w_j) = d_j if k = j and 0 otherwise, and w_i has simple-root
-    coordinates inv[k][i], (w_i, w_j) = inv[j][i] * d_j.
+    ``sum a_i G[i][j] b_j`` is D times the invariant form of the weights a and
+    b.  Bourbaki's canonical form sum_beta <x, beta^v><y, beta^v> (Lie VI
+    1.12) is W-invariant and positive definite, so on an irreducible root
+    system it is a positive multiple of the invariant form.  On the
+    fundamental weights it is sum_{beta > 0} k k^T with k the coroot vector of
+    beta (up to a factor 2); dividing by the gcd of the entries leaves the
+    least integral multiple.
     """
     r = rs.rank
-    inv = _weight_to_root_matrix(rs)
-    d = rs.root_length_halves()
-    form = [[inv[j][i] * d[j] for j in range(r)] for i in range(r)]
-    D = lcm(*(x.denominator for row in form for x in row))
-    return D, tuple(tuple(int(x * D) for x in row) for row in form)
-
-
-def pair_coroot(rs: RootSystem, w: Weight, beta: Root) -> int:
-    """<w, beta^v> as an exact integer."""
-    k = coroot_vector(rs, beta)
-    return sum(k[i] * w[i] for i in range(rs.rank))
+    ks = [coroot_vector(rs, beta) for beta in positive_roots(rs)]
+    G = [[sum(k[i] * k[j] for k in ks) for j in range(r)] for i in range(r)]
+    g = gcd(*(x for row in G for x in row))
+    return tuple(tuple(x // g for x in row) for row in G)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 The engine reads root data, Weyl dimensions and weight sums in integers
 only.  These are the textbook rational forms of the same quantities: the
-invariant form as a double sum over simple-root coordinates, coroots as
-2 beta / (beta, beta), Weyl's product of rational quotients, the weight sum
-of a Levi module from Freudenthal's multiplicities, and the closed ``dex``
-formulas for Grassmannians, symplectic Grassmannians and spinor varieties.
+root lengths with long roots normalised to (alpha, alpha) = 2, the inverse
+of the Cartan matrix, the invariant form as a double sum over simple-root
+coordinates, coroots as 2 beta / (beta, beta), Weyl's product of rational
+quotients, the weight sum of a Levi module from Freudenthal's
+multiplicities, and the closed ``dex`` formulas for Grassmannians,
+symplectic Grassmannians and spinor varieties.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from bwbforge.rootdata import (
     Root,
     RootSystem,
     Weight,
-    _weight_to_root_matrix,
     add,
+    cartan_matrix,
     rho,
     root_to_weight,
 )
@@ -29,11 +31,46 @@ from bwbforge.rootdata import (
 from char_helpers import weight_multiplicities
 
 
+def root_length_halves(rs: RootSystem) -> Tuple[Fraction, ...]:
+    """d_i = (alpha_i, alpha_i)/2 with long roots normalised to d = 1."""
+    r = rs.rank
+    if rs.family in ("A", "D", "E"):
+        return tuple([Fraction(1)] * r)
+    if rs.family == "B":
+        return tuple([Fraction(1)] * (r - 1) + [Fraction(1, 2)])
+    if rs.family == "C":
+        return tuple([Fraction(1, 2)] * (r - 1) + [Fraction(1)])
+    if rs.family == "F":
+        return (Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2))
+    return (Fraction(1, 3), Fraction(1))  # G2
+
+
+@lru_cache(maxsize=None)
+def weight_to_root_matrix(rs: RootSystem) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Inverse of the Cartan matrix, by Gauss-Jordan: weight coords -> simple-root coords."""
+    r = rs.rank
+    A = [[Fraction(x) for x in row] for row in cartan_matrix(rs)]
+    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(r)] for i in range(r)]
+    for col in range(r):
+        piv = next(row for row in range(col, r) if A[row][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        pv = A[col][col]
+        A[col] = [x / pv for x in A[col]]
+        inv[col] = [x / pv for x in inv[col]]
+        for row in range(r):
+            if row != col and A[row][col] != 0:
+                f = A[row][col]
+                A[row] = [x - f * y for x, y in zip(A[row], A[col])]
+                inv[row] = [x - f * y for x, y in zip(inv[row], inv[col])]
+    return tuple(tuple(row) for row in inv)
+
+
 @lru_cache(maxsize=None)
 def root_gram(rs: RootSystem) -> Tuple[Tuple[Fraction, ...], ...]:
     """B[i][j] = (alpha_i, alpha_j)."""
     r = rs.rank
-    d = rs.root_length_halves()
+    d = root_length_halves(rs)
     B = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):
         B[i][i] = 2 * d[i]
@@ -56,7 +93,7 @@ def root_norm_half(rs: RootSystem, beta: Root) -> Fraction:
 
 @lru_cache(maxsize=None)
 def weight_to_root_coords(rs: RootSystem, w: Weight) -> Tuple[Fraction, ...]:
-    inv = _weight_to_root_matrix(rs)
+    inv = weight_to_root_matrix(rs)
     r = rs.rank
     return tuple(sum(inv[i][j] * w[j] for j in range(r)) for i in range(r))
 

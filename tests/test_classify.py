@@ -284,24 +284,26 @@ def test_e6p2_w1_and_w6_bundles_are_not_isomorphic():
 
 
 def test_exception_list_documents_extra_families():
-    with_exc = cl.classify_exceptional(4, with_hodge=False, use_exceptions=True)
-    without = cl.classify_exceptional(4, with_hodge=False, use_exceptions=False)
-    extra = {(r.space, r.weights) for r in without.rows} - {
-        (r.space, r.weights) for r in with_exc.rows
-    }
+    # the oracle search can skip the exception list: per space, the engine's
+    # candidates and exclusions together are the oracle's bare candidates
+    excluded = []
+    for X in cl.exceptional_spaces():
+        search = cl.enumerate_candidates(X, 4)
+        bare = oracle.enumerate_candidates(X, 4, use_exceptions=False)
+        assert not bare.excluded
+        assert sorted(
+            [c.weights for c in search.candidates] + [e.weights for e in search.excluded]
+        ) == sorted(c.weights for c in bare.candidates), str(X)
+        excluded += search.excluded
     # every extra family lives on the Cayley plane and contains the
-    # rank-10 spinor-type summand; nothing else changes anywhere
-    assert extra
-    assert all(space == "E6/P1" for space, _ in extra)
-    assert all(
-        any(lam == w(6, i6=1) for lam, _ in weights) for _, weights in extra
-    )
-    assert {(r.space, r.weights) for r in with_exc.rows} <= {
-        (r.space, r.weights) for r in without.rows
-    }
-    # the exclusions carry their reason and citation
-    assert len(with_exc.excluded) == len(extra) == 3
-    assert all("vanishes nowhere" in e.reason for e in with_exc.excluded)
+    # rank-10 spinor-type summand
+    assert excluded
+    assert all(e.space == "E6/P1" for e in excluded)
+    assert all(any(lam == w(6, i6=1) for lam, _ in e.weights) for e in excluded)
+    # the exclusions carry their reason and reach the report unchanged
+    assert len(excluded) == 3
+    assert all("vanishes nowhere" in e.reason for e in excluded)
+    assert cl.classify_exceptional(4, with_hodge=False).excluded == excluded
 
 
 def test_hodge_attachment_d4(report_d4):

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,8 +11,12 @@ import pytest
 from bwbforge import cache as _cache
 from bwbforge import koszul
 from bwbforge.bwbcohom import bundle_cohomology, bwb
+from bwbforge.classify import classify
 from bwbforge.cli import ParseError, main, parse_bundle, parse_weight
-from bwbforge.homspace import parse_homspace
+from bwbforge.homspace import HomSpace, parse_homspace
+from bwbforge.rootdata import RootSystem
+
+import enumeration_oracle as oracle
 
 
 def run_cli(*args, expect=0):
@@ -87,6 +92,40 @@ def test_bundle_round_trip():
         X = parse_homspace(space)
         B = parse_bundle(X, expr)
         assert parse_bundle(X, str(B)).as_dict() == B.as_dict()
+
+
+def test_bundle_round_trip_past_node_nine():
+    # ``w<indices>`` reads one digit per node: w11 would read back as 2 w1
+    X = parse_homspace("A11/P1")
+    B = koszul.BundleSum.make(X, {w(11, i11=1): 1})
+    assert str(B) == "[0,0,0,0,0,0,0,0,0,0,1]"
+    assert parse_bundle(X, str(B)) == B
+    rng = random.Random(20261018)
+    for space in ("A10", "A11", "A12", "B10", "C10", "D10"):
+        r = int(space[1:])
+        for k in range(1, r + 1):
+            X = parse_homspace(f"{space}/P{k}")
+            weights = {}
+            for _ in range(rng.randint(1, 4)):
+                lam = [rng.choice((0, 0, 0, 1, 2)) for _ in range(r)]
+                lam[k - 1] = rng.randint(-3, 3)
+                weights[tuple(lam)] = rng.randint(1, 3)
+            B = koszul.BundleSum.make(X, weights)
+            assert parse_bundle(X, str(B)) == B, str(B)
+
+
+def test_classify_rows_round_trip_at_rank_ten_and_eleven():
+    spaces = [
+        HomSpace(RootSystem(fam, r), k)
+        for fam in "ABCD"
+        for r in (10, 11)
+        for k in range(1, r + 1)
+    ]
+    rows = classify(spaces, 4, with_hodge=False).rows
+    assert rows
+    for row in rows:
+        X = parse_homspace(row.space)
+        assert parse_bundle(X, row.bundle) == koszul.BundleSum.make(X, dict(row.weights))
 
 
 # -- commands -------------------------------------------------------------------
@@ -223,11 +262,19 @@ def test_classify_d3_command():
     assert chis == [-176, -144, -120, -98, -98, -60]
 
 
-def test_classify_no_exceptions_flag():
-    out = run_cli("--format", "json", "classify", "--d", "3", "--no-hodge",
-                  "--no-exceptions")
-    payload = json.loads(out)
-    assert len(payload["results"]["rows"]) == 6 + 4  # four E6/P1 numeric extras
+def test_classify_excludes_four_e6p1_candidates_at_d3():
+    # the four E6/P1 numeric extras at d = 3 are excluded, not rows: each is
+    # a candidate of the oracle search run without the exception list
+    out = run_cli("--format", "json", "classify", "--d", "3", "--no-hodge")
+    results = json.loads(out)["results"]
+    assert len(results["rows"]) == 6
+    excluded = results["excluded"]
+    assert len(excluded) == 4 and all(e["space"] == "E6/P1" for e in excluded)
+    bare = oracle.enumerate_candidates(parse_homspace("E6/P1"), 3, use_exceptions=False)
+    weights = [ast.literal_eval(e["bundle"]) for e in excluded]
+    assert set(weights) <= {c.weights for c in bare.candidates}
+    assert all(any(lam == w(6, i6=1) for lam, _ in ws) for ws in weights)
+    assert len(bare.candidates) == 4 + sum(r["space"] == "E6/P1" for r in results["rows"])
 
 
 def test_determinism_and_cache_transparency(tmp_path):

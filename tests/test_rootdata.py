@@ -1,10 +1,14 @@
+import os
 import random
-from math import gcd
+import subprocess
+import sys
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwbforge import rootdata
 from bwbforge.rootdata import (
     ChamberResult,
     RootDataError,
@@ -12,7 +16,6 @@ from bwbforge.rootdata import (
     cartan_matrix,
     coroot_vector,
     integral_weight_gram,
-    pair_coroot,
     parse_root_system,
     positive_roots,
     reflect,
@@ -33,6 +36,11 @@ SMALL_SYSTEMS = [
     RootSystem("F", 4),
     RootSystem("G", 2),
 ]
+
+
+def pair_coroot(rs, w, beta):
+    """<w, beta^v> as an exact integer."""
+    return sum(k * x for k, x in zip(coroot_vector(rs, beta), w))
 
 
 def test_family_rank_validation():
@@ -184,7 +192,7 @@ def test_inner_product_normalisation():
     assert inner_product_roots(f4, (0, 0, 0, 1), (0, 0, 0, 1)) == 1  # short
     # (alpha_i, alpha_i)/2 is the d_i the integral halves scale
     for rs in SMALL_SYSTEMS:
-        for i, d in enumerate(rs.root_length_halves()):
+        for i, d in enumerate(rat.root_length_halves(rs)):
             simple = tuple(int(m == i) for m in range(rs.rank))
             assert rat.root_norm_half(rs, simple) == d
 
@@ -211,14 +219,36 @@ def test_inner_product_weyl_invariance(rs):
         )
 
 
-@pytest.mark.parametrize("rs", SMALL_SYSTEMS)
+# every type to rank 11; SMALL_SYSTEMS first keeps their ids rs0..rs5
+GRAM_SYSTEMS = SMALL_SYSTEMS + [
+    rs
+    for rs in (
+        [RootSystem("A", r) for r in range(1, 12)]
+        + [RootSystem("B", r) for r in range(2, 12)]
+        + [RootSystem("C", r) for r in range(2, 12)]
+        + [RootSystem("D", r) for r in range(3, 12)]
+        + [RootSystem("E", r) for r in (6, 7, 8)]
+        + [RootSystem("F", 4), RootSystem("G", 2)]
+    )
+    if rs not in SMALL_SYSTEMS
+]
+
+
+@pytest.mark.parametrize("rs", GRAM_SYSTEMS)
 def test_integral_weight_gram_is_the_scaled_form(rs):
-    D, gram = integral_weight_gram(rs)
+    # D is the least integer clearing the rational form on the fundamental
+    # weights; the engine sums its Gram matrix from the coroots instead
+    r = rs.rank
+    basis = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    form = [[inner_product(rs, a, b) for b in basis] for a in basis]
+    D = lcm(*(x.denominator for row in form for x in row))
+    gram = integral_weight_gram(rs)
+    assert gram == tuple(tuple(D * x for x in row) for row in form)
     rng = random.Random(5)
     for _ in range(20):
-        a = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-        b = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-        scaled = sum(a[i] * gram[i][j] * b[j] for i in range(rs.rank) for j in range(rs.rank))
+        a = tuple(rng.randint(-3, 3) for _ in range(r))
+        b = tuple(rng.randint(-3, 3) for _ in range(r))
+        scaled = sum(a[i] * gram[i][j] * b[j] for i in range(r) for j in range(r))
         assert scaled == D * inner_product(rs, a, b)
     # the least such D: the form itself has a denominator D
     assert gcd(D, *(x for row in gram for x in row)) == 1
@@ -240,3 +270,13 @@ def test_integer_coroots_match_rational_oracle(rs):
     # (beta, beta) and beta_i d_i alike for every root, short or long
     for beta in positive_roots(rs):
         assert coroot_vector(rs, beta) == rat.coroot_vector(rs, beta), beta
+
+
+def test_engine_loads_no_rational_arithmetic():
+    # no module of the engine forms a Fraction: importing the whole of it
+    # leaves fractions, and decimal which it loads, unimported
+    code = "import sys, bwbforge.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rootdata.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
