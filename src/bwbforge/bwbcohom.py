@@ -3,13 +3,10 @@
 For an irreducible bundle E_lambda the recipe is mechanical: if lambda+rho
 lies on a wall, every cohomology group vanishes; otherwise exactly one
 survives, in degree ell(w), with dominant label w(lambda+rho)-rho.
-``tensor_cohomology`` applies it to E (x) M for a sum E of irreducibles
-given by highest weights and an L-module M given by its character, as the
-Koszul E1 page needs it: Brauer-Klimyk splits the product into
-L-irreducibles by one W_L-climb per shifted weight (memoised in the
-``climb`` table of the Levi context, shared with
-``repcalc.decompose_character``), and the recipe above then runs once per
-irreducible (``cache.table("bwb", X)``), not once per weight.
+``tensor_cohomology`` applies it to E(t) (x) M for a ``PackedPage`` E and
+an L-module M given by its character, as the Koszul E1 page needs it:
+Brauer-Klimyk splits the product into L-irreducibles by W_L-climbs, and
+the recipe above then runs once per irreducible, not once per weight.
 """
 
 from __future__ import annotations
@@ -93,51 +90,49 @@ def _bwb_entry(X: HomSpace, y: int, bwbs: dict) -> Optional[Tuple[int, int]]:
     return got
 
 
+class PackedPage:
+    """P-dominant highest weights lambda packed once: ``pairs`` of (packed offset of
+    lambda + rho, multiplicity), the extremes ``lo``, ``hi`` of lambda + rho, and
+    ``lines``, whether every lambda is a line."""
+
+    __slots__ = ("pairs", "lo", "hi", "lines")
+
+    def __init__(self, X: HomSpace, shifts: rc.IrrDecomp):
+        columns, rr = list(zip(*shifts)), rho(X.rs)
+        lo, hi = tuple(map(min, columns)), tuple(map(max, columns))
+        if not rc.is_context_dominant(X.levi, lo):  # all are P-dominant iff the least is
+            for s in shifts:
+                check_p_dominant(X, s)
+        lift = rc.packed_offset(rr)
+        self.pairs = tuple((rc.packed_offset(s) + lift, n) for s, n in shifts.items())
+        self.lo, self.hi = add(lo, rr), add(hi, rr)
+        self.lines = not any(hi[i - 1] for i in X.levi.levi)
+
+
 def tensor_cohomology(
-    X: HomSpace, shifts: rc.IrrDecomp, char: rc.PackedChar, extremes: Tuple[Weight, Weight]
+    X: HomSpace, page: PackedPage, t: int, char: rc.PackedChar, extremes: Tuple[Weight, Weight]
 ) -> Dict[int, int]:
-    """Dimensions of H^q(X, E (x) M) for E = sum n_s E_s and the L-module M of ``char``.
+    """Dimensions of H^q(X, E(t) (x) M), E = sum n_s E_s of ``page``, M the L-module of ``char``.
 
-    ``shifts`` is the formal sum {s: n_s} of P-dominant highest weights.
-    Brauer-Klimyk first: each weight nu of M moves s + nu + rho into the
-    dominant W_L-chamber, and ``repcalc.climb_tally`` sums the signed
-    multiplicities n_s * m_nu per rho-shifted Levi highest weight y (a
-    negative sum means ``char`` was not a character, and raises).
-    Borel-Weil-Bott then runs once per L-irreducible E_{y - rho}: dim V_G in
-    degree q, the length of its W-climb, or nothing on a wall (Bott 1957;
-    Kostant 1961).
-
-    The rule is symmetric in its factors, so a caller may hand either factor
-    over as highest weights and the other as a character.  The Koszul E1
-    page passes the Levi decomposition of Lambda^p F^*, twisted along w_k,
-    with the weights of V_L(mu0); a degree of lines only passes mu twisted
-    by each line, with the trivial module.
-
-    ``extremes`` bounds the coordinates of the weights of ``char`` (a caller
-    with a table of characters computes it once); the least and greatest
-    coordinates of the shifted sums are range-checked before any packed
-    weight is added.  Both steps are memoised on packed ints: the W_L-climbs
-    in the ``climb`` table of the Levi context, which ``decompose_character``
-    shares, and ``table("bwb", X)`` maps y to (q, dim V_G) or None.
+    Brauer-Klimyk first: each weight nu of M moves s + t w_k + nu + rho into
+    the dominant W_L-chamber, and ``repcalc.climb_tally`` sums n_s * m_nu
+    with signs per rho-shifted Levi highest weight y.  Borel-Weil-Bott then
+    runs once per y (``table("bwb", X)``): dim V_G in degree q, the length of
+    its W-climb, or nothing on a wall (Bott 1957; Kostant 1961).  The rule is
+    symmetric in its factors, so either one may be the page.  The twist is
+    one integer add per packed shift; ``extremes`` bounds the weights of
+    ``char``, and with the page's extremes and t every sum.
     """
-    if not shifts:
-        return {}
-    # per-coordinate least and greatest shift: every shift is P-dominant
-    # exactly when the least one is
-    lows = [min(column) for column in zip(*shifts)]
-    highs = [max(column) for column in zip(*shifts)]
-    if not rc.is_context_dominant(X.levi, lows):
-        for s in shifts:
-            check_p_dominant(X, s)
     if not char:
         return {}
-    rr = rho(X.rs)
-    rc.check_packable(add(add(lows, rr), extremes[0]), add(add(highs, rr), extremes[1]))
-    lift = rc.packed_offset(rr)
-    pairs = [(rc.packed_offset(s) + lift, n) for s, n in shifts.items()]
+    line = X.line(t)
+    lo = [a + b + c for a, b, c in zip(page.lo, extremes[0], line)]
+    hi = [a + b + c for a, b, c in zip(page.hi, extremes[1], line)]
+    twist = rc.packed_offset(line)
+    pairs = [(s + twist, n) for s, n in page.pairs]
     bwbs = _cache.table("bwb", X)
     out: Dict[int, int] = {}
-    for y, m in rc.climb_tally(X.levi, char, pairs).items():
+    for y, m in rc.climb_tally(X.levi, char, pairs, lo, hi).items():
         entry = _bwb_entry(X, y, bwbs)
         if entry is not None:
             q, dim = entry

@@ -2,10 +2,12 @@
 
 Every memo whose key holds a user weight lives here, in a plain dict per
 ``(namespace, owner)`` from :func:`table`: per context ``dim`` (Weyl
-dimensions) and ``climb`` (packed rho-shifted weight -> packed dominant
-representative, negated for an odd climb, or None on a wall; shared by
-every ``repcalc.climb_tally``), per space ``bwb``
-(Levi highest weight -> degree and dimension of its cohomology).
+dimensions) and ``climb`` (packed rho-shifted weight with zero omitted
+coordinates -> packed dominant representative, negated for an odd climb,
+or None on a wall; every ``repcalc.climb_tally`` shares it and adds the
+omitted coordinates back), per space ``bwb`` (Levi highest weight ->
+degree and dimension of its cohomology) and ``e1_pages`` (the packed
+Koszul pages of each locus).
 ``lru_cache`` is kept only on functions of root data.  :func:`stats`
 counts the entries of every table, :func:`namespace_entries` per
 namespace, and :func:`clear` empties them all.
@@ -30,14 +32,12 @@ import hashlib
 import os
 import pickle
 import tempfile
-import threading
 from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple
 
 ENGINE_VERSION = "1.0.0"
 
 _tables: Dict[Tuple[str, Any], dict] = {}
-_lock = threading.Lock()
 _dir: Optional[str] = None
 _stats = {"hits": 0, "misses": 0, "disk_hits": 0, "corrupt": 0}
 _MISSING = object()
@@ -63,11 +63,7 @@ def table(namespace: str, owner: Any = None) -> dict:
     Callers fetch it once per call and fill a miss themselves; looking it
     up per key would hash the owner on every key.
     """
-    got = _tables.get((namespace, owner))
-    if got is None:
-        with _lock:
-            got = _tables.setdefault((namespace, owner), {})
-    return got
+    return _tables.setdefault((namespace, owner), {})
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +142,7 @@ def stats() -> Dict[str, Any]:
     if directory and os.path.isdir(directory):
         entries = sum(1 for n in os.listdir(directory) if n.endswith(".pkl"))
     return {
-        "memory_entries": sum(len(t) for t in list(_tables.values())),
+        "memory_entries": sum(len(t) for t in _tables.values()),
         "disk_entries": entries,
         "directory": directory,
         **_stats,
@@ -156,14 +152,13 @@ def stats() -> Dict[str, Any]:
 def namespace_entries() -> Dict[str, int]:
     """In-memory entries per namespace, summed over owners."""
     out: Dict[str, int] = {}
-    for (namespace, _), entries in list(_tables.items()):
+    for (namespace, _), entries in _tables.items():
         out[namespace] = out.get(namespace, 0) + len(entries)
     return out
 
 
 def clear(disk: bool = False) -> None:
-    with _lock:
-        _tables.clear()
+    _tables.clear()
     _stats.update(dict.fromkeys(_stats, 0))
     directory = cache_dir()
     if disk and directory and os.path.isdir(directory):

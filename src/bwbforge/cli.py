@@ -54,6 +54,7 @@ from .koszul import (
     EmptyLocusError,
     ZeroLocus,
     restricted_cohomology,
+    w_digits_ambiguous,
     wedge_dual_decomps,
 )
 from .rootdata import Weight, parse_root_system, positive_roots
@@ -80,6 +81,8 @@ def parse_weight_term(X: HomSpace, term: str) -> Tuple[Weight, int]:
     if line_t is not None:
         lam[X.k - 1] = int(line_t)
     elif windices is not None:
+        if w_digits_ambiguous(windices, r):
+            raise ParseError(f"{term.strip()!r} is ambiguous on {X.rs}: write [c1,...,c{r}]")
         for ch in windices:
             i = int(ch)
             if not 1 <= i <= r:

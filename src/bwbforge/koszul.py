@@ -12,10 +12,8 @@ running product by Brauer-Klimyk, up to half the rank f, and a line
 summand only twists; Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^*
 (x) det F^*, gives the rest, once per locus.  No character of a whole
 Lambda^p F^* is built.  ``e1_page`` reads each E_1 entry off by
-Brauer-Klimyk on the Levi side: for every irreducible piece E_mu of E and
-every p, ``bwbcohom.tensor_cohomology`` shifts the weights of V_L(mu) by
-each Levi highest weight of Lambda^p F^*, the shifted weights are summed
-into L-irreducibles and Borel-Weil-Bott runs once per irreducible, so no
+Brauer-Klimyk on the Levi side, one ``bwbcohom.tensor_cohomology`` per
+irreducible piece E_mu of E and p on a page packed once per locus, so no
 tensor product is ever expanded.
 
 F must be generated by its sections, or the Koszul complex does not
@@ -39,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import cache as _cache
 from . import repcalc as rc
-from .bwbcohom import FilteredBundle, check_p_dominant, tensor_cohomology
+from .bwbcohom import FilteredBundle, PackedPage, check_p_dominant, tensor_cohomology
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
 from .rootdata import Weight, add, rho, sub
@@ -51,6 +49,11 @@ class EmptyLocusError(ValueError):
 
 class AmbiguousCohomologyError(RuntimeError):
     """Raised when a caller insists on exact values the certificates deny."""
+
+
+def w_digits_ambiguous(digits: str, rank: int) -> bool:
+    """Whether two adjacent digits of ``w<digits>`` also name a node 10..rank."""
+    return any(10 <= int(digits[i : i + 2]) <= rank for i in range(len(digits) - 1))
 
 
 @dataclass(frozen=True)
@@ -105,19 +108,20 @@ class BundleSum:
     def __str__(self):
         """Round-trippable rendering in the w/O bundle grammar of the CLI.
 
-        ``w<indices>`` reads one digit per node, so a summand with a nonzero
-        Levi coordinate at a node >= 10 is written as ``[c1,...,cr]``.
+        ``w<indices>`` reads one digit per node, so a summand whose digits could
+        also name a node >= 10, as a node >= 10 itself does, is written ``[c1,...,cr]``.
         """
         parts = []
         for lam, m in self.summands:
             t = lam[self.X.k - 1]
             levi = [(i + 1, c) for i, c in enumerate(lam) if c and i != self.X.k - 1]
-            if levi and levi[-1][0] >= 10:
+            digits = "".join(str(i) * c for i, c in levi)
+            if w_digits_ambiguous(digits, self.X.rs.rank):
                 s = "[" + ",".join(map(str, lam)) + "]"
             elif not levi:
                 s = f"O({t})"
             else:
-                s = "w" + "".join(str(i) * c for i, c in levi)
+                s = "w" + digits
                 if t:
                     s += f"({t})"
             parts.append(s + (f"^{m}" if m > 1 else ""))
@@ -192,37 +196,27 @@ def _exterior_decomps(levi: rc.Context, lam: Weight, kmax: int) -> List[rc.IrrDe
 
 
 def _graded_product(
-    levi: rc.Context, left: List[rc.IrrDecomp], right: List[rc.IrrDecomp], kmax: int
+    X: HomSpace, left: List[rc.IrrDecomp], right: List[rc.IrrDecomp], kmax: int
 ) -> List[rc.IrrDecomp]:
     """Degrees 0..kmax of the graded tensor product of two Levi decompositions.
 
     Brauer-Klimyk, one ``climb_tally`` per irreducible nu of ``right`` and
     degree of ``left``: the weights of V_L(nu) are shifted by every highest
-    weight of that degree, whose extremes are range-checked first.
+    weight of that degree, packed once per degree.
     """
-    rank, rr = levi.rs.rank, rho(levi.rs)
-    lift = rc.packed_offset(rr)
-    degrees = [
-        (
-            a,
-            add([min(column) for column in zip(*shifts)], rr),
-            add([max(column) for column in zip(*shifts)], rr),
-            [(rc.packed_offset(s) + lift, m) for s, m in shifts.items()],
-        )
-        for a, shifts in enumerate(left)
-        if shifts
-    ]
+    levi, rank, rr = X.levi, X.rs.rank, rho(X.rs)
+    pages = [(a, PackedPage(X, shifts)) for a, shifts in enumerate(left) if shifts]
     out = [dict(left[a]) if a < len(left) else {} for a in range(kmax + 1)]
     for c in range(1, min(len(right) - 1, kmax) + 1):
         for nu, n in right[c].items():
             char = rc.char_irr(levi, nu)
             lo, hi = rc.char_extremes(char, rank)
-            for a, low, high, pairs in degrees:
+            for a, page in pages:
                 if a + c > kmax:
                     break
-                rc.check_packable(add(low, lo), add(high, hi))
                 target = out[a + c]
-                for y, m in rc.climb_tally(levi, char, pairs).items():
+                tally = rc.climb_tally(levi, char, page.pairs, add(page.lo, lo), add(page.hi, hi))
+                for y, m in tally.items():
                     lam = sub(rc.unpack(y, rank), rr)
                     target[lam] = target.get(lam, 0) + n * m
     return out
@@ -267,7 +261,7 @@ def wedge_dual_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
                 if graded == [{zero: 1}]:
                     graded = powers
                 else:
-                    graded = _graded_product(levi, graded, powers, half)
+                    graded = _graded_product(X, graded, powers, half)
         for t, m in lines:
             out: List[rc.IrrDecomp] = [{} for _ in range(half + 1)]
             for a, dec in enumerate(graded):
@@ -444,44 +438,32 @@ def _irreducible_gradeds(
 def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], int]:
     """The Koszul E_1 page of E|_Z: {(p, j, q): dim H^q(X, Lambda^p F^* (x) gr_j E)}.
 
-    Each entry is read off by Brauer-Klimyk without expanding the product,
-    for every irreducible E_mu of gr_j E and every p, on the Levi side.
-    Write mu = mu0 + t w_k with mu0[k] = 0; w_k is a character of L, so
-    V_L(mu) is V_L(mu0) twisted by it, and ``tensor_cohomology`` shifts the
-    weights of V_L(mu0) by every lambda + t w_k, for the Levi highest
-    weights lambda of Lambda^p F^* (``wedge_dual_decomps``).  A degree whose
-    lambdas are all lines only twists: V_L(mu) (x) O(lambda) is
-    V_L(mu + lambda), one shift each of the trivial module, so the weights
-    of V_L(mu0) are never built on a rank-0 or all-line F.
-    ``tensor_cohomology`` range-checks the extremes of the shifts, so a
-    twist that would leave the packed field raises
-    ``repcalc.WeightRangeError``.  Only nonzero entries are kept, sorted; a
-    negative total would mean the input was not a genuine module, and raises.
+    Brauer-Klimyk on the Levi side, per irreducible E_mu of gr_j E and p:
+    with mu = mu0 + t w_k and mu0[k] = 0, V_L(mu) is V_L(mu0) twisted by the
+    L-character w_k, so ``tensor_cohomology`` shifts the weights of V_L(mu0)
+    by the page of Lambda^p F^*, packed once per locus
+    (``cache.table("e1_pages", X)``), twisted by t; a page of lines needs
+    only the weight mu0.  A sum leaving the packed field raises
+    ``repcalc.WeightRangeError``, and a negative total (E was no genuine
+    module) AssertionError.  Only nonzero entries are kept, sorted.
     """
     X = Z.space
     k, rank = X.k - 1, X.rs.rank
-    point = {rc.pack((0,) * rank): 1}, ((0,) * rank, (0,) * rank)
-    pages = [
-        (decomp, all(not lam[i - 1] for lam in decomp for i in X.levi.levi))
-        for decomp in wedge_dual_decomps(Z)
-    ]
+    packed = _cache.table("e1_pages", X)
+    pages = packed.get(Z.bundle.summands)
+    if pages is None:
+        pages = packed[Z.bundle.summands] = [PackedPage(X, d) for d in wedge_dual_decomps(Z)]
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(_irreducible_gradeds(Z, E)):
         for mu, mult in graded:
             check_p_dominant(X, mu)
-            t = mu[k]
-            levi = None
-            for p, (decomp, lines) in enumerate(pages):
-                if lines:
-                    shifts = {X.twist(mu, lam[k]): m for lam, m in decomp.items()}
-                    dims = tensor_cohomology(X, shifts, *point)
-                else:
-                    if levi is None:
-                        char = rc.char_irr(X.levi, X.twist(mu, -t))
-                        levi = char, rc.char_extremes(char, rank)
-                    shifts = {X.twist(lam, t): m for lam, m in decomp.items()}
-                    dims = tensor_cohomology(X, shifts, *levi)
-                for q, n in dims.items():
+            t, mu0 = mu[k], X.twist(mu, -mu[k])
+            point, levi = ({rc.pack(mu0): 1}, (mu0, mu0)), None
+            for p, page in enumerate(pages):
+                if levi is None and not page.lines:
+                    char = rc.char_irr(X.levi, mu0)
+                    levi = char, rc.char_extremes(char, rank)
+                for q, n in tensor_cohomology(X, page, t, *(point if page.lines else levi)).items():
                     key = (p, j, q)
                     entries[key] = entries.get(key, 0) + mult * n
     if any(v < 0 for v in entries.values()):

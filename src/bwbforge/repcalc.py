@@ -271,21 +271,6 @@ def weyl_dim(ctx: Context, lam: Weight) -> int:
     return num // den
 
 
-def dominant_rep(ctx: Context, w: Weight) -> Weight:
-    """Dominant W_L-representative of a weight (zeros allowed, no word)."""
-    rows = _climb_rows(ctx)
-    cur = list(w)
-    while True:
-        for i, alpha in rows:
-            c = cur[i]
-            if c < 0:
-                break
-        else:
-            return tuple(cur)
-        for j, a in alpha:
-            cur[j] -= c * a
-
-
 @lru_cache(maxsize=None)
 def _climb_rows(ctx: Context) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
     """(i, nonzero (j, alpha[j])) per simple root alpha of ctx: at most 4 Cartan entries."""
@@ -342,36 +327,61 @@ def signed_climb(ctx: Context, x: int) -> Optional[int]:
     return -pack(cur) if n & 1 else pack(cur)
 
 
+@lru_cache(maxsize=None)
+def _twist_free(ctx: Context) -> Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int], ...], int]:
+    """Levi-field mask, packed zero and indices of the omitted fields, (i, K_i) for
+    2 rho_L^v = sum_i K_i alpha_i^v, and max |<alpha_i, alpha_j^v>| over Levi i, omitted j."""
+    omitted = tuple(j - 1 for j in ctx.omitted())
+    mask = sum(_MASK << (_BITS * (i - 1)) for i in ctx.levi)
+    zero = sum(_OFFSET << (_BITS * j) for j in omitted)
+    worst = max([-simple_root_weight(ctx.rs, i)[j] for i in ctx.levi for j in omitted], default=0)
+    return mask, zero, omitted, tuple((i, sum(col)) for i, col in weyl_kernel(ctx)[1]), worst
+
+
 _MISSING = object()
 
 
 def climb_tally(
-    ctx: Context, char: PackedChar, shifts: Sequence[Tuple[int, int]]
+    ctx: Context, char: PackedChar, shifts: Sequence[Tuple[int, int]], lo: Weight, hi: Weight
 ) -> Dict[int, int]:
     """Brauer-Klimyk: {y: m} for sum_s n_s x^s (x) M, y packed rho-shifted highest weights.
 
-    ``shifts`` holds range-checked pairs (packed offset of s + rho, n_s).  Each
-    x = s + nu + rho is climbed once per context (``table("climb", ctx)``); a
-    negative sum per y means ``char`` was not a character, and raises.
+    ``shifts`` holds pairs (packed offset of s + rho, n_s); ``lo``..``hi``
+    bound every x = s + nu + rho and are range-checked first.  A negative
+    sum per y means ``char`` was not a character, and raises.  W_L fixes
+    the omitted w_j, so climb(x) = climb(x0) + (x - x0) with the same parity
+    and walls, x0 being x with its omitted coordinates zero (Humphreys
+    10.3): the ``climb`` table is keyed by x0.  The climb adds sum_i n_i
+    alpha_i, n_i >= 0, lowering each omitted coordinate by at most A sum_i
+    n_i, A = max |<alpha_i, alpha_j^v>|; sum_i n_i = sum_{beta > 0 in L} max(0,
+    -<x, beta^v>) <= sum_i K_i max(0, -lo_i).  Where that could take x or x0
+    below the field, x is the key, in a table of this call alone.
     """
+    check_packable(lo, hi)
     memo = _cache.table("climb", ctx)
-    tally: Dict[Optional[int], int] = {}
+    mask, zero, omitted, coefficients, worst = _twist_free(ctx)
+    drop = worst * sum(c * -lo[i] for i, c in coefficients if lo[i] < 0)
+    if any(min(lo[j], 0) - drop < -_OFFSET for j in omitted):
+        memo, mask, zero = {}, -1, 0
+    tally: Dict[int, int] = {}
     for shift, n in shifts:
         for v, m in char.items():
             x = v + shift
-            y = memo.get(x, _MISSING)
+            x0 = (x & mask) | zero
+            y = memo.get(x0, _MISSING)
             if y is _MISSING:
-                y = memo[x] = signed_climb(ctx, x)
-            tally[y] = tally.get(y, 0) + n * m
-    tally.pop(None, None)
-    out: Dict[int, int] = {}
-    for y, m in tally.items():
-        if y < 0:
-            y, m = -y, -m
-        out[y] = out.get(y, 0) + m
-    if any(m < 0 for m in out.values()):
+                y = memo[x0] = signed_climb(ctx, x0)
+            if y is None:
+                continue
+            if y < 0:
+                y = x - x0 - y
+                tally[y] = tally.get(y, 0) - n * m
+            else:
+                y += x - x0
+                tally[y] = tally.get(y, 0) + n * m
+    if any(m < 0 for m in tally.values()):
         raise AssertionError("negative multiplicity: input was not a character")
-    return {y: m for y, m in out.items() if m}
+    return {y: m for y, m in tally.items() if m}
 
 
 def decompose_character(
@@ -386,16 +396,13 @@ def decompose_character(
     """
     if not char:
         return {}
-    rank = ctx.rs.rank
-    if shift is None:
-        lift = rho(ctx.rs)
-    else:
+    rank, rr = ctx.rs.rank, rho(ctx.rs)
+    if shift is not None:
         _require_dominant(ctx, shift)
-        lift = add(shift, rho(ctx.rs))
+    lift = rr if shift is None else add(shift, rr)
     lo, hi = char_extremes(char, rank)
-    check_packable(add(lo, lift), add(hi, lift))
-    tally = climb_tally(ctx, char, [(packed_offset(lift), 1)])
-    return {sub(unpack(y, rank), rho(ctx.rs)): m for y, m in tally.items()}
+    tally = climb_tally(ctx, char, [(packed_offset(lift), 1)], add(lo, lift), add(hi, lift))
+    return {sub(unpack(y, rank), rr): m for y, m in tally.items()}
 
 
 # -- irreducible characters (Freudenthal) ------------------------------------
@@ -512,10 +519,25 @@ def char_irr(ctx: Context, lam: Weight) -> PackedChar:
 # -- duals and plethysms -----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _dual_columns(ctx: Context) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Nonzero (row, entry) of each column i of lam -> -w_0 lam: -w_i - rho and -rho
+    are regular antidominant, so ``climb`` applies w_0 to both; column i is the difference."""
+    base = tuple(-c for c in rho(ctx.rs))
+    top = climb(ctx, base)[1]
+    ends = (climb(ctx, base[:i] + (-2,) + base[i + 1 :])[1] for i in range(ctx.rs.rank))
+    return tuple(tuple((j, a - b) for j, (a, b) in enumerate(zip(w, top)) if a != b) for w in ends)
+
+
 def dual_highest_weight(ctx: Context, lam: Weight) -> Weight:
-    """Highest weight of the dual module: dominant representative of -lam."""
+    """Highest weight -w_0 lam of the dual module, one sparse integer matrix-vector product."""
     _require_dominant(ctx, lam)
-    return dominant_rep(ctx, tuple(-c for c in lam))
+    out = [0] * len(lam)
+    for c, column in zip(lam, _dual_columns(ctx)):
+        if c:
+            for j, a in column:
+                out[j] += a * c
+    return tuple(out)
 
 
 def power_extremes(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from bwbforge import repcalc as rc
-from bwbforge.rootdata import Weight
+from bwbforge.rootdata import Weight, simple_root_weight
 
 
 def char_to_weights(char: rc.PackedChar, rank: int) -> Dict[Weight, int]:
@@ -68,3 +68,20 @@ def symmetric_power(ctx: rc.Context, rep: rc.IrrDecomp, k: int) -> rc.IrrDecomp:
         raise ValueError("symmetric degree must be nonnegative")
     table = rc.symmetric_char_table(char_of_decomp(ctx, rep), k, ctx.rs.rank)
     return rc.decompose_character(ctx, table[k])
+
+
+def dominant_rep(ctx: rc.Context, w: Weight) -> Weight:
+    """Dominant W_L-representative of a weight, walls allowed: the dual-weight oracle.
+
+    Reflects at the first negative coordinate of the context until none is left.
+    """
+    simple = [(i - 1, simple_root_weight(ctx.rs, i)) for i in ctx.levi]
+    cur = list(w)
+    while True:
+        for i, alpha in simple:
+            c = cur[i]
+            if c < 0:
+                cur = [x - c * a for x, a in zip(cur, alpha)]
+                break
+        else:
+            return tuple(cur)

@@ -6,6 +6,7 @@ from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import (
     FilteredBundle,
     NotPDominantError,
+    PackedPage,
     bundle_cohomology,
     bwb,
     serre_dual_weight,
@@ -113,6 +114,7 @@ def test_euler_characteristic_additive():
 
 @pytest.mark.parametrize("name", ["G2/P1", "G2/P2", "F4/P4", "E6/P3"])
 def test_tensor_cohomology_with_trivial_module_is_bwb(name):
+    # a one-weight page of the untwisted Levi part, twisted by t in the kernel
     X = parse_homspace(name)
     zero = (0,) * X.rs.rank
     trivial = {rc.pack(zero): 1}
@@ -122,15 +124,20 @@ def test_tensor_cohomology_with_trivial_module_is_bwb(name):
             rng.randint(0, 2) if i != X.k - 1 else rng.randint(-12, 3)
             for i in range(X.rs.rank)
         )
-        assert tensor_cohomology(X, {lam: 1}, trivial, (zero, zero)) == bwb(X, lam).dims()
+        t = lam[X.k - 1]
+        page = PackedPage(X, {X.twist(lam, -t): 1})
+        assert page.lines == (lam == X.line(t))
+        assert tensor_cohomology(X, page, t, trivial, (zero, zero)) == bwb(X, lam).dims()
 
 
 def test_tensor_cohomology_refuses_non_characters():
     zero = (0, 0)
+    page = PackedPage(G2P2, {zero: 1})
     with pytest.raises(AssertionError, match="not a character"):
-        tensor_cohomology(G2P2, {zero: 1}, {rc.pack(zero): -1}, (zero, zero))
+        tensor_cohomology(G2P2, page, 0, {rc.pack(zero): -1}, (zero, zero))
+    # P-dominance is checked once, when the page is packed
     with pytest.raises(NotPDominantError):
-        tensor_cohomology(G2P2, {(-1, 0): 1}, {rc.pack(zero): 1}, (zero, zero))
+        PackedPage(G2P2, {zero: 1, (-1, 0): 1})
 
 
 def test_reg_ind_anchors():

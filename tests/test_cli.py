@@ -114,6 +114,30 @@ def test_bundle_round_trip_past_node_nine():
             assert parse_bundle(X, str(B)) == B, str(B)
 
 
+@pytest.mark.parametrize(
+    "space,term", [("A11/P1", "w11"), ("A10/P2", "w10"), ("A11/P3", "w111"), ("D11/P2", "w1110")]
+)
+def test_w_terms_that_read_two_ways_are_refused(space, term, capsys):
+    # w11 on A11 could be 2 w1 or w11: refuse, and point to the bracket form
+    X = parse_homspace(space)
+    with pytest.raises(ParseError, match=r"\[c1,\.\.\.,c1[01]\]"):
+        parse_bundle(X, term)
+    assert main(["dex", space, term]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "ambiguous" in err
+
+
+def test_w_digits_that_name_no_node_still_read_one_per_node():
+    # 12 is no node of A11 and 19 none of A10; below rank 10 nothing changes
+    assert parse_weight(parse_homspace("A11/P1"), "w12") == w(11, i1=1, i2=1)
+    assert parse_weight(parse_homspace("A10/P2"), "w19") == w(10, i1=1, i9=1)
+    assert parse_weight(parse_homspace("A9/P2"), "w11") == w(9, i1=2)
+    X = parse_homspace("A11/P2")
+    B = koszul.BundleSum.make(X, {w(11, i1=2): 1, w(11, i1=1, i2=1): 1})
+    assert str(B) == "w1(1) + [2,0,0,0,0,0,0,0,0,0,0]"
+    assert parse_bundle(X, str(B)) == B
+
+
 def test_classify_rows_round_trip_at_rank_ten_and_eleven():
     spaces = [
         HomSpace(RootSystem(fam, r), k)

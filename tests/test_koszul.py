@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwbforge import cache
 from bwbforge import repcalc as rc
-from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology, tensor_cohomology
+from bwbforge.bwbcohom import FilteredBundle, PackedPage, bundle_cohomology, tensor_cohomology
 from bwbforge.hodge import omega_filtration
 from bwbforge.homspace import dimension, fano_index, gradation, parse_homspace
 from bwbforge.koszul import (
@@ -563,6 +564,42 @@ def test_largest_packable_twist_is_computed():
     assert restricted_cohomology(Z, E).dims == _oracle_restricted(Z, E).dims
 
 
+@pytest.mark.parametrize(
+    "t,want",
+    [
+        # the carry bound sends x itself to the climb table at t = -32730, not at -32710
+        (-32730, {(0, 0, 5): 13080981719586183381979, (1, 0, 5): 26171966304438169910310,
+                  (2, 0, 5): 13090986298174827973931}),
+        (-32710, {(0, 0, 5): 13041024553244300324796, (1, 0, 5): 26092027521301454640004,
+                  (2, 0, 5): 13051004678238205850248}),
+        (-32765, "refused"),
+    ],
+)
+def test_e1_page_at_the_bottom_of_the_field(t, want):
+    # G2/P1, F = E_{w2}(1), E = E_{20 w2}(t): the answers and refusal of the unkeyed table
+    Z = mk("G2/P1", {(1, 1): 1})
+    E = BundleSum.make(Z.space, {(t, 20): 1})
+    try:
+        got = e1_page(Z, E)
+    except rc.WeightRangeError:
+        got = "refused"
+    assert got == want
+
+
+def test_climb_table_size_does_not_depend_on_the_twists():
+    # keyed by the twist-free part, the table fills with one twist; more add nothing
+    Z = mk("F4/P4", {(1, 0, 0, 0): 1, (0, 0, 0, 1): 4})
+    X = Z.space
+
+    def entries(twists):
+        cache.clear()
+        for t in twists:
+            restricted_cohomology(Z, BundleSum.make(X, {X.twist((0, 0, 1, 0), t): 1}))
+        return len(cache.table("climb", X.levi))
+
+    assert entries([0]) == entries([5]) == entries(range(-6, 7))
+
+
 def test_wedge_overflow_is_refused():
     Z = mk("G2/P2", {(0, 20000): 1, (0, 20001): 1})
     with pytest.raises(rc.WeightRangeError):
@@ -645,19 +682,20 @@ def test_b9_p8_wedge_decomps_have_binomial_dimensions():
 
 
 def _levi_side(Z, mu, p):
-    """Weights of V_L(mu0) shifted by the Levi decomposition of Lambda^p F^*, twisted by t."""
+    """Weights of V_L(mu0) shifted by the packed Lambda^p F^*, twisted by t."""
     X = Z.space
     t = mu[X.k - 1]
     char = rc.char_irr(X.levi, X.twist(mu, -t))
-    shifts = {X.twist(lam, t): m for lam, m in wedge_dual_decomps(Z)[p].items()}
-    return tensor_cohomology(X, shifts, char, rc.char_extremes(char, X.rs.rank))
+    page = PackedPage(X, wedge_dual_decomps(Z)[p])
+    return tensor_cohomology(X, page, t, char, rc.char_extremes(char, X.rs.rank))
 
 
 def _wedge_side(Z, mu, p):
     """Weights of Lambda^p F^* shifted by mu."""
     X = Z.space
     wedge = wedge_dual_chars(Z)[p]
-    return tensor_cohomology(X, {mu: 1}, wedge, rc.char_extremes(wedge, X.rs.rank))
+    page = PackedPage(X, {mu: 1})
+    return tensor_cohomology(X, page, 0, wedge, rc.char_extremes(wedge, X.rs.rank))
 
 
 @settings(max_examples=40, deadline=None)

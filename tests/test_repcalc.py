@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bwbforge import cache
 from bwbforge import repcalc as rc
-from bwbforge.classify import exceptional_spaces
+from bwbforge.classify import exceptional_spaces, search_spaces
 from bwbforge.rootdata import (
     RootSystem,
     add,
@@ -25,6 +25,7 @@ from char_helpers import (
     char_dim,
     char_of_decomp,
     decomp_dim,
+    dominant_rep,
     exterior_power,
     symmetric_power,
     tensor_char,
@@ -130,7 +131,7 @@ def _freudenthal_fraction(ctx, lam):
         for mu in frontier:
             for a in simple_w:
                 cand = sub(mu, a)
-                if cand not in seen and le_lam(rc.dominant_rep(ctx, cand)):
+                if cand not in seen and le_lam(dominant_rep(ctx, cand)):
                     seen.add(cand)
                     nxt.append(cand)
         frontier = nxt
@@ -450,7 +451,7 @@ def test_dominant_rep_agrees_with_to_dominant_chamber(case):
     # walls allowed: 100 wt + rho is off every wall, and its climbing word
     # takes wt to the closure of the dominant chamber
     ctx, wt = case
-    got = rc.dominant_rep(ctx, wt)
+    got = dominant_rep(ctx, wt)
     plain = to_dominant_chamber(ctx.rs, wt, ctx.levi)
     if not plain.singular:
         assert got == plain.dominant
@@ -459,3 +460,145 @@ def test_dominant_rep_agrees_with_to_dominant_chamber(case):
     for i in to_dominant_chamber(ctx.rs, scaled, ctx.levi).word:
         want = reflect(ctx.rs, want, i)
     assert got == want
+
+
+# -- the twist-free key of the climb table -----------------------------------------
+
+_EXCEPTIONAL_LEVIS = [X.levi for X in exceptional_spaces()]
+
+
+def _line(ctx, t):
+    """t times the omitted fundamental weight of a maximal Levi context."""
+    (k,) = ctx.omitted()
+    return tuple(t if i == k - 1 else 0 for i in range(ctx.rs.rank))
+
+
+@st.composite
+def _levi_weight_and_twist(draw):
+    ctx = draw(st.sampled_from(_EXCEPTIONAL_LEVIS))
+    x = draw(st.tuples(*[st.integers(-6, 6)] * ctx.rs.rank))
+    return ctx, x, draw(st.integers(-30000, 30000))
+
+
+@given(_levi_weight_and_twist())
+@settings(max_examples=300, deadline=None)
+def test_levi_climb_commutes_with_twists(case):
+    # W_L fixes w_k: same parity, same walls, the chamber moved by t w_k
+    ctx, x, t = case
+    twisted = add(x, _line(ctx, t))
+    got, plain = rc.climb(ctx, twisted), rc.climb(ctx, x)
+    assert got == (None if plain is None else (plain[0], add(plain[1], _line(ctx, t))))
+    signed, base = rc.signed_climb(ctx, rc.pack(twisted)), rc.signed_climb(ctx, rc.pack(x))
+    if base is None:
+        assert signed is None
+    else:
+        shift = rc.packed_offset(_line(ctx, t))
+        assert signed == (base + shift if base > 0 else base - shift)
+
+
+def _unkeyed_tally(ctx, char, pairs, lo, hi):
+    """Brauer-Klimyk with every x climbed on its own, no table: the oracle of the key."""
+    rc.check_packable(lo, hi)
+    tally = {}
+    for shift, n in pairs:
+        for v, m in char.items():
+            y = rc.signed_climb(ctx, v + shift)
+            if y is not None:
+                tally[abs(y)] = tally.get(abs(y), 0) + (n * m if y > 0 else -n * m)
+    return {y: m for y, m in tally.items() if m}
+
+
+def _tally_or_refusal(tally, *args):
+    try:
+        return tally(*args)
+    except rc.WeightRangeError:
+        return "refused"
+
+
+@st.composite
+def _tally_case(draw):
+    # E8 left out: its Levi modules make each example slow
+    ctx = draw(st.sampled_from([c for c in _EXCEPTIONAL_LEVIS if c.rs.rank < 8]))
+    rank, (k,) = ctx.rs.rank, ctx.omitted()
+    mu = [0] * rank
+    mu[draw(st.sampled_from(ctx.levi)) - 1] = draw(st.integers(0, 1))
+    shifts = []
+    for _ in range(draw(st.integers(1, 3))):
+        lam = [0] * rank
+        for i in draw(st.lists(st.sampled_from(ctx.levi), max_size=2)):
+            lam[i - 1] += 1
+        # twists at the edges too, where the carry bound sends x itself to the table
+        lam[k - 1] = draw(st.one_of(
+            st.integers(-20, 20), st.integers(-32768, -32700), st.integers(32700, 32767)
+        ))
+        shifts.append((tuple(lam), draw(st.integers(1, 3))))
+    return ctx, tuple(mu), shifts
+
+
+@given(_tally_case())
+@settings(max_examples=150, deadline=None)
+def test_climb_tally_with_the_twist_free_key_equals_the_unkeyed_tally(case):
+    ctx, mu, shifts = case
+    rank, rr = ctx.rs.rank, rho(ctx.rs)
+    char = rc.char_irr(ctx, mu)
+    clo, chi = rc.char_extremes(char, rank)
+    lifted = [(add(s, rr), n) for s, n in shifts]
+    lo = [min(s[i] for s, _ in lifted) + clo[i] for i in range(rank)]
+    hi = [max(s[i] for s, _ in lifted) + chi[i] for i in range(rank)]
+    pairs = [(rc.packed_offset(s), n) for s, n in lifted]
+    want = _tally_or_refusal(_unkeyed_tally, ctx, char, pairs, lo, hi)
+    cache.clear()
+    # a fresh table, then the filled one
+    for _ in range(2):
+        assert _tally_or_refusal(rc.climb_tally, ctx, char, pairs, lo, hi) == want
+
+
+@pytest.mark.parametrize(
+    "x,want",
+    [
+        # x0 = (0, -11000) climbs to (-33000, 11000), outside the field: the
+        # carry bound sends x itself to the table, and x is answered as before
+        ((32000, -11000), {(-1000, 11000): 1}),
+        ((20000, -11000), {(-13000, 11000): 1}),
+        ((1000, -11000), {(-32000, 11000): 1}),
+        # the chamber of x itself leaves the field: refused, as before
+        ((-1000, -11000), "refused"),
+    ],
+)
+def test_twist_free_key_at_the_edge_of_the_field(x, want):
+    # G2/P1: the Levi reflection s_2 lowers coordinate 1 by 3 x_2
+    ctx = rc.levi_context(G2, 1)
+    cache.clear()
+    trivial = {rc.pack((0, 0)): 1}
+    got = _tally_or_refusal(rc.climb_tally, ctx, trivial, [(rc.packed_offset(x), -1)], x, x)
+    if got != "refused":
+        got = {rc.unpack(y, 2): m for y, m in got.items()}
+    assert got == want
+    assert cache.table("climb", ctx) == {}
+
+
+# -- the dual highest weight -------------------------------------------------------
+
+
+def test_dual_highest_weight_matches_the_climbing_oracle_on_every_search_space():
+    # -w_0 w_i on each node of each space classify --family all searches to rank 11
+    pairs = 0
+    for X in search_spaces("all", 11):
+        for i in range(1, X.rs.rank + 1):
+            lam = tuple(int(j == i) for j in range(1, X.rs.rank + 1))
+            assert rc.dual_highest_weight(X.levi, lam) == dominant_rep(
+                X.levi, tuple(-c for c in lam)
+            ), (str(X), i)
+            pairs += 1
+    assert pairs == 2174
+
+
+@given(st.sampled_from(_EXCEPTIONAL_LEVIS + [rc.full_context(rs) for rs in (E6, E7, F4, G2)]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_dual_highest_weight_is_the_dominant_representative_of_minus_lam(ctx, data):
+    lam = tuple(
+        data.draw(st.integers(0, 5) if i in ctx.levi else st.integers(-9, 9))
+        for i in range(1, ctx.rs.rank + 1)
+    )
+    assert rc.dual_highest_weight(ctx, lam) == dominant_rep(ctx, tuple(-c for c in lam))
