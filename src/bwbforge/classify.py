@@ -86,9 +86,9 @@ def admissible_summands(
 ) -> List[Tuple[Weight, int, int]]:
     """All nonzero G-dominant weights with rank <= rank_cap, dex <= dex_cap.
 
-    The Levi part is enumerated by coordinate recursion (rank is strictly
-    monotone in every coordinate, so each position is cut off as soon as the
-    cap is exceeded); twists along w_k then raise dex by rank per step.
+    The Levi part is enumerated by coordinate recursion, each coordinate cut
+    as soon as the untwisted point passes either cap; twists along w_k then
+    raise dex by rank per step.
 
     Rank and dex come in closed form, with no memo lookup per lattice point.
     Two running values move by one column on each step of a coordinate: the
@@ -96,6 +96,9 @@ def admissible_summands(
     and the invariant pairing <column, lam> of ``repcalc.invariant_form``.
     Then rank = prod(factors) / den and dex = rank <column, lam> / norm, the
     formulas of ``weyl_dim`` and ``sum_of_weights``, both asserted exact.
+    Both grow strictly in every Levi coordinate (the coroot columns are
+    nonnegative and nonzero; column k of the Gram matrix is positive, as is
+    every inverse Cartan entry of an irreducible type), so the cut is sound.
     """
     if rank_cap < 1 or dex_cap < 1:
         return []
@@ -108,7 +111,7 @@ def admissible_summands(
     out: List[Tuple[Weight, int, int]] = []
 
     def recurse(pos: int, factors: Sequence[int], pairing: int, rank: int) -> None:
-        # ``coords`` is within the rank cap; its factors, pairing and rank ride along
+        # ``coords`` is within both caps; its factors, pairing and rank ride along
         if pos == len(steps):
             base_dex, rem = divmod(rank * pairing, norm)
             assert rem == 0
@@ -120,7 +123,7 @@ def admissible_summands(
                 t += 1
             return
         i, col, c = steps[pos]
-        while rank <= rank_cap:
+        while rank <= rank_cap and rank * pairing <= dex_cap * norm:
             recurse(pos + 1, factors, pairing, rank)
             coords[i] += 1
             factors = [f + x for f, x in zip(factors, col)]

@@ -432,35 +432,32 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
     The weights are found level by level below lam.  The alpha_i-string
     through a weight mu is unbroken and runs from mu + q alpha_i down to
     mu - (q + mu_i) alpha_i, so mu - alpha_i is a weight exactly when q + mu_i
-    is positive; q is read off the weights above mu, whose levels are
-    complete by then.  Freudenthal's recursion only reads higher levels.
-    The invariant form enters as its integer multiple B, whose scale cancels
-    in the quotient, so no rational number is formed: every multiplicity is
-    an exact positive quotient of integers, which is asserted.
+    is positive; q is that of mu + alpha_i plus one, or 0 if that is no weight.
+    As many weights as the Weyl dimension means every multiplicity is 1.
+    Freudenthal's recursion only reads higher levels.  The invariant form
+    enters as its integer multiple B, whose scale cancels in the quotient, so
+    no rational number is formed: every multiplicity is an exact positive
+    quotient of integers, which is asserted.
     """
     rank = ctx.rs.rank
     rr = rho(ctx.rs)
-    simple = [(i - 1, simple_root_weight(ctx.rs, i)) for i in ctx.levi]
+    simple = list(enumerate((i - 1, simple_root_weight(ctx.rs, i)) for i in ctx.levi))
     levels = [lam]
-    seen = {lam}
-    frontier = [lam]
+    # each weight of a level with its q per simple root, filled in as it is walked
+    frontier: Dict[Weight, List[int]] = {lam: []}
+    above: Dict[Weight, List[int]] = {}
     while frontier:
-        nxt = []
-        for mu in frontier:
-            for i, a in simple:
-                cand = tuple([x - y for x, y in zip(mu, a)])
-                if cand in seen:
-                    continue
-                depth = mu[i]  # q + mu_i, q counted below
-                above = tuple([x + y for x, y in zip(mu, a)])
-                while above in seen:
-                    depth += 1
-                    above = tuple([x + y for x, y in zip(above, a)])
-                if depth > 0:
-                    seen.add(cand)
-                    nxt.append(cand)
+        nxt: Dict[Weight, List[int]] = {}
+        for mu, qs in frontier.items():
+            for j, (i, a) in simple:
+                up = above.get(tuple([x + y for x, y in zip(mu, a)]))
+                qs.append(0 if up is None else up[j] + 1)
+                if qs[j] + mu[i] > 0:
+                    nxt.setdefault(tuple([x - y for x, y in zip(mu, a)]), [])
         levels += nxt
-        frontier = nxt
+        frontier, above = nxt, frontier
+    if len(levels) == weyl_dim(ctx, lam):
+        return dict.fromkeys(levels, 1)
 
     roots = _freudenthal_roots(ctx)
     gram = integral_weight_gram(ctx.rs)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 Weight = Tuple[int, ...]
@@ -200,10 +201,12 @@ def coroot_vector(rs: RootSystem, beta: Root) -> Tuple[int, ...]:
 
     k_i = 2 beta_i e_i / (beta, beta), both read on the scale of the integral
     halves e: (beta, beta) = sum_ij beta_i beta_j e_i A[i][j], and each
-    quotient is asserted exact.
+    quotient is asserted exact.  With all e_i equal (A, D, E), k = beta.
     """
-    A = cartan_matrix(rs)
     e = _integral_length_halves(rs)
+    if len(set(e)) == 1:
+        return beta
+    A = cartan_matrix(rs)
     r = rs.rank
     norm = sum(beta[i] * beta[j] * e[i] * A[i][j] for i in range(r) for j in range(r))
     vec = []
@@ -227,8 +230,8 @@ def integral_weight_gram(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     least integral multiple.
     """
     r = rs.rank
-    ks = [coroot_vector(rs, beta) for beta in positive_roots(rs)]
-    G = [[sum(k[i] * k[j] for k in ks) for j in range(r)] for i in range(r)]
+    cols = list(zip(*(coroot_vector(rs, beta) for beta in positive_roots(rs))))
+    G = [[sum(map(mul, cols[i], cols[j])) for j in range(r)] for i in range(r)]
     g = gcd(*(x for row in G for x in row))
     return tuple(tuple(x // g for x in row) for row in G)
 

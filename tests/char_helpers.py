@@ -4,7 +4,8 @@ The engine works on packed characters and reads tensor products off
 ``repcalc.decompose_character`` with a shift (Brauer-Klimyk); these
 convenience forms (weight multisets, characters and dimensions of formal
 sums, tensor products, wedge and symmetric powers decomposed again) serve
-the tests and the oracles built on them.
+the tests and the oracles built on them.  ``freudenthal`` and
+``dominant_rep`` are oracles of engine routines.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Dict
 
 from bwbforge import repcalc as rc
-from bwbforge.rootdata import Weight, simple_root_weight
+from bwbforge.rootdata import Weight, add, integral_weight_gram, rho, simple_root_weight
 
 
 def char_to_weights(char: rc.PackedChar, rank: int) -> Dict[Weight, int]:
@@ -85,3 +86,72 @@ def dominant_rep(ctx: rc.Context, w: Weight) -> Weight:
                 break
         else:
             return tuple(cur)
+
+
+def freudenthal(ctx: rc.Context, lam: Weight) -> Dict[Weight, int]:
+    """Weight multiplicities of V_ctx(lam) by Freudenthal's formula: the oracle of ``char_irr``.
+
+    This is the engine's recursion as it was before the alpha_i-string depths
+    were tabulated: each depth walks the string above mu, and Freudenthal's
+    sum runs for every weight, even when all multiplicities are 1.
+
+    The weights are found level by level below lam.  The alpha_i-string
+    through a weight mu is unbroken and runs from mu + q alpha_i down to
+    mu - (q + mu_i) alpha_i, so mu - alpha_i is a weight exactly when q + mu_i
+    is positive; q is read off the weights above mu, whose levels are
+    complete by then.  Freudenthal's recursion only reads higher levels.
+    The invariant form enters as its integer multiple B, whose scale cancels
+    in the quotient, so no rational number is formed: every multiplicity is
+    an exact positive quotient of integers, which is asserted.
+    """
+    rank = ctx.rs.rank
+    rr = rho(ctx.rs)
+    simple = [(i - 1, simple_root_weight(ctx.rs, i)) for i in ctx.levi]
+    levels = [lam]
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i, a in simple:
+                cand = tuple([x - y for x, y in zip(mu, a)])
+                if cand in seen:
+                    continue
+                depth = mu[i]  # q + mu_i, q counted below
+                above = tuple([x + y for x, y in zip(mu, a)])
+                while above in seen:
+                    depth += 1
+                    above = tuple([x + y for x, y in zip(above, a)])
+                if depth > 0:
+                    seen.add(cand)
+                    nxt.append(cand)
+        levels += nxt
+        frontier = nxt
+
+    roots = rc._freudenthal_roots(ctx)
+    gram = integral_weight_gram(ctx.rs)
+
+    def norm(w: Weight) -> int:
+        # B(w, w)
+        return sum(w[i] * w[j] * gram[i][j] for i in range(rank) for j in range(rank))
+
+    lam_norm = norm(add(lam, rr))
+    mults: Dict[Weight, int] = {lam: 1}
+    for mu in levels[1:]:
+        acc = 0
+        for beta_w, form, bb in roots:
+            nu = tuple([x + y for x, y in zip(mu, beta_w)])
+            if nu not in mults:
+                continue
+            # B(mu + k beta, beta) = B(mu, beta) + k B(beta, beta)
+            pair = sum([x * y for x, y in zip(form, mu)])
+            k = 1
+            while nu in mults:
+                acc += mults[nu] * (pair + k * bb)
+                k += 1
+                nu = tuple([x + y for x, y in zip(nu, beta_w)])
+        denom = lam_norm - norm(add(mu, rr))
+        val, rem = divmod(2 * acc, denom)
+        assert rem == 0 and val > 0, "inexact Freudenthal step"
+        mults[mu] = val
+    return mults

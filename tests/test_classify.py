@@ -168,6 +168,22 @@ def test_pool_ranks_and_dex_equal_weyl_dim_and_dex(d):
             assert (rk, dx) == (rc.weyl_dim(X.levi, lam), dex(X, lam)), (str(X), lam)
 
 
+def test_pool_where_the_dex_cap_binds_first():
+    # small dex caps under rank caps up to 40: the recursion stops on dex
+    # before rank, and the rank-only oracle still finds nothing more
+    cases = cut = 0
+    for X in ORACLE_SPACES:
+        for rank_cap in (1, 6, 17, 40):
+            wide = oracle.admissible_summands(X, rank_cap, 40)
+            for dex_cap in (1, 2, 3):
+                pool = cl.admissible_summands(X, rank_cap, dex_cap)
+                assert pool == oracle.admissible_summands(X, rank_cap, dex_cap), (str(X), rank_cap)
+                # an untwisted Levi point within the rank cap but over the dex cap
+                cut += any(lam[X.k - 1] == 0 and dx > dex_cap for lam, _, dx in wide)
+                cases += 1
+    assert cut > cases // 2
+
+
 def test_search_runs_without_weyl_dim_dex_or_weight_sums(monkeypatch):
     # rank and dex come from the Weyl kernel and the invariant form in closed
     # form: no memoised weyl_dim, dex or sum_of_weights per lattice point

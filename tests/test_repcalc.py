@@ -27,6 +27,7 @@ from char_helpers import (
     decomp_dim,
     dominant_rep,
     exterior_power,
+    freudenthal,
     symmetric_power,
     tensor_char,
     tensor_decompose,
@@ -179,6 +180,34 @@ def test_integer_freudenthal_matches_rational_oracle():
     # forms have denominators, which the integral Gram matrix clears
     for ctx, lam in _oracle_cases():
         assert rc._freudenthal(ctx, lam) == _freudenthal_fraction(ctx, lam), (str(ctx), lam)
+
+
+def test_char_irr_matches_the_freudenthal_oracle_on_every_search_context():
+    # each Levi and full context of classify --family all to rank 6, at the
+    # fundamental weights of its nodes and their doubles up to 300 dimensions
+    cases = [(rc.full_context(RootSystem("A", 2)), (1, 1)), (rc.full_context(E6), w(6, i2=1))]
+    for X in search_spaces("all", 6):
+        for ctx in (X.levi, rc.full_context(X.rs)):
+            for i in ctx.levi:
+                for c in (1, 2):
+                    lam = w(X.rs.rank, **{f"i{i}": c})
+                    if rc.weyl_dim(ctx, lam) <= 300:
+                        cases.append((ctx, lam))
+    repeated = 0
+    for ctx, lam in dict.fromkeys(cases):
+        want = freudenthal(ctx, lam)
+        assert weight_multiplicities(ctx, lam) == want, (str(ctx), lam)
+        repeated += any(m > 1 for m in want.values())
+    # the adjoints of A2 and E6 have a zero weight of multiplicity 2 and 6
+    assert weight_multiplicities(*cases[0])[(0, 0)] == 2
+    assert weight_multiplicities(*cases[1])[(0,) * 6] == 6
+    assert repeated > 200  # Freudenthal's sum runs, not only the multiplicity-free shortcut
+
+
+def test_long_multiplicity_free_string():
+    # the A1 Levi of G2/P1 at (0, n): one root string of n + 1 weights
+    mults = weight_multiplicities(rc.levi_context(G2, 1), (0, 1000))
+    assert len(mults) == 1001 and set(mults.values()) == {1}
 
 
 def test_weight_multiset_levi_invariance():
