@@ -3,16 +3,18 @@
 For an irreducible bundle E_lambda the recipe is mechanical: if lambda+rho
 lies on a wall, every cohomology group vanishes; otherwise exactly one
 survives, in degree ell(w), with dominant label w(lambda+rho)-rho.
-``tensor_cohomology`` applies it to E(t) (x) M for a ``PackedPage`` E and
-an L-module M given by its character, as the Koszul E1 page needs it:
-Brauer-Klimyk splits the product into L-irreducibles by W_L-climbs, and
-the recipe above then runs once per irreducible, not once per weight.
+``bwb`` runs it by a Weyl climb.  ``tensor_cohomology`` applies it to
+E(t) (x) M for a ``PackedPage`` E and an L-module M given by its character,
+as the Koszul E1 page needs it: Brauer-Klimyk splits the product into
+L-irreducibles by W_L-climbs, and the recipe then runs once per
+irreducible, not once per weight, read off its coroot pairings with no
+W-climb (``repcalc.bott_kernel``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from . import cache as _cache
 from . import repcalc as rc
@@ -62,9 +64,9 @@ class CohomologyTable:
 def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
     """Cohomology of the irreducible bundle E_lambda by Borel-Weil-Bott.
 
-    lambda + rho is climbed by ``repcalc.climb``, the climber ``_bwb_entry``
-    uses, but on the plain tuple: no packed coordinate range applies, so
-    every twist gets an answer.
+    lambda + rho is climbed by ``repcalc.climb`` on the plain tuple: no
+    packed coordinate range applies, so every twist gets an answer.  This is
+    the reference that ``repcalc.bott_kernel`` on the E1 page agrees with.
     """
     check_p_dominant(X, lam)
     table = CohomologyTable(X)
@@ -76,18 +78,6 @@ def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
 
 
 _MISSING = object()
-
-
-def _bwb_entry(X: HomSpace, y: int, bwbs: dict) -> Optional[Tuple[int, int]]:
-    """(q, dim V_G) for the packed rho-shifted Levi highest weight y; None on a W wall."""
-    got = bwbs.get(y, _MISSING)
-    if got is _MISSING:
-        got = rc.climb(X.group, rc.unpack(y, X.rs.rank))
-        if got is not None:
-            q, dom = got
-            got = q, rc.weyl_dim(X.group, tuple(c - 1 for c in dom))
-        bwbs[y] = got
-    return got
 
 
 class PackedPage:
@@ -117,8 +107,9 @@ def tensor_cohomology(
     Brauer-Klimyk first: each weight nu of M moves s + t w_k + nu + rho into
     the dominant W_L-chamber, and ``repcalc.climb_tally`` sums n_s * m_nu
     with signs per rho-shifted Levi highest weight y.  Borel-Weil-Bott then
-    runs once per y (``table("bwb", X)``): dim V_G in degree q, the length of
-    its W-climb, or nothing on a wall (Bott 1957; Kostant 1961).  The rule is
+    runs once per y (``table("bwb", X)``) from its coroot pairings
+    (``repcalc.bott_kernel``): dim V_G in degree q, the number of negative
+    pairings, or nothing on a wall (Bott 1957; Kostant 1961).  The rule is
     symmetric in its factors, so either one may be the page.  The twist is
     one integer add per packed shift; ``extremes`` bounds the weights of
     ``char``, and with the page's extremes and t every sum.
@@ -130,10 +121,12 @@ def tensor_cohomology(
     hi = [a + b + c for a, b, c in zip(page.hi, extremes[1], line)]
     twist = rc.packed_offset(line)
     pairs = [(s + twist, n) for s, n in page.pairs]
-    bwbs = _cache.table("bwb", X)
+    bwbs, bott = _cache.table("bwb", X), rc.bott_kernel(X.group)
     out: Dict[int, int] = {}
     for y, m in rc.climb_tally(X.levi, char, pairs, lo, hi).items():
-        entry = _bwb_entry(X, y, bwbs)
+        entry = bwbs.get(y, _MISSING)
+        if entry is _MISSING:
+            entry = bwbs[y] = bott(y)
         if entry is not None:
             q, dim = entry
             out[q] = out.get(q, 0) + m * dim
@@ -174,10 +167,3 @@ class FilteredBundle:
             [{X.twist(lam, t): m for lam, m in g} for g in self.gradeds]
         )
 
-
-def serre_dual_weight(X: HomSpace, lam: Weight) -> Weight:
-    """Highest weight of K_X (x) E_lambda^*, the Serre-duality partner."""
-    from .homspace import fano_index
-
-    dual = rc.dual_highest_weight(X.levi, lam)
-    return X.twist(dual, -fano_index(X))

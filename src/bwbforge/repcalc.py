@@ -40,8 +40,8 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import lshift
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import lshift, mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import cache as _cache
 from .rootdata import (
@@ -269,6 +269,43 @@ def weyl_dim(ctx: Context, lam: Weight) -> int:
     assert num % den == 0
     memo[lam] = num // den
     return num // den
+
+
+@lru_cache(maxsize=None)
+def bott_kernel(ctx: Context) -> Callable[[int], Optional[Tuple[int, int]]]:
+    """Borel-Weil-Bott in closed form on a packed rho-shifted weight y (Bott 1957; Kostant 1961).
+
+    y is on a wall iff some <y, beta^v> is 0; else its climb has length q, the
+    number of negative <y, beta^v>, and ends at w(y) of dimension
+    prod |<y, beta^v>| / prod <rho, beta^v>.  Every pairing comes from one
+    integer with a 32-bit field per positive root beta_b: C_i = sum_b <w_i,
+    beta_b^v> << 32b, and P = base + sum_i u_i C_i, u_i the raw 16-bit fields
+    of y, holds <y, beta_b^v> + 2^31 in field b, ``base`` folding both offsets;
+    P ^ 2^31 per field reads as the signed pairings.  |<y, beta^v>| <= 2^15
+    <rho, beta^v> < 2^31 keeps the fields apart.
+    """
+    heights, columns, den = weyl_kernel(ctx)
+    n, rank, half = len(heights), ctx.rs.rank, 1 << 31
+    assert _OFFSET * max(heights) < half, f"coroot pairings of {ctx} overflow 32-bit fields"
+    cols = [0] * rank
+    for i, col in columns:
+        cols[i] = sum(map(lshift, col, range(0, 32 * n, 32)))
+    low = sum(1 << 32 * b for b in range(n))
+    top = low * half
+    base = top - _OFFSET * sum(cols)
+    raw, pairings = _fields(rank), struct.Struct(f"<{n}i")
+
+    def bott(y: int) -> Optional[Tuple[int, int]]:
+        """(q, dim V_G) for y, None on a wall."""
+        p = sum(map(mul, raw.unpack(y.to_bytes(2 * rank, "little")), cols), base)
+        t = p ^ top
+        if (t - low) & ~t & top:  # some field of t is 0: a pairing is 0
+            return None
+        dim, rem = divmod(abs(prod(pairings.unpack(t.to_bytes(4 * n, "little")))), den)
+        assert not rem
+        return n - (p & top).bit_count(), dim
+
+    return bott
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ The engine works on packed characters and reads tensor products off
 convenience forms (weight multisets, characters and dimensions of formal
 sums, tensor products, wedge and symmetric powers decomposed again) serve
 the tests and the oracles built on them.  ``freudenthal`` and
-``dominant_rep`` are oracles of engine routines.
+``dominant_rep`` are oracles of engine routines; ``serre_dual_weight``
+names the Serre-duality partner of an irreducible bundle.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from bwbforge import repcalc as rc
+from bwbforge.homspace import HomSpace, fano_index
 from bwbforge.rootdata import Weight, add, integral_weight_gram, rho, simple_root_weight
 
 
@@ -155,3 +157,8 @@ def freudenthal(ctx: rc.Context, lam: Weight) -> Dict[Weight, int]:
         assert rem == 0 and val > 0, "inexact Freudenthal step"
         mults[mu] = val
     return mults
+
+
+def serre_dual_weight(X: HomSpace, lam: Weight) -> Weight:
+    """Highest weight of K_X (x) E_lambda^*, the Serre-duality partner."""
+    return X.twist(rc.dual_highest_weight(X.levi, lam), -fano_index(X))

@@ -18,7 +18,7 @@ import pytest
 from bwbforge import classify as cl
 from bwbforge import hodge
 from bwbforge import repcalc as rc
-from bwbforge.bwbcohom import FilteredBundle, bwb, serre_dual_weight
+from bwbforge.bwbcohom import FilteredBundle, bwb
 from bwbforge.homspace import (
     dimension,
     fano_index,
@@ -33,6 +33,7 @@ import enumeration_oracle as oracle
 from char_helpers import (
     char_of_decomp,
     exterior_power,
+    serre_dual_weight,
     symmetric_power,
     weight_multiplicities,
 )

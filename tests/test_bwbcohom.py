@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from bwbforge import cache as _cache
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import (
     FilteredBundle,
@@ -9,10 +11,10 @@ from bwbforge.bwbcohom import (
     PackedPage,
     bundle_cohomology,
     bwb,
-    serre_dual_weight,
     tensor_cohomology,
 )
-from bwbforge.classify import exceptional_spaces
+from bwbforge.classify import exceptional_spaces, search_spaces
+from bwbforge.hodge import omega_filtration
 from bwbforge.homspace import dimension, gradation, parse_homspace
 from bwbforge.koszul import (
     BundleSum,
@@ -22,6 +24,8 @@ from bwbforge.koszul import (
     structure_cohomology,
 )
 from bwbforge.rootdata import add, rho, to_dominant_chamber
+
+from char_helpers import serre_dual_weight
 
 G2P1 = parse_homspace("G2/P1")
 G2P2 = parse_homspace("G2/P2")
@@ -138,6 +142,114 @@ def test_tensor_cohomology_refuses_non_characters():
     # P-dominance is checked once, when the page is packed
     with pytest.raises(NotPDominantError):
         PackedPage(G2P2, {zero: 1, (-1, 0): 1})
+
+
+BOTT_SPACES = search_spaces("all", 11)
+BOTT_GROUPS = sorted({X.rs for X in BOTT_SPACES}, key=str)
+FIELD = 2**15
+
+
+def bwb_entry(X, y):
+    """(q, dim) of the rho-shifted weight y by ``bwb``, None on a wall."""
+    table = bwb(X, tuple(c - r for c, r in zip(y, rho(X.rs))))
+    return next(((q, m * rc.weyl_dim(X.group, hw)) for q, row in table.entries.items()
+                 for hw, m in row.items()), None)
+
+
+def climbed(ctx, y):
+    """(q, dim) of an arbitrary rho-shifted weight y by climb and weyl_dim."""
+    got = rc.climb(ctx, y)
+    return None if got is None else (got[0], rc.weyl_dim(ctx, tuple(c - 1 for c in got[1])))
+
+
+@pytest.mark.parametrize("X", BOTT_SPACES, ids=str)
+def test_bott_kernel_matches_bwb(X):
+    # rho-shifted L-dominant weights, twists at the edges of the packed field included
+    bott, r, k = rc.bott_kernel(X.group), X.rs.rank, X.k - 1
+    rng = random.Random(str(X))
+    levi = [[rng.randint(1, 6) for _ in range(r)] for _ in range(12)]
+    twists = [rng.randint(-40, 40) for _ in range(8)] + [FIELD - 1, 1 - FIELD, -FIELD, 0]
+    weights = [tuple(t if i == k else c for i, c in enumerate(cs)) for cs, t in zip(levi, twists)]
+    weights.append(tuple(1 - FIELD if i == k else FIELD - 1 for i in range(r)))
+    for y in weights:
+        assert bott(rc.pack(y)) == bwb_entry(X, y), y
+
+
+def pairings(ctx, y):
+    heights, columns, _ = rc.weyl_kernel(ctx)
+    out = [0] * len(heights)
+    for i, col in columns:
+        out = [p + y[i] * c for p, c in zip(out, col)]
+    return out
+
+
+@pytest.mark.parametrize("rs", BOTT_GROUPS, ids=str)
+def test_bott_kernel_zero_field_next_to_negative_fields(rs):
+    # a zero pairing in the first and in the last 32-bit field, beside negative
+    # ones, borrows across fields in the zero-field test; arbitrary weights too
+    ctx = rc.full_context(rs)
+    bott, columns = rc.bott_kernel(ctx), rc.weyl_kernel(ctx)[1]
+    n = len(columns[0][1])
+    rng = random.Random(str(rs))
+    found = set()
+    for trial in range(900):
+        y = [rng.randint(-4, 4) for _ in range(rs.rank)]
+        b = (0, n - 1, None)[trial % 3]
+        if b is not None:  # <y, beta_b^v> = 0: scale y by k_j, then solve for y_j
+            j, k = rng.choice([(i, col[b]) for i, col in columns if col[b]])
+            y = [k * c for c in y]
+            y[j] = 0
+            y[j] = -sum(c * col[b] for c, (_, col) in zip(y, columns)) // k
+        y = tuple(y)
+        got = bott(rc.pack(y))
+        assert got == climbed(ctx, y), y
+        p = pairings(ctx, y)
+        assert (got is None) == (0 in p)
+        if n > 1 and p[0] == 0 and p[1] < 0:
+            found.add("first")
+        if n > 1 and p[-1] == 0 and p[-2] < 0:
+            found.add("last")
+    assert found == ({"first", "last"} if n > 1 else set())
+
+
+@pytest.mark.parametrize("rs", BOTT_GROUPS, ids=str)
+def test_bott_kernel_field_bound(rs, monkeypatch):
+    # every root system to rank 11 passes the 32-bit field bound, and a
+    # kernel whose bound fails refuses to build
+    ctx = rc.full_context(rs)
+    heights = rc.weyl_kernel(ctx)[0]
+    assert FIELD * max(heights) < 2**31
+    rc.bott_kernel(ctx)
+    monkeypatch.setattr(rc, "weyl_kernel", lambda c: ((2**16,), ((0, (1,)),), 2**16))
+    with pytest.raises(AssertionError, match="overflow"):
+        rc.bott_kernel.__wrapped__(ctx)
+
+
+def test_restricted_cohomology_never_climbs_the_full_group(monkeypatch):
+    # the E1 page reads Borel-Weil-Bott off coroot pairings: no Weyl climb or
+    # Weyl dimension of G on the E6/P3 Omega(1) query, the largest of the
+    # benchmark session; with climb and weyl_dim in their place it answers the same
+    for name in ("climb", "weyl_dim"):
+        original = getattr(rc, name)
+
+        def levi_only(ctx, *args, _original=original, _name=name):
+            assert not ctx.is_full, f"{_name} on {ctx}"
+            return _original(ctx, *args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("bwbforge") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, levi_only)
+    X = parse_homspace("E6/P3")
+    Z = ZeroLocus(X, BundleSum.make(X, {(0, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 1): 4}))
+    E = omega_filtration(X).twist(X, 1)
+    _cache.clear()
+    got = restricted_cohomology(Z, E)
+    assert any(entry is None for entry in _cache.table("bwb", X).values())
+    monkeypatch.undo()
+    monkeypatch.setattr(rc, "bott_kernel", lambda ctx: lambda y: climbed(ctx, rc.unpack(y, ctx.rs.rank)))
+    _cache.clear()
+    assert restricted_cohomology(Z, E) == got
+    _cache.clear()
 
 
 def test_reg_ind_anchors():
