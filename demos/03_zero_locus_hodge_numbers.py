@@ -15,7 +15,7 @@ from bwbforge.hodge import (
     h1_chase_report,
     h1_row,
     h22_chase_report,
-    is_hyperkaehler_candidate,
+    is_hyperkaehler,
 )
 from bwbforge.homspace import parse_homspace
 from bwbforge.koszul import BundleSum, ZeroLocus, structure_cohomology
@@ -27,7 +27,7 @@ print(f"Z = zero locus of O(3) on {X}: dimension {Z.d},",
 
 row0 = h0_row(Z)
 print("h^{0,q} =", row0.values, "->",
-      "hyperkaehler candidate" if is_hyperkaehler_candidate(Z, row0)
+      "hyperkaehler candidate" if is_hyperkaehler(row0)
       else "Calabi-Yau but not hyperkaehler")
 
 row1 = h1_row(Z, row0)
@@ -52,5 +52,5 @@ print("== the hyperkaehler fourfold, for contrast ==")
 gr26 = parse_homspace("A5/P2")  # the Grassmannian Gr(2,6)
 Zbd = ZeroLocus(gr26, BundleSum.make(gr26, {(3, 0, 0, 0, 0): 1}))
 s = structure_cohomology(Zbd)
-print("S^3 U* on Gr(2,6): h(O_Z) =", s.dims,
-      "-> h^2(O_Z) = 1 certifies a holomorphic symplectic form")
+print("S^3 U* on Gr(2,6): h(O_Z) =", s.dims, "->",
+      "the hyperkaehler row" if is_hyperkaehler(s.dims) else "not hyperkaehler")

@@ -12,11 +12,11 @@ Running this script takes about two seconds; the E7/P1 Hodge row dominates.
 
 import time
 
-from bwbforge.classify import classify_exceptional
+from bwbforge.classify import classify, exceptional_spaces
 
 for d in (4, 3):
     t0 = time.time()
-    rep = classify_exceptional(d, with_hodge=True)
+    rep = classify(exceptional_spaces(), d, with_hodge=True)
     print(f"== d = {d}: {len(rep.rows)} families "
           f"({len(rep.dedup_rows())} up to the diagram automorphism), "
           f"{time.time() - t0:.0f}s ==")

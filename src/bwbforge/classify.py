@@ -297,26 +297,12 @@ class ClassifyRow:
 
 
 def _hodge_fields(Z: ZeroLocus) -> Tuple[Dict[str, Optional[int]], str]:
-    row0 = hodge.h0_row(Z)
-    row1 = hodge.h1_row(Z, row0)
-    status = "exact"
-    out: Dict[str, Optional[int]] = {}
+    dia = hodge.assemble(Z)
     if Z.d == 4:
-        out["h02"] = row0.values[2]
-        out["h11"] = row1.values[1]
-        out["h13"] = row1.values[3]
-        if row0.status != "exact" or row1.status != "exact":
-            status = "ambiguous"
+        out = {"h02": dia.get(0, 2), "h11": dia.get(1, 1), "h13": dia.get(1, 3)}
     else:
-        out["h11"] = row1.values[1]
-        out["h12"] = row1.values[2]
-        if row0.status == "exact" and row1.status == "exact":
-            dia = hodge.assemble(Z, row0, row1)
-            out["chi"] = dia.euler_characteristic()
-        else:
-            out["chi"] = None
-            status = "ambiguous"
-    return out, status
+        out = {"h11": dia.get(1, 1), "h12": dia.get(1, 2), "chi": dia.euler_characteristic()}
+    return out, "exact" if dia.complete() else "ambiguous"
 
 
 @dataclass
@@ -369,9 +355,3 @@ def classify(
             )
     return ClassifyReport(d, rows, excluded, pruned)
 
-
-def classify_exceptional(d: int, with_hodge: bool = True) -> ClassifyReport:
-    """Reproduce the 4-fold (d=4) and 3-fold (d=3) tables over all 25 spaces."""
-    if d not in (3, 4):
-        raise ValueError("the classification search is for d in {3, 4}")
-    return classify(exceptional_spaces(), d, with_hodge)

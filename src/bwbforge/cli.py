@@ -268,7 +268,7 @@ def _hodge_cmd(args) -> Reply:
     if Z.d == 4:
         names = {"h02": dia.get(0, 2), "h11": dia.get(1, 1),
                  "h13": dia.get(1, 3), "h22": dia.get(2, 2),
-                 "hyperkaehler": diamond[0] == [1, 0, 1, 0, 1]}
+                 "hyperkaehler": _hodge.is_hyperkaehler(diamond[0])}
     else:
         names = {"h11": dia.get(1, 1), "h12": dia.get(1, 2)}
     results = {"d": Z.d, "dex": F.dex, "iota": fano_index(X),

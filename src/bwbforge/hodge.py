@@ -12,8 +12,7 @@ h^{2,2} is reported as blocked.
 The h^{1,q} chase runs through one small solver: an exact sequence whose
 entries are known integers or named unknowns splits at its zero entries
 into segments with vanishing alternating sum, and a segment with a single
-unknown determines it.  Iterating over all sequences to a fixpoint never
-assumes that a particular map vanishes.
+unknown determines it.  No particular map is ever assumed to vanish.
 """
 
 from __future__ import annotations
@@ -38,54 +37,33 @@ class ChaseStuckError(RuntimeError):
     pass
 
 
-def solve_exact_system(sequences: List[List[Cell]]) -> Tuple[Dict[str, int], bool]:
-    """Solve for the unknowns of a family of exact sequences.
+def solve_exact_system(seq: List[Cell]) -> Tuple[Dict[str, int], bool]:
+    """Solve for the unknowns of one exact sequence, 0-terminated on both ends.
 
-    Each sequence is implicitly 0-terminated on both ends.  Returns the
-    solved unknowns and whether everything was determined.
+    Each unknown may appear once, so solving one segment changes no other
+    and a single pass over the segments finds every forced value.  Returns
+    the solved unknowns and whether everything was determined.
     """
+    names = [c for c in seq if isinstance(c, str)]
+    if len(set(names)) != len(names):
+        raise ValueError(f"an unknown repeats in {seq}")
     values: Dict[str, int] = {}
-
-    def substituted(seq: List[Cell]) -> List[Cell]:
-        return [values.get(c, c) if isinstance(c, str) else c for c in seq]
-
-    progress = True
-    while progress:
-        progress = False
-        for seq in sequences:
-            cur = substituted(seq)
-            # split at known zeros
-            segment: List[Cell] = []
-            segments = []
-            for cell in cur + [0]:
-                if cell == 0:
-                    if segment:
-                        segments.append(segment)
-                    segment = []
-                else:
-                    segment.append(cell)
-            for seg in segments:
-                unknowns = [c for c in seg if isinstance(c, str)]
-                if len(unknowns) != 1:
-                    continue
-                name = unknowns[0]
-                total = 0
-                sign_of_unknown = 1
-                for i, c in enumerate(seg):
-                    s = 1 if i % 2 == 0 else -1
-                    if isinstance(c, str):
-                        sign_of_unknown = s
-                    else:
-                        total += s * c
-                val = -total * sign_of_unknown
-                if val < 0:
-                    raise ChaseStuckError(f"exact sequence forces {name} = {val} < 0")
-                if name in values and values[name] != val:
-                    raise ChaseStuckError(f"inconsistent chase: {name}")
-                values[name] = val
-                progress = True
-    all_names = {c for seq in sequences for c in seq if isinstance(c, str)}
-    return values, all_names <= set(values)
+    segment: List[Cell] = []
+    for cell in [*seq, 0]:
+        if cell != 0:
+            segment.append(cell)
+            continue
+        unknowns = [i for i, c in enumerate(segment) if isinstance(c, str)]
+        if len(unknowns) == 1:
+            # the alternating sum of the segment vanishes
+            i = unknowns[0]
+            total = sum((-1) ** j * c for j, c in enumerate(segment) if j != i)
+            val = -total * (-1) ** i
+            if val < 0:
+                raise ChaseStuckError(f"exact sequence forces {segment[i]} = {val} < 0")
+            values[segment[i]] = val
+        segment = []
+    return values, len(values) == len(names)
 
 
 def _conormal_les(a: Sequence[Cell], b: Sequence[Cell], c: Sequence[Cell]) -> List[Cell]:
@@ -145,9 +123,9 @@ def h0_row(Z: ZeroLocus) -> HodgeRow:
     return HodgeRow(list(t.dims), t.status)
 
 
-def is_hyperkaehler_candidate(Z: ZeroLocus, row0: HodgeRow) -> bool:
-    """The h^2(O) = 1 criterion for a fourfold with trivial canonical bundle."""
-    return Z.d == 4 and row0.status == "exact" and row0.values[2] == 1
+def is_hyperkaehler(row0: Sequence[Optional[int]]) -> bool:
+    """Whether h^{0,q}(Z) = 1, 0, 1, 0, 1: the row of a hyperkaehler fourfold."""
+    return list(row0) == [1, 0, 1, 0, 1]
 
 
 def _h1_chase(Z: ZeroLocus, row0: HodgeRow) -> ChaseReport:
@@ -165,7 +143,7 @@ def _h1_chase(Z: ZeroLocus, row0: HodgeRow) -> ChaseReport:
         return ChaseReport([], known, {}, False)
     cells: List[Cell] = [f"x{q}" for q in range(d + 1)]
     seq = _conormal_les(a, b, [known.get(c, c) for c in cells])
-    values, complete = solve_exact_system([seq])
+    values, complete = solve_exact_system(seq)
     values.update(known)
     return ChaseReport([seq], known, values, complete)
 
@@ -190,13 +168,6 @@ def h1_row(Z: ZeroLocus, row0: Optional[HodgeRow] = None) -> HodgeRow:
     return HodgeRow(out, "exact" if all(v is not None for v in out) else "ambiguous")
 
 
-def h22(Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None) -> int:
-    """h^{2,2} of a fourfold from chi(Omega^2_Z); see ``h22_chase_report``."""
-    if Z.d != 4:
-        raise ValueError("h22 is computed for fourfolds")
-    return h22_chase_report(Z, row0, row1).solved["h22"]
-
-
 def h22_chase_report(
     Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None
 ) -> ChaseReport:
@@ -207,6 +178,8 @@ def h22_chase_report(
     chi(Omega^2_Z) = x0 - x1 + h22 - x3 + x4 leaves h22 the one unknown.
     The Libgober-Wood identity behind chi(Omega^2_Z) needs c_1(Z) = 0.
     """
+    if Z.d != 4:
+        raise ValueError("h22 is computed for fourfolds")
     if row0 is None:
         row0 = h0_row(Z)
     if row1 is None:
@@ -290,27 +263,23 @@ def assemble(
         dia.set(1, q, v, "computed" if v is not None else "ambiguous")
     if d == 4:
         try:
-            dia.set(2, 2, h22(Z, row0, row1), "euler-characteristic")
+            h = h22_chase_report(Z, row0, row1).solved["h22"]
+            dia.set(2, 2, h, "euler-characteristic")
         except AmbiguousCohomologyError as exc:
             dia.set(2, 2, None, "ambiguous")
             dia.blocked["h22"] = str(exc)
-    # symmetry closure: h^{p,q} = h^{q,p} = h^{d-p,d-q}
-    changed = True
-    while changed:
-        changed = False
-        for p in range(d + 1):
-            for q in range(d + 1):
-                v = dia.get(p, q)
-                if v is None:
-                    continue
-                for pp, qq in ((q, p), (d - p, d - q), (d - q, d - p)):
-                    if dia.get(pp, qq) is None:
-                        dia.set(pp, qq, v, "symmetry-forced")
-                        changed = True
-                    elif dia.get(pp, qq) != v:
-                        raise ChaseStuckError(
-                            f"diamond symmetry violated at ({pp},{qq})"
-                        )
+    # symmetry closure: h^{p,q} = h^{q,p} = h^{d-p,d-q}; each orbit is
+    # closed under these maps, so one pass fills every cell a value reaches
+    for p in range(d + 1):
+        for q in range(d + 1):
+            v = dia.get(p, q)
+            if v is None:
+                continue
+            for pp, qq in ((q, p), (d - p, d - q), (d - q, d - p)):
+                if dia.get(pp, qq) is None:
+                    dia.set(pp, qq, v, "symmetry-forced")
+                elif dia.get(pp, qq) != v:
+                    raise ChaseStuckError(f"diamond symmetry violated at ({pp},{qq})")
     for p in range(d + 1):
         for q in range(d + 1):
             if (p, q) not in dia.h:

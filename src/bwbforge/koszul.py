@@ -328,36 +328,28 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
     caps only enlarges the feasible set, so a certified value is sound.
     """
     keys = [k for k, v in entries.items() if v]
-
-    def connected(a, b) -> bool:
-        # orient as source -> target with deg(target) = deg(source) + 1;
-        # a differential must strictly lower the filtration pair (p, j)
-        na, nb = a[2] - a[0], b[2] - b[0]
-        if na + 1 == nb:
-            source, target = a, b
-        elif nb + 1 == na:
-            source, target = b, a
-        else:
-            return False
-        return (target[0], target[1]) < (source[0], source[1])
-
-    # connected components
-    comp_of: Dict[Tuple[int, int, int], int] = {}
+    by_degree: Dict[int, List[Tuple[int, int, int]]] = {}
     for k in keys:
-        comp_of[k] = -1
-    cid = 0
+        by_degree.setdefault(k[2] - k[0], []).append(k)
+    # every possible differential, source -> target with deg(target) =
+    # deg(source) + 1 and a strictly lower filtration pair (p, j)
+    edges = [(s, t) for n, sources in by_degree.items() for s in sources
+             for t in by_degree.get(n + 1, ()) if t[:2] < s[:2]]
+    root = {k: k for k in keys}
+
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for s, t in edges:
+        root[find(s)] = find(t)
+    components: Dict[Tuple[int, int, int], List[Tuple[int, int, int]]] = {}
     for k in keys:
-        if comp_of[k] != -1:
-            continue
-        stack = [k]
-        comp_of[k] = cid
-        while stack:
-            cur = stack.pop()
-            for other in keys:
-                if comp_of[other] == -1 and connected(cur, other):
-                    comp_of[other] = cid
-                    stack.append(other)
-        cid += 1
+        components.setdefault(find(k), []).append(k)
+    linked_of: Dict[Tuple[int, int, int], set] = {}
+    for s, _ in edges:
+        linked_of.setdefault(find(s), set()).add(s[2] - s[0])
 
     total: Dict[int, Tuple[int, int]] = {}  # degree -> (lo, hi) of survivors
 
@@ -365,18 +357,12 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
         a, b = total.get(n, (0, 0))
         total[n] = (a + lo, b + hi)
 
-    for c in range(cid):
-        members = [k for k in keys if comp_of[k] == c]
+    for c, members in components.items():
         E: Dict[int, int] = {}
         for k in members:
             n = k[2] - k[0]
             E[n] = E.get(n, 0) + entries[k]
-        linked = set()
-        for a in members:
-            for b in members:
-                na, nb = a[2] - a[0], b[2] - b[0]
-                if na + 1 == nb and connected(a, b):
-                    linked.add(na)
+        linked = linked_of.get(c, set())
         # y[n]: total differential rank between degrees n and n+1
         y: Dict[int, Tuple[int, int]] = {
             n: ((0, _INF) if n in linked else (0, 0)) for n in set(E) | {m - 1 for m in E}

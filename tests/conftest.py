@@ -9,7 +9,7 @@ from bwbforge import classify as cl
 def report_d4():
     """Full d=4 classification with Hodge rows, shared by several tests."""
     t0 = time.time()
-    rep = cl.classify_exceptional(4, with_hodge=True)
+    rep = cl.classify(cl.exceptional_spaces(), 4, with_hodge=True)
     rep.elapsed_seconds = time.time() - t0
     return rep
 
@@ -17,6 +17,6 @@ def report_d4():
 @pytest.fixture(scope="session")
 def report_d3():
     t0 = time.time()
-    rep = cl.classify_exceptional(3, with_hodge=True)
+    rep = cl.classify(cl.exceptional_spaces(), 3, with_hodge=True)
     rep.elapsed_seconds = time.time() - t0
     return rep

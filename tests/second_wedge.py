@@ -18,11 +18,11 @@ bundle exact, and stalls where one is only bounded.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import FilteredBundle
-from bwbforge.hodge import HodgeRow, _conormal_les, solve_exact_system
+from bwbforge.hodge import Cell, HodgeRow, _conormal_les, solve_exact_system
 from bwbforge.homspace import HomSpace, gradation, nilradical_roots
 from bwbforge.koszul import (
     AmbiguousCohomologyError,
@@ -129,4 +129,24 @@ def kernel_chase(Z: ZeroLocus, row0: HodgeRow, row1: HodgeRow) -> Tuple[Dict[str
     c = dims(omega_square(Z), "Omega^2|_Z")
     x = [row0.values[2], row1.values[2], "h22", row1.values[2], row0.values[2]]
     k = [f"k{q}" for q in range(5)]
-    return solve_exact_system([_conormal_les(a, b, k), _conormal_les(k, c, x)])
+    return solve_sequences([_conormal_les(a, b, k), _conormal_les(k, c, x)])
+
+
+def solve_sequences(sequences: List[List[Cell]]) -> Tuple[Dict[str, int], bool]:
+    """Solve exact sequences that share unknowns, to a fixpoint.
+
+    Each pass substitutes the values found so far and solves every sequence
+    once more with ``solve_exact_system``; it stops when a pass finds nothing
+    new.  Returns the solved unknowns and whether everything was determined.
+    """
+    values: Dict[str, int] = {}
+    progress = True
+    while progress:
+        progress = False
+        for seq in sequences:
+            solved, _ = solve_exact_system([values.get(c, c) if isinstance(c, str) else c
+                                            for c in seq])
+            progress |= bool(solved)
+            values.update(solved)
+    names = {c for seq in sequences for c in seq if isinstance(c, str)}
+    return values, names <= set(values)

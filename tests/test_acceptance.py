@@ -181,7 +181,7 @@ def test_criterion_5_worked_cohomology_checkpoints():
 def test_criterion_6_beauville_donagi_regression():
     Z = mk("A5/P2", {(3, 0, 0, 0, 0): 1})
     row0 = hodge.h0_row(Z)
-    verdict = hodge.is_hyperkaehler_candidate(Z, row0)
+    verdict = hodge.is_hyperkaehler(row0)
     singular = to_dominant_chamber(
         RootSystem("A", 5), (4, -5, 1, 1, 1)
     ).singular

@@ -238,14 +238,14 @@ GOLDEN_D3 = {
 
 
 def test_classification_d4_pairs():
-    rep = cl.classify_exceptional(4, with_hodge=False)
+    rep = cl.classify(cl.exceptional_spaces(), 4, with_hodge=False)
     got = {(r.space, tuple(sorted(r.weights))) for r in rep.rows}
     assert got == {(s, tuple(sorted(ws))) for s, ws in GOLDEN_D4}
     assert len(rep.rows) == 12
 
 
 def test_classification_d3_pairs():
-    rep = cl.classify_exceptional(3, with_hodge=False)
+    rep = cl.classify(cl.exceptional_spaces(), 3, with_hodge=False)
     got = {(r.space, tuple(sorted(r.weights))) for r in rep.rows}
     assert got == {(s, tuple(sorted(ws))) for s, ws in GOLDEN_D3}
     assert len(rep.rows) == 6
@@ -255,7 +255,7 @@ def test_every_candidate_satisfies_the_budget():
     from bwbforge.homspace import dimension, fano_index
 
     for d in (3, 4):
-        rep = cl.classify_exceptional(d, with_hodge=False)
+        rep = cl.classify(cl.exceptional_spaces(), d, with_hodge=False)
         for row in rep.rows:
             Z = cl.CandidatePair(parse_homspace(row.space), row.weights, d).zero_locus()
             assert Z.bundle.rank == dimension(Z.space) - d
@@ -274,7 +274,7 @@ def test_ratio_prune_soundness_on_f4_and_g2():
 
 
 def test_diagram_automorphism_orbits():
-    rep = cl.classify_exceptional(4, with_hodge=False)
+    rep = cl.classify(cl.exceptional_spaces(), 4, with_hodge=False)
     e6p2 = [r for r in rep.rows if r.space == "E6/P2"]
     assert len(e6p2) == 3
     # one tag for the paper's rows 2, 2', 2'' (two true orbits: the
@@ -319,7 +319,7 @@ def test_exception_list_documents_extra_families():
     # the exclusions carry their reason and reach the report unchanged
     assert len(excluded) == 3
     assert all("vanishes nowhere" in e.reason for e in excluded)
-    assert cl.classify_exceptional(4, with_hodge=False).excluded == excluded
+    assert cl.classify(cl.exceptional_spaces(), 4, with_hodge=False).excluded == excluded
 
 
 def test_hodge_attachment_d4(report_d4):

@@ -8,11 +8,12 @@ from bwbforge.cli import main
 from bwbforge.hodge import (
     ChaseStuckError,
     HodgeDiamond,
+    HodgeRow,
     assemble,
     h0_row,
     h1_row,
-    h22,
-    is_hyperkaehler_candidate,
+    h22_chase_report,
+    is_hyperkaehler,
     omega_filtration,
     solve_exact_system,
 )
@@ -46,27 +47,39 @@ def w(rank, **kw):
 
 
 def test_solver_single_unknown_segment():
-    values, done = solve_exact_system([[0, 1, "x", 0]])
+    values, done = solve_exact_system([0, 1, "x", 0])
     assert done and values == {"x": 1}
-    values, done = solve_exact_system([["x", 272, 14, 0]])
+    values, done = solve_exact_system(["x", 272, 14, 0])
     assert done and values == {"x": 258}
 
 
 def test_solver_needs_two_sequences():
-    # k is pinned by the second sequence, then x resolves in the first
+    # the kernel chase's fixpoint: k is pinned by the second sequence, then x
+    # resolves in the first
     seqs = [[1, "x", "k"], ["k", 91, 0]]
-    values, done = solve_exact_system(seqs)
+    values, done = second_wedge.solve_sequences(seqs)
     assert done and values == {"k": 91, "x": 92}
+    # one sequence alone leaves x open
+    assert solve_exact_system(seqs[0]) == ({}, False)
 
 
 def test_solver_reports_stuck_unknowns():
-    values, done = solve_exact_system([["a", 5, "b"]])
+    values, done = solve_exact_system(["a", 5, "b"])
     assert not done and values == {}
 
 
 def test_solver_rejects_negative_forcing():
     with pytest.raises(ChaseStuckError):
-        solve_exact_system([["x", 3, 5, 0]])
+        solve_exact_system(["x", 3, 5, 0])
+
+
+def test_solver_refuses_a_repeated_unknown():
+    # each unknown appears once in the conormal sequence; a repeat would
+    # need a second pass with the first value substituted
+    with pytest.raises(ValueError, match="repeats"):
+        solve_exact_system(["x", 3, 0, "x", 3, 0])
+    with pytest.raises(ValueError, match="repeats"):
+        solve_exact_system([1, "x", "k", 0, "k", 91, 0])
 
 
 # -- h^{0,q} -------------------------------------------------------------------
@@ -76,13 +89,21 @@ def test_h0_rows_and_verdicts():
     Z = mk("E6/P2", {w(6, i1=1): 2, w(6, i2=1): 5})
     row = h0_row(Z)
     assert row.values == [1, 0, 0, 0, 1]
-    assert not is_hyperkaehler_candidate(Z, row)
+    assert not is_hyperkaehler(row)
     Z = mk("A5/P2", {(3, 0, 0, 0, 0): 1})
     row = h0_row(Z)
     assert row.values == [1, 0, 1, 0, 1]
-    assert is_hyperkaehler_candidate(Z, row)
+    assert is_hyperkaehler(row)
     Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
     assert h0_row(Z).values == [1, 0, 0, 1]
+
+
+def test_hyperkaehler_criterion_is_the_whole_row():
+    assert is_hyperkaehler([1, 0, 1, 0, 1])
+    # h^{0,2} = 1 alone is not enough
+    assert not is_hyperkaehler([1, 1, 1, 1, 1])
+    assert not is_hyperkaehler([1, 0, 1, None, 1])
+    assert not is_hyperkaehler([1, 0, 1, 0])
 
 
 # -- h^{1,q} -------------------------------------------------------------------
@@ -105,7 +126,7 @@ def test_h1_row_e6p1_lines():
 
 def test_h22_g2p2():
     Z = mk("G2/P2", {(0, 3): 1})
-    assert h22(Z) == 1080
+    assert h22_chase_report(Z).solved["h22"] == 1080
     # intermediate checkpoint from the worked computation
     r = restricted_cohomology(Z, BundleSum.make(Z.space, {(0, -6): 1}))
     assert r.dims == [0, 0, 0, 0, 3269]
@@ -113,7 +134,7 @@ def test_h22_g2p2():
 
 def test_h22_g2p1_complete_intersection_crosscheck():
     Z = mk("G2/P1", {(5, 0): 1})
-    assert h22(Z) == 1472
+    assert h22_chase_report(Z).solved["h22"] == 1472
     dia = assemble(Z)
     assert dia.euler_characteristic() == 2190
 
@@ -206,7 +227,26 @@ def test_threefold_chi_reporting():
 
 def test_h22_requires_fourfold():
     with pytest.raises(ValueError):
-        h22(mk("G2/P1", {(2, 0): 1, (3, 0): 1}))
+        h22_chase_report(mk("G2/P1", {(2, 0): 1, (3, 0): 1}))
+
+
+def test_diamond_fills_a_cell_from_its_mirror():
+    # explicit rows on a threefold: (0,1) is open, (1,0) is known
+    Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
+    row0 = HodgeRow([1, None, 0, 1], "ambiguous")
+    row1 = HodgeRow([0, 1, 73, 0], "exact")
+    dia = assemble(Z, row0, row1)
+    assert dia.get(0, 1) == 0 and dia.flags[(0, 1)] == "symmetry-forced"
+    assert dia.get(3, 2) == 0 and dia.flags[(1, 0)] == "computed"
+    assert dia.complete() and dia.euler_characteristic() == -144
+
+
+def test_diamond_refuses_conflicting_mirror_cells():
+    Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
+    row0 = HodgeRow([1, 0, 0, 1], "exact")
+    row1 = HodgeRow([7, 1, 73, 0], "exact")
+    with pytest.raises(ChaseStuckError, match="symmetry violated"):
+        assemble(Z, row0, row1)
 
 
 # -- engine values for the reference classification tables ----------------------
@@ -319,7 +359,7 @@ def test_omega_filtration_matches_gradation():
 
 
 def test_chase_reports_expose_the_audit_trail():
-    from bwbforge.hodge import h1_chase_report, h22_chase_report
+    from bwbforge.hodge import h1_chase_report
 
     Z = mk("G2/P2", {(0, 3): 1})
     rep = h1_chase_report(Z)
@@ -393,7 +433,7 @@ def test_h22_satisfies_cy4_riemann_roch(space, weights, h22_expected):
     r1 = h1_row(Z, r0)
     assert r0.values == [1, 0, 0, 0, 1]
     value = second_wedge.h22(Z, r0, r1)
-    assert h22(Z, r0, r1) == value == h22_expected
+    assert h22_chase_report(Z, r0, r1).solved["h22"] == value == h22_expected
     h11, h21, h31 = r1.values[1], r1.values[2], r1.values[3]
     assert value == 2 * (22 + 2 * h11 + 2 * h31 - h21)
 
@@ -420,7 +460,8 @@ def test_kernel_chase_agrees_with_euler_characteristic(space, weights, h22_expec
     r0 = h0_row(Z)
     r1 = h1_row(Z, r0)
     values, complete = second_wedge.kernel_chase(Z, r0, r1)
-    assert complete and values["h22"] == h22(Z, r0, r1) == h22_expected
+    assert complete
+    assert values["h22"] == h22_chase_report(Z, r0, r1).solved["h22"] == h22_expected
     cells = KERNEL_CELLS.get(space, {})
     assert {name: values[name] for name in cells} == cells
 
