@@ -82,54 +82,59 @@ _MISSING = object()
 
 class PackedPage:
     """P-dominant highest weights lambda packed once: ``pairs`` of (packed offset of
-    lambda + rho, multiplicity), the extremes ``lo``, ``hi`` of lambda + rho, and
-    ``lines``, whether every lambda is a line."""
+    lambda + rho, multiplicity, packed offset of its Levi part), the extremes ``lo``,
+    ``hi`` of lambda + rho, and ``lines``, whether every lambda is a line."""
 
     __slots__ = ("pairs", "lo", "hi", "lines")
 
     def __init__(self, X: HomSpace, shifts: rc.IrrDecomp):
-        columns, rr = list(zip(*shifts)), rho(X.rs)
+        columns, rr, k = list(zip(*shifts)), rho(X.rs), X.k - 1
         lo, hi = tuple(map(min, columns)), tuple(map(max, columns))
         if not rc.is_context_dominant(X.levi, lo):  # all are P-dominant iff the least is
             for s in shifts:
                 check_p_dominant(X, s)
-        lift = rc.packed_offset(rr)
-        self.pairs = tuple((rc.packed_offset(s) + lift, n) for s, n in shifts.items())
+        offset, lifted = rc.packed_offset, [(add(s, rr), n) for s, n in shifts.items()]
+        self.pairs = tuple((offset(s), n, offset(X.twist(s, -s[k]))) for s, n in lifted)
         self.lo, self.hi = add(lo, rr), add(hi, rr)
         self.lines = not any(hi[i - 1] for i in X.levi.levi)
 
+    def times(self, tensor: rc.LeviTensor, line: Weight, key, char: rc.PackedChar, extremes):
+        """``LeviTensor.products`` with M of ``char``, its weights in ``extremes``, twisted."""
+        lo = [a + b + c for a, b, c in zip(self.lo, extremes[0], line)]
+        hi = [a + b + c for a, b, c in zip(self.hi, extremes[1], line)]
+        return tensor.products(key, char, self.pairs, rc.packed_offset(line), lo, hi)
+
+
+def bott_tables(X: HomSpace):
+    """The Levi tensor products, ``table("bwb", X)`` and the Bott kernel of G, fetched once."""
+    return rc.LeviTensor(X.levi), _cache.table("bwb", X), rc.bott_kernel(X.group)
+
 
 def tensor_cohomology(
-    X: HomSpace, page: PackedPage, t: int, char: rc.PackedChar, extremes: Tuple[Weight, Weight]
+    X: HomSpace, page: PackedPage, t: int, char: rc.PackedChar, extremes, key=None, tables=None
 ) -> Dict[int, int]:
     """Dimensions of H^q(X, E(t) (x) M), E = sum n_s E_s of ``page``, M the L-module of ``char``.
 
-    Brauer-Klimyk first: each weight nu of M moves s + t w_k + nu + rho into
-    the dominant W_L-chamber, and ``repcalc.climb_tally`` sums n_s * m_nu
-    with signs per rho-shifted Levi highest weight y.  Borel-Weil-Bott then
-    runs once per y (``table("bwb", X)``) from its coroot pairings
-    (``repcalc.bott_kernel``): dim V_G in degree q, the number of negative
-    pairings, or nothing on a wall (Bott 1957; Kostant 1961).  The rule is
-    symmetric in its factors, so either one may be the page.  The twist is
-    one integer add per packed shift; ``extremes`` bounds the weights of
-    ``char``, and with the page's extremes and t every sum.
+    Brauer-Klimyk first: V_L(s) (x) M = sum m V_L(y), y = s + t w_k + dy, per shift
+    off the ``levi_tensor`` rows of ``key``, pack(highest weight of M).  Borel-Weil-Bott
+    then runs once per y (``table("bwb", X)``) from its coroot pairings
+    (``repcalc.bott_kernel``): n_s * m * dim V_G in degree q, the number of negative
+    pairings, or nothing on a wall (Bott 1957; Kostant 1961).  The rule is symmetric
+    in its factors, so either one may be the page.  ``extremes`` bounds the weights
+    of ``char``; ``tables`` is ``bott_tables(X)``.
     """
-    if not char:
-        return {}
-    line = X.line(t)
-    lo = [a + b + c for a, b, c in zip(page.lo, extremes[0], line)]
-    hi = [a + b + c for a, b, c in zip(page.hi, extremes[1], line)]
-    twist = rc.packed_offset(line)
-    pairs = [(s + twist, n) for s, n in page.pairs]
-    bwbs, bott = _cache.table("bwb", X), rc.bott_kernel(X.group)
+    tensor, bwbs, bott = tables or bott_tables(X)
     out: Dict[int, int] = {}
-    for y, m in rc.climb_tally(X.levi, char, pairs, lo, hi).items():
-        entry = bwbs.get(y, _MISSING)
-        if entry is _MISSING:
-            entry = bwbs[y] = bott(y)
-        if entry is not None:
-            q, dim = entry
-            out[q] = out.get(q, 0) + m * dim
+    for s, n, entry in page.times(tensor, X.line(t), key, char, extremes):
+        terms = iter(entry)
+        for dy, m in zip(terms, terms):
+            y = s + dy
+            got = bwbs.get(y, _MISSING)
+            if got is _MISSING:
+                got = bwbs[y] = bott(y)
+            if got is not None:
+                q, dim = got
+                out[q] = out.get(q, 0) + n * m * dim
     return out
 
 

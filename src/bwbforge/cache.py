@@ -2,13 +2,13 @@
 
 Every memo whose key holds a user weight lives here, in a plain dict per
 ``(namespace, owner)`` from :func:`table`: per context ``dim`` (Weyl
-dimensions) and ``climb`` (packed rho-shifted weight with zero omitted
+dimensions), ``climb`` (packed rho-shifted weight with zero omitted
 coordinates -> packed dominant representative, negated for an odd climb,
-or None on a wall; every ``repcalc.climb_tally`` shares it and adds the
-omitted coordinates back), per space ``bwb`` (packed rho-shifted Levi
-highest weight -> degree and dimension of its cohomology, or None on a
-wall, read off its coroot pairings by ``repcalc.bott_kernel``) and
-``e1_pages`` (the packed Koszul pages of each locus).
+or None on a wall) and ``levi_tensor`` (``repcalc.LeviTensor``), per space
+``bwb`` (packed rho-shifted Levi highest weight -> degree and dimension of
+its cohomology, or None on a wall, read off its coroot pairings by
+``repcalc.bott_kernel``) and ``e1_pages`` (the packed Koszul pages of each
+locus).
 ``lru_cache`` is kept only on functions of root data.  :func:`stats`
 counts the entries of every table, :func:`namespace_entries` per
 namespace, and :func:`clear` empties them all.

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import cache as _cache
 from . import repcalc as rc
-from .bwbcohom import FilteredBundle, PackedPage, check_p_dominant, tensor_cohomology
+from .bwbcohom import FilteredBundle, PackedPage, bott_tables, check_p_dominant, tensor_cohomology
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
 from .rootdata import Weight, add, rho, sub
@@ -200,26 +200,29 @@ def _graded_product(
 ) -> List[rc.IrrDecomp]:
     """Degrees 0..kmax of the graded tensor product of two Levi decompositions.
 
-    Brauer-Klimyk, one ``climb_tally`` per irreducible nu of ``right`` and
-    degree of ``left``: the weights of V_L(nu) are shifted by every highest
-    weight of that degree, packed once per degree.
+    Brauer-Klimyk per irreducible nu = nu0 + t w_k of ``right`` and degree of
+    ``left``: each highest weight of that degree, packed once per degree, reads
+    its product with V_L(nu0) off the ``levi_tensor`` rows, twisted by t.
     """
-    levi, rank, rr = X.levi, X.rs.rank, rho(X.rs)
+    levi, tensor, rank, rr, k = X.levi, rc.LeviTensor(X.levi), X.rs.rank, rho(X.rs), X.k - 1
     pages = [(a, PackedPage(X, shifts)) for a, shifts in enumerate(left) if shifts]
-    out = [dict(left[a]) if a < len(left) else {} for a in range(kmax + 1)]
+    packed = [{rc.pack(add(lam, rr)): m for lam, m in dec.items()} for dec in left[: kmax + 1]]
+    packed += [{} for _ in range(kmax + 1 - len(packed))]
     for c in range(1, min(len(right) - 1, kmax) + 1):
         for nu, n in right[c].items():
-            char = rc.char_irr(levi, nu)
-            lo, hi = rc.char_extremes(char, rank)
+            nu0 = X.twist(nu, -nu[k])
+            char = rc.char_irr(levi, nu0)
+            extremes, line, key = rc.char_extremes(char, rank), X.line(nu[k]), rc.pack(nu0)
             for a, page in pages:
                 if a + c > kmax:
                     break
-                target = out[a + c]
-                tally = rc.climb_tally(levi, char, page.pairs, add(page.lo, lo), add(page.hi, hi))
-                for y, m in tally.items():
-                    lam = sub(rc.unpack(y, rank), rr)
-                    target[lam] = target.get(lam, 0) + n * m
-    return out
+                target = packed[a + c]
+                for s, ns, entry in page.times(tensor, line, key, char, extremes):
+                    terms = iter(entry)
+                    for dy, m in zip(terms, terms):
+                        y = s + dy
+                        target[y] = target.get(y, 0) + n * ns * m
+    return [{sub(rc.unpack(y, rank), rr): m for y, m in sums.items()} for sums in packed]
 
 
 def wedge_dual_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
@@ -426,9 +429,9 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
 
     Brauer-Klimyk on the Levi side, per irreducible E_mu of gr_j E and p:
     with mu = mu0 + t w_k and mu0[k] = 0, V_L(mu) is V_L(mu0) twisted by the
-    L-character w_k, so ``tensor_cohomology`` shifts the weights of V_L(mu0)
-    by the page of Lambda^p F^*, packed once per locus
-    (``cache.table("e1_pages", X)``), twisted by t; a page of lines needs
+    L-character w_k, so ``tensor_cohomology`` reads V_L(mu0) times the page of
+    Lambda^p F^*, packed once per locus (``cache.table("e1_pages", X)``), off
+    the ``levi_tensor`` rows of pack(mu0), twisted by t; a page of lines needs
     only the weight mu0.  A sum leaving the packed field raises
     ``repcalc.WeightRangeError``, and a negative total (E was no genuine
     module) AssertionError.  Only nonzero entries are kept, sorted.
@@ -439,19 +442,21 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     pages = packed.get(Z.bundle.summands)
     if pages is None:
         pages = packed[Z.bundle.summands] = [PackedPage(X, d) for d in wedge_dual_decomps(Z)]
+    tables = bott_tables(X)  # once per page, not per call
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(_irreducible_gradeds(Z, E)):
         for mu, mult in graded:
             check_p_dominant(X, mu)
             t, mu0 = mu[k], X.twist(mu, -mu[k])
-            point, levi = ({rc.pack(mu0): 1}, (mu0, mu0)), None
+            key = rc.pack(mu0)
+            point, levi = ({key: 1}, (mu0, mu0)), None
             for p, page in enumerate(pages):
                 if levi is None and not page.lines:
                     char = rc.char_irr(X.levi, mu0)
                     levi = char, rc.char_extremes(char, rank)
-                for q, n in tensor_cohomology(X, page, t, *(point if page.lines else levi)).items():
-                    key = (p, j, q)
-                    entries[key] = entries.get(key, 0) + mult * n
+                module = point if page.lines else levi
+                for q, n in tensor_cohomology(X, page, t, *module, key, tables).items():
+                    entries[(p, j, q)] = entries.get((p, j, q), 0) + mult * n
     if any(v < 0 for v in entries.values()):
         raise AssertionError("negative multiplicity: input was not a character")
     return dict(sorted(entries.items()))

@@ -378,47 +378,66 @@ def _twist_free(ctx: Context) -> Tuple[int, int, Tuple[int, ...], Tuple[Tuple[in
 _MISSING = object()
 
 
-def climb_tally(
-    ctx: Context, char: PackedChar, shifts: Sequence[Tuple[int, int]], lo: Weight, hi: Weight
-) -> Dict[int, int]:
-    """Brauer-Klimyk: {y: m} for sum_s n_s x^s (x) M, y packed rho-shifted highest weights.
+def climb_tally(ctx: Context, char: PackedChar, shift: int, climbs, mask, zero) -> Tuple[int, ...]:
+    """Brauer-Klimyk for one shift: V(lambda) (x) M = sum m V(shift + dy - rho), flat (dy, m, ...).
 
-    ``shifts`` holds pairs (packed offset of s + rho, n_s); ``lo``..``hi``
-    bound every x = s + nu + rho and are range-checked first.  A negative
-    sum per y means ``char`` was not a character, and raises.  W_L fixes
-    the omitted w_j, so climb(x) = climb(x0) + (x - x0) with the same parity
-    and walls, x0 being x with its omitted coordinates zero (Humphreys
-    10.3): the ``climb`` table is keyed by x0.  The climb adds sum_i n_i
-    alpha_i, n_i >= 0, lowering each omitted coordinate by at most A sum_i
-    n_i, A = max |<alpha_i, alpha_j^v>|; sum_i n_i = sum_{beta > 0 in L} max(0,
-    -<x, beta^v>) <= sum_i K_i max(0, -lo_i).  Where that could take x or x0
-    below the field, x is the key, in a table of this call alone.
+    ``shift`` packs lambda + rho as an offset.  Each x = shift + nu climbs through
+    ``climbs``, keyed by x0 = (x & mask) | zero: climb(x) = climb(x0) + (x - x0), so
+    dy = climb(x0) + nu - x0 depends on the Levi part of lambda only.
     """
-    check_packable(lo, hi)
-    memo = _cache.table("climb", ctx)
-    mask, zero, omitted, coefficients, worst = _twist_free(ctx)
-    drop = worst * sum(c * -lo[i] for i, c in coefficients if lo[i] < 0)
-    if any(min(lo[j], 0) - drop < -_OFFSET for j in omitted):
-        memo, mask, zero = {}, -1, 0
     tally: Dict[int, int] = {}
-    for shift, n in shifts:
-        for v, m in char.items():
-            x = v + shift
-            x0 = (x & mask) | zero
-            y = memo.get(x0, _MISSING)
-            if y is _MISSING:
-                y = memo[x0] = signed_climb(ctx, x0)
-            if y is None:
-                continue
-            if y < 0:
-                y = x - x0 - y
-                tally[y] = tally.get(y, 0) - n * m
-            else:
-                y += x - x0
-                tally[y] = tally.get(y, 0) + n * m
-    if any(m < 0 for m in tally.values()):
-        raise AssertionError("negative multiplicity: input was not a character")
-    return {y: m for y, m in tally.items() if m}
+    for v, m in char.items():
+        x0 = ((v + shift) & mask) | zero
+        y = climbs.get(x0, _MISSING)
+        if y is _MISSING:
+            y = climbs[x0] = signed_climb(ctx, x0)
+        if y is not None:  # negated for an odd climb
+            dy = v - x0 + abs(y)
+            tally[dy] = tally.get(dy, 0) + (m if y > 0 else -m)
+    return tuple(x for term in tally.items() if term[1] for x in term)
+
+
+class LeviTensor:
+    """V_L(lambda) (x) V_L(mu) by Brauer-Klimyk, memoised in ``table("levi_tensor", ctx)``:
+    pack(mu), then the packed offset s0 of the Levi part of lambda + rho, maps to the
+    ``climb_tally`` entry (dy, m, ...).  W_L fixes the omitted w_j (Humphreys 10.3), so
+    each shift s with that Levi part yields y = s + dy.  Tables are fetched once."""
+
+    def __init__(self, ctx: Context):
+        self.ctx, self.twist_free = ctx, _twist_free(ctx)
+        self.climbs, self.rows = _cache.table("climb", ctx), _cache.table("levi_tensor", ctx)
+
+    def climb_keys(self, lo: Weight, hi: Weight) -> Tuple[dict, int, int]:
+        """Range-check lo..hi, the bounds of every x; the climb table, mask and zero of its key.
+
+        The climb adds sum_i n_i alpha_i, n_i >= 0, lowering an omitted coordinate by
+        at most A sum_i n_i <= A sum_i K_i max(0, -lo_i), A = max |<alpha_i, alpha_j^v>|.
+        Where that could take x or x0 below the field, x is the key, in a table of its own.
+        """
+        check_packable(lo, hi)
+        mask, zero, omitted, coefficients, worst = self.twist_free
+        drop = worst * sum(c * -lo[i] for i, c in coefficients if lo[i] < 0)
+        if any(min(lo[j], 0) - drop < -_OFFSET for j in omitted):
+            return {}, -1, 0
+        return self.climbs, mask, zero
+
+    def products(self, key, char: PackedChar, pairs, twist: int, lo: Weight, hi: Weight):
+        """(s, n, (dy, m, ...)) per (s - twist, n, s0) of ``pairs``, lo..hi bounding each s + nu.
+
+        ``key`` packs the highest weight of the module of ``char``; with None, or past
+        the carry bound, the entries stay in this call.  m < 0 raises."""
+        climbs, mask, zero = self.climb_keys(lo, hi)
+        rows = {} if key is None or mask == -1 else self.rows.setdefault(key, {})
+        for s, n, s0 in pairs:
+            s += twist
+            s0 = s if mask == -1 else s0
+            entry = rows.get(s0)
+            if entry is None:
+                entry = climb_tally(self.ctx, char, s, climbs, mask, zero)
+                if any(m < 0 for m in entry[1::2]):
+                    raise AssertionError("negative multiplicity: input was not a character")
+                rows[s0] = entry
+            yield s, n, entry
 
 
 def decompose_character(
@@ -438,8 +457,10 @@ def decompose_character(
         _require_dominant(ctx, shift)
     lift = rr if shift is None else add(shift, rr)
     lo, hi = char_extremes(char, rank)
-    tally = climb_tally(ctx, char, [(packed_offset(lift), 1)], add(lo, lift), add(hi, lift))
-    return {sub(unpack(y, rank), rr): m for y, m in tally.items()}
+    s, lo, hi = packed_offset(lift), add(lo, lift), add(hi, lift)
+    ((_, _, entry),) = LeviTensor(ctx).products(None, char, [(s, 1, s)], 0, lo, hi)
+    terms = iter(entry)
+    return {sub(unpack(s + dy, rank), rr): m for dy, m in zip(terms, terms)}
 
 
 # -- irreducible characters (Freudenthal) ------------------------------------
@@ -471,7 +492,9 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
     mu - (q + mu_i) alpha_i, so mu - alpha_i is a weight exactly when q + mu_i
     is positive; q is that of mu + alpha_i plus one, or 0 if that is no weight.
     As many weights as the Weyl dimension means every multiplicity is 1.
-    Freudenthal's recursion only reads higher levels.  The invariant form
+    Freudenthal's recursion reads higher levels through T_beta(mu) = sum_{k >= 1}
+    m(mu + k beta) B(mu + k beta, beta) = T_beta(mu + beta) + m(mu + beta)
+    B(mu + beta, beta), kept as many levels as a root is high.  The invariant form
     enters as its integer multiple B, whose scale cancels in the quotient, so
     no rational number is formed: every multiplicity is an exact positive
     quotient of integers, which is asserted.
@@ -479,7 +502,7 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
     rank = ctx.rs.rank
     rr = rho(ctx.rs)
     simple = list(enumerate((i - 1, simple_root_weight(ctx.rs, i)) for i in ctx.levi))
-    levels = [lam]
+    tiers = [[lam]]
     # each weight of a level with its q per simple root, filled in as it is walked
     frontier: Dict[Weight, List[int]] = {lam: []}
     above: Dict[Weight, List[int]] = {}
@@ -491,12 +514,13 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
                 qs.append(0 if up is None else up[j] + 1)
                 if qs[j] + mu[i] > 0:
                     nxt.setdefault(tuple([x - y for x, y in zip(mu, a)]), [])
-        levels += nxt
+        tiers.append(list(nxt))
         frontier, above = nxt, frontier
-    if len(levels) == weyl_dim(ctx, lam):
-        return dict.fromkeys(levels, 1)
+    if sum(map(len, tiers)) == weyl_dim(ctx, lam):
+        return {mu: 1 for tier in tiers for mu in tier}
 
-    roots = _freudenthal_roots(ctx)
+    roots = [(beta_w, form) for beta_w, form, _ in _freudenthal_roots(ctx)]
+    reach = max(map(sum, context_positive_roots(ctx)))
     gram = integral_weight_gram(ctx.rs)
 
     def norm(w: Weight) -> int:
@@ -505,23 +529,19 @@ def _freudenthal(ctx: Context, lam: Weight) -> Dict[Weight, int]:
 
     lam_norm = norm(add(lam, rr))
     mults: Dict[Weight, int] = {lam: 1}
-    for mu in levels[1:]:
-        acc = 0
-        for beta_w, form, bb in roots:
-            nu = tuple([x + y for x, y in zip(mu, beta_w)])
-            if nu not in mults:
-                continue
-            # B(mu + k beta, beta) = B(mu, beta) + k B(beta, beta)
-            pair = sum([x * y for x, y in zip(form, mu)])
-            k = 1
-            while nu in mults:
-                acc += mults[nu] * (pair + k * bb)
-                k += 1
-                nu = tuple([x + y for x, y in zip(nu, beta_w)])
-        denom = lam_norm - norm(add(mu, rr))
-        val, rem = divmod(2 * acc, denom)
-        assert rem == 0 and val > 0, "inexact Freudenthal step"
-        mults[mu] = val
+    strings: Dict[Weight, List[int]] = {lam: [0] * len(roots)}
+    for level, tier in enumerate(tiers[1:], 1):
+        for mu in tier:
+            sums = []
+            for b, (beta_w, form) in enumerate(roots):
+                nu = tuple([x + y for x, y in zip(mu, beta_w)])
+                m = mults.get(nu)
+                sums.append(0 if m is None else strings[nu][b] + m * sum(map(mul, form, nu)))
+            val, rem = divmod(2 * sum(sums), lam_norm - norm(add(mu, rr)))
+            assert rem == 0 and val > 0, "inexact Freudenthal step"
+            mults[mu], strings[mu] = val, sums
+        for mu in tiers[level - reach] if level >= reach else ():
+            del strings[mu]
     return mults
 
 

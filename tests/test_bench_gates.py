@@ -1,8 +1,9 @@
 """The benchmark's correctness gates, run on the engine in process.
 
 The benchmark compares every output with ``bench/reference.json``; these
-tests apply the same checks, so a moved byte of the ``hodge-e6p2`` output or
-a changed ``restrict-mix`` answer fails here and not only in a benchmark run.
+tests apply the same checks, so a moved byte of the ``classify-d3`` or
+``hodge-e6p2`` output or a changed ``restrict-mix`` answer fails here and not
+only in a benchmark run.
 The reference file is only read.
 """
 
@@ -41,6 +42,14 @@ def test_hodge_e6p2_output_passes_the_gate(reference):
     with contextlib.redirect_stdout(buf):
         assert cli.main(run.HODGE_E6P2) == 0
     assert run.check_cli_output("hodge-e6p2", buf.getvalue(), reference) == []
+
+
+def test_classify_d3_output_passes_the_gate(reference):
+    # the benchmark's cold job, without its --cache directory
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(run.CLASSIFY_D3) == 0
+    assert run.check_cli_output("classify-d3", buf.getvalue(), reference) == []
 
 
 def test_restrict_mix_answers_pass_the_gate(reference):

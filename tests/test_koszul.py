@@ -517,6 +517,23 @@ def test_e1_page_matches_per_weight_route(space, weights):
         assert e1_page(Z, E) == _per_weight_entries(Z, E)
 
 
+@pytest.mark.parametrize("space,weights", TABLE_LOCI)
+def test_e1_page_reads_levi_tensor_rows_other_loci_filled(space, weights):
+    # a row of V_L(lambda) (x) V_L(mu0) is read by every locus, twist and page of
+    # the space with that Levi part of lambda, whichever of them filled it
+    Z = mk(space, weights)
+    X = Z.space
+    omega = omega_filtration(X)
+    cache.clear()
+    for other in TABLE_LOCI:
+        if other[0] == space and other[1] != weights:
+            e1_page(mk(*other), omega.twist(X, 1))
+    e1_page(Z, omega.twist(X, -1))
+    assert cache.table("levi_tensor", X.levi)
+    E = omega.twist(X, 1)
+    assert e1_page(Z, E) == _per_weight_entries(Z, E)
+
+
 SWEEP_LOCI = [(s, ws) for s, ws in TABLE_LOCI if s[0] in "FG"]
 # one- or two-summand sums: Levi part 0, w_a or w_a + w_b, then a twist
 RANDOM_PARTS = st.lists(

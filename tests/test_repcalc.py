@@ -204,6 +204,15 @@ def test_char_irr_matches_the_freudenthal_oracle_on_every_search_context():
     assert repeated > 200  # Freudenthal's sum runs, not only the multiplicity-free shortcut
 
 
+def test_freudenthal_on_a_large_a2_module():
+    # V(n, n) of A2 has n + 1 at the zero weight; the string sums make each step
+    # constant, where walking every root string took about n steps per weight
+    ctx, n = rc.full_context(RootSystem("A", 2)), 40
+    mults = rc._freudenthal(ctx, (n, n))
+    assert mults[(0, 0)] == n + 1
+    assert sum(mults.values()) == rc.weyl_dim(ctx, (n, n))
+
+
 def test_long_multiplicity_free_string():
     # the A1 Levi of G2/P1 at (0, n): one root string of n + 1 weights
     mults = weight_multiplicities(rc.levi_context(G2, 1), (0, 1000))
@@ -537,6 +546,33 @@ def _unkeyed_tally(ctx, char, pairs, lo, hi):
     return {y: m for y, m in tally.items() if m}
 
 
+def _engine_tally(ctx, char, pairs, lo, hi):
+    """Brauer-Klimyk summed over the shifts, each filled through the engine's carry bound."""
+    climbs, mask, zero = rc.LeviTensor(ctx).climb_keys(lo, hi)
+    tally = {}
+    for shift, n in pairs:
+        terms = iter(rc.climb_tally(ctx, char, shift, climbs, mask, zero))
+        for dy, m in zip(terms, terms):
+            tally[shift + dy] = tally.get(shift + dy, 0) + n * m
+    return {y: m for y, m in tally.items() if m}
+
+
+def _levi_part(ctx, x):
+    """Packed offset of the Levi coordinates of x, the omitted ones zero: the row key."""
+    return rc.packed_offset(tuple(c if i + 1 in ctx.levi else 0 for i, c in enumerate(x)))
+
+
+def _table_tally(ctx, key, char, shifts, lo, hi):
+    """The same sum read off the ``levi_tensor`` table under ``key``; shifts are rho-shifted."""
+    pairs = [(rc.packed_offset(s), n, _levi_part(ctx, s)) for s, n in shifts]
+    tally = {}
+    for shift, n, entry in rc.LeviTensor(ctx).products(key, char, pairs, 0, lo, hi):
+        terms = iter(entry)
+        for dy, m in zip(terms, terms):
+            tally[shift + dy] = tally.get(shift + dy, 0) + n * m
+    return {y: m for y, m in tally.items() if m}
+
+
 def _tally_or_refusal(tally, *args):
     try:
         return tally(*args)
@@ -561,25 +597,36 @@ def _tally_case(draw):
             st.integers(-20, 20), st.integers(-32768, -32700), st.integers(32700, 32767)
         ))
         shifts.append((tuple(lam), draw(st.integers(1, 3))))
-    return ctx, tuple(mu), shifts
+    return ctx, tuple(mu), shifts, draw(st.integers(-20, 20).filter(bool))
 
 
 @given(_tally_case())
 @settings(max_examples=150, deadline=None)
 def test_climb_tally_with_the_twist_free_key_equals_the_unkeyed_tally(case):
-    ctx, mu, shifts = case
+    ctx, mu, shifts, other_twist = case
     rank, rr = ctx.rs.rank, rho(ctx.rs)
     char = rc.char_irr(ctx, mu)
     clo, chi = rc.char_extremes(char, rank)
+
+    def bounds(lifted):
+        return ([min(s[i] for s, _ in lifted) + clo[i] for i in range(rank)],
+                [max(s[i] for s, _ in lifted) + chi[i] for i in range(rank)])
+
     lifted = [(add(s, rr), n) for s, n in shifts]
-    lo = [min(s[i] for s, _ in lifted) + clo[i] for i in range(rank)]
-    hi = [max(s[i] for s, _ in lifted) + chi[i] for i in range(rank)]
+    lo, hi = bounds(lifted)
     pairs = [(rc.packed_offset(s), n) for s, n in lifted]
     want = _tally_or_refusal(_unkeyed_tally, ctx, char, pairs, lo, hi)
     cache.clear()
     # a fresh table, then the filled one
     for _ in range(2):
-        assert _tally_or_refusal(rc.climb_tally, ctx, char, pairs, lo, hi) == want
+        assert _tally_or_refusal(_engine_tally, ctx, char, pairs, lo, hi) == want
+    # levi_tensor rows: fresh, then filled by another twist and another page
+    key, line = rc.pack(mu), _line(ctx, other_twist)
+    for fill in ([], [(add(s, line), n + 1) for s, n in lifted] + [(add(rr, line), 1)]):
+        cache.clear()
+        if fill:
+            _tally_or_refusal(_table_tally, ctx, key, char, fill, *bounds(fill))
+        assert _tally_or_refusal(_table_tally, ctx, key, char, lifted, lo, hi) == want
 
 
 @pytest.mark.parametrize(
@@ -599,7 +646,7 @@ def test_twist_free_key_at_the_edge_of_the_field(x, want):
     ctx = rc.levi_context(G2, 1)
     cache.clear()
     trivial = {rc.pack((0, 0)): 1}
-    got = _tally_or_refusal(rc.climb_tally, ctx, trivial, [(rc.packed_offset(x), -1)], x, x)
+    got = _tally_or_refusal(_engine_tally, ctx, trivial, [(rc.packed_offset(x), -1)], x, x)
     if got != "refused":
         got = {rc.unpack(y, 2): m for y, m in got.items()}
     assert got == want
