@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Tuple
 from . import cache as _cache
 from . import repcalc as rc
 from .homspace import HomSpace
-from .rootdata import Weight, add, rho
+from .rootdata import Weight, add, rho, sub
 
 
 class NotPDominantError(ValueError):
@@ -81,22 +81,26 @@ _MISSING = object()
 
 
 class PackedPage:
-    """P-dominant highest weights lambda packed once: ``pairs`` of (packed offset of
-    lambda + rho, multiplicity, packed offset of its Levi part), the extremes ``lo``,
-    ``hi`` of lambda + rho, and ``lines``, whether every lambda is a line."""
+    """P-dominant highest weights lambda as ``{pack(lambda + rho): n}``: ``pairs`` of (packed
+    offset of lambda + rho, multiplicity, Levi fields of pack(lambda + rho)), the extremes
+    ``lo``, ``hi`` of lambda + rho, and ``lines``, whether every lambda is a line."""
 
     __slots__ = ("pairs", "lo", "hi", "lines")
 
-    def __init__(self, X: HomSpace, shifts: rc.IrrDecomp):
-        columns, rr, k = list(zip(*shifts)), rho(X.rs), X.k - 1
-        lo, hi = tuple(map(min, columns)), tuple(map(max, columns))
-        if not rc.is_context_dominant(X.levi, lo):  # all are P-dominant iff the least is
-            for s in shifts:
-                check_p_dominant(X, s)
-        offset, lifted = rc.packed_offset, [(add(s, rr), n) for s, n in shifts.items()]
-        self.pairs = tuple((offset(s), n, offset(X.twist(s, -s[k]))) for s, n in lifted)
-        self.lo, self.hi = add(lo, rr), add(hi, rr)
-        self.lines = not any(hi[i - 1] for i in X.levi.levi)
+    def __init__(self, X: HomSpace, shifts: rc.PackedChar):
+        rank, levi = X.rs.rank, X.levi
+        zero, mask = rc.pack_zero(rank), rc.levi_mask(levi)
+        self.pairs = tuple((y - zero, n, y & mask) for y, n in shifts.items())
+        self.lo, self.hi = rc.char_extremes(shifts, rank)
+        if any(self.lo[i - 1] < 1 for i in levi.levi):  # all are P-dominant iff the least is
+            for lam in self.decomp(X):
+                check_p_dominant(X, lam)
+        self.lines = all(self.hi[i - 1] == 1 for i in levi.levi)
+
+    def decomp(self, X: HomSpace) -> rc.IrrDecomp:
+        """The highest weights {lambda: n}, unpacked."""
+        rank, rr, zero = X.rs.rank, rho(X.rs), rc.pack_zero(X.rs.rank)
+        return {sub(rc.unpack(s + zero, rank), rr): n for s, n, _ in self.pairs}
 
     def times(self, tensor: rc.LeviTensor, line: Weight, key, char: rc.PackedChar, extremes):
         """``LeviTensor.products`` with M of ``char``, its weights in ``extremes``, twisted."""

@@ -4,25 +4,24 @@ Every memo whose key holds a user weight lives here, in a plain dict per
 ``(namespace, owner)`` from :func:`table`: per context ``dim`` (Weyl
 dimensions), ``climb`` (packed rho-shifted weight with zero omitted
 coordinates -> packed dominant representative, negated for an odd climb,
-or None on a wall) and ``levi_tensor`` (``repcalc.LeviTensor``), per space
-``bwb`` (packed rho-shifted Levi highest weight -> degree and dimension of
-its cohomology, or None on a wall, read off its coroot pairings by
-``repcalc.bott_kernel``) and ``e1_pages`` (the packed Koszul pages of each
-locus).
+or None on a wall) and ``levi_tensor`` (``repcalc.LeviTensor``: rows
+nested per module), per space ``bwb`` (packed rho-shifted Levi highest
+weight -> degree and dimension of its cohomology, or None on a wall, read
+off its coroot pairings by ``repcalc.bott_kernel``).
 ``lru_cache`` is kept only on functions of root data.  :func:`stats`
 counts the entries of every table, :func:`namespace_entries` per
 namespace, and :func:`clear` empties them all.
 
 :func:`memo` keeps its results in ``table(namespace)``, keyed by the key
 object: ``char`` (Levi and group characters) and ``wedge_decomps`` (the
-Levi decompositions of the wedge powers of F^*, per locus).  The
-``wedge_chars`` namespace fills only when ``koszul.wedge_dual_chars`` is
-called, which no engine route does.  When a cache directory is attached
-(CLI flag or the BWBFORGE_CACHE environment variable) a miss is also
-pickled to one file, named by a sha256 of the key and stamped with a hash
-of the engine's source files, so an entry written by other code is never
-read.  Writers go through a temporary file of their own and an atomic
-rename; an entry that cannot be read back is counted in
+packed pages of the wedge powers of F^*, ``koszul.wedge_dual_pages``, per
+locus).  The ``wedge_chars`` namespace fills only when
+``koszul.wedge_dual_chars`` is called, which no engine route does.  When a
+cache directory is attached (CLI flag or the BWBFORGE_CACHE environment
+variable) a miss is also pickled to one file, named by a sha256 of the key
+and stamped with a hash of the engine's source files, so an entry written
+by other code is never read.  Writers go through a temporary file of their
+own and an atomic rename; an entry that cannot be read back is counted in
 ``stats()["corrupt"]`` and recomputed; ``clear(disk=True)`` also removes
 the temporary files that killed writers left behind.
 """
@@ -143,7 +142,7 @@ def stats() -> Dict[str, Any]:
     if directory and os.path.isdir(directory):
         entries = sum(1 for n in os.listdir(directory) if n.endswith(".pkl"))
     return {
-        "memory_entries": sum(len(t) for t in _tables.values()),
+        "memory_entries": sum(namespace_entries().values()),
         "disk_entries": entries,
         "directory": directory,
         **_stats,
@@ -151,10 +150,11 @@ def stats() -> Dict[str, Any]:
 
 
 def namespace_entries() -> Dict[str, int]:
-    """In-memory entries per namespace, summed over owners."""
+    """In-memory entries per namespace, summed over owners; ``levi_tensor`` counts rows."""
     out: Dict[str, int] = {}
     for (namespace, _), entries in _tables.items():
-        out[namespace] = out.get(namespace, 0) + len(entries)
+        n = sum(map(len, entries.values())) if namespace == "levi_tensor" else len(entries)
+        out[namespace] = out.get(namespace, 0) + n
     return out
 
 

@@ -5,16 +5,17 @@ of rank f on X, the Koszul complex resolves O_Z by the wedge powers of F^*.
 Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
 purely from Borel-Weil-Bott data.
 
-The wedge powers are Levi decompositions built from the summands of F:
-Lambda(A + B) = Lambda(A) (x) Lambda(B), so ``wedge_dual_decomps``
-multiplies the exterior powers of each irreducible summand of F^* into a
-running product by Brauer-Klimyk, up to half the rank f, and a line
-summand only twists; Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^*
-(x) det F^*, gives the rest, once per locus.  No character of a whole
-Lambda^p F^* is built.  ``e1_page`` reads each E_1 entry off by
-Brauer-Klimyk on the Levi side, one ``bwbcohom.tensor_cohomology`` per
-irreducible piece E_mu of E and p on a page packed once per locus, so no
-tensor product is ever expanded.
+The wedge powers are packed pages, {pack(lambda + rho): m} per degree,
+built from the summands of F: Lambda(A + B) = Lambda(A) (x) Lambda(B), so
+``wedge_dual_pages`` multiplies the exterior powers of each irreducible
+summand of F^*, a line O(-t) as much as a module, into a running product
+by Brauer-Klimyk, up to half the rank f, keeping every weight packed;
+Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*, gives the
+rest, once per locus.  No character of a whole Lambda^p F^* is built.
+``e1_page`` reads each E_1 entry off by Brauer-Klimyk on the Levi side,
+one ``bwbcohom.tensor_cohomology`` per irreducible piece E_mu of E and p
+on those same pages, so no tensor product is ever expanded.
+``wedge_dual_decomps`` is their tuple view {lambda: m}.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -32,7 +33,6 @@ reported as bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import cache as _cache
@@ -40,7 +40,7 @@ from . import repcalc as rc
 from .bwbcohom import FilteredBundle, PackedPage, bott_tables, check_p_dominant, tensor_cohomology
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
-from .rootdata import Weight, add, rho, sub
+from .rootdata import Weight, add, rho
 
 
 class EmptyLocusError(ValueError):
@@ -158,10 +158,9 @@ class ZeroLocus:
 def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     """Characters of Lambda^p F^* for p = 0..rank(F).
 
-    No engine route calls it: the E1 page reads only the Levi
-    decompositions of ``wedge_dual_decomps``, built from the summands of F.
-    The benchmark warms its ``restrict-mix`` loci through this name, and
-    the tests keep it as their per-weight oracle.
+    No engine route calls it: the E1 page reads only ``wedge_dual_pages``,
+    built from the summands of F.  The benchmark warms its ``restrict-mix``
+    loci through this name, and the tests keep it as their per-weight oracle.
 
     Degrees up to f // 2 come from the per-weight product, the rest by Koszul
     duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*: the weights of
@@ -185,103 +184,87 @@ def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     return _cache.memo("wedge_chars", (str(Z.space), Z.bundle.summands), compute)
 
 
-def _exterior_decomps(levi: rc.Context, lam: Weight, kmax: int) -> List[rc.IrrDecomp]:
-    """Levi decompositions of Lambda^c V_L(lam) for c = 0..min(dim, kmax).
-
-    Decomposed from the per-weight product of the one small module.
-    """
-    char = rc.char_irr(levi, lam)
-    table = rc.exterior_char_table(char, min(rc.weyl_dim(levi, lam), kmax), levi.rs.rank)
-    return [rc.decompose_character(levi, ch) for ch in table]
+def _exterior_pages(X: HomSpace, lam: Weight, kmax: int) -> List[PackedPage]:
+    """Pages of Lambda^c V_L(lam) for c = 0..min(dim, kmax): the trivial page times
+    each degree of the per-weight product of the one small module."""
+    levi, rank, tensor = X.levi, X.rs.rank, rc.LeviTensor(X.levi)
+    char, unit = rc.char_irr(levi, lam), PackedPage(X, {rc.pack(rho(X.rs)): 1})
+    pages = []
+    for ch in rc.exterior_char_table(char, min(rc.weyl_dim(levi, lam), kmax), rank):
+        ((s, _, entry),) = unit.times(tensor, X.line(0), None, ch, rc.char_extremes(ch, rank))
+        pages.append(PackedPage(X, {s + dy: m for dy, m in zip(entry[::2], entry[1::2])}))
+    return pages
 
 
 def _graded_product(
-    X: HomSpace, left: List[rc.IrrDecomp], right: List[rc.IrrDecomp], kmax: int
-) -> List[rc.IrrDecomp]:
-    """Degrees 0..kmax of the graded tensor product of two Levi decompositions.
+    X: HomSpace, left: List[PackedPage], right: List[PackedPage], kmax: int
+) -> List[PackedPage]:
+    """Degrees 0..kmax of the graded tensor product of two sequences of pages.
 
-    Brauer-Klimyk per irreducible nu = nu0 + t w_k of ``right`` and degree of
-    ``left``: each highest weight of that degree, packed once per degree, reads
-    its product with V_L(nu0) off the ``levi_tensor`` rows, twisted by t.
+    Brauer-Klimyk per irreducible nu = nu0 + t w_k of ``right`` and page of
+    ``left``: each packed highest weight of that page reads its product with
+    V_L(nu0) off the ``levi_tensor`` rows, twisted by t, and adds it packed.
+    Degrees above both tops together are empty, and are dropped.
     """
-    levi, tensor, rank, rr, k = X.levi, rc.LeviTensor(X.levi), X.rs.rank, rho(X.rs), X.k - 1
-    pages = [(a, PackedPage(X, shifts)) for a, shifts in enumerate(left) if shifts]
-    packed = [{rc.pack(add(lam, rr)): m for lam, m in dec.items()} for dec in left[: kmax + 1]]
-    packed += [{} for _ in range(kmax + 1 - len(packed))]
-    for c in range(1, min(len(right) - 1, kmax) + 1):
-        for nu, n in right[c].items():
+    levi, tensor, rank, k = X.levi, rc.LeviTensor(X.levi), X.rs.rank, X.k - 1
+    zero, top = rc.pack_zero(rank), min(len(left) + len(right) - 2, kmax)
+    sums = [{s + zero: n for s, n, _ in page.pairs} for page in left[: top + 1]]
+    sums += [{} for _ in range(top + 1 - len(sums))]
+    for c in range(1, min(len(right) - 1, top) + 1):
+        for nu, n in right[c].decomp(X).items():
             nu0 = X.twist(nu, -nu[k])
             char = rc.char_irr(levi, nu0)
             extremes, line, key = rc.char_extremes(char, rank), X.line(nu[k]), rc.pack(nu0)
-            for a, page in pages:
-                if a + c > kmax:
-                    break
-                target = packed[a + c]
+            for target, page in zip(sums[c:], left):
                 for s, ns, entry in page.times(tensor, line, key, char, extremes):
                     terms = iter(entry)
                     for dy, m in zip(terms, terms):
                         y = s + dy
                         target[y] = target.get(y, 0) + n * ns * m
-    return [{sub(rc.unpack(y, rank), rr): m for y, m in sums.items()} for sums in packed]
+    return [PackedPage(X, shifts) for shifts in sums]
 
 
-def wedge_dual_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
-    """Levi decompositions {lambda: m} of Lambda^p F^* for p = 0..rank(F).
+def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
+    """Pages {pack(lambda + rho): m} of Lambda^p F^*, p = 0..rank(F), memoised per locus.
 
-    Lambda(A + B) = Lambda(A) (x) Lambda(B) as graded modules, so degrees
-    up to f // 2 are a running product over the summands of F^*, and no
-    character of the whole Lambda^p F^* is built.  Each nontrivial
-    irreducible V contributes its ``_exterior_decomps``, multiplied in by
-    ``_graded_product``; a line summand O(-t)^m then contributes C(m, c)
-    copies of the twist by -ct in degree c, with no climb.  The top degree,
-    det F^*, is the sum of the weights of the summands, checked against
-    the closed-form O(-dex F).  Degree f - p is the dual of degree p
-    twisted by det F^*.
+    Lambda(A + B) = Lambda(A) (x) Lambda(B) as graded modules, so degrees up
+    to f // 2 are a running product over the summands of F^*, lines as much
+    as modules: each contributes its ``_exterior_pages``, multiplied in by
+    ``_graded_product``, and no character of the whole Lambda^p F^* is built.
+    det F^*, the sum of the weights of the summands, is checked against the
+    closed-form O(-dex F).  Degree f - p is the dual of degree p twisted by
+    det F^*, the one step that unpacks.  The memo is ``wedge_decomps``.
     """
 
     def compute():
         X, levi, dex = Z.space, Z.space.levi, Z.bundle.dex
-        f, half = Z.bundle.rank, Z.bundle.rank // 2
-        zero = (0,) * X.rs.rank
-        det, graded = zero, [{zero: 1}]
-        modules, lines = [], []
-        for lam, m in Z.bundle.dual().summands:
-            if any(lam[i - 1] for i in levi.levi):
-                modules.append((lam, m))
-            else:
-                lines.append((lam[X.k - 1], m))
-                det = X.twist(det, m * lam[X.k - 1])
+        f, half, rank, rr = Z.bundle.rank, Z.bundle.rank // 2, Z.space.rs.rank, rho(Z.space.rs)
+        det, graded = (0,) * rank, [PackedPage(X, {rc.pack(rr): 1})]
         # a product step climbs dim V_L(nu) weights per running highest
         # weight, 2^dim V per Lambda V: the largest V goes first
-        modules.sort(key=lambda summand: -rc.weyl_dim(levi, summand[0]))
-        for lam, m in modules:
+        for lam, m in sorted(Z.bundle.dual().summands, key=lambda s: -rc.weyl_dim(levi, s[0])):
             for v, mult in rc.char_irr(levi, lam).items():
-                det = add(det, tuple(m * mult * c for c in rc.unpack(v, X.rs.rank)))
-            powers = _exterior_decomps(levi, lam, half)
+                det = add(det, tuple(m * mult * c for c in rc.unpack(v, rank)))
+            powers = _exterior_pages(X, lam, half)
             for _ in range(m):
                 # times the trivial module, the factor itself: no character
                 # of its Levi modules, which can be large, is built
-                if graded == [{zero: 1}]:
-                    graded = powers
-                else:
-                    graded = _graded_product(X, graded, powers, half)
-        for t, m in lines:
-            out: List[rc.IrrDecomp] = [{} for _ in range(half + 1)]
-            for a, dec in enumerate(graded):
-                for c in range(min(m, half - a) + 1):
-                    target, n = out[a + c], comb(m, c)
-                    for lam, mult in dec.items():
-                        key = X.twist(lam, c * t)
-                        target[key] = target.get(key, 0) + n * mult
-            graded = out
+                graded = powers if len(graded) == 1 else _graded_product(X, graded, powers, half)
         assert det == X.line(-dex), "det F^* is not O(-dex F)"
         dual = rc.dual_highest_weight
         return graded + [
-            {X.twist(dual(levi, lam), -dex): m for lam, m in graded[f - p].items()}
+            PackedPage(X, {rc.pack(add(X.twist(dual(levi, lam), -dex), rr)): n
+                           for lam, n in graded[f - p].decomp(X).items()})
             for p in range(half + 1, f + 1)
         ]
 
     return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)
+
+
+def wedge_dual_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
+    """Levi decompositions {lambda: m} of Lambda^p F^* for p = 0..rank(F): the tuple
+    view of ``wedge_dual_pages``, for ``ext`` and the tests."""
+    return [page.decomp(Z.space) for page in wedge_dual_pages(Z)]
 
 
 # -- hypercohomology bookkeeping ---------------------------------------------
@@ -430,18 +413,15 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     Brauer-Klimyk on the Levi side, per irreducible E_mu of gr_j E and p:
     with mu = mu0 + t w_k and mu0[k] = 0, V_L(mu) is V_L(mu0) twisted by the
     L-character w_k, so ``tensor_cohomology`` reads V_L(mu0) times the page of
-    Lambda^p F^*, packed once per locus (``cache.table("e1_pages", X)``), off
-    the ``levi_tensor`` rows of pack(mu0), twisted by t; a page of lines needs
-    only the weight mu0.  A sum leaving the packed field raises
-    ``repcalc.WeightRangeError``, and a negative total (E was no genuine
-    module) AssertionError.  Only nonzero entries are kept, sorted.
+    Lambda^p F^* from ``wedge_dual_pages`` off the ``levi_tensor`` rows of
+    pack(mu0), twisted by t; a page of lines needs only the weight mu0.  A sum
+    leaving the packed field raises ``repcalc.WeightRangeError``, and a
+    negative total (E was no genuine module) AssertionError.  Only nonzero
+    entries are kept, sorted.
     """
     X = Z.space
     k, rank = X.k - 1, X.rs.rank
-    packed = _cache.table("e1_pages", X)
-    pages = packed.get(Z.bundle.summands)
-    if pages is None:
-        pages = packed[Z.bundle.summands] = [PackedPage(X, d) for d in wedge_dual_decomps(Z)]
+    pages = wedge_dual_pages(Z)
     tables = bott_tables(X)  # once per page, not per call
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(_irreducible_gradeds(Z, E)):

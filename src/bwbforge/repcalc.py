@@ -148,8 +148,13 @@ def unpack(v: int, rank: int) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _pack_zero(rank: int) -> int:
+def pack_zero(rank: int) -> int:
     return pack((0,) * rank)
+
+
+def levi_mask(ctx: Context) -> int:
+    """The packed fields of the coordinates in ``ctx.levi``: x & mask zeroes the others."""
+    return sum(_MASK << (_BITS * (i - 1)) for i in ctx.levi)
 
 
 def packed_offset(w: Weight) -> int:
@@ -176,12 +181,9 @@ def check_packable(lo: Sequence[int], hi: Sequence[int]) -> None:
 
 def char_extremes(char: PackedChar, rank: int) -> Tuple[Weight, Weight]:
     """Per-coordinate least and greatest coordinate over the weights of a character."""
-    lo, hi = [], []
-    for i in range(rank):
-        fields = [(v >> (_BITS * i)) & _MASK for v in char]
-        lo.append(min(fields) - _OFFSET)
-        hi.append(max(fields) - _OFFSET)
-    return tuple(lo), tuple(hi)
+    raw, size = _fields(rank), 2 * rank
+    columns = list(zip(*[raw.unpack(v.to_bytes(size, "little")) for v in char]))
+    return tuple(min(c) - _OFFSET for c in columns), tuple(max(c) - _OFFSET for c in columns)
 
 
 def char_from_weights(weights: Dict[Weight, int]) -> PackedChar:
@@ -202,7 +204,7 @@ def conv(a: PackedChar, b: PackedChar, rank: int) -> PackedChar:
         return {}
     (lo_a, hi_a), (lo_b, hi_b) = char_extremes(a, rank), char_extremes(b, rank)
     check_packable([x + y for x, y in zip(lo_a, lo_b)], [x + y for x, y in zip(hi_a, hi_b)])
-    z = _pack_zero(rank)
+    z = pack_zero(rank)
     out: PackedChar = {}
     if len(a) < len(b):
         a, b = b, a
@@ -354,11 +356,12 @@ def climb(ctx: Context, w: Weight) -> Optional[Tuple[int, Weight]]:
     return None if n is None else (n, tuple(cur))
 
 
-def signed_climb(ctx: Context, x: int) -> Optional[int]:
-    """Packed ``climb``: None on a wall, else pack(dominant), negated for an odd length."""
+def signed_climb(ctx: Context, x: int, rows=None) -> Optional[int]:
+    """Packed ``climb`` along ``rows``, ``_climb_rows(ctx)`` if not given: None on a wall,
+    else pack(dominant), negated for an odd length."""
     rank = ctx.rs.rank
     cur = [c - _OFFSET for c in _fields(rank).unpack(x.to_bytes(2 * rank, "little"))]
-    n = _climb_in_place(_climb_rows(ctx), cur)
+    n = _climb_in_place(_climb_rows(ctx) if rows is None else rows, cur)
     if n is None:
         return None
     return -pack(cur) if n & 1 else pack(cur)
@@ -369,7 +372,7 @@ def _twist_free(ctx: Context) -> Tuple[int, int, Tuple[int, ...], Tuple[Tuple[in
     """Levi-field mask, packed zero and indices of the omitted fields, (i, K_i) for
     2 rho_L^v = sum_i K_i alpha_i^v, and max |<alpha_i, alpha_j^v>| over Levi i, omitted j."""
     omitted = tuple(j - 1 for j in ctx.omitted())
-    mask = sum(_MASK << (_BITS * (i - 1)) for i in ctx.levi)
+    mask = levi_mask(ctx)
     zero = sum(_OFFSET << (_BITS * j) for j in omitted)
     worst = max([-simple_root_weight(ctx.rs, i)[j] for i in ctx.levi for j in omitted], default=0)
     return mask, zero, omitted, tuple((i, sum(col)) for i, col in weyl_kernel(ctx)[1]), worst
@@ -378,19 +381,20 @@ def _twist_free(ctx: Context) -> Tuple[int, int, Tuple[int, ...], Tuple[Tuple[in
 _MISSING = object()
 
 
-def climb_tally(ctx: Context, char: PackedChar, shift: int, climbs, mask, zero) -> Tuple[int, ...]:
+def climb_tally(ctx: Context, char: PackedChar, shift: int, climbs, mask, zero,
+                rows=None) -> Tuple[int, ...]:
     """Brauer-Klimyk for one shift: V(lambda) (x) M = sum m V(shift + dy - rho), flat (dy, m, ...).
 
-    ``shift`` packs lambda + rho as an offset.  Each x = shift + nu climbs through
-    ``climbs``, keyed by x0 = (x & mask) | zero: climb(x) = climb(x0) + (x - x0), so
-    dy = climb(x0) + nu - x0 depends on the Levi part of lambda only.
+    ``shift`` packs lambda + rho as an offset.  Each x = shift + nu climbs along ``rows``
+    through ``climbs``, keyed by x0 = (x & mask) | zero: climb(x) = climb(x0) + (x - x0),
+    so dy = climb(x0) + nu - x0 depends on the Levi part of lambda only.
     """
     tally: Dict[int, int] = {}
     for v, m in char.items():
         x0 = ((v + shift) & mask) | zero
         y = climbs.get(x0, _MISSING)
         if y is _MISSING:
-            y = climbs[x0] = signed_climb(ctx, x0)
+            y = climbs[x0] = signed_climb(ctx, x0, rows)
         if y is not None:  # negated for an odd climb
             dy = v - x0 + abs(y)
             tally[dy] = tally.get(dy, 0) + (m if y > 0 else -m)
@@ -399,12 +403,12 @@ def climb_tally(ctx: Context, char: PackedChar, shift: int, climbs, mask, zero) 
 
 class LeviTensor:
     """V_L(lambda) (x) V_L(mu) by Brauer-Klimyk, memoised in ``table("levi_tensor", ctx)``:
-    pack(mu), then the packed offset s0 of the Levi part of lambda + rho, maps to the
+    pack(mu), then the Levi fields s0 of pack(lambda + rho), maps to the
     ``climb_tally`` entry (dy, m, ...).  W_L fixes the omitted w_j (Humphreys 10.3), so
-    each shift s with that Levi part yields y = s + dy.  Tables are fetched once."""
+    each shift s with that Levi part yields y = s + dy.  Tables and climb rows are fetched once."""
 
     def __init__(self, ctx: Context):
-        self.ctx, self.twist_free = ctx, _twist_free(ctx)
+        self.ctx, self.twist_free, self.climb_rows = ctx, _twist_free(ctx), _climb_rows(ctx)
         self.climbs, self.rows = _cache.table("climb", ctx), _cache.table("levi_tensor", ctx)
 
     def climb_keys(self, lo: Weight, hi: Weight) -> Tuple[dict, int, int]:
@@ -433,7 +437,7 @@ class LeviTensor:
             s0 = s if mask == -1 else s0
             entry = rows.get(s0)
             if entry is None:
-                entry = climb_tally(self.ctx, char, s, climbs, mask, zero)
+                entry = climb_tally(self.ctx, char, s, climbs, mask, zero, self.climb_rows)
                 if any(m < 0 for m in entry[1::2]):
                     raise AssertionError("negative multiplicity: input was not a character")
                 rows[s0] = entry
@@ -621,7 +625,7 @@ def _power_table(
 ) -> List[PackedChar]:
     """Degrees 0..kmax of prod (1 + t x^nu) or prod 1/(1 - t x^nu) over wt(char)."""
     check_packable(*power_extremes(char, kmax, rank, exterior))
-    z = _pack_zero(rank)
+    z = pack_zero(rank)
     table: List[PackedChar] = [{z: 1}] + [{} for _ in range(kmax)]
     # descending p reads degree p-1 before this factor touches it (one copy
     # of x^nu); ascending p reads it after, which sums every power of x^nu

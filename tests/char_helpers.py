@@ -3,8 +3,9 @@
 The engine works on packed characters and reads tensor products off
 ``repcalc.decompose_character`` with a shift (Brauer-Klimyk); these
 convenience forms (weight multisets, characters and dimensions of formal
-sums, tensor products, wedge and symmetric powers decomposed again) serve
-the tests and the oracles built on them.  ``freudenthal`` and
+sums, tensor products, wedge and symmetric powers decomposed again, the
+packed page form of a decomposition) serve the tests and the oracles built
+on them.  ``freudenthal`` and
 ``dominant_rep`` are oracles of engine routines; ``serre_dual_weight``
 names the Serre-duality partner of an irreducible bundle.
 """
@@ -20,6 +21,11 @@ from bwbforge.rootdata import Weight, add, integral_weight_gram, rho, simple_roo
 
 def char_to_weights(char: rc.PackedChar, rank: int) -> Dict[Weight, int]:
     return {rc.unpack(v, rank): m for v, m in char.items()}
+
+
+def page_form(X: HomSpace, decomp: rc.IrrDecomp) -> rc.PackedChar:
+    """{pack(lambda + rho): n}, the form ``bwbcohom.PackedPage`` reads, of {lambda: n}."""
+    return {rc.pack(add(lam, rho(X.rs))): n for lam, n in decomp.items()}
 
 
 def char_dim(char: rc.PackedChar) -> int:

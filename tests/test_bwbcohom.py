@@ -25,7 +25,7 @@ from bwbforge.koszul import (
 )
 from bwbforge.rootdata import add, rho, to_dominant_chamber
 
-from char_helpers import serre_dual_weight
+from char_helpers import page_form, serre_dual_weight
 
 G2P1 = parse_homspace("G2/P1")
 G2P2 = parse_homspace("G2/P2")
@@ -129,19 +129,19 @@ def test_tensor_cohomology_with_trivial_module_is_bwb(name):
             for i in range(X.rs.rank)
         )
         t = lam[X.k - 1]
-        page = PackedPage(X, {X.twist(lam, -t): 1})
+        page = PackedPage(X, page_form(X, {X.twist(lam, -t): 1}))
         assert page.lines == (lam == X.line(t))
         assert tensor_cohomology(X, page, t, trivial, (zero, zero)) == bwb(X, lam).dims()
 
 
 def test_tensor_cohomology_refuses_non_characters():
     zero = (0, 0)
-    page = PackedPage(G2P2, {zero: 1})
+    page = PackedPage(G2P2, page_form(G2P2, {zero: 1}))
     with pytest.raises(AssertionError, match="not a character"):
         tensor_cohomology(G2P2, page, 0, {rc.pack(zero): -1}, (zero, zero))
     # P-dominance is checked once, when the page is packed
     with pytest.raises(NotPDominantError):
-        PackedPage(G2P2, {zero: 1, (-1, 0): 1})
+        PackedPage(G2P2, page_form(G2P2, {zero: 1, (-1, 0): 1}))
 
 
 BOTT_SPACES = search_spaces("all", 11)

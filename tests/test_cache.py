@@ -61,6 +61,15 @@ def test_memory_entries_count_every_table():
     climb = len(cache.table("climb", X.levi))
     assert climb > 0
     assert cache.stats()["memory_entries"] >= climb + len(cache.table("wedge_decomps"))
+    # levi_tensor nests its rows per module: the rows are what is counted,
+    # here two rows of one module from a second locus
+    Z = ZeroLocus(X, BundleSum.make(X, {(1, 1): 1}))
+    restricted_cohomology(Z, BundleSum.make(X, {(1, 0): 1}))
+    rows = sum(map(len, cache.table("levi_tensor", X.levi).values()))
+    assert rows > len(cache.table("levi_tensor", X.levi))
+    per_namespace = cache.namespace_entries()
+    assert per_namespace["levi_tensor"] == rows
+    assert cache.stats()["memory_entries"] == sum(per_namespace.values())
     cache.clear()
     assert cache.stats()["memory_entries"] == 0
     assert cache.table("climb", X.levi) == {}

@@ -1,10 +1,12 @@
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from bwbforge import cache
 from bwbforge import classify as cl
+from bwbforge import hodge
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology
 from bwbforge.homspace import dex, dimension, fano_index, parse_homspace
@@ -297,6 +299,27 @@ def test_e6p2_w1_and_w6_bundles_are_not_isomorphic():
 
     assert h0_hom(w1, w6) == 0
     assert h0_hom(w1, w1) == 1
+
+
+def test_classical_h0_rows_to_rank_6():
+    # the classical running products, which the exceptional tables barely
+    # reach: every A-D candidate at d = 4 up to rank 6 has an exact h^{0,q}
+    # row, computed with the memo cleared per space as a sweep does
+    types, hk = Counter(), []
+    for X in cl.search_spaces("all", 6):
+        if X.rs.family not in "ABCD":
+            continue
+        cache.clear()
+        for c in cl.enumerate_candidates(X, 4).candidates:
+            row = hodge.h0_row(c.zero_locus())
+            assert row.status == "exact", (str(X), str(c.bundle()))
+            types[tuple(row.values)] += 1
+            if hodge.is_hyperkaehler(row.values):
+                hk.append(f"{X} {c.bundle()}")
+    cache.clear()
+    assert types == {(1, 0, 0, 0, 1): 442, (0, 0, 0, 0, 0): 18, (2, 0, 0, 0, 2): 13,
+                     (1, 4, 6, 4, 1): 3, (1, 0, 1, 0, 1): 4}
+    assert hk == ["A5/P2 w111", "A5/P4 w555", "A6/P2 w1 + w111", "A6/P5 w6 + w666"]
 
 
 def test_exception_list_documents_extra_families():

@@ -22,10 +22,11 @@ from bwbforge.koszul import (
     structure_cohomology,
     wedge_dual_chars,
     wedge_dual_decomps,
+    wedge_dual_pages,
 )
 from bwbforge.rootdata import rho, to_dominant_chamber
 
-from char_helpers import char_dim, char_of_decomp, decomp_dim
+from char_helpers import char_dim, char_of_decomp, decomp_dim, page_form
 from second_wedge import (
     fstar_tensor_omega,
     graded_module_char,
@@ -411,8 +412,13 @@ def test_wedge_product_matches_newton_girard(space, weights):
     assert wedge_dual_chars(Z) == _newton_girard_wedges(Z)
 
 
-# every Table locus, plus one more locus of odd and one of even rank f
-DUALITY_LOCI = TABLE_LOCI + [("G2/P1", {(1, 0): 1, (0, 1): 1}), ("G2/P2", {(0, 1): 2, (1, 0): 1})]
+# every Table locus, plus one more locus of odd and one of even rank f, and
+# an F of lines only, whose running product multiplies one-weight pages
+DUALITY_LOCI = TABLE_LOCI + [
+    ("G2/P1", {(1, 0): 1, (0, 1): 1}),
+    ("G2/P2", {(0, 1): 2, (1, 0): 1}),
+    ("G2/P2", {(0, 1): 3}),
+]
 
 
 @pytest.mark.parametrize("space,weights", DUALITY_LOCI)
@@ -703,7 +709,7 @@ def _levi_side(Z, mu, p):
     X = Z.space
     t = mu[X.k - 1]
     char = rc.char_irr(X.levi, X.twist(mu, -t))
-    page = PackedPage(X, wedge_dual_decomps(Z)[p])
+    page = wedge_dual_pages(Z)[p]
     return tensor_cohomology(X, page, t, char, rc.char_extremes(char, X.rs.rank))
 
 
@@ -711,7 +717,7 @@ def _wedge_side(Z, mu, p):
     """Weights of Lambda^p F^* shifted by mu."""
     X = Z.space
     wedge = wedge_dual_chars(Z)[p]
-    page = PackedPage(X, {mu: 1})
+    page = PackedPage(X, page_form(X, {mu: 1}))
     return tensor_cohomology(X, page, 0, wedge, rc.char_extremes(wedge, X.rs.rank))
 
 

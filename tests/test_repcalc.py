@@ -404,6 +404,14 @@ def test_pack_unpack_roundtrip(wt):
     assert rc.unpack(rc.pack(wt), 4) == wt
 
 
+@given(st.lists(st.tuples(*[st.integers(-32768, 32767)] * 4), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_char_extremes_are_the_coordinate_extremes(weights):
+    # the edges of the 16-bit field included
+    lo, hi = rc.char_extremes({rc.pack(w): 1 for w in weights}, 4)
+    assert lo == tuple(map(min, zip(*weights))) and hi == tuple(map(max, zip(*weights)))
+
+
 @given(
     st.dictionaries(_coords, st.integers(1, 4), min_size=1, max_size=5),
     st.dictionaries(_coords, st.integers(1, 4), min_size=1, max_size=5),
