@@ -81,29 +81,30 @@ _MISSING = object()
 
 
 class PackedPage:
-    """P-dominant highest weights lambda as ``{pack(lambda + rho): n}``: ``pairs`` of (packed
-    offset of lambda + rho, multiplicity, Levi fields of pack(lambda + rho)), the extremes
+    """Highest weights lambda + twist w_k, P-dominant, as ``{pack(lambda + rho): n}`` and ``twist``,
+    kept out of the fields: ``pairs`` of (offset of lambda + rho, n, its Levi fields), the extremes
     ``lo``, ``hi`` of lambda + rho, and ``lines``, whether every lambda is a line."""
 
-    __slots__ = ("pairs", "lo", "hi", "lines")
+    __slots__ = ("pairs", "lo", "hi", "lines", "twist")
 
-    def __init__(self, X: HomSpace, shifts: rc.PackedChar):
+    def __init__(self, X: HomSpace, shifts: rc.PackedChar, twist: int = 0):
         rank, levi = X.rs.rank, X.levi
         zero, mask = rc.pack_zero(rank), rc.levi_mask(levi)
         self.pairs = tuple((y - zero, n, y & mask) for y, n in shifts.items())
-        self.lo, self.hi = rc.char_extremes(shifts, rank)
+        self.lo, self.hi, self.twist = *rc.char_extremes(shifts, rank), twist
         if any(self.lo[i - 1] < 1 for i in levi.levi):  # all are P-dominant iff the least is
             for lam in self.decomp(X):
                 check_p_dominant(X, lam)
         self.lines = all(self.hi[i - 1] == 1 for i in levi.levi)
 
     def decomp(self, X: HomSpace) -> rc.IrrDecomp:
-        """The highest weights {lambda: n}, unpacked."""
-        rank, rr, zero = X.rs.rank, rho(X.rs), rc.pack_zero(X.rs.rank)
-        return {sub(rc.unpack(s + zero, rank), rr): n for s, n, _ in self.pairs}
+        """The highest weights {lambda + twist w_k: n}, unpacked."""
+        rank, rr, zero, t = X.rs.rank, rho(X.rs), rc.pack_zero(X.rs.rank), self.twist
+        return {X.twist(sub(rc.unpack(s + zero, rank), rr), t): n for s, n, _ in self.pairs}
 
-    def times(self, tensor: rc.LeviTensor, line: Weight, key, char: rc.PackedChar, extremes):
-        """``LeviTensor.products`` with M of ``char``, its weights in ``extremes``, twisted."""
+    def times(self, X: HomSpace, tensor: rc.LeviTensor, t: int, key, char: rc.PackedChar, extremes):
+        """``LeviTensor.products`` with M of ``char``, its weights in ``extremes``, in O(t)."""
+        line = X.line(t + self.twist)
         lo = [a + b + c for a, b, c in zip(self.lo, extremes[0], line)]
         hi = [a + b + c for a, b, c in zip(self.hi, extremes[1], line)]
         return tensor.products(key, char, self.pairs, rc.packed_offset(line), lo, hi)
@@ -129,7 +130,7 @@ def tensor_cohomology(
     """
     tensor, bwbs, bott = tables or bott_tables(X)
     out: Dict[int, int] = {}
-    for s, n, entry in page.times(tensor, X.line(t), key, char, extremes):
+    for s, n, entry in page.times(X, tensor, t, key, char, extremes):
         terms = iter(entry)
         for dy, m in zip(terms, terms):
             y = s + dy

@@ -5,10 +5,10 @@ of rank f on X, the Koszul complex resolves O_Z by the wedge powers of F^*.
 Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
 purely from Borel-Weil-Bott data.
 
-The wedge powers are packed pages, {pack(lambda + rho): m} per degree,
-built from the summands of F: Lambda(A + B) = Lambda(A) (x) Lambda(B), so
+The wedge powers are packed pages, {pack(lambda + rho): m} and a twist out
+of the fields, per degree: Lambda(A + B) = Lambda(A) (x) Lambda(B), so
 ``wedge_dual_pages`` multiplies the exterior powers of each irreducible
-summand of F^*, a line O(-t) as much as a module, into a running product
+summand of F^*, the m copies of a line O(-t) as one, into a running product
 by Brauer-Klimyk, up to half the rank f, keeping every weight packed;
 Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*, gives the
 rest, once per locus.  No character of a whole Lambda^p F^* is built.
@@ -184,16 +184,13 @@ def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     return _cache.memo("wedge_chars", (str(Z.space), Z.bundle.summands), compute)
 
 
-def _exterior_pages(X: HomSpace, lam: Weight, kmax: int) -> List[PackedPage]:
-    """Pages of Lambda^c V_L(lam) for c = 0..min(dim, kmax): the trivial page times
-    each degree of the per-weight product of the one small module."""
-    levi, rank, tensor = X.levi, X.rs.rank, rc.LeviTensor(X.levi)
-    char, unit = rc.char_irr(levi, lam), PackedPage(X, {rc.pack(rho(X.rs)): 1})
-    pages = []
-    for ch in rc.exterior_char_table(char, min(rc.weyl_dim(levi, lam), kmax), rank):
-        ((s, _, entry),) = unit.times(tensor, X.line(0), None, ch, rc.char_extremes(ch, rank))
-        pages.append(PackedPage(X, {s + dy: m for dy, m in zip(entry[::2], entry[1::2])}))
-    return pages
+def _exterior_pages(X: HomSpace, lam: Weight, copies: int, kmax: int) -> List[PackedPage]:
+    """Pages of Lambda^c (V_L(lam)^copies), c <= kmax: for lam = lam0 + t w_k, the per-weight
+    product of ``copies`` times each weight of V_L(lam0), decomposed, twisted by c t."""
+    levi, t, lam0 = X.levi, lam[X.k - 1], X.twist(lam, -lam[X.k - 1])
+    char = {v: copies * n for v, n in rc.char_irr(levi, lam0).items()}
+    table = rc.exterior_char_table(char, min(copies * rc.weyl_dim(levi, lam0), kmax), X.rs.rank)
+    return [PackedPage(X, rc.decompose_character(levi, ch), c * t) for c, ch in enumerate(table)]
 
 
 def _graded_product(
@@ -203,25 +200,31 @@ def _graded_product(
 
     Brauer-Klimyk per irreducible nu = nu0 + t w_k of ``right`` and page of
     ``left``: each packed highest weight of that page reads its product with
-    V_L(nu0) off the ``levi_tensor`` rows, twisted by t, and adds it packed.
-    Degrees above both tops together are empty, and are dropped.
+    V_L(nu0) off the ``levi_tensor`` rows, twisted by t, and adds it packed,
+    relative to the twist of its degree: the middle of the twists of the
+    pairs of pages that reach it.  Degrees above both tops together are
+    empty, and are dropped.
     """
     levi, tensor, rank, k = X.levi, rc.LeviTensor(X.levi), X.rs.rank, X.k - 1
-    zero, top = rc.pack_zero(rank), min(len(left) + len(right) - 2, kmax)
-    sums = [{s + zero: n for s, n, _ in page.pairs} for page in left[: top + 1]]
-    sums += [{} for _ in range(top + 1 - len(sums))]
-    for c in range(1, min(len(right) - 1, top) + 1):
+    top = min(len(left) + len(right) - 2, kmax)
+    twists = []
+    for d in range(top + 1):
+        reach = [left[a].twist + right[d - a].twist
+                 for a in range(max(0, d + 1 - len(right)), min(d, len(left) - 1) + 1)]
+        twists.append((min(reach) + max(reach)) // 2)
+    sums: List[rc.PackedChar] = [{} for _ in twists]
+    for c in range(min(len(right) - 1, top) + 1):
         for nu, n in right[c].decomp(X).items():
             nu0 = X.twist(nu, -nu[k])
             char = rc.char_irr(levi, nu0)
-            extremes, line, key = rc.char_extremes(char, rank), X.line(nu[k]), rc.pack(nu0)
-            for target, page in zip(sums[c:], left):
-                for s, ns, entry in page.times(tensor, line, key, char, extremes):
+            extremes, key = rc.char_extremes(char, rank), rc.pack(nu0)
+            for target, page, twist in zip(sums[c:], left, twists[c:]):
+                for s, ns, entry in page.times(X, tensor, nu[k] - twist, key, char, extremes):
                     terms = iter(entry)
                     for dy, m in zip(terms, terms):
                         y = s + dy
                         target[y] = target.get(y, 0) + n * ns * m
-    return [PackedPage(X, shifts) for shifts in sums]
+    return [PackedPage(X, shifts, twist) for shifts, twist in zip(sums, twists)]
 
 
 def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
@@ -233,29 +236,34 @@ def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
     ``_graded_product``, and no character of the whole Lambda^p F^* is built.
     det F^*, the sum of the weights of the summands, is checked against the
     closed-form O(-dex F).  Degree f - p is the dual of degree p twisted by
-    det F^*, the one step that unpacks.  The memo is ``wedge_decomps``.
+    det F^*, the one step that unpacks: dual(lam + T w_k) = dual(lam) - T w_k,
+    so a page twist T turns into -T - dex.  The memo is ``wedge_decomps``.
     """
 
     def compute():
-        X, levi, dex = Z.space, Z.space.levi, Z.bundle.dex
+        X, levi, dex, k = Z.space, Z.space.levi, Z.bundle.dex, Z.space.k - 1
         f, half, rank, rr = Z.bundle.rank, Z.bundle.rank // 2, Z.space.rs.rank, rho(Z.space.rs)
         det, graded = (0,) * rank, [PackedPage(X, {rc.pack(rr): 1})]
         # a product step climbs dim V_L(nu) weights per running highest
         # weight, 2^dim V per Lambda V: the largest V goes first
         for lam, m in sorted(Z.bundle.dual().summands, key=lambda s: -rc.weyl_dim(levi, s[0])):
-            for v, mult in rc.char_irr(levi, lam).items():
+            for v, mult in rc.char_irr(levi, X.twist(lam, -lam[k])).items():
                 det = add(det, tuple(m * mult * c for c in rc.unpack(v, rank)))
-            powers = _exterior_pages(X, lam, half)
-            for _ in range(m):
+            det = X.twist(det, m * rc.weyl_dim(levi, lam) * lam[k])
+            # the m copies of a line are one factor, one weight of multiplicity m;
+            # a module's are m factors, as Lambda(V^m) has C(m dim V, c) weights
+            copies = m if rc.weyl_dim(levi, lam) == 1 else 1
+            powers = _exterior_pages(X, lam, copies, half)
+            for _ in range(m // copies):
                 # times the trivial module, the factor itself: no character
                 # of its Levi modules, which can be large, is built
                 graded = powers if len(graded) == 1 else _graded_product(X, graded, powers, half)
         assert det == X.line(-dex), "det F^* is not O(-dex F)"
         dual = rc.dual_highest_weight
         return graded + [
-            PackedPage(X, {rc.pack(add(X.twist(dual(levi, lam), -dex), rr)): n
-                           for lam, n in graded[f - p].decomp(X).items()})
-            for p in range(half + 1, f + 1)
+            PackedPage(X, {rc.pack(add(X.twist(dual(levi, lam), g.twist), rr)): n
+                           for lam, n in g.decomp(X).items()}, -g.twist - dex)
+            for g in (graded[f - p] for p in range(half + 1, f + 1))
         ]
 
     return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)

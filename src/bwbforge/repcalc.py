@@ -17,7 +17,8 @@ the total against the Weyl dimension.
 Decomposition of an arbitrary character into irreducibles uses the
 rho-shifted reflection trick: each weight mu contributes sgn(w) at the
 dominant representative of mu+rho (nothing on walls), which telescopes to
-the multiset of highest weights.  This is linear in the support size.
+the multiset of highest weights, which ``decompose_character`` returns
+packed, as {pack(lambda + rho): m}.  This is linear in the support size.
 Shifting every weight by a dominant lambda first gives V(lambda) (x) M by
 Brauer-Klimyk, which is the one route for tensor products.  The rule is
 symmetric in its two factors (Klimyk 1968; Humphreys, Introduction to Lie
@@ -356,12 +357,11 @@ def climb(ctx: Context, w: Weight) -> Optional[Tuple[int, Weight]]:
     return None if n is None else (n, tuple(cur))
 
 
-def signed_climb(ctx: Context, x: int, rows=None) -> Optional[int]:
-    """Packed ``climb`` along ``rows``, ``_climb_rows(ctx)`` if not given: None on a wall,
-    else pack(dominant), negated for an odd length."""
+def signed_climb(ctx: Context, x: int, rows) -> Optional[int]:
+    """Packed ``climb`` along ``rows``: None on a wall, else pack(dominant), negated if odd."""
     rank = ctx.rs.rank
     cur = [c - _OFFSET for c in _fields(rank).unpack(x.to_bytes(2 * rank, "little"))]
-    n = _climb_in_place(_climb_rows(ctx) if rows is None else rows, cur)
+    n = _climb_in_place(rows, cur)
     if n is None:
         return None
     return -pack(cur) if n & 1 else pack(cur)
@@ -382,7 +382,7 @@ _MISSING = object()
 
 
 def climb_tally(ctx: Context, char: PackedChar, shift: int, climbs, mask, zero,
-                rows=None) -> Tuple[int, ...]:
+                rows) -> Tuple[int, ...]:
     """Brauer-Klimyk for one shift: V(lambda) (x) M = sum m V(shift + dy - rho), flat (dy, m, ...).
 
     ``shift`` packs lambda + rho as an offset.  Each x = shift + nu climbs along ``rows``
@@ -446,8 +446,8 @@ class LeviTensor:
 
 def decompose_character(
     ctx: Context, char: PackedChar, shift: Optional[Weight] = None
-) -> IrrDecomp:
-    """Decompose a genuine (virtual-free) character into irreducibles.
+) -> PackedChar:
+    """Decompose a genuine (virtual-free) character into irreducibles, {pack(lambda + rho): m}.
 
     With a dominant ``shift`` lambda, every weight is moved by lambda first,
     which decomposes V(lambda) (x) M for M the module of ``char``
@@ -456,15 +456,13 @@ def decompose_character(
     """
     if not char:
         return {}
-    rank, rr = ctx.rs.rank, rho(ctx.rs)
     if shift is not None:
         _require_dominant(ctx, shift)
-    lift = rr if shift is None else add(shift, rr)
-    lo, hi = char_extremes(char, rank)
+    lift = rho(ctx.rs) if shift is None else add(shift, rho(ctx.rs))
+    lo, hi = char_extremes(char, ctx.rs.rank)
     s, lo, hi = packed_offset(lift), add(lo, lift), add(hi, lift)
     ((_, _, entry),) = LeviTensor(ctx).products(None, char, [(s, 1, s)], 0, lo, hi)
-    terms = iter(entry)
-    return {sub(unpack(s + dy, rank), rr): m for dy, m in zip(terms, terms)}
+    return {s + dy: m for dy, m in zip(entry[::2], entry[1::2])}
 
 
 # -- irreducible characters (Freudenthal) ------------------------------------

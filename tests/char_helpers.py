@@ -2,10 +2,10 @@
 
 The engine works on packed characters and reads tensor products off
 ``repcalc.decompose_character`` with a shift (Brauer-Klimyk); these
-convenience forms (weight multisets, characters and dimensions of formal
-sums, tensor products, wedge and symmetric powers decomposed again, the
-packed page form of a decomposition) serve the tests and the oracles built
-on them.  ``freudenthal`` and
+convenience forms (its tuple view ``decompose``, weight multisets,
+characters and dimensions of formal sums, tensor products, wedge and
+symmetric powers decomposed again, the packed page form of a
+decomposition) serve the tests and the oracles built on them.  ``freudenthal`` and
 ``dominant_rep`` are oracles of engine routines; ``serre_dual_weight``
 names the Serre-duality partner of an irreducible bundle.
 """
@@ -16,7 +16,7 @@ from typing import Dict
 
 from bwbforge import repcalc as rc
 from bwbforge.homspace import HomSpace, fano_index
-from bwbforge.rootdata import Weight, add, integral_weight_gram, rho, simple_root_weight
+from bwbforge.rootdata import Weight, add, integral_weight_gram, rho, simple_root_weight, sub
 
 
 def char_to_weights(char: rc.PackedChar, rank: int) -> Dict[Weight, int]:
@@ -37,6 +37,13 @@ def weight_multiplicities(ctx: rc.Context, lam: Weight) -> Dict[Weight, int]:
     return char_to_weights(rc.char_irr(ctx, lam), ctx.rs.rank)
 
 
+def decompose(ctx: rc.Context, char: rc.PackedChar, shift=None) -> rc.IrrDecomp:
+    """``repcalc.decompose_character`` as {lambda: m}, unpacked."""
+    rr = rho(ctx.rs)
+    packed = rc.decompose_character(ctx, char, shift)
+    return {sub(rc.unpack(y, ctx.rs.rank), rr): m for y, m in packed.items()}
+
+
 def char_of_decomp(ctx: rc.Context, decomp: rc.IrrDecomp) -> rc.PackedChar:
     out: rc.PackedChar = {}
     for lam, m in decomp.items():
@@ -53,7 +60,7 @@ def tensor_char(ctx: rc.Context, rep: rc.IrrDecomp, char: rc.PackedChar) -> rc.I
     """Decompose rep (x) M for a formal sum ``rep`` and the character of M."""
     out: rc.IrrDecomp = {}
     for lam, m in rep.items():
-        for mu, c in rc.decompose_character(ctx, char, lam).items():
+        for mu, c in decompose(ctx, char, lam).items():
             out[mu] = out.get(mu, 0) + m * c
     return out
 
@@ -69,14 +76,14 @@ def exterior_power(ctx: rc.Context, rep: rc.IrrDecomp, k: int) -> rc.IrrDecomp:
     if k < 0 or k > total:
         raise ValueError(f"wedge degree {k} out of range 0..{total}")
     table = rc.exterior_char_table(char_of_decomp(ctx, rep), k, ctx.rs.rank)
-    return rc.decompose_character(ctx, table[k])
+    return decompose(ctx, table[k])
 
 
 def symmetric_power(ctx: rc.Context, rep: rc.IrrDecomp, k: int) -> rc.IrrDecomp:
     if k < 0:
         raise ValueError("symmetric degree must be nonnegative")
     table = rc.symmetric_char_table(char_of_decomp(ctx, rep), k, ctx.rs.rank)
-    return rc.decompose_character(ctx, table[k])
+    return decompose(ctx, table[k])
 
 
 def dominant_rep(ctx: rc.Context, w: Weight) -> Weight:

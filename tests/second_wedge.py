@@ -34,7 +34,7 @@ from bwbforge.koszul import (
 )
 from bwbforge.rootdata import Weight, root_to_weight
 
-from char_helpers import tensor_char
+from char_helpers import decompose, tensor_char
 
 
 def graded_module_char(X: HomSpace, ell: int) -> rc.PackedChar:
@@ -51,7 +51,7 @@ def symmetric_square_bundle(Z: ZeroLocus) -> BundleSum:
     X = Z.space
     char = Z.bundle.dual().char()
     table = rc.symmetric_char_table(char, 2, X.rs.rank)
-    return BundleSum.make(X, rc.decompose_character(X.levi, table[2]))
+    return BundleSum.make(X, decompose(X.levi, table[2]))
 
 
 def fstar_tensor_omega(Z: ZeroLocus) -> FilteredBundle:
@@ -80,7 +80,7 @@ def omega_square(Z: ZeroLocus) -> FilteredBundle:
                 continue
             if i == j:
                 wedge = rc.exterior_char_table(graded_module_char(X, i), 2, X.rs.rank)[2]
-                piece = rc.decompose_character(X.levi, wedge)
+                piece = decompose(X.levi, wedge)
             else:
                 piece = tensor_char(X.levi, pieces[i], graded_module_char(X, j))
             for lam, mult in piece.items():

@@ -132,6 +132,10 @@ def test_tensor_cohomology_with_trivial_module_is_bwb(name):
         page = PackedPage(X, page_form(X, {X.twist(lam, -t): 1}))
         assert page.lines == (lam == X.line(t))
         assert tensor_cohomology(X, page, t, trivial, (zero, zero)) == bwb(X, lam).dims()
+        # the same weight with its twist kept on the page
+        twisted = PackedPage(X, page_form(X, {X.twist(lam, -t): 1}), t)
+        assert twisted.decomp(X) == {lam: 1}
+        assert tensor_cohomology(X, twisted, 0, trivial, (zero, zero)) == bwb(X, lam).dims()
 
 
 def test_tensor_cohomology_refuses_non_characters():

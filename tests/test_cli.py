@@ -196,6 +196,30 @@ def test_cohomology_restrict_command():
     assert payload["results"]["dims"] == [0, 0, 0, 0, 272]
 
 
+def test_twists_past_the_packed_field_still_answer(capsys):
+    # a page keeps its twist out of the 16-bit fields: the wedge powers of
+    # large lines print, and their E1 sums with O(20000) fit the field again
+    for argv, want in [
+        (["ext", "G2/P2", "O(20000) + O(20001)", "0"], "L^0 F* = E[0,0]^1"),
+        (["ext", "G2/P2", "O(20000) + O(20001)", "1"], "L^1 F* = E[0,-20001]^1 + E[0,-20000]^1"),
+        (["ext", "G2/P2", "O(20000) + O(20001)", "2"], "L^2 F* = E[0,-40001]^1"),
+        (["ext", "G2/P2", "O(20000)^4", "2"], "L^2 F* = E[0,-40000]^6"),
+    ]:
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == want
+    argv = ["--format", "json", "cohomology", "G2/P2", "O(20000) + O(20001)", "--restrict", "O(20000)"]
+    assert main(argv) == 0
+    dims = json.loads(capsys.readouterr().out)["results"]["dims"]
+    assert dims == [480180026668616737000, 0, 0, 479940002666616667000]
+
+
+def test_a_wedge_page_wider_than_the_field_is_refused(capsys):
+    # Lambda^1 F^* holds O(-1) and O(-70000): no page twist brings both into a
+    # 16-bit field, so ext refuses, as every E1 page of this locus does
+    assert main(["ext", "G2/P2", "O(1) + O(70000)", "1"]) == 1
+    assert "do not fit 16-bit packed coordinates" in capsys.readouterr().err
+
+
 def test_hodge_command_json():
     out = run_cli("--format", "json", "hodge", "G2/P2", "O(3)", "--d", "4")
     res = json.loads(out)["results"]

@@ -27,6 +27,7 @@ from bwbforge.koszul import (
 )
 from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology
 
+from char_helpers import decompose
 import second_wedge
 from second_wedge import graded_module_char
 
@@ -297,7 +298,7 @@ def test_f4p1_h13_cross_validated_three_ways():
         wch = wedge_dual_chars(Z)
         for p in range(Z.bundle.rank + 1):
             for gchar in chars:
-                dec = rc.decompose_character(
+                dec = decompose(
                     X.levi, rc.conv(wch[p], gchar, X.rs.rank)
                 )
                 t = bundle_cohomology(X, dec)
@@ -312,7 +313,7 @@ def test_f4p1_h13_cross_validated_three_ways():
     # route 3: deformations through the normal-bundle sequence
     tangent = FilteredBundle.from_decomps(
         [
-            rc.decompose_character(
+            decompose(
                 X.levi,
                 {
                     rc.pack(tuple(-c for c in rc.unpack(v, X.rs.rank))): m

@@ -26,7 +26,7 @@ from bwbforge.koszul import (
 )
 from bwbforge.rootdata import rho, to_dominant_chamber
 
-from char_helpers import char_dim, char_of_decomp, decomp_dim, page_form
+from char_helpers import char_dim, char_of_decomp, decomp_dim, decompose, page_form
 from second_wedge import (
     fstar_tensor_omega,
     graded_module_char,
@@ -270,7 +270,7 @@ def _oracle_entries(Z, E):
     entries = {}
     for p, wedge in enumerate(wedge_dual_chars(Z)):
         for j, gchar in enumerate(_graded_chars(Z, E)):
-            dec = rc.decompose_character(X.levi, rc.conv(wedge, gchar, X.rs.rank))
+            dec = decompose(X.levi, rc.conv(wedge, gchar, X.rs.rank))
             for q, v in bundle_cohomology(X, dec).dims().items():
                 if v:
                     entries[(p, j, q)] = entries.get((p, j, q), 0) + v
@@ -429,7 +429,7 @@ def test_wedge_duality_matches_full_exterior_table(space, weights):
     f = Z.bundle.rank
     full = rc.exterior_char_table(Z.bundle.dual().char(), f, Z.space.rs.rank)
     assert wedge_dual_chars(Z) == full
-    assert wedge_dual_decomps(Z) == [rc.decompose_character(Z.space.levi, ch) for ch in full]
+    assert wedge_dual_decomps(Z) == [decompose(Z.space.levi, ch) for ch in full]
 
 
 @pytest.mark.parametrize("space,weights", TABLE_LOCI)
@@ -455,9 +455,9 @@ def _convolved_builders(Z):
     grad = gradation(X)
     chars = {ell: graded_module_char(X, ell) for ell in grad.levels}
     sym = _newton_girard_table(fchar, 2, rank, False)[2]
-    sym = BundleSum.make(X, rc.decompose_character(levi, sym))
+    sym = BundleSum.make(X, decompose(levi, sym))
     tens = FilteredBundle.from_decomps(
-        [rc.decompose_character(levi, rc.conv(fchar, chars[ell], rank)) for ell in grad.levels]
+        [decompose(levi, rc.conv(fchar, chars[ell], rank)) for ell in grad.levels]
     )
     square = []
     for total in range(2 * grad.depth, 1, -1):
@@ -473,7 +473,7 @@ def _convolved_builders(Z):
             for v, m in piece.items():
                 acc[v] = acc.get(v, 0) + m
         if acc:
-            square.append(rc.decompose_character(levi, acc))
+            square.append(decompose(levi, acc))
     return sym, tens, FilteredBundle.from_decomps(square)
 
 
@@ -686,7 +686,7 @@ def test_wedge_decomps_from_summands_equal_the_full_table(Z):
     # Lambda(A + B) = Lambda(A) (x) Lambda(B): the running product over the
     # summands equals the decomposition of the whole per-weight product
     full = rc.exterior_char_table(Z.bundle.dual().char(), Z.bundle.rank, Z.space.rs.rank)
-    assert wedge_dual_decomps(Z) == [rc.decompose_character(Z.space.levi, ch) for ch in full]
+    assert wedge_dual_decomps(Z) == [decompose(Z.space.levi, ch) for ch in full]
 
 
 def test_b9_p8_wedge_decomps_have_binomial_dimensions():
