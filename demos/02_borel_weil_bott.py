@@ -19,7 +19,7 @@ print("== irreducible bundles on G2/P2 ==")
 for t in range(-9, 1, 3):
     lam = X.line(t)
     table = bwb(X, lam)
-    if table.is_zero():
+    if not table.dims():
         print(f"O({t}): acyclic")
     else:
         (q, row), = table.entries.items()

@@ -26,13 +26,13 @@ print(f"Z = zero locus of O(3) on {X}: dimension {Z.d},",
       "canonical bundle trivial" if Z.is_canonical_trivial() else "K nontrivial")
 
 row0 = h0_row(Z)
-print("h^{0,q} =", row0.values, "->",
-      "hyperkaehler candidate" if is_hyperkaehler(row0)
+print("h^{0,q} =", row0.dims, "->",
+      "hyperkaehler candidate" if is_hyperkaehler(row0.dims)
       else "Calabi-Yau but not hyperkaehler")
 
 row1 = h1_row(Z, row0)
-print("h^{1,q} =", row1.values)
-report = h1_chase_report(Z)
+print("h^{1,q} =", row1.dims)
+report = h1_chase_report(Z, row0)
 print("  conormal chase solved:", dict(sorted(report.solved.items())))
 
 report = h22_chase_report(Z, row0, row1)

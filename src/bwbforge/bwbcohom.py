@@ -57,9 +57,6 @@ class CohomologyTable:
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * d for q, d in self.dims().items())
 
-    def is_zero(self) -> bool:
-        return all(not row for row in self.entries.values())
-
 
 def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
     """Cohomology of the irreducible bundle E_lambda by Borel-Weil-Bott.
@@ -116,7 +113,7 @@ def bott_tables(X: HomSpace):
 
 
 def tensor_cohomology(
-    X: HomSpace, page: PackedPage, t: int, char: rc.PackedChar, extremes, key=None, tables=None
+    X: HomSpace, page: PackedPage, t: int, char: rc.PackedChar, extremes, key, tables
 ) -> Dict[int, int]:
     """Dimensions of H^q(X, E(t) (x) M), E = sum n_s E_s of ``page``, M the L-module of ``char``.
 
@@ -126,9 +123,10 @@ def tensor_cohomology(
     (``repcalc.bott_kernel``): n_s * m * dim V_G in degree q, the number of negative
     pairings, or nothing on a wall (Bott 1957; Kostant 1961).  The rule is symmetric
     in its factors, so either one may be the page.  ``extremes`` bounds the weights
-    of ``char``; ``tables`` is ``bott_tables(X)``.
+    of ``char``; with ``key`` None the rows stay in this call.  ``tables`` is
+    ``bott_tables(X)``.
     """
-    tensor, bwbs, bott = tables or bott_tables(X)
+    tensor, bwbs, bott = tables
     out: Dict[int, int] = {}
     for s, n, entry in page.times(X, tensor, t, key, char, extremes):
         terms = iter(entry)

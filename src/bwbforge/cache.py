@@ -17,11 +17,12 @@ object: ``char`` (Levi and group characters) and ``wedge_decomps`` (the
 packed pages of the wedge powers of F^*, ``koszul.wedge_dual_pages``, per
 locus).  The ``wedge_chars`` namespace fills only when
 ``koszul.wedge_dual_chars`` is called, which no engine route does.  When a
-cache directory is attached (CLI flag or the BWBFORGE_CACHE environment
-variable) a miss is also pickled to one file, named by a sha256 of the key
-and stamped with a hash of the engine's source files, so an entry written
-by other code is never read.  Writers go through a temporary file of their
-own and an atomic rename; an entry that cannot be read back is counted in
+cache directory is attached (:func:`set_cache_dir`, which the CLI's
+``--cache`` calls; no environment variable is read), a miss is also
+pickled to one file, named by a sha256 of the key and stamped with a hash
+of the engine's source files, so an entry written by other code is never
+read.  Writers go through a temporary file of their own and an atomic
+rename; an entry that cannot be read back is counted in
 ``stats()["corrupt"]`` and recomputed; ``clear(disk=True)`` also removes
 the temporary files that killed writers left behind.
 """
@@ -49,12 +50,6 @@ def set_cache_dir(path: Optional[str]) -> None:
     if path:
         os.makedirs(path, exist_ok=True)
     _dir = path
-
-
-def cache_dir() -> Optional[str]:
-    if _dir is not None:
-        return _dir
-    return os.environ.get("BWBFORGE_CACHE") or None
 
 
 def table(namespace: str, owner: Any = None) -> dict:
@@ -121,30 +116,28 @@ def memo(namespace: str, key_obj: Any, compute: Callable[[], Any]) -> Any:
     if value is not _MISSING:
         _stats["hits"] += 1
         return value
-    directory = cache_dir()
-    if directory:
+    if _dir:
         key = _key(namespace, key_obj)
-        value = _read(os.path.join(directory, key + ".pkl"))
+        value = _read(os.path.join(_dir, key + ".pkl"))
         if value is not _MISSING:
             mem[key_obj] = value
             _stats["disk_hits"] += 1
             return value
     _stats["misses"] += 1
     value = mem[key_obj] = compute()
-    if directory:
-        _write(directory, key, value)
+    if _dir:
+        _write(_dir, key, value)
     return value
 
 
 def stats() -> Dict[str, Any]:
-    directory = cache_dir()
     entries = 0
-    if directory and os.path.isdir(directory):
-        entries = sum(1 for n in os.listdir(directory) if n.endswith(".pkl"))
+    if _dir and os.path.isdir(_dir):
+        entries = sum(1 for n in os.listdir(_dir) if n.endswith(".pkl"))
     return {
         "memory_entries": sum(namespace_entries().values()),
         "disk_entries": entries,
-        "directory": directory,
+        "directory": _dir,
         **_stats,
     }
 
@@ -161,11 +154,10 @@ def namespace_entries() -> Dict[str, int]:
 def clear(disk: bool = False) -> None:
     _tables.clear()
     _stats.update(dict.fromkeys(_stats, 0))
-    directory = cache_dir()
-    if disk and directory and os.path.isdir(directory):
-        for name in os.listdir(directory):
+    if disk and _dir and os.path.isdir(_dir):
+        for name in os.listdir(_dir):
             if name.endswith((".pkl", ".tmp")):
                 try:
-                    os.remove(os.path.join(directory, name))
+                    os.remove(os.path.join(_dir, name))
                 except OSError:
                     pass

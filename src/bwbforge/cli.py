@@ -146,7 +146,7 @@ def _common_options(parser, suppress: bool):
     parser.add_argument("--format", choices=("table", "json", "csv"),
                         default=d("table"))
     parser.add_argument("--cache", default=d(None),
-                        help="persistent cache directory (or $BWBFORGE_CACHE)")
+                        help="persistent cache directory")
     parser.add_argument("--allow-bounds", action="store_true",
                         default=d(False),
                         help="exit 2 instead of 1 when results are only bounded")

@@ -7,9 +7,11 @@ with trivial canonical bundle h^{2,2} is read off rows 0 and 1: Libgober-Wood
 (Topology 1990) with c_1 = 0 and Serre duality gives
 chi(Omega^2_Z) = 22 chi(O_Z) - 4 chi(Omega^1_Z), and
 h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}.  On any other fourfold
-h^{2,2} is reported as blocked.
+h^{2,2} is reported as blocked.  Each row is a ``koszul.ZCohomology``, the
+same dimensions-with-a-status the Koszul solve returns.
 
-The h^{1,q} chase runs through one small solver: an exact sequence whose
+``h1_chase_report`` is the one h^{1,q} chase, and ``h1_row`` reads its
+solved unknowns.  It runs through one small solver: an exact sequence whose
 entries are known integers or named unknowns splits at its zero entries
 into segments with vanishing alternating sum, and a segment with a single
 unknown determines it.  No particular map is ever assumed to vanish.
@@ -75,15 +77,6 @@ def _conormal_les(a: Sequence[Cell], b: Sequence[Cell], c: Sequence[Cell]) -> Li
 
 
 @dataclass
-class HodgeRow:
-    values: List[Optional[int]]
-    status: str  # "exact" | "ambiguous"
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-@dataclass
 class ChaseReport:
     """Audit trail of an exact-sequence chase.
 
@@ -99,28 +92,20 @@ class ChaseReport:
     solved: Dict[str, int]
     complete: bool
 
-    def notes(self) -> List[str]:
-        stuck = sorted(
-            {c for seq in self.sequences for c in seq if isinstance(c, str)}
-            - set(self.solved)
-        )
-        return [f"undetermined: {name}" for name in stuck]
-
 
 def _dims_or_fail(t: ZCohomology, what: str) -> List[int]:
     if t.status != "exact":
         raise AmbiguousCohomologyError(f"{what}: {t.bounds}")
-    return [v if v is not None else 0 for v in t.dims]
+    return t.dims
 
 
 def omega_filtration(X: HomSpace) -> FilteredBundle:
     return FilteredBundle.from_decomps(gradation(X).as_filtration())
 
 
-def h0_row(Z: ZeroLocus) -> HodgeRow:
+def h0_row(Z: ZeroLocus) -> ZCohomology:
     """h^{0,q}(Z) for q = 0..d, straight from the Koszul resolution."""
-    t = structure_cohomology(Z)
-    return HodgeRow(list(t.dims), t.status)
+    return structure_cohomology(Z)
 
 
 def is_hyperkaehler(row0: Sequence[Optional[int]]) -> bool:
@@ -128,12 +113,19 @@ def is_hyperkaehler(row0: Sequence[Optional[int]]) -> bool:
     return list(row0) == [1, 0, 1, 0, 1]
 
 
-def _h1_chase(Z: ZeroLocus, row0: HodgeRow) -> ChaseReport:
+def h1_chase_report(Z: ZeroLocus, row0: Optional[ZCohomology] = None) -> ChaseReport:
+    """The conormal chase 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0 with its audit trail.
+
+    Row 0 is computed unless the caller already has it; when it is not exact,
+    or a restricted bundle is only bounded, nothing is solved.
+    """
     d = Z.d
-    known: Dict[str, int] = {}
+    if row0 is None:
+        row0 = h0_row(Z)
+    if row0.status != "exact":
+        return ChaseReport([], {}, {}, False)
     # conjugation: h^{1,0} = h^{0,1}; Serre duality: h^{1,d} = h^{d-1,0} = h^{0,d-1}
-    known[f"x{0}"] = row0.values[1]
-    known[f"x{d}"] = row0.values[d - 1]
+    known = {"x0": row0.dims[1], f"x{d}": row0.dims[d - 1]}
     try:
         a = _dims_or_fail(restricted_cohomology(Z, Z.bundle.dual()), "F^*|_Z")
         b = _dims_or_fail(
@@ -148,28 +140,15 @@ def _h1_chase(Z: ZeroLocus, row0: HodgeRow) -> ChaseReport:
     return ChaseReport([seq], known, values, complete)
 
 
-def h1_chase_report(Z: ZeroLocus) -> ChaseReport:
-    """The conormal chase with its audit trail."""
-    row0 = h0_row(Z)
-    if row0.status != "exact":
-        return ChaseReport([], {}, {}, False)
-    return _h1_chase(Z, row0)
-
-
-def h1_row(Z: ZeroLocus, row0: Optional[HodgeRow] = None) -> HodgeRow:
-    """h^{1,q}(Z) via the conormal sequence 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0."""
-    d = Z.d
-    if row0 is None:
-        row0 = h0_row(Z)
-    if row0.status != "exact":
-        return HodgeRow([None] * (d + 1), "ambiguous")
-    report = _h1_chase(Z, row0)
-    out = [report.solved.get(f"x{q}") for q in range(d + 1)]
-    return HodgeRow(out, "exact" if all(v is not None for v in out) else "ambiguous")
+def h1_row(Z: ZeroLocus, row0: Optional[ZCohomology] = None) -> ZCohomology:
+    """h^{1,q}(Z), the unknowns ``h1_chase_report`` solves."""
+    solved = h1_chase_report(Z, row0).solved
+    dims = [solved.get(f"x{q}") for q in range(Z.d + 1)]
+    return ZCohomology(Z.d, dims, "exact" if None not in dims else "ambiguous")
 
 
 def h22_chase_report(
-    Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None
+    Z: ZeroLocus, row0: Optional[ZCohomology] = None, row1: Optional[ZCohomology] = None
 ) -> ChaseReport:
     """h^{2,2} from chi(Omega^2_Z) = 22 chi_O - 4 chi_Omega1, with its inputs.
 
@@ -189,12 +168,12 @@ def h22_chase_report(
     if not Z.is_canonical_trivial():
         raise AmbiguousCohomologyError("h22 needs a trivial canonical bundle")
     known = {
-        "x0": row0.values[2],  # h^{2,0} = h^{0,2}
-        "x1": row1.values[2],  # h^{2,1} = h^{1,2}
-        "x3": row1.values[2],  # h^{2,3} = h^{3,2} = h^{1,2}
-        "x4": row0.values[2],  # h^{2,4} = h^{4,2} = h^{0,2}
-        "chi_O": sum((-1) ** q * v for q, v in enumerate(row0.values)),
-        "chi_Omega1": sum((-1) ** q * v for q, v in enumerate(row1.values)),
+        "x0": row0.dims[2],  # h^{2,0} = h^{0,2}
+        "x1": row1.dims[2],  # h^{2,1} = h^{1,2}
+        "x3": row1.dims[2],  # h^{2,3} = h^{3,2} = h^{1,2}
+        "x4": row0.dims[2],  # h^{2,4} = h^{4,2} = h^{0,2}
+        "chi_O": sum((-1) ** q * v for q, v in enumerate(row0.dims)),
+        "chi_Omega1": sum((-1) ** q * v for q, v in enumerate(row1.dims)),
     }
     chi = 22 * known["chi_O"] - 4 * known["chi_Omega1"]
     value = chi - known["x0"] + known["x1"] + known["x3"] - known["x4"]
@@ -243,7 +222,7 @@ class HodgeDiamond:
 
 
 def assemble(
-    Z: ZeroLocus, row0: Optional[HodgeRow] = None, row1: Optional[HodgeRow] = None
+    Z: ZeroLocus, row0: Optional[ZCohomology] = None, row1: Optional[ZCohomology] = None
 ) -> HodgeDiamond:
     """Full Hodge diamond of Z (d = 3 or 4) with symmetry-forced filling.
 
@@ -257,10 +236,9 @@ def assemble(
     if row1 is None:
         row1 = h1_row(Z, row0)
     dia = HodgeDiamond(d)
-    for q, v in enumerate(row0.values):
-        dia.set(0, q, v, "computed" if v is not None else "ambiguous")
-    for q, v in enumerate(row1.values):
-        dia.set(1, q, v, "computed" if v is not None else "ambiguous")
+    for p, row in enumerate((row0, row1)):
+        for q, v in enumerate(row.dims):
+            dia.set(p, q, v, "computed" if v is not None else "ambiguous")
     if d == 4:
         try:
             h = h22_chase_report(Z, row0, row1).solved["h22"]

@@ -80,6 +80,11 @@ class BundleSum:
         return dict(self.summands)
 
     @property
+    def gradeds(self) -> Tuple[Tuple[Tuple[Weight, int], ...], ...]:
+        """One graded piece, the whole sum: the shape of ``FilteredBundle.gradeds``."""
+        return (self.summands,)
+
+    @property
     def rank(self) -> int:
         return sum(m * rc.weyl_dim(self.X.levi, lam) for lam, m in self.summands)
 
@@ -203,7 +208,8 @@ def _graded_product(
     V_L(nu0) off the ``levi_tensor`` rows, twisted by t, and adds it packed,
     relative to the twist of its degree: the middle of the twists of the
     pairs of pages that reach it.  Degrees above both tops together are
-    empty, and are dropped.
+    empty, and are dropped.  A sum that leaves the field is refused with
+    its weights, that twist put back.
     """
     levi, tensor, rank, k = X.levi, rc.LeviTensor(X.levi), X.rs.rank, X.k - 1
     top = min(len(left) + len(right) - 2, kmax)
@@ -219,11 +225,15 @@ def _graded_product(
             char = rc.char_irr(levi, nu0)
             extremes, key = rc.char_extremes(char, rank), rc.pack(nu0)
             for target, page, twist in zip(sums[c:], left, twists[c:]):
-                for s, ns, entry in page.times(X, tensor, nu[k] - twist, key, char, extremes):
-                    terms = iter(entry)
-                    for dy, m in zip(terms, terms):
-                        y = s + dy
-                        target[y] = target.get(y, 0) + n * ns * m
+                try:
+                    for s, ns, entry in page.times(X, tensor, nu[k] - twist, key, char, extremes):
+                        terms = iter(entry)
+                        for dy, m in zip(terms, terms):
+                            y = s + dy
+                            target[y] = target.get(y, 0) + n * ns * m
+                except rc.WeightRangeError as exc:
+                    bounds = (X.twist(b, twist) for b in exc.bounds)
+                    raise rc.WeightRangeError.of_sum(*bounds) from None
     return [PackedPage(X, shifts, twist) for shifts, twist in zip(sums, twists)]
 
 
@@ -290,14 +300,6 @@ class ZCohomology:
     dims: List[Optional[int]]
     status: str = "exact"  # "exact" | "ambiguous"
     bounds: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-
-    def dim(self, q: int) -> int:
-        if q < 0 or q > self.d:
-            return 0
-        v = self.dims[q]
-        if v is None:
-            raise AmbiguousCohomologyError(f"degree {q} only bounded: {self.bounds.get(q)}")
-        return v
 
 
 _INF = 10**30
@@ -404,17 +406,6 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
 RestrictableBundle = Union[BundleSum, FilteredBundle, None]
 
 
-def _irreducible_gradeds(
-    Z: ZeroLocus, E: RestrictableBundle
-) -> List[Tuple[Tuple[Weight, int], ...]]:
-    """Irreducible decomposition of each graded piece of E, subbundle end first."""
-    if E is None:
-        return [(((0,) * Z.space.rs.rank, 1),)]
-    if isinstance(E, BundleSum):
-        return [E.summands]
-    return list(E.gradeds)
-
-
 def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], int]:
     """The Koszul E_1 page of E|_Z: {(p, j, q): dim H^q(X, Lambda^p F^* (x) gr_j E)}.
 
@@ -429,10 +420,12 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     """
     X = Z.space
     k, rank = X.k - 1, X.rs.rank
+    if E is None:
+        E = BundleSum.make(X, {(0,) * rank: 1})
     pages = wedge_dual_pages(Z)
     tables = bott_tables(X)  # once per page, not per call
     entries: Dict[Tuple[int, int, int], int] = {}
-    for j, graded in enumerate(_irreducible_gradeds(Z, E)):
+    for j, graded in enumerate(E.gradeds):
         for mu, mult in graded:
             check_p_dominant(X, mu)
             t, mu0 = mu[k], X.twist(mu, -mu[k])

@@ -20,11 +20,11 @@ dominant representative of mu+rho (nothing on walls), which telescopes to
 the multiset of highest weights, which ``decompose_character`` returns
 packed, as {pack(lambda + rho): m}.  This is linear in the support size.
 Shifting every weight by a dominant lambda first gives V(lambda) (x) M by
-Brauer-Klimyk, which is the one route for tensor products.  The rule is
-symmetric in its two factors (Klimyk 1968; Humphreys, Introduction to Lie
-Algebras, 24 ex. 9), so either factor may supply the weights: the Koszul
-E1 page shifts the weights of a Levi irreducible V_L(mu) by the Levi
-highest weights of each wedge power.
+Brauer-Klimyk, in ``LeviTensor``, the one route for tensor products.  The
+rule is symmetric in its two factors (Klimyk 1968; Humphreys, Introduction
+to Lie Algebras, 24 ex. 9), so either factor may supply the weights: the
+Koszul E1 page shifts the weights of a Levi irreducible V_L(mu) by the
+Levi highest weights of each wedge power.
 
 Wedge and symmetric powers have one routine as well: the per-weight
 product of (1 + t x^nu), resp. 1/(1 - t x^nu), over the weights nu of the
@@ -72,6 +72,14 @@ class NonDominantError(ValueError):
 
 class WeightRangeError(ValueError):
     """A weight coordinate does not fit the packed field width."""
+
+    @classmethod
+    def of_sum(cls, lo: Sequence[int], hi: Sequence[int]) -> "WeightRangeError":
+        """The refusal of a sum of weights with coordinates ``lo``..``hi``, kept as ``bounds``."""
+        exc = cls(f"weights up to {tuple(lo)}..{tuple(hi)} do not fit "
+                  f"{_BITS}-bit packed coordinates")
+        exc.bounds = tuple(lo), tuple(hi)
+        return exc
 
 
 @dataclass(frozen=True)
@@ -174,10 +182,7 @@ def check_packable(lo: Sequence[int], hi: Sequence[int]) -> None:
     the extremes of a sum once, before adding any packed values.
     """
     if any(c < -_OFFSET for c in lo) or any(c >= _OFFSET for c in hi):
-        raise WeightRangeError(
-            f"weights up to {tuple(lo)}..{tuple(hi)} do not fit "
-            f"{_BITS}-bit packed coordinates"
-        )
+        raise WeightRangeError.of_sum(lo, hi)
 
 
 def char_extremes(char: PackedChar, rank: int) -> Tuple[Weight, Weight]:
@@ -198,8 +203,7 @@ def conv(a: PackedChar, b: PackedChar, rank: int) -> PackedChar:
     """Pointwise convolution (character of a tensor product).
 
     No engine route uses it: tensor products go through Brauer-Klimyk in
-    ``decompose_character`` with a shift.  The tests keep it as their
-    convolution oracle.
+    ``LeviTensor``.  The tests keep it as their convolution oracle.
     """
     if not a or not b:
         return {}
@@ -444,23 +448,16 @@ class LeviTensor:
             yield s, n, entry
 
 
-def decompose_character(
-    ctx: Context, char: PackedChar, shift: Optional[Weight] = None
-) -> PackedChar:
+def decompose_character(ctx: Context, char: PackedChar) -> PackedChar:
     """Decompose a genuine (virtual-free) character into irreducibles, {pack(lambda + rho): m}.
 
-    With a dominant ``shift`` lambda, every weight is moved by lambda first,
-    which decomposes V(lambda) (x) M for M the module of ``char``
-    (Brauer-Klimyk).  The extremes of the rho-shifted weights are checked
-    once, so a weight that would leave the packed field raises.
+    The extremes of the rho-shifted weights are checked once, so a weight
+    that would leave the packed field raises.
     """
     if not char:
         return {}
-    if shift is not None:
-        _require_dominant(ctx, shift)
-    lift = rho(ctx.rs) if shift is None else add(shift, rho(ctx.rs))
-    lo, hi = char_extremes(char, ctx.rs.rank)
-    s, lo, hi = packed_offset(lift), add(lo, lift), add(hi, lift)
+    rr, (lo, hi) = rho(ctx.rs), char_extremes(char, ctx.rs.rank)
+    s, lo, hi = packed_offset(rr), add(lo, rr), add(hi, rr)
     ((_, _, entry),) = LeviTensor(ctx).products(None, char, [(s, 1, s)], 0, lo, hi)
     return {s + dy: m for dy, m in zip(entry[::2], entry[1::2])}
 

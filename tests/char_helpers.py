@@ -1,8 +1,9 @@
 """Character helpers over formal sums of irreducibles, for the tests.
 
 The engine works on packed characters and reads tensor products off
-``repcalc.decompose_character`` with a shift (Brauer-Klimyk); these
-convenience forms (its tuple view ``decompose``, weight multisets,
+``repcalc.LeviTensor`` (Brauer-Klimyk); these convenience forms (the
+tuple view ``decompose`` of ``repcalc.decompose_character``, with the
+optional Brauer-Klimyk shift of the tests, weight multisets,
 characters and dimensions of formal sums, tensor products, wedge and
 symmetric powers decomposed again, the packed page form of a
 decomposition) serve the tests and the oracles built on them.  ``freudenthal`` and
@@ -38,9 +39,24 @@ def weight_multiplicities(ctx: rc.Context, lam: Weight) -> Dict[Weight, int]:
 
 
 def decompose(ctx: rc.Context, char: rc.PackedChar, shift=None) -> rc.IrrDecomp:
-    """``repcalc.decompose_character`` as {lambda: m}, unpacked."""
+    """``repcalc.decompose_character`` as {lambda: m}, unpacked.
+
+    With a dominant ``shift`` lambda, every weight is moved by lambda first,
+    which decomposes V(lambda) (x) M for M the module of ``char``
+    (Brauer-Klimyk), on the engine's ``LeviTensor`` with the same range check.
+    """
     rr = rho(ctx.rs)
-    packed = rc.decompose_character(ctx, char, shift)
+    if shift is None:
+        packed = rc.decompose_character(ctx, char)
+    elif not rc.is_context_dominant(ctx, shift):
+        raise rc.NonDominantError(f"{shift} is not dominant for {ctx}")
+    elif not char:
+        packed = {}
+    else:
+        lift, (lo, hi) = add(shift, rr), rc.char_extremes(char, ctx.rs.rank)
+        s, lo, hi = rc.packed_offset(lift), add(lo, lift), add(hi, lift)
+        ((_, _, entry),) = rc.LeviTensor(ctx).products(None, char, [(s, 1, s)], 0, lo, hi)
+        packed = {s + dy: m for dy, m in zip(entry[::2], entry[1::2])}
     return {sub(rc.unpack(y, ctx.rs.rank), rr): m for y, m in packed.items()}
 
 

@@ -22,12 +22,13 @@ from typing import Dict, List, Tuple
 
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import FilteredBundle
-from bwbforge.hodge import Cell, HodgeRow, _conormal_les, solve_exact_system
+from bwbforge.hodge import Cell, _conormal_les, solve_exact_system
 from bwbforge.homspace import HomSpace, gradation, nilradical_roots
 from bwbforge.koszul import (
     AmbiguousCohomologyError,
     BundleSum,
     RestrictableBundle,
+    ZCohomology,
     ZeroLocus,
     e1_page,
     restricted_cohomology,
@@ -99,17 +100,17 @@ def euler_characteristic(Z: ZeroLocus, E: RestrictableBundle) -> int:
     return sum((-1) ** (q - p) * n for (p, _, q), n in e1_page(Z, E).items())
 
 
-def h22(Z: ZeroLocus, row0: HodgeRow, row1: HodgeRow) -> int:
+def h22(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> int:
     """h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}, chi(Omega^2_Z) from the three pages."""
     chi = (
         euler_characteristic(Z, omega_square(Z))
         - euler_characteristic(Z, fstar_tensor_omega(Z))
         + euler_characteristic(Z, symmetric_square_bundle(Z))
     )
-    return chi - 2 * row0.values[2] + 2 * row1.values[2]
+    return chi - 2 * row0.dims[2] + 2 * row1.dims[2]
 
 
-def kernel_chase(Z: ZeroLocus, row0: HodgeRow, row1: HodgeRow) -> Tuple[Dict[str, int], bool]:
+def kernel_chase(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> Tuple[Dict[str, int], bool]:
     """h^{2,2} by splitting the second wedge at the kernel K of its last map.
 
     The two short exact sequences share the unknowns k_q = h^q(K), and the
@@ -127,7 +128,7 @@ def kernel_chase(Z: ZeroLocus, row0: HodgeRow, row1: HodgeRow) -> Tuple[Dict[str
     a = dims(symmetric_square_bundle(Z), "S^2F^*|_Z")
     b = dims(fstar_tensor_omega(Z), "F^* (x) Omega|_Z")
     c = dims(omega_square(Z), "Omega^2|_Z")
-    x = [row0.values[2], row1.values[2], "h22", row1.values[2], row0.values[2]]
+    x = [row0.dims[2], row1.dims[2], "h22", row1.dims[2], row0.dims[2]]
     k = [f"k{q}" for q in range(5)]
     return solve_sequences([_conormal_les(a, b, k), _conormal_les(k, c, x)])
 

@@ -181,13 +181,13 @@ def test_criterion_5_worked_cohomology_checkpoints():
 def test_criterion_6_beauville_donagi_regression():
     Z = mk("A5/P2", {(3, 0, 0, 0, 0): 1})
     row0 = hodge.h0_row(Z)
-    verdict = hodge.is_hyperkaehler(row0)
+    verdict = hodge.is_hyperkaehler(row0.dims)
     singular = to_dominant_chamber(
         RootSystem("A", 5), (4, -5, 1, 1, 1)
     ).singular
-    ok = row0.values[2] == 1 and verdict and singular
-    _report(6, ok, f"h2(O_Z)={row0.values[2]}, hyperkaehler={verdict}")
-    assert row0.values[2] == 1
+    ok = row0.dims[2] == 1 and verdict and singular
+    _report(6, ok, f"h2(O_Z)={row0.dims[2]}, hyperkaehler={verdict}")
+    assert row0.dims[2] == 1
     assert verdict
     assert singular
 

@@ -313,8 +313,8 @@ def test_classical_h0_rows_to_rank_6():
         for c in cl.enumerate_candidates(X, 4).candidates:
             row = hodge.h0_row(c.zero_locus())
             assert row.status == "exact", (str(X), str(c.bundle()))
-            types[tuple(row.values)] += 1
-            if hodge.is_hyperkaehler(row.values):
+            types[tuple(row.dims)] += 1
+            if hodge.is_hyperkaehler(row.dims):
                 hk.append(f"{X} {c.bundle()}")
     cache.clear()
     assert types == {(1, 0, 0, 0, 1): 442, (0, 0, 0, 0, 0): 18, (2, 0, 0, 0, 2): 13,

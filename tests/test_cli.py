@@ -217,7 +217,11 @@ def test_a_wedge_page_wider_than_the_field_is_refused(capsys):
     # Lambda^1 F^* holds O(-1) and O(-70000): no page twist brings both into a
     # 16-bit field, so ext refuses, as every E1 page of this locus does
     assert main(["ext", "G2/P2", "O(1) + O(70000)", "1"]) == 1
-    assert "do not fit 16-bit packed coordinates" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "do not fit 16-bit packed coordinates" in err
+    # the refusal names the rho-shifted weight of O(-70000) itself, not its
+    # offset from the twist its degree is packed relative to
+    assert "(1, -69999)" in err
 
 
 def test_hodge_command_json():
@@ -462,12 +466,23 @@ GOLDEN = [
 @pytest.mark.parametrize("argv,code,digest,err", GOLDEN,
                          ids=[" ".join(case[0]) for case in GOLDEN])
 def test_golden_output(argv, code, digest, err, capsys, monkeypatch):
-    monkeypatch.delenv("BWBFORGE_CACHE", raising=False)
     monkeypatch.setattr(_cache, "_dir", None)
     assert main(argv) == code
     out, got_err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert got_err == err
+
+
+def test_only_the_cache_flag_attaches_a_directory(tmp_path, monkeypatch, capsys):
+    # the environment is not read: BWBFORGE_CACHE without --cache keeps the
+    # memo in memory, and a miss writes no file
+    monkeypatch.setenv("BWBFORGE_CACHE", str(tmp_path))
+    monkeypatch.setattr(_cache, "_dir", None)
+    _cache.clear()
+    assert main(["cohomology", "G2/P2", "O(3)", "--restrict", "O(-3)"]) == 0
+    capsys.readouterr()
+    assert _cache.stats()["misses"] > 0 and _cache.stats()["directory"] is None
+    assert os.listdir(tmp_path) == []
 
 
 def test_bwb_climbs_without_the_word_climber(monkeypatch, capsys):
@@ -482,7 +497,6 @@ def test_bwb_climbs_without_the_word_climber(monkeypatch, capsys):
     X = parse_homspace("G2/P2")
     assert bwb(X, (0, -6)).dims() == {5: 273}
     assert bundle_cohomology(X, {(0, 0): 1, (0, -6): 1}).dims() == {0: 1, 5: 273}
-    monkeypatch.delenv("BWBFORGE_CACHE", raising=False)
     monkeypatch.setattr(_cache, "_dir", None)
     argvs = (["--format", "json", "bwb", "G2/P2", "O(-6)"], ["cohomology", "E6/P2", "w1^2 + O(1)^5"])
     cases = [case for case in GOLDEN if case[0] in argvs]
@@ -513,7 +527,6 @@ def test_engine_never_calls_wedge_dual_chars(monkeypatch, capsys):
         raise AssertionError("wedge_dual_chars called from the engine")
 
     monkeypatch.setattr(koszul, "wedge_dual_chars", refuse)
-    monkeypatch.delenv("BWBFORGE_CACHE", raising=False)
     monkeypatch.setattr(_cache, "_dir", None)
     _cache.clear()
     argvs = (

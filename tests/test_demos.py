@@ -23,7 +23,6 @@ SRC = os.path.join(ROOT, "src")
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    env.pop("BWBFORGE_CACHE", None)
     proc = subprocess.run(
         [sys.executable, os.path.join(DEMOS, script)],
         cwd=ROOT,
