@@ -8,9 +8,9 @@ with a rank-0 F: then Z = X, the E1 page has only p = 0, one entry per
 graded piece and degree, and RegInd is the set of degrees on that page.
 """
 
-from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology, bwb
+from bwbforge.bwbcohom import bundle_cohomology, bwb
 from bwbforge.homspace import gradation, parse_homspace
-from bwbforge.koszul import BundleSum, ZeroLocus, e1_page, restricted_cohomology
+from bwbforge.koszul import BundleSum, FilteredBundle, ZeroLocus, e1_page, restricted_cohomology
 from bwbforge.repcalc import weyl_dim
 
 X = parse_homspace("G2/P2")

@@ -296,12 +296,14 @@ class ClassifyRow:
     note: str = ""
 
 
+# the Hodge columns of a classification row, per dimension of Z: h<p><q> or chi
+HODGE_COLUMNS = {4: ("h02", "h11", "h13"), 3: ("h11", "h12", "chi")}
+
+
 def _hodge_fields(Z: ZeroLocus) -> Tuple[Dict[str, Optional[int]], str]:
     dia = hodge.assemble(Z)
-    if Z.d == 4:
-        out = {"h02": dia.get(0, 2), "h11": dia.get(1, 1), "h13": dia.get(1, 3)}
-    else:
-        out = {"h11": dia.get(1, 1), "h12": dia.get(1, 2), "chi": dia.euler_characteristic()}
+    out = {c: dia.euler_characteristic() if c == "chi" else dia.get(int(c[1]), int(c[2]))
+           for c in HODGE_COLUMNS[Z.d]}
     return out, "exact" if dia.complete() else "ambiguous"
 
 

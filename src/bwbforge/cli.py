@@ -302,7 +302,7 @@ def _classify_cmd(args) -> Reply:
         "pruned": [{"space": s, "reason": why} for s, why in rep.pruned],
         "dedup_count": dedup,
     }
-    keys = ("h02", "h11", "h13") if args.d == 4 else ("h11", "h12", "chi")
+    keys = _classify.HODGE_COLUMNS[args.d]
     lines = [f"No. | space | dim | iota | bundle | {' '.join(keys)}"]
     for i, row in enumerate(rows, 1):
         h = "-" if args.no_hodge else " ".join(str(row.get(k)) for k in keys)

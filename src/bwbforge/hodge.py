@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bwbcohom import FilteredBundle
 from .homspace import HomSpace, gradation
 from .koszul import (
     AmbiguousCohomologyError,
+    FilteredBundle,
     ZCohomology,
     ZeroLocus,
     restricted_cohomology,

@@ -13,9 +13,9 @@ by Brauer-Klimyk, up to half the rank f, keeping every weight packed;
 Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*, gives the
 rest, once per locus.  No character of a whole Lambda^p F^* is built.
 ``e1_page`` reads each E_1 entry off by Brauer-Klimyk on the Levi side,
-one ``bwbcohom.tensor_cohomology`` per irreducible piece E_mu of E and p
-on those same pages, so no tensor product is ever expanded.
-``wedge_dual_decomps`` is their tuple view {lambda: m}.
+per irreducible piece E_mu of E and p on those same pages, and Bott's
+theorem once per irreducible of each product, so no tensor product is
+ever expanded.  ``wedge_dual_decomps`` is their tuple view {lambda: m}.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -33,14 +33,14 @@ reported as bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import cache as _cache
 from . import repcalc as rc
-from .bwbcohom import FilteredBundle, PackedPage, bott_tables, check_p_dominant, tensor_cohomology
+from .bwbcohom import check_p_dominant
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
-from .rootdata import Weight, add, rho
+from .rootdata import Weight, add, rho, sub
 
 
 class EmptyLocusError(ValueError):
@@ -131,6 +131,63 @@ class BundleSum:
                     s += f"({t})"
             parts.append(s + (f"^{m}" if m > 1 else ""))
         return " + ".join(parts)
+
+
+@dataclass(frozen=True)
+class FilteredBundle:
+    """Equivariant bundle given by its graded pieces, subbundle end first.
+
+    The cohomology of such a bundle E on X is the Koszul route with F = 0:
+    ``restricted_cohomology(ZeroLocus(X, BundleSum.make(X, {})), E)``.
+    """
+
+    gradeds: Tuple[Tuple[Tuple[Weight, int], ...], ...]
+
+    @staticmethod
+    def from_decomps(decomps: Sequence[rc.IrrDecomp]) -> "FilteredBundle":
+        if not decomps:
+            raise ValueError("a filtered bundle needs at least one graded piece")
+        if any(m <= 0 for d in decomps for m in d.values()):
+            raise ValueError("graded multiplicities must be positive")
+        return FilteredBundle(tuple(tuple(sorted(d.items())) for d in decomps))
+
+    def twist(self, X: HomSpace, t: int) -> "FilteredBundle":
+        return FilteredBundle.from_decomps(
+            [{X.twist(lam, t): m for lam, m in g} for g in self.gradeds]
+        )
+
+
+RestrictableBundle = Union[BundleSum, FilteredBundle, None]
+
+
+class PackedPage:
+    """Highest weights lambda + twist w_k, P-dominant, as ``{pack(lambda + rho): n}`` and ``twist``,
+    kept out of the fields: ``pairs`` of (offset of lambda + rho, n, its Levi fields), the extremes
+    ``lo``, ``hi`` of lambda + rho, and ``lines``, whether every lambda is a line."""
+
+    __slots__ = ("pairs", "lo", "hi", "lines", "twist")
+
+    def __init__(self, X: HomSpace, shifts: rc.PackedChar, twist: int = 0):
+        rank, levi = X.rs.rank, X.levi
+        zero, mask = rc.pack_zero(rank), rc.levi_mask(levi)
+        self.pairs = tuple((y - zero, n, y & mask) for y, n in shifts.items())
+        self.lo, self.hi, self.twist = *rc.char_extremes(shifts, rank), twist
+        if any(self.lo[i - 1] < 1 for i in levi.levi):  # all are P-dominant iff the least is
+            for lam in self.decomp(X):
+                check_p_dominant(X, lam)
+        self.lines = all(self.hi[i - 1] == 1 for i in levi.levi)
+
+    def decomp(self, X: HomSpace) -> rc.IrrDecomp:
+        """The highest weights {lambda + twist w_k: n}, unpacked."""
+        rank, rr, zero, t = X.rs.rank, rho(X.rs), rc.pack_zero(X.rs.rank), self.twist
+        return {X.twist(sub(rc.unpack(s + zero, rank), rr), t): n for s, n, _ in self.pairs}
+
+    def times(self, X: HomSpace, tensor: rc.LeviTensor, t: int, key, char: rc.PackedChar, extremes):
+        """``LeviTensor.products`` with M of ``char``, its weights in ``extremes``, in O(t)."""
+        line = X.line(t + self.twist)
+        lo = [a + b + c for a, b, c in zip(self.lo, extremes[0], line)]
+        hi = [a + b + c for a, b, c in zip(self.hi, extremes[1], line)]
+        return tensor.products(key, char, self.pairs, rc.packed_offset(line), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -403,40 +460,49 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
     return ZCohomology(d, dims, status, bounds)
 
 
-RestrictableBundle = Union[BundleSum, FilteredBundle, None]
-
-
 def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], int]:
     """The Koszul E_1 page of E|_Z: {(p, j, q): dim H^q(X, Lambda^p F^* (x) gr_j E)}.
 
     Brauer-Klimyk on the Levi side, per irreducible E_mu of gr_j E and p:
     with mu = mu0 + t w_k and mu0[k] = 0, V_L(mu) is V_L(mu0) twisted by the
-    L-character w_k, so ``tensor_cohomology`` reads V_L(mu0) times the page of
+    L-character w_k, so ``PackedPage.times`` reads V_L(mu0) times the page of
     Lambda^p F^* from ``wedge_dual_pages`` off the ``levi_tensor`` rows of
-    pack(mu0), twisted by t; a page of lines needs only the weight mu0.  A sum
-    leaving the packed field raises ``repcalc.WeightRangeError``, and a
-    negative total (E was no genuine module) AssertionError.  Only nonzero
-    entries are kept, sorted.
+    pack(mu0), twisted by t; a page of lines needs only the weight mu0.  Bott's
+    theorem then runs once per irreducible y of the product (``bott_kernel``,
+    memoised in ``table("bwb", X)``): n * m * dim V_G in degree q, the number of
+    negative coroot pairings, or nothing on a wall.  A sum leaving the packed
+    field raises ``repcalc.WeightRangeError``, and a negative total (E was no
+    genuine module) AssertionError.  Only nonzero entries are kept, sorted.
     """
     X = Z.space
-    k, rank = X.k - 1, X.rs.rank
+    k, rank, levi = X.k - 1, X.rs.rank, X.levi
     if E is None:
         E = BundleSum.make(X, {(0,) * rank: 1})
     pages = wedge_dual_pages(Z)
-    tables = bott_tables(X)  # once per page, not per call
+    tensor, bwbs, bott = rc.LeviTensor(levi), _cache.table("bwb", X), rc.bott_kernel(X.group)
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(E.gradeds):
         for mu, mult in graded:
             check_p_dominant(X, mu)
             t, mu0 = mu[k], X.twist(mu, -mu[k])
             key = rc.pack(mu0)
-            point, levi = ({key: 1}, (mu0, mu0)), None
+            point, module = ({key: 1}, (mu0, mu0)), None
             for p, page in enumerate(pages):
-                if levi is None and not page.lines:
-                    char = rc.char_irr(X.levi, mu0)
-                    levi = char, rc.char_extremes(char, rank)
-                module = point if page.lines else levi
-                for q, n in tensor_cohomology(X, page, t, *module, key, tables).items():
+                if module is None and not page.lines:
+                    char = rc.char_irr(levi, mu0)
+                    module = char, rc.char_extremes(char, rank)
+                row: Dict[int, int] = {}
+                for s, n, entry in page.times(X, tensor, t, key, *(point if page.lines else module)):
+                    terms = iter(entry)
+                    for dy, m in zip(terms, terms):
+                        y = s + dy
+                        got = bwbs.get(y, False)  # None marks a wall
+                        if got is False:
+                            got = bwbs[y] = bott(y)
+                        if got is not None:
+                            q, dim = got
+                            row[q] = row.get(q, 0) + n * m * dim
+                for q, n in row.items():
                     entries[(p, j, q)] = entries.get((p, j, q), 0) + mult * n
     if any(v < 0 for v in entries.values()):
         raise AssertionError("negative multiplicity: input was not a character")

@@ -25,8 +25,25 @@ def char_to_weights(char: rc.PackedChar, rank: int) -> Dict[Weight, int]:
 
 
 def page_form(X: HomSpace, decomp: rc.IrrDecomp) -> rc.PackedChar:
-    """{pack(lambda + rho): n}, the form ``bwbcohom.PackedPage`` reads, of {lambda: n}."""
+    """{pack(lambda + rho): n}, the form ``koszul.PackedPage`` reads, of {lambda: n}."""
     return {rc.pack(add(lam, rho(X.rs))): n for lam, n in decomp.items()}
+
+
+def tensor_cohomology(X: HomSpace, page, t: int, char: rc.PackedChar, extremes) -> Dict[int, int]:
+    """Dimensions of H^q(X, E(t) (x) M), E the ``koszul.PackedPage`` ``page``, M the L-module of
+    ``char`` with its weights in ``extremes``: the oracle of the E1 read of ``koszul.e1_page``.
+
+    Brauer-Klimyk by ``page.times``, its rows kept in this call, then Bott's theorem per
+    irreducible y straight from ``repcalc.bott_kernel``, with no ``table("bwb", X)``.
+    """
+    bott, out = rc.bott_kernel(X.group), {}
+    for s, n, entry in page.times(X, rc.LeviTensor(X.levi), t, None, char, extremes):
+        for dy, m in zip(entry[::2], entry[1::2]):
+            got = bott(s + dy)
+            if got is not None:
+                q, dim = got
+                out[q] = out.get(q, 0) + n * m * dim
+    return out
 
 
 def char_dim(char: rc.PackedChar) -> int:

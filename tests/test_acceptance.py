@@ -18,7 +18,7 @@ import pytest
 from bwbforge import classify as cl
 from bwbforge import hodge
 from bwbforge import repcalc as rc
-from bwbforge.bwbcohom import FilteredBundle, bwb
+from bwbforge.bwbcohom import bwb
 from bwbforge.homspace import (
     dimension,
     fano_index,
@@ -26,7 +26,7 @@ from bwbforge.homspace import (
     minimal_embedding_dim,
     parse_homspace,
 )
-from bwbforge.koszul import BundleSum, ZeroLocus, restricted_cohomology
+from bwbforge.koszul import BundleSum, FilteredBundle, ZeroLocus, restricted_cohomology
 from bwbforge.rootdata import RootSystem, to_dominant_chamber
 
 import enumeration_oracle as oracle

@@ -1,24 +1,22 @@
+import ast
+import pkgutil
 import random
 import sys
 
 import pytest
 
+import bwbforge
+from bwbforge import bwbcohom
 from bwbforge import cache as _cache
 from bwbforge import repcalc as rc
-from bwbforge.bwbcohom import (
-    FilteredBundle,
-    NotPDominantError,
-    PackedPage,
-    bott_tables,
-    bundle_cohomology,
-    bwb,
-    tensor_cohomology,
-)
+from bwbforge.bwbcohom import NotPDominantError, bundle_cohomology, bwb
 from bwbforge.classify import exceptional_spaces, search_spaces
 from bwbforge.hodge import omega_filtration
 from bwbforge.homspace import dimension, gradation, parse_homspace
 from bwbforge.koszul import (
     BundleSum,
+    FilteredBundle,
+    PackedPage,
     ZeroLocus,
     e1_page,
     restricted_cohomology,
@@ -26,7 +24,7 @@ from bwbforge.koszul import (
 )
 from bwbforge.rootdata import add, rho, to_dominant_chamber
 
-from char_helpers import page_form, serre_dual_weight
+from char_helpers import page_form, serre_dual_weight, tensor_cohomology
 
 G2P1 = parse_homspace("G2/P1")
 G2P2 = parse_homspace("G2/P2")
@@ -49,6 +47,21 @@ def page_degrees(X, bundle):
 def bott_index(X, lam):
     (q,) = bwb(X, lam).entries or (None,)
     return q
+
+
+def test_bwbcohom_is_bwb_on_x_alone():
+    # the Koszul route, its pages, restrictable bundles and E1 read, lives in
+    # koszul; bwbcohom builds on the representation layers only, with no memo
+    with open(bwbcohom.__file__) as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            imported |= {n.rpartition(".")[2] for n in names}
+    modules = {m.name for m in pkgutil.iter_modules(bwbforge.__path__)}
+    assert imported & modules == {"repcalc", "homspace", "rootdata"}
+    assert PackedPage.__module__ == FilteredBundle.__module__ == "bwbforge.koszul"
 
 
 def test_bwb_singular_gives_empty_table():
@@ -123,10 +136,10 @@ def test_tensor_cohomology_with_trivial_module_is_bwb(name):
     X = parse_homspace(name)
     zero = (0,) * X.rs.rank
     trivial = {rc.pack(zero): 1}
-    rng, tables = random.Random(name), bott_tables(X)
+    rng = random.Random(name)
 
     def cohomology(page, t):
-        return tensor_cohomology(X, page, t, trivial, (zero, zero), None, tables)
+        return tensor_cohomology(X, page, t, trivial, (zero, zero))
 
     for _ in range(12):
         lam = tuple(
@@ -147,7 +160,7 @@ def test_tensor_cohomology_refuses_non_characters():
     zero = (0, 0)
     page = PackedPage(G2P2, page_form(G2P2, {zero: 1}))
     with pytest.raises(AssertionError, match="not a character"):
-        tensor_cohomology(G2P2, page, 0, {rc.pack(zero): -1}, (zero, zero), None, bott_tables(G2P2))
+        tensor_cohomology(G2P2, page, 0, {rc.pack(zero): -1}, (zero, zero))
     # P-dominance is checked once, when the page is packed
     with pytest.raises(NotPDominantError):
         PackedPage(G2P2, page_form(G2P2, {zero: 1, (-1, 0): 1}))

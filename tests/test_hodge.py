@@ -20,12 +20,13 @@ from bwbforge.homspace import gradation, parse_homspace
 from bwbforge.koszul import (
     AmbiguousCohomologyError,
     BundleSum,
+    FilteredBundle,
     ZCohomology,
     ZeroLocus,
     restricted_cohomology,
     wedge_dual_chars,
 )
-from bwbforge.bwbcohom import FilteredBundle, bundle_cohomology
+from bwbforge.bwbcohom import bundle_cohomology
 
 from char_helpers import decompose
 import second_wedge

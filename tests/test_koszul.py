@@ -8,18 +8,15 @@ from hypothesis import strategies as st
 
 from bwbforge import cache
 from bwbforge import repcalc as rc
-from bwbforge.bwbcohom import (
-    FilteredBundle,
-    PackedPage,
-    bott_tables,
-    bundle_cohomology,
-    tensor_cohomology,
-)
+from bwbforge.bwbcohom import bundle_cohomology, bwb
+from bwbforge.cli import main
 from bwbforge.hodge import omega_filtration
 from bwbforge.homspace import dimension, fano_index, gradation, parse_homspace
 from bwbforge.koszul import (
     BundleSum,
     EmptyLocusError,
+    FilteredBundle,
+    PackedPage,
     ZeroLocus,
     _spectral_solve,
     e1_page,
@@ -27,11 +24,10 @@ from bwbforge.koszul import (
     structure_cohomology,
     wedge_dual_chars,
     wedge_dual_decomps,
-    wedge_dual_pages,
 )
 from bwbforge.rootdata import rho, to_dominant_chamber
 
-from char_helpers import char_dim, char_of_decomp, decomp_dim, decompose, page_form
+from char_helpers import char_dim, char_of_decomp, decomp_dim, decompose, page_form, tensor_cohomology
 from second_wedge import (
     fstar_tensor_omega,
     graded_module_char,
@@ -710,12 +706,9 @@ def test_b9_p8_wedge_decomps_have_binomial_dimensions():
 
 
 def _levi_side(Z, mu, p):
-    """Weights of V_L(mu0) shifted by the packed Lambda^p F^*, twisted by t."""
-    X = Z.space
-    t = mu[X.k - 1]
-    char = rc.char_irr(X.levi, X.twist(mu, -t))
-    page = wedge_dual_pages(Z)[p]
-    return tensor_cohomology(X, page, t, char, rc.char_extremes(char, X.rs.rank), None, bott_tables(X))
+    """Degree p of the engine's E1 page of E_mu: V_L(mu0) times the packed Lambda^p F^*, twisted by t."""
+    page = e1_page(Z, BundleSum.make(Z.space, {mu: 1}))
+    return {q: n for (d, _, q), n in page.items() if d == p}
 
 
 def _wedge_side(Z, mu, p):
@@ -723,7 +716,7 @@ def _wedge_side(Z, mu, p):
     X = Z.space
     wedge = wedge_dual_chars(Z)[p]
     page = PackedPage(X, page_form(X, {mu: 1}))
-    return tensor_cohomology(X, page, 0, wedge, rc.char_extremes(wedge, X.rs.rank), None, bott_tables(X))
+    return tensor_cohomology(X, page, 0, wedge, rc.char_extremes(wedge, X.rs.rank))
 
 
 @settings(max_examples=40, deadline=None)
@@ -753,6 +746,20 @@ def test_largest_packable_twist_on_the_levi_side():
     Z = mk("G2/P2", {(0, 3): 1})
     for p in (0, 1):
         assert _levi_side(Z, (0, -32765), p) == _wedge_side(Z, (0, -32765), p)
+
+
+@pytest.mark.parametrize("t", [32766, -32765])
+def test_a_line_page_reads_only_the_highest_weight(t, capsys):
+    # every page of Z(G2/P2, O(3)) is a line, so E = w1(t) enters as its highest
+    # weight alone, and the E1 page is the tuple Bott of E and E(-3); the full
+    # character of V_L(w1) would carry w1(32766) past the packed field
+    Z = mk("G2/P2", {(0, 3): 1})
+    X, E = Z.space, (1, t)
+    want = {(p, 0, q): n for p in (0, 1) for q, n in bwb(X, X.twist(E, -3 * p)).dims().items()}
+    assert e1_page(Z, BundleSum.make(X, {E: 1})) == want
+    if t == 32766:
+        assert main(["cohomology", "G2/P2", "O(3)", "--restrict", "w1(32766)"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "H^0(Z, E|_Z) = 5187196876432588864"
 
 
 # -- invariants of restricted cohomology -----------------------------------------
