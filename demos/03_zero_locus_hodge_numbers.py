@@ -18,7 +18,7 @@ from bwbforge.hodge import (
     is_hyperkaehler,
 )
 from bwbforge.homspace import parse_homspace
-from bwbforge.koszul import BundleSum, ZeroLocus, structure_cohomology
+from bwbforge.koszul import BundleSum, ZeroLocus
 
 X = parse_homspace("G2/P2")
 Z = ZeroLocus(X, BundleSum.make(X, {X.line(3): 1}))
@@ -51,6 +51,6 @@ print()
 print("== the hyperkaehler fourfold, for contrast ==")
 gr26 = parse_homspace("A5/P2")  # the Grassmannian Gr(2,6)
 Zbd = ZeroLocus(gr26, BundleSum.make(gr26, {(3, 0, 0, 0, 0): 1}))
-s = structure_cohomology(Zbd)
+s = h0_row(Zbd)
 print("S^3 U* on Gr(2,6): h(O_Z) =", s.dims, "->",
       "the hyperkaehler row" if is_hyperkaehler(s.dims) else "not hyperkaehler")

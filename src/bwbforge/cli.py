@@ -49,13 +49,11 @@ from .homspace import (
     parse_homspace,
 )
 from .koszul import (
-    AmbiguousCohomologyError,
     BundleSum,
-    EmptyLocusError,
     ZeroLocus,
     restricted_cohomology,
     w_digits_ambiguous,
-    wedge_dual_decomps,
+    wedge_dual_pages,
 )
 from .rootdata import Weight, parse_root_system, positive_roots
 
@@ -220,7 +218,7 @@ def _ext(args) -> Reply:
     F = parse_bundle(X, args.bundle)
     if not 0 <= args.p <= F.rank:
         raise ParseError(f"wedge degree {args.p} out of range 0..{F.rank}")
-    dec = wedge_dual_decomps(ZeroLocus(X, F))[args.p]
+    dec = wedge_dual_pages(ZeroLocus(X, F))[args.p].decomp(X)
     rows = [
         {"weight": _weight_str(lam), "multiplicity": m,
          "rank": rc.weyl_dim(X.levi, lam)}
@@ -393,10 +391,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                    "results": reply.results, "status": reply.status,
                    "citations": list(reply.citations)}
         out = _emit(payload, args.format, reply.lines)
-    except (ParseError, ValueError, EmptyLocusError) as exc:
+    except (ParseError, ValueError, _hodge.EmptyLocusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AmbiguousCohomologyError as exc:
+    except _hodge.AmbiguousCohomologyError as exc:
         print(f"error: ambiguous result: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(out)

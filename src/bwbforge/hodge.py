@@ -1,14 +1,18 @@
 """Hodge numbers of zero loci via the conormal sequence.
 
-The h^{0,q} row is the structure-sheaf cohomology; h^{1,q} comes from the
-long exact sequence of 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0, seeded
-with the values forced by Hodge symmetry and Serre duality.  For a fourfold
-with trivial canonical bundle h^{2,2} is read off rows 0 and 1: Libgober-Wood
-(Topology 1990) with c_1 = 0 and Serre duality gives
+The rows, their empty-locus and ambiguity refusals live here; ``koszul``
+only solves.  The h^{0,q} row is the structure-sheaf cohomology, and
+``h0_row`` refuses an F with a trivial summand: its locus is empty.
+h^{1,q} comes from the long exact sequence of
+0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0, seeded with the values forced by
+Hodge symmetry and Serre duality.  For a fourfold with trivial canonical
+bundle h^{2,2} is read off rows 0 and 1: Libgober-Wood (Topology 1990) with
+c_1 = 0 and Serre duality gives
 chi(Omega^2_Z) = 22 chi(O_Z) - 4 chi(Omega^1_Z), and
 h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}.  On any other fourfold
 h^{2,2} is reported as blocked.  Each row is a ``koszul.ZCohomology``, the
-same dimensions-with-a-status the Koszul solve returns.
+same dimensions-with-a-status the Koszul solve returns; a row function is
+handed the rows it reads, and never recomputes them.
 
 ``h1_chase_report`` is the one h^{1,q} chase, and ``h1_row`` reads its
 solved unknowns.  It runs through one small solver: an exact sequence whose
@@ -23,16 +27,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .homspace import HomSpace, gradation
-from .koszul import (
-    AmbiguousCohomologyError,
-    FilteredBundle,
-    ZCohomology,
-    ZeroLocus,
-    restricted_cohomology,
-    structure_cohomology,
-)
+from .koszul import FilteredBundle, ZCohomology, ZeroLocus, restricted_cohomology
 
 Cell = Union[int, str]  # a known dimension or the name of an unknown
+
+
+class EmptyLocusError(ValueError):
+    """A trivial summand has nowhere-vanishing general sections."""
+
+
+class AmbiguousCohomologyError(RuntimeError):
+    """Raised when a caller insists on exact values the certificates deny."""
 
 
 class ChaseStuckError(RuntimeError):
@@ -93,19 +98,17 @@ class ChaseReport:
     complete: bool
 
 
-def _dims_or_fail(t: ZCohomology, what: str) -> List[int]:
-    if t.status != "exact":
-        raise AmbiguousCohomologyError(f"{what}: {t.bounds}")
-    return t.dims
-
-
 def omega_filtration(X: HomSpace) -> FilteredBundle:
     return FilteredBundle.from_decomps(gradation(X).as_filtration())
 
 
 def h0_row(Z: ZeroLocus) -> ZCohomology:
-    """h^{0,q}(Z) for q = 0..d, straight from the Koszul resolution."""
-    return structure_cohomology(Z)
+    """h^{0,q}(Z) for q = 0..d, straight from the Koszul resolution; empty Z is refused."""
+    if any(not any(lam) for lam, _ in Z.bundle.summands):
+        raise EmptyLocusError(
+            "a trivial summand has constant nonzero general sections; the locus is empty"
+        )
+    return restricted_cohomology(Z, None)
 
 
 def is_hyperkaehler(row0: Sequence[Optional[int]]) -> bool:
@@ -113,43 +116,38 @@ def is_hyperkaehler(row0: Sequence[Optional[int]]) -> bool:
     return list(row0) == [1, 0, 1, 0, 1]
 
 
-def h1_chase_report(Z: ZeroLocus, row0: Optional[ZCohomology] = None) -> ChaseReport:
+def h1_chase_report(Z: ZeroLocus, row0: ZCohomology) -> ChaseReport:
     """The conormal chase 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0 with its audit trail.
 
-    Row 0 is computed unless the caller already has it; when it is not exact,
-    or a restricted bundle is only bounded, nothing is solved.
+    When row 0 is not exact nothing is solved.  When F^*|_Z is only bounded,
+    Omega_X|_Z is not computed; when either is, only the seeds are known.
     """
     d = Z.d
-    if row0 is None:
-        row0 = h0_row(Z)
     if row0.status != "exact":
         return ChaseReport([], {}, {}, False)
     # conjugation: h^{1,0} = h^{0,1}; Serre duality: h^{1,d} = h^{d-1,0} = h^{0,d-1}
     known = {"x0": row0.dims[1], f"x{d}": row0.dims[d - 1]}
-    try:
-        a = _dims_or_fail(restricted_cohomology(Z, Z.bundle.dual()), "F^*|_Z")
-        b = _dims_or_fail(
-            restricted_cohomology(Z, omega_filtration(Z.space)), "Omega|_Z"
-        )
-    except AmbiguousCohomologyError:
+    a = restricted_cohomology(Z, Z.bundle.dual())
+    if a.status != "exact":
+        return ChaseReport([], known, {}, False)
+    b = restricted_cohomology(Z, omega_filtration(Z.space))
+    if b.status != "exact":
         return ChaseReport([], known, {}, False)
     cells: List[Cell] = [f"x{q}" for q in range(d + 1)]
-    seq = _conormal_les(a, b, [known.get(c, c) for c in cells])
+    seq = _conormal_les(a.dims, b.dims, [known.get(c, c) for c in cells])
     values, complete = solve_exact_system(seq)
     values.update(known)
     return ChaseReport([seq], known, values, complete)
 
 
-def h1_row(Z: ZeroLocus, row0: Optional[ZCohomology] = None) -> ZCohomology:
-    """h^{1,q}(Z), the unknowns ``h1_chase_report`` solves."""
+def h1_row(Z: ZeroLocus, row0: ZCohomology) -> ZCohomology:
+    """h^{1,q}(Z), the unknowns ``h1_chase_report`` solves from row 0."""
     solved = h1_chase_report(Z, row0).solved
     dims = [solved.get(f"x{q}") for q in range(Z.d + 1)]
     return ZCohomology(Z.d, dims, "exact" if None not in dims else "ambiguous")
 
 
-def h22_chase_report(
-    Z: ZeroLocus, row0: Optional[ZCohomology] = None, row1: Optional[ZCohomology] = None
-) -> ChaseReport:
+def h22_chase_report(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> ChaseReport:
     """h^{2,2} from chi(Omega^2_Z) = 22 chi_O - 4 chi_Omega1, with its inputs.
 
     chi_O and chi_Omega1 are the alternating sums of rows 0 and 1; the cells
@@ -159,10 +157,6 @@ def h22_chase_report(
     """
     if Z.d != 4:
         raise ValueError("h22 is computed for fourfolds")
-    if row0 is None:
-        row0 = h0_row(Z)
-    if row1 is None:
-        row1 = h1_row(Z, row0)
     if row0.status != "exact" or row1.status != "exact":
         raise AmbiguousCohomologyError("h22 needs exact h^{0,q} and h^{1,q} rows")
     if not Z.is_canonical_trivial():

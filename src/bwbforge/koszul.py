@@ -15,7 +15,7 @@ rest, once per locus.  No character of a whole Lambda^p F^* is built.
 ``e1_page`` reads each E_1 entry off by Brauer-Klimyk on the Levi side,
 per irreducible piece E_mu of E and p on those same pages, and Bott's
 theorem once per irreducible of each product, so no tensor product is
-ever expanded.  ``wedge_dual_decomps`` is their tuple view {lambda: m}.
+ever expanded.  ``PackedPage.decomp`` is a page's tuple view {lambda: m}.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -41,14 +41,6 @@ from .bwbcohom import check_p_dominant
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
 from .rootdata import Weight, add, rho, sub
-
-
-class EmptyLocusError(ValueError):
-    """A trivial summand has nowhere-vanishing general sections."""
-
-
-class AmbiguousCohomologyError(RuntimeError):
-    """Raised when a caller insists on exact values the certificates deny."""
 
 
 def w_digits_ambiguous(digits: str, rank: int) -> bool:
@@ -91,10 +83,6 @@ class BundleSum:
     @property
     def dex(self) -> int:
         return sum(m * dex(self.X, lam) for lam, m in self.summands)
-
-    def has_trivial_summand(self) -> bool:
-        zero = (0,) * self.X.rs.rank
-        return any(lam == zero for lam, _ in self.summands)
 
     def dual(self) -> "BundleSum":
         out: Dict[Weight, int] = {}
@@ -336,12 +324,6 @@ def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
     return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)
 
 
-def wedge_dual_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
-    """Levi decompositions {lambda: m} of Lambda^p F^* for p = 0..rank(F): the tuple
-    view of ``wedge_dual_pages``, for ``ext`` and the tests."""
-    return [page.decomp(Z.space) for page in wedge_dual_pages(Z)]
-
-
 # -- hypercohomology bookkeeping ---------------------------------------------
 
 
@@ -517,12 +499,3 @@ def restricted_cohomology(Z: ZeroLocus, E: RestrictableBundle) -> ZCohomology:
     for the structure sheaf.
     """
     return _spectral_solve(e1_page(Z, E), Z.d)
-
-
-def structure_cohomology(Z: ZeroLocus) -> ZCohomology:
-    """h^q(Z, O_Z) for q = 0..d from the Koszul resolution itself."""
-    if Z.bundle.has_trivial_summand():
-        raise EmptyLocusError(
-            "a trivial summand has constant nonzero general sections; the locus is empty"
-        )
-    return restricted_cohomology(Z, None)

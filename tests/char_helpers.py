@@ -6,17 +6,19 @@ tuple view ``decompose`` of ``repcalc.decompose_character``, with the
 optional Brauer-Klimyk shift of the tests, weight multisets,
 characters and dimensions of formal sums, tensor products, wedge and
 symmetric powers decomposed again, the packed page form of a
-decomposition) serve the tests and the oracles built on them.  ``freudenthal`` and
+decomposition, the tuple view ``wedge_decomps`` of the wedge pages of a
+locus) serve the tests and the oracles built on them.  ``freudenthal`` and
 ``dominant_rep`` are oracles of engine routines; ``serre_dual_weight``
 names the Serre-duality partner of an irreducible bundle.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from bwbforge import repcalc as rc
 from bwbforge.homspace import HomSpace, fano_index
+from bwbforge.koszul import ZeroLocus, wedge_dual_pages
 from bwbforge.rootdata import Weight, add, integral_weight_gram, rho, simple_root_weight, sub
 
 
@@ -27,6 +29,11 @@ def char_to_weights(char: rc.PackedChar, rank: int) -> Dict[Weight, int]:
 def page_form(X: HomSpace, decomp: rc.IrrDecomp) -> rc.PackedChar:
     """{pack(lambda + rho): n}, the form ``koszul.PackedPage`` reads, of {lambda: n}."""
     return {rc.pack(add(lam, rho(X.rs))): n for lam, n in decomp.items()}
+
+
+def wedge_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
+    """{lambda: m} of Lambda^p F^*, p = 0..rank(F), unpacked from ``koszul.wedge_dual_pages``."""
+    return [page.decomp(Z.space) for page in wedge_dual_pages(Z)]
 
 
 def tensor_cohomology(X: HomSpace, page, t: int, char: rc.PackedChar, extremes) -> Dict[int, int]:

@@ -21,10 +21,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from bwbforge import repcalc as rc
-from bwbforge.hodge import Cell, _conormal_les, solve_exact_system
+from bwbforge.hodge import AmbiguousCohomologyError, Cell, _conormal_les, solve_exact_system
 from bwbforge.homspace import HomSpace, gradation, nilradical_roots
 from bwbforge.koszul import (
-    AmbiguousCohomologyError,
     BundleSum,
     FilteredBundle,
     RestrictableBundle,

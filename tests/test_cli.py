@@ -421,6 +421,16 @@ def test_bundle_without_sections_exits_1(argv, capsys):
     assert err.startswith("error: ") and "G2-dominant" in err
 
 
+@pytest.mark.parametrize("argv", [["hodge", "G2/P2", "O(0) + O(1)", "--d", "3"],
+                                  ["hodge", "G2/P2", "O(0)", "--d", "4"]])
+def test_empty_locus_is_refused(argv, capsys):
+    # a trivial summand has a nowhere-zero general section: there is no locus
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a trivial summand has constant nonzero general sections; the locus is empty\n"
+
+
 # -- golden output --------------------------------------------------------------
 
 # Exit code, sha256 of stdout and the stderr text of each argv, pinned: any

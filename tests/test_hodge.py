@@ -1,15 +1,20 @@
+import ast
 import json
+import pathlib
 import re
 
 import pytest
 
+from bwbforge import hodge
 from bwbforge import repcalc as rc
 from bwbforge.cli import main
 from bwbforge.hodge import (
+    AmbiguousCohomologyError,
     ChaseStuckError,
     HodgeDiamond,
     assemble,
     h0_row,
+    h1_chase_report,
     h1_row,
     h22_chase_report,
     is_hyperkaehler,
@@ -18,7 +23,6 @@ from bwbforge.hodge import (
 )
 from bwbforge.homspace import gradation, parse_homspace
 from bwbforge.koszul import (
-    AmbiguousCohomologyError,
     BundleSum,
     FilteredBundle,
     ZCohomology,
@@ -36,6 +40,12 @@ from second_wedge import graded_module_char
 def mk(space, weights):
     X = parse_homspace(space)
     return ZeroLocus(X, BundleSum.make(X, weights))
+
+
+def rows(Z):
+    """Rows 0 and 1 of Z, each computed once, as the row functions take them."""
+    row0 = h0_row(Z)
+    return row0, h1_row(Z, row0)
 
 
 def w(rank, **kw):
@@ -113,14 +123,14 @@ def test_hyperkaehler_criterion_is_the_whole_row():
 
 def test_h1_rows_g2():
     Z = mk("G2/P2", {(0, 3): 1})
-    assert h1_row(Z).dims == [0, 1, 0, 258, 0]
+    assert h1_row(Z, h0_row(Z)).dims == [0, 1, 0, 258, 0]
     Z = mk("G2/P1", {(5, 0): 1})
-    assert h1_row(Z).dims == [0, 1, 0, 356, 0]
+    assert h1_row(Z, h0_row(Z)).dims == [0, 1, 0, 356, 0]
 
 
 def test_h1_row_e6p1_lines():
     Z = mk("E6/P1", {w(6, i1=1): 12})
-    assert h1_row(Z).dims == [0, 1, 0, 102, 0]
+    assert h1_row(Z, h0_row(Z)).dims == [0, 1, 0, 102, 0]
 
 
 # -- h^{2,2} and diamonds -------------------------------------------------------
@@ -128,7 +138,7 @@ def test_h1_row_e6p1_lines():
 
 def test_h22_g2p2():
     Z = mk("G2/P2", {(0, 3): 1})
-    assert h22_chase_report(Z).solved["h22"] == 1080
+    assert h22_chase_report(Z, *rows(Z)).solved["h22"] == 1080
     # intermediate checkpoint from the worked computation
     r = restricted_cohomology(Z, BundleSum.make(Z.space, {(0, -6): 1}))
     assert r.dims == [0, 0, 0, 0, 3269]
@@ -136,7 +146,7 @@ def test_h22_g2p2():
 
 def test_h22_g2p1_complete_intersection_crosscheck():
     Z = mk("G2/P1", {(5, 0): 1})
-    assert h22_chase_report(Z).solved["h22"] == 1472
+    assert h22_chase_report(Z, *rows(Z)).solved["h22"] == 1472
     dia = assemble(Z)
     assert dia.euler_characteristic() == 2190
 
@@ -220,7 +230,7 @@ def test_chi_trivial_arithmetic():
 
 def test_threefold_chi_reporting():
     Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
-    r1 = h1_row(Z)
+    r1 = h1_row(Z, h0_row(Z))
     assert r1.dims == [0, 1, 73, 0]
     dia = assemble(Z)
     assert dia.euler_characteristic() == -144
@@ -228,8 +238,9 @@ def test_threefold_chi_reporting():
 
 
 def test_h22_requires_fourfold():
+    Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
     with pytest.raises(ValueError):
-        h22_chase_report(mk("G2/P1", {(2, 0): 1, (3, 0): 1}))
+        h22_chase_report(Z, *rows(Z))
 
 
 def test_diamond_fills_a_cell_from_its_mirror():
@@ -292,7 +303,7 @@ def test_f4p1_h13_cross_validated_three_ways():
     Z = mk("F4/P1", {w(4, i4=1): 1, w(4, i1=1): 5})
     X = Z.space
     # route 1: the conormal chase
-    assert h1_row(Z).dims == [0, 1, 0, 87, 0]
+    assert h1_row(Z, h0_row(Z)).dims == [0, 1, 0, 87, 0]
     # route 2: Euler characteristics, pure alternating sums (no spectral logic)
     def chi_restricted(chars):
         total = 0
@@ -366,18 +377,51 @@ def undetermined(rep):
 
 
 def test_chase_reports_expose_the_audit_trail():
-    from bwbforge.hodge import h1_chase_report
-
     Z = mk("G2/P2", {(0, 3): 1})
-    rep = h1_chase_report(Z)
+    rep = h1_chase_report(Z, h0_row(Z))
     assert rep.complete and rep.solved["x3"] == 258
     assert rep.known == {"x0": 0, "x4": 0}
     assert len(rep.sequences) == 1 and undetermined(rep) == []
-    rep = h22_chase_report(Z)
+    rep = h22_chase_report(Z, *rows(Z))
     assert rep.complete and rep.sequences == [] and undetermined(rep) == []
     assert rep.known == {"x0": 0, "x1": 0, "x3": 0, "x4": 0,
                          "chi_O": 2, "chi_Omega1": -259}
     assert rep.solved == {"chi": 1080, "h22": 1080}
+
+
+def test_h1_chase_stops_at_a_bounded_conormal_bundle(monkeypatch):
+    # Beauville-Donagi: F^*|_Z is only bounded, so Omega_X|_Z is never computed
+    Z = mk("A5/P2", {(3, 0, 0, 0, 0): 1})
+    row0 = h0_row(Z)
+    restricted = []
+
+    def counted(Z, E):
+        restricted.append(E)
+        return restricted_cohomology(Z, E)
+
+    monkeypatch.setattr("bwbforge.hodge.restricted_cohomology", counted)
+    rep = h1_chase_report(Z, row0)
+    assert restricted == [Z.bundle.dual()]
+    assert rep.known == {"x0": 0, "x4": 0} and rep.solved == {} and not rep.complete
+
+
+def test_the_row_refusals_live_in_hodge():
+    # hodge defines and raises the empty-locus and ambiguity refusals; koszul only solves
+    refusals = {"EmptyLocusError", "AmbiguousCohomologyError"}
+    defined, raised, koszul_functions = {}, {}, set()
+    for path in sorted(pathlib.Path(hodge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name in refusals:
+                defined.setdefault(node.name, set()).add(path.name)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name in refusals:
+                    raised.setdefault(name, set()).add(path.name)
+            elif isinstance(node, ast.FunctionDef) and path.name == "koszul.py":
+                koszul_functions.add(node.name)
+    assert defined == raised == {name: {"hodge.py"} for name in refusals}
+    assert not koszul_functions & {"structure_cohomology", "has_trivial_summand"}
 
 
 def test_h22_is_blocked_unless_the_canonical_bundle_is_trivial(capsys):

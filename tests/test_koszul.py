@@ -10,24 +10,29 @@ from bwbforge import cache
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology, bwb
 from bwbforge.cli import main
-from bwbforge.hodge import omega_filtration
+from bwbforge.hodge import EmptyLocusError, h0_row, omega_filtration
 from bwbforge.homspace import dimension, fano_index, gradation, parse_homspace
 from bwbforge.koszul import (
     BundleSum,
-    EmptyLocusError,
     FilteredBundle,
     PackedPage,
     ZeroLocus,
     _spectral_solve,
     e1_page,
     restricted_cohomology,
-    structure_cohomology,
     wedge_dual_chars,
-    wedge_dual_decomps,
 )
 from bwbforge.rootdata import rho, to_dominant_chamber
 
-from char_helpers import char_dim, char_of_decomp, decomp_dim, decompose, page_form, tensor_cohomology
+from char_helpers import (
+    char_dim,
+    char_of_decomp,
+    decomp_dim,
+    decompose,
+    page_form,
+    tensor_cohomology,
+    wedge_decomps,
+)
 from second_wedge import (
     fstar_tensor_omega,
     graded_module_char,
@@ -50,7 +55,7 @@ def w(rank, **kw):
 
 def wedge_decomp(Z, p):
     """Lambda^p F^* decomposed into irreducibles, as ``bwbforge ext`` prints it."""
-    return wedge_dual_decomps(Z)[p]
+    return wedge_decomps(Z)[p]
 
 
 def test_bundle_sum_validation():
@@ -73,7 +78,7 @@ def test_zero_locus_dimensions():
 def test_trivial_summand_rejected():
     Z = mk("G2/P2", {(0, 0): 1, (0, 3): 1})
     with pytest.raises(EmptyLocusError):
-        structure_cohomology(Z)
+        h0_row(Z)
 
 
 def test_wedge_powers_f4p4_displays():
@@ -182,9 +187,9 @@ def test_e6p3_wedge_weight_table():
 
 
 def test_structure_cohomology_anchors():
-    assert structure_cohomology(mk("F4/P4", {(1, 0, 0, 0): 1, (0, 0, 0, 1): 4})).dims == [1, 0, 0, 0, 1]
-    assert structure_cohomology(mk("A5/P2", {(3, 0, 0, 0, 0): 1})).dims == [1, 0, 1, 0, 1]
-    assert structure_cohomology(mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1})).dims == [1, 0, 0, 0, 1]
+    assert h0_row(mk("F4/P4", {(1, 0, 0, 0): 1, (0, 0, 0, 1): 4})).dims == [1, 0, 0, 0, 1]
+    assert h0_row(mk("A5/P2", {(3, 0, 0, 0, 0): 1})).dims == [1, 0, 1, 0, 1]
+    assert h0_row(mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1})).dims == [1, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize(
@@ -200,7 +205,7 @@ def test_ample_line_bundle_fourfolds(space, weights):
     # direct sums of ample line bundles: h^0 = h^d = 1, middle zero
     Z = mk(space, weights)
     assert Z.d == 4 and Z.is_canonical_trivial()
-    t = structure_cohomology(Z)
+    t = h0_row(Z)
     assert t.status == "exact" and t.dims == [1, 0, 0, 0, 1]
 
 
@@ -208,7 +213,7 @@ def test_adjunction_forces_top_cohomology():
     # when dex F = iota the Koszul tail is K_X, so h^d(O_Z) >= 1
     Z = mk("E6/P2", {w(6, i1=1): 2, w(6, i2=1): 5})
     assert Z.bundle.dex == fano_index(Z.space)
-    t = structure_cohomology(Z)
+    t = h0_row(Z)
     assert t.dims[Z.d] >= 1
 
 
@@ -229,7 +234,7 @@ def test_restricted_cohomology_anchors():
 def test_restriction_of_trivial_matches_structure():
     Z = mk("G2/P1", {(5, 0): 1})
     t = restricted_cohomology(Z, BundleSum.make(Z.space, {(0, 0): 1}))
-    s = structure_cohomology(Z)
+    s = h0_row(Z)
     assert t.dims == s.dims and t.status == s.status
 
 
@@ -430,7 +435,7 @@ def test_wedge_duality_matches_full_exterior_table(space, weights):
     f = Z.bundle.rank
     full = rc.exterior_char_table(Z.bundle.dual().char(), f, Z.space.rs.rank)
     assert wedge_dual_chars(Z) == full
-    assert wedge_dual_decomps(Z) == [decompose(Z.space.levi, ch) for ch in full]
+    assert wedge_decomps(Z) == [decompose(Z.space.levi, ch) for ch in full]
 
 
 @pytest.mark.parametrize("space,weights", TABLE_LOCI)
@@ -687,7 +692,7 @@ def test_wedge_decomps_from_summands_equal_the_full_table(Z):
     # Lambda(A + B) = Lambda(A) (x) Lambda(B): the running product over the
     # summands equals the decomposition of the whole per-weight product
     full = rc.exterior_char_table(Z.bundle.dual().char(), Z.bundle.rank, Z.space.rs.rank)
-    assert wedge_dual_decomps(Z) == [decompose(Z.space.levi, ch) for ch in full]
+    assert wedge_decomps(Z) == [decompose(Z.space.levi, ch) for ch in full]
 
 
 def test_b9_p8_wedge_decomps_have_binomial_dimensions():
@@ -695,7 +700,7 @@ def test_b9_p8_wedge_decomps_have_binomial_dimensions():
     # before degree 24, the product over its summands does not
     X = parse_homspace("B9/P8")
     Z = ZeroLocus(X, BundleSum.make(X, {w(9, i9=1): 3, X.line(1): 2, w(9, i1=1): 5}))
-    decomps = wedge_dual_decomps(Z)
+    decomps = wedge_decomps(Z)
     assert Z.bundle.rank == 48 and len(decomps) == 49
     for p, decomp in enumerate(decomps):
         assert decomp_dim(X.levi, decomp) == comb(48, p)
