@@ -3,9 +3,9 @@
 A fourfold (or threefold) zero locus with trivial canonical bundle needs
 rank(F) = dim - d and dex(F) = Fano index, both exact integers computed
 from root data.  Most of the 25 spaces die instantly under the dex/rank
-ratio bound; the survivors are enumerated, the curated exception list
-removes bundles whose general sections vanish nowhere, and each emitted
-pair carries its Hodge numbers.
+ratio bound; the survivors are enumerated, hodge's one table of summands
+whose general sections vanish nowhere (``hodge.NOWHERE_VANISHING``) removes
+the bundles containing one, and each emitted pair carries its Hodge numbers.
 
 Running this script takes about two seconds; the E7/P1 Hodge row dominates.
 """

@@ -19,13 +19,10 @@ from .homspace import HomSpace
 from .rootdata import Weight, add, rho
 
 
-class NotPDominantError(ValueError):
-    pass
-
-
 def check_p_dominant(X: HomSpace, lam: Weight):
+    """The one refusal of a weight that is no bundle on X."""
     if not rc.is_context_dominant(X.levi, lam):
-        raise NotPDominantError(f"{lam} is not P{X.k}-dominant on {X}")
+        raise rc.NonDominantError(f"weight {lam} is not P{X.k}-dominant")
 
 
 @dataclass

@@ -7,10 +7,10 @@ multiset lies between the least and greatest dex/rank of its summands, so
 the multiset search cuts each branch whose remaining budget leaves the slope
 range of the summands still to place.  At the root this rejects a whole
 space when even its best dex/rank exceeds iota/(dim - d), which is what
-kills all the E8 cases without enumerating multisets.  Bundles with a
-summand on the curated exception list (nowhere-vanishing general sections)
-are excluded and the reason recorded; the numbers themselves cannot see such
-geometric facts.
+kills all the E8 cases without enumerating multisets.  A bundle with a
+summand whose general sections vanish nowhere is excluded, its reason and
+citation recorded, by ``hodge.empty_reason``: the one table of such summands
+(``hodge.NOWHERE_VANISHING``) that ``hodge.h0_row`` refuses by as well.
 """
 
 from __future__ import annotations
@@ -24,30 +24,6 @@ from . import repcalc as rc
 from .homspace import HomSpace, dimension, fano_index, parse_homspace
 from .koszul import BundleSum, ZeroLocus
 from .rootdata import RootSystem, Weight
-
-
-@dataclass(frozen=True)
-class ExceptionEntry:
-    """Curated exclusion: a summand whose general sections vanish nowhere."""
-
-    space: str
-    weight: Weight
-    reason: str
-    citation: str
-
-
-# The spinor-type bundle on the Cayley plane is the one known case on an
-# exceptional space: its general sections are nowhere zero, so no candidate
-# containing it defines a nonempty zero locus of the expected dimension.
-EXCEPTION_LIST: Tuple[ExceptionEntry, ...] = (
-    ExceptionEntry(
-        space="E6/P1",
-        weight=(0, 0, 0, 0, 0, 1),
-        reason="a general global section of this rank-10 spinor-type bundle "
-        "on the Cayley plane vanishes nowhere",
-        citation="nowhere-vanishing sections of the spinor bundle on the Cayley plane",
-    ),
-)
 
 
 def exceptional_spaces() -> List[HomSpace]:
@@ -245,8 +221,6 @@ def enumerate_candidates(X: HomSpace, d: int) -> SpaceSearch:
     if not pool:
         return SpaceSearch(X, [], [], False, note="no admissible summands")
 
-    exceptions = {e.weight: e for e in EXCEPTION_LIST if e.space == str(X)}
-
     found: List[Tuple[Tuple[Weight, int], ...]] = []
 
     def recurse(idx: int, rank_left: int, dex_left: int, chosen: List[Tuple[Weight, int]]):
@@ -272,11 +246,9 @@ def enumerate_candidates(X: HomSpace, d: int) -> SpaceSearch:
     excluded: List[ExclusionRecord] = []
     for weights in sorted(found, key=lambda ws: tuple(sorted(ws, reverse=True))):
         weights = tuple(sorted(weights))
-        hit = [exceptions[lam] for lam, _ in weights if lam in exceptions]
+        hit = hodge.empty_reason(X, weights)
         if hit:
-            excluded.append(
-                ExclusionRecord(str(X), weights, hit[0].reason, hit[0].citation)
-            )
+            excluded.append(ExclusionRecord(str(X), weights, *hit))
         else:
             candidates.append(CandidatePair(X, weights, d))
     return SpaceSearch(X, candidates, excluded, False)

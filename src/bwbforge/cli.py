@@ -38,7 +38,7 @@ from . import cache as _cache
 from . import classify as _classify
 from . import hodge as _hodge
 from . import repcalc as rc
-from .bwbcohom import CohomologyTable, bundle_cohomology, bwb
+from .bwbcohom import CohomologyTable, bundle_cohomology, bwb, check_p_dominant
 from .homspace import (
     HomSpace,
     bundle_rank,
@@ -110,9 +110,6 @@ def parse_bundle(X: HomSpace, expr: str) -> BundleSum:
     for term in expr.split("+"):
         lam, mult = parse_weight_term(X, term)
         weights[lam] = weights.get(lam, 0) + mult
-    for lam in weights:
-        if not rc.is_context_dominant(X.levi, lam):
-            raise ParseError(f"weight {lam} is not P{X.k}-dominant on {X}")
     return BundleSum.make(X, weights)
 
 
@@ -195,8 +192,7 @@ def _dim(args) -> Reply:
 def _dex(args) -> Reply:
     X = parse_homspace(args.space)
     lam = parse_weight(X, args.weight)
-    if not rc.is_context_dominant(X.levi, lam):
-        raise ParseError(f"weight {lam} is not P{X.k}-dominant")
+    check_p_dominant(X, lam)
     rk, dx = bundle_rank(X, lam), dex(X, lam)
     return Reply({"rank": rk, "dex": dx}, [f"rank={rk} dex={dx}"],
                  space=str(X), bundle=_weight_str(lam))
@@ -391,7 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    "results": reply.results, "status": reply.status,
                    "citations": list(reply.citations)}
         out = _emit(payload, args.format, reply.lines)
-    except (ParseError, ValueError, _hodge.EmptyLocusError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _hodge.AmbiguousCohomologyError as exc:

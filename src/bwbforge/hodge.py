@@ -2,7 +2,9 @@
 
 The rows, their empty-locus and ambiguity refusals live here; ``koszul``
 only solves.  The h^{0,q} row is the structure-sheaf cohomology, and
-``h0_row`` refuses an F with a trivial summand: its locus is empty.
+``h0_row`` refuses an F with a summand whose general section vanishes
+nowhere: a trivial one, or one listed in ``NOWHERE_VANISHING``.  Its locus
+is empty, and ``classify`` excludes it by the same ``empty_reason``.
 h^{1,q} comes from the long exact sequence of
 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0, seeded with the values forced by
 Hodge symmetry and Serre duality.  For a fourfold with trivial canonical
@@ -28,12 +30,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .homspace import HomSpace, gradation
 from .koszul import FilteredBundle, ZCohomology, ZeroLocus, restricted_cohomology
+from .rootdata import Weight
 
 Cell = Union[int, str]  # a known dimension or the name of an unknown
 
 
 class EmptyLocusError(ValueError):
-    """A trivial summand has nowhere-vanishing general sections."""
+    """A summand has nowhere-vanishing general sections: ``empty_reason`` names it."""
 
 
 class AmbiguousCohomologyError(RuntimeError):
@@ -102,12 +105,34 @@ def omega_filtration(X: HomSpace) -> FilteredBundle:
     return FilteredBundle.from_decomps(gradation(X).as_filtration())
 
 
+# (space, summand) -> (reason, citation) of a summand whose general section
+# vanishes nowhere; the numbers themselves cannot see such geometric facts.
+NOWHERE_VANISHING: Dict[Tuple[str, Weight], Tuple[str, str]] = {
+    ("E6/P1", (0, 0, 0, 0, 0, 1)): (
+        "a general global section of this rank-10 spinor-type bundle "
+        "on the Cayley plane vanishes nowhere",
+        "nowhere-vanishing sections of the spinor bundle on the Cayley plane",
+    ),
+}
+TRIVIAL = ("a trivial summand has constant nonzero general sections",
+           "constant sections of the trivial bundle")
+
+
+def empty_reason(X: HomSpace, summands: Sequence[Tuple[Weight, int]]) -> Optional[Tuple[str, str]]:
+    """(reason, citation) of the first summand on X that is trivial or listed, else None."""
+    for lam, _ in summands:
+        if not any(lam):
+            return TRIVIAL
+        if (str(X), lam) in NOWHERE_VANISHING:
+            return NOWHERE_VANISHING[str(X), lam]
+    return None
+
+
 def h0_row(Z: ZeroLocus) -> ZCohomology:
     """h^{0,q}(Z) for q = 0..d, straight from the Koszul resolution; empty Z is refused."""
-    if any(not any(lam) for lam, _ in Z.bundle.summands):
-        raise EmptyLocusError(
-            "a trivial summand has constant nonzero general sections; the locus is empty"
-        )
+    hit = empty_reason(Z.space, Z.bundle.summands)
+    if hit:
+        raise EmptyLocusError(f"{hit[0]}; the locus is empty")
     return restricted_cohomology(Z, None)
 
 

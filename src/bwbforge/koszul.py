@@ -64,8 +64,7 @@ class BundleSum:
         for lam, mult in weights.items():
             if mult <= 0:
                 raise ValueError("summand multiplicities must be positive")
-            if not rc.is_context_dominant(X.levi, lam):
-                raise ValueError(f"summand {lam} is not P{X.k}-dominant")
+            check_p_dominant(X, lam)
         return BundleSum(X, tuple(sorted(weights.items())))
 
     def as_dict(self) -> rc.IrrDecomp:

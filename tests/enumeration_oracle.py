@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from bwbforge import repcalc as rc
-from bwbforge.classify import EXCEPTION_LIST, CandidatePair, ExclusionRecord, SpaceSearch
+from bwbforge.classify import CandidatePair, ExclusionRecord, SpaceSearch
+from bwbforge.hodge import NOWHERE_VANISHING
 from bwbforge.homspace import HomSpace, dex, dimension, fano_index
 from bwbforge.rootdata import Weight
 
@@ -79,7 +80,7 @@ def enumerate_candidates(
         return SpaceSearch(X, [], [], False, note="no admissible summands")
 
     exceptions = {
-        e.weight: e for e in EXCEPTION_LIST if e.space == str(X)
+        lam: hit for (space, lam), hit in NOWHERE_VANISHING.items() if space == str(X)
     } if use_exceptions else {}
 
     found: List[Tuple[Tuple[Weight, int], ...]] = []
@@ -107,7 +108,7 @@ def enumerate_candidates(
         hit = [exceptions[lam] for lam, _ in weights if lam in exceptions]
         if hit:
             excluded.append(
-                ExclusionRecord(str(X), weights, hit[0].reason, hit[0].citation)
+                ExclusionRecord(str(X), weights, *hit[0])
             )
         else:
             candidates.append(CandidatePair(X, weights, d))

@@ -9,7 +9,7 @@ import bwbforge
 from bwbforge import bwbcohom
 from bwbforge import cache as _cache
 from bwbforge import repcalc as rc
-from bwbforge.bwbcohom import NotPDominantError, bundle_cohomology, bwb
+from bwbforge.bwbcohom import bundle_cohomology, bwb
 from bwbforge.classify import exceptional_spaces, search_spaces
 from bwbforge.hodge import h0_row, omega_filtration
 from bwbforge.homspace import dimension, gradation, parse_homspace
@@ -97,7 +97,7 @@ def test_bwb_matches_word_climb_beyond_packed_range(name):
 
 
 def test_bwb_rejects_non_p_dominant():
-    with pytest.raises(NotPDominantError):
+    with pytest.raises(rc.NonDominantError):
         bwb(G2P2, (-1, 2))  # negative Levi coordinate
 
 
@@ -161,7 +161,7 @@ def test_tensor_cohomology_refuses_non_characters():
     with pytest.raises(AssertionError, match="not a character"):
         tensor_cohomology(G2P2, page, 0, {rc.pack(zero): -1}, (zero, zero))
     # P-dominance is checked once, when the page is packed
-    with pytest.raises(NotPDominantError):
+    with pytest.raises(rc.NonDominantError):
         PackedPage(G2P2, page_form(G2P2, {zero: 1, (-1, 0): 1}))
 
 
@@ -282,7 +282,7 @@ def test_reg_ind_anchors():
     assert page_degrees(G2P2, all_singular) == set()
     # (-1, 2) is not P2-dominant, so it is no bundle on G2/P2
     # the refusal names the input weight, not its Levi part (-1, 0)
-    with pytest.raises(NotPDominantError, match=r"\(-1, 2\) is not P2-dominant"):
+    with pytest.raises(rc.NonDominantError, match=r"\(-1, 2\) is not P2-dominant"):
         page_degrees(G2P2, FilteredBundle.from_decomps([{(3, -5): 1}, {(-1, 2): 1}]))
 
 

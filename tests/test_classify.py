@@ -10,6 +10,7 @@ from bwbforge import hodge
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology
 from bwbforge.homspace import dex, dimension, fano_index, parse_homspace
+from bwbforge.koszul import BundleSum, ZeroLocus, restricted_cohomology
 
 import enumeration_oracle as oracle
 from char_helpers import tensor_decompose
@@ -323,7 +324,7 @@ def test_classical_h0_rows_to_rank_6():
 
 
 def test_exception_list_documents_extra_families():
-    # the oracle search can skip the exception list: per space, the engine's
+    # the oracle search can skip hodge's emptiness table: per space, the engine's
     # candidates and exclusions together are the oracle's bare candidates
     excluded = []
     for X in cl.exceptional_spaces():
@@ -343,6 +344,23 @@ def test_exception_list_documents_extra_families():
     assert len(excluded) == 3
     assert all("vanishes nowhere" in e.reason for e in excluded)
     assert cl.classify(cl.exceptional_spaces(), 4, with_hodge=False).excluded == excluded
+
+
+def test_the_emptiness_table_agrees_with_the_koszul_route():
+    # every locus that hodge's table calls empty has an exact h^{0,q} row of
+    # zeros by the Koszul route, which never reads the table
+    loci = []
+    for d, count in ((3, 4), (4, 3)):
+        excluded = cl.classify(cl.exceptional_spaces(), d, with_hodge=False).excluded
+        assert len(excluded) == count
+        loci += [(parse_homspace(e.space), dict(e.weights)) for e in excluded]
+    G2P2 = parse_homspace("G2/P2")
+    loci.append((G2P2, {(0, 0): 1, (0, 1): 1}))  # the trivial summand O(0)
+    for X, weights in loci:
+        Z = ZeroLocus(X, BundleSum.make(X, weights))
+        assert hodge.empty_reason(X, Z.bundle.summands) is not None
+        row = restricted_cohomology(Z, None)
+        assert row.status == "exact" and not any(row.dims), (str(X), str(Z.bundle))
 
 
 def test_hodge_attachment_d4(report_d4):

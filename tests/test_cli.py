@@ -10,6 +10,7 @@ import pytest
 
 from bwbforge import cache as _cache
 from bwbforge import koszul
+from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology, bwb
 from bwbforge.classify import classify
 from bwbforge.cli import ParseError, main, parse_bundle, parse_weight
@@ -75,8 +76,8 @@ def test_parse_rejects_garbage():
         parse_bundle(X, "[1,2,3]")  # wrong arity
     with pytest.raises(ParseError):
         parse_bundle(X, "[1,0]x")  # trailing junk
-    with pytest.raises(ParseError):
-        parse_bundle(X, "[1,-1]")  # not P-dominant (negative Levi coordinate)
+    with pytest.raises(rc.NonDominantError):
+        parse_bundle(X, "[1,-1]")  # parses, but is not P-dominant: no bundle
 
 
 def test_bundle_round_trip():
@@ -316,7 +317,7 @@ def test_classify_d3_command():
 
 def test_classify_excludes_four_e6p1_candidates_at_d3():
     # the four E6/P1 numeric extras at d = 3 are excluded, not rows: each is
-    # a candidate of the oracle search run without the exception list
+    # a candidate of the oracle search run without hodge's emptiness table
     out = run_cli("--format", "json", "classify", "--d", "3", "--no-hodge")
     results = json.loads(out)["results"]
     assert len(results["rows"]) == 6
@@ -422,13 +423,37 @@ def test_bundle_without_sections_exits_1(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [["hodge", "G2/P2", "O(0) + O(1)", "--d", "3"],
-                                  ["hodge", "G2/P2", "O(0)", "--d", "4"]])
+                                  ["hodge", "G2/P2", "O(0)", "--d", "4"],
+                                  ["hodge", "E6/P1", "w6 + O(3) + O(4)", "--d", "4"],
+                                  ["hodge", "E6/P1", "w6 + O(2)^2 + O(3)", "--d", "3"]])
 def test_empty_locus_is_refused(argv, capsys):
-    # a trivial summand has a nowhere-zero general section: there is no locus
+    # a trivial summand, or the spinor-type summand w6 on the Cayley plane, has
+    # a nowhere-zero general section: there is no locus, as classify excludes it
+    reason = {
+        "G2/P2": "a trivial summand has constant nonzero general sections",
+        "E6/P1": "a general global section of this rank-10 spinor-type bundle "
+        "on the Cayley plane vanishes nowhere",
+    }[argv[1]]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: a trivial summand has constant nonzero general sections; the locus is empty\n"
+    assert err == f"error: {reason}; the locus is empty\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dex", "G2/P1", "[1,-1]"],
+    ["bwb", "G2/P1", "[1,-1]"],
+    ["cohomology", "G2/P1", "[1,-1]"],
+    ["cohomology", "G2/P1", "O(1)", "--restrict", "[1,-1]"],
+    ["ext", "G2/P1", "[1,-1]", "1"],
+    ["hodge", "G2/P1", "[1,-1]", "--d", "4"],
+])
+def test_a_weight_that_is_no_bundle_is_refused_in_one_message(argv, capsys):
+    # every route refuses a weight with a negative Levi coordinate by one check
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: weight (1, -1) is not P1-dominant\n"
 
 
 # -- golden output --------------------------------------------------------------

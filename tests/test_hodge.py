@@ -406,9 +406,11 @@ def test_h1_chase_stops_at_a_bounded_conormal_bundle(monkeypatch):
 
 
 def test_the_row_refusals_live_in_hodge():
-    # hodge defines and raises the empty-locus and ambiguity refusals; koszul only solves
+    # hodge defines and raises the empty-locus and ambiguity refusals, and
+    # keeps the one table of empty loci; koszul only solves; check_p_dominant
+    # is the one refusal of a weight that is no bundle, and cli checks none
     refusals = {"EmptyLocusError", "AmbiguousCohomologyError"}
-    defined, raised, koszul_functions = {}, {}, set()
+    defined, raised, koszul_functions, names, cli_calls = {}, {}, set(), {}, set()
     for path in sorted(pathlib.Path(hodge.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef) and node.name in refusals:
@@ -420,8 +422,19 @@ def test_the_row_refusals_live_in_hodge():
                     raised.setdefault(name, set()).add(path.name)
             elif isinstance(node, ast.FunctionDef) and path.name == "koszul.py":
                 koszul_functions.add(node.name)
+            elif isinstance(node, ast.Call) and path.name == "cli.py":
+                cli_calls.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            if isinstance(node, ast.ClassDef):
+                names.setdefault(node.name, set()).add(path.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    names.setdefault(getattr(target, "id", None), set()).add(path.name)
     assert defined == raised == {name: {"hodge.py"} for name in refusals}
     assert not koszul_functions & {"structure_cohomology", "has_trivial_summand"}
+    assert names["NOWHERE_VANISHING"] == {"hodge.py"}
+    assert not {"ExceptionEntry", "EXCEPTION_LIST", "NotPDominantError"} & set(names)
+    assert "vanishes nowhere" not in (pathlib.Path(hodge.__file__).parent / "classify.py").read_text()
+    assert "is_context_dominant" not in cli_calls
 
 
 def test_h22_is_blocked_unless_the_canonical_bundle_is_trivial(capsys):
