@@ -105,14 +105,14 @@ def omega_filtration(X: HomSpace) -> FilteredBundle:
     return FilteredBundle.from_decomps(gradation(X).as_filtration())
 
 
+SPINOR = ("a general global section of this rank-10 spinor-type bundle on the Cayley plane "
+          "vanishes nowhere", "nowhere-vanishing sections of the spinor bundle on the Cayley plane")
 # (space, summand) -> (reason, citation) of a summand whose general section
 # vanishes nowhere; the numbers themselves cannot see such geometric facts.
+# The outer automorphism of E6 maps E6/P1 with w6 onto E6/P6 with w1.
 NOWHERE_VANISHING: Dict[Tuple[str, Weight], Tuple[str, str]] = {
-    ("E6/P1", (0, 0, 0, 0, 0, 1)): (
-        "a general global section of this rank-10 spinor-type bundle "
-        "on the Cayley plane vanishes nowhere",
-        "nowhere-vanishing sections of the spinor bundle on the Cayley plane",
-    ),
+    ("E6/P1", (0, 0, 0, 0, 0, 1)): SPINOR,
+    ("E6/P6", (1, 0, 0, 0, 0, 0)): SPINOR,
 }
 TRIVIAL = ("a trivial summand has constant nonzero general sections",
            "constant sections of the trivial bundle")

@@ -11,7 +11,9 @@ of the fields, per degree: Lambda(A + B) = Lambda(A) (x) Lambda(B), so
 summand of F^*, the m copies of a line O(-t) as one, into a running product
 by Brauer-Klimyk, up to half the rank f, keeping every weight packed;
 Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*, gives the
-rest, once per locus.  No character of a whole Lambda^p F^* is built.
+rest, once per locus, by one packed affine map per weight
+(``repcalc.dual_kernel``).  No character of a whole Lambda^p F^* is built,
+and no page is unpacked but the right factor of each product step.
 ``e1_page`` reads each E_1 entry off by Brauer-Klimyk on the Levi side,
 per irreducible piece E_mu of E and p on those same pages, and Bott's
 theorem once per irreducible of each product, so no tensor product is
@@ -84,11 +86,13 @@ class BundleSum:
         return sum(m * dex(self.X, lam) for lam, m in self.summands)
 
     def dual(self) -> "BundleSum":
-        out: Dict[Weight, int] = {}
+        """The dual summands, each by ``PackedPage.dual``, its twist kept out of the fields."""
+        X, rr, out = self.X, rho(self.X.rs), {}
         for lam, m in self.summands:
-            d = rc.dual_highest_weight(self.X.levi, lam)
-            out[d] = out.get(d, 0) + m
-        return BundleSum.make(self.X, out)
+            t = lam[X.k - 1]
+            page = PackedPage(X, {rc.pack(add(X.twist(lam, -t), rr)): m}, t)
+            out.update(page.dual(X, 0).decomp(X))
+        return BundleSum.make(X, out)
 
     def char(self) -> rc.PackedChar:
         out: rc.PackedChar = {}
@@ -175,6 +179,19 @@ class PackedPage:
         lo = [a + b + c for a, b, c in zip(self.lo, extremes[0], line)]
         hi = [a + b + c for a, b, c in zip(self.hi, extremes[1], line)]
         return tensor.products(key, char, self.pairs, rc.packed_offset(line), lo, hi)
+
+    def dual(self, X: HomSpace, dex: int) -> "PackedPage":
+        """The page of the duals twisted by O(-dex): dual(lambda + T w_k) = dual(lambda) - T w_k, so
+        ``rc.dual_kernel`` maps each key and the twist T turns into -T - dex.  An image that would
+        leave the field, where a carry would alias another weight, is refused with its bounds."""
+        rr, twist, zero = rho(X.rs), -self.twist - dex, rc.pack_zero(X.rs.rank)
+        lo, hi = (add(b, rr) for b in rc.dual_extremes(X.levi, sub(self.lo, rr), sub(self.hi, rr)))
+        try:
+            rc.check_packable(lo, hi)
+        except rc.WeightRangeError:
+            raise rc.WeightRangeError.of_sum(X.twist(lo, twist), X.twist(hi, twist)) from None
+        dual = rc.dual_kernel(X.levi)
+        return PackedPage(X, {dual(s + zero): n for s, n, _ in self.pairs}, twist)
 
 
 @dataclass(frozen=True)
@@ -290,8 +307,8 @@ def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
     ``_graded_product``, and no character of the whole Lambda^p F^* is built.
     det F^*, the sum of the weights of the summands, is checked against the
     closed-form O(-dex F).  Degree f - p is the dual of degree p twisted by
-    det F^*, the one step that unpacks: dual(lam + T w_k) = dual(lam) - T w_k,
-    so a page twist T turns into -T - dex.  The memo is ``wedge_decomps``.
+    det F^*, ``PackedPage.dual``, packed key to packed key.  The memo is
+    ``wedge_decomps``.
     """
 
     def compute():
@@ -313,12 +330,7 @@ def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
                 # of its Levi modules, which can be large, is built
                 graded = powers if len(graded) == 1 else _graded_product(X, graded, powers, half)
         assert det == X.line(-dex), "det F^* is not O(-dex F)"
-        dual = rc.dual_highest_weight
-        return graded + [
-            PackedPage(X, {rc.pack(add(X.twist(dual(levi, lam), g.twist), rr)): n
-                           for lam, n in g.decomp(X).items()}, -g.twist - dex)
-            for g in (graded[f - p] for p in range(half + 1, f + 1))
-        ]
+        return graded + [graded[f - p].dual(X, dex) for p in range(half + 1, f + 1)]
 
     return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)
 

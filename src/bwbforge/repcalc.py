@@ -582,15 +582,40 @@ def _dual_columns(ctx: Context) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(tuple((j, a - b) for j, (a, b) in enumerate(zip(w, top)) if a != b) for w in ends)
 
 
+def dual_extremes(ctx: Context, lo: Sequence[int], hi: Sequence[int]) -> Tuple[Weight, Weight]:
+    """Per-coordinate bounds of -w_0 lam over every lam in the box lo..hi: one sparse integer
+    matrix-vector product per end, each column taking the end its sign asks for."""
+    out = [[0] * len(lo), [0] * len(lo)]
+    for a, b, column in zip(lo, hi, _dual_columns(ctx)):
+        for j, d in column:
+            out[0][j] += d * (a if d > 0 else b)
+            out[1][j] += d * (b if d > 0 else a)
+    return tuple(out[0]), tuple(out[1])
+
+
 def dual_highest_weight(ctx: Context, lam: Weight) -> Weight:
-    """Highest weight -w_0 lam of the dual module, one sparse integer matrix-vector product."""
+    """Highest weight -w_0 lam of the dual module."""
     _require_dominant(ctx, lam)
-    out = [0] * len(lam)
-    for c, column in zip(lam, _dual_columns(ctx)):
-        if c:
-            for j, a in column:
-                out[j] += a * c
-    return tuple(out)
+    return dual_extremes(ctx, lam, lam)[0]
+
+
+@lru_cache(maxsize=None)
+def dual_kernel(ctx: Context) -> Callable[[int], int]:
+    """pack(lam + rho) -> pack(-w_0 lam + rho), one sum of rank products as in ``bott_kernel``:
+    D(y - rho) + rho is base + sum_i u_i C_i, u the raw fields of y = lam + rho, C_i column i of D.
+    -w_0 permutes the context's fields and negates the omitted ones (asserted), so only an omitted
+    field of an image can leave the field: callers check ``dual_extremes`` first."""
+    rank, rr, columns, raw = ctx.rs.rank, rho(ctx.rs), _dual_columns(ctx), _fields(ctx.rs.rank)
+    levi = sorted([(j, a) for j, a in columns[i - 1] if j + 1 in ctx.levi] for i in ctx.levi)
+    assert levi == [[(i - 1, 1)] for i in ctx.levi], f"-w_0 of {ctx} does not permute its fields"
+    assert all(columns[j - 1] == ((j - 1, -1),) for j in ctx.omitted())
+    cols = [sum(a << (_BITS * j) for j, a in column) for column in columns]
+    base = pack(rr) - sum((r + _OFFSET) * c for r, c in zip(rr, cols))
+
+    def dual(y: int) -> int:
+        return sum(map(mul, raw.unpack(y.to_bytes(2 * rank, "little")), cols), base)
+
+    return dual
 
 
 def power_extremes(

@@ -7,9 +7,10 @@ optional Brauer-Klimyk shift of the tests, weight multisets,
 characters and dimensions of formal sums, tensor products, wedge and
 symmetric powers decomposed again, the packed page form of a
 decomposition, the tuple view ``wedge_decomps`` of the wedge pages of a
-locus) serve the tests and the oracles built on them.  ``freudenthal`` and
-``dominant_rep`` are oracles of engine routines; ``serre_dual_weight``
-names the Serre-duality partner of an irreducible bundle.
+locus) serve the tests and the oracles built on them.  ``freudenthal``,
+``dominant_rep`` and ``koszul_dual_pages_oracle`` are oracles of engine
+routines; ``serre_dual_weight`` names the Serre-duality partner of an
+irreducible bundle.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Dict, List
 
 from bwbforge import repcalc as rc
 from bwbforge.homspace import HomSpace, fano_index
-from bwbforge.koszul import ZeroLocus, wedge_dual_pages
+from bwbforge.koszul import PackedPage, ZeroLocus, wedge_dual_pages
 from bwbforge.rootdata import Weight, add, integral_weight_gram, rho, simple_root_weight, sub
 
 
@@ -34,6 +35,22 @@ def page_form(X: HomSpace, decomp: rc.IrrDecomp) -> rc.PackedChar:
 def wedge_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
     """{lambda: m} of Lambda^p F^*, p = 0..rank(F), unpacked from ``koszul.wedge_dual_pages``."""
     return [page.decomp(Z.space) for page in wedge_dual_pages(Z)]
+
+
+def koszul_dual_pages_oracle(Z: ZeroLocus) -> List[PackedPage]:
+    """Pages of Lambda^p F^*, p > f // 2, by Koszul duality on tuples: ``PackedPage.dual``'s oracle.
+
+    Degree f - p is (Lambda^p F^*)^* (x) det F^*, det F^* = O(-dex F), each highest weight
+    unpacked, dualised by ``repcalc.dual_highest_weight`` and packed again:
+    dual(lam + T w_k) = dual(lam) - T w_k, so a page twist T turns into -T - dex.
+    """
+    X, pages, f, dex = Z.space, wedge_dual_pages(Z), Z.bundle.rank, Z.bundle.dex
+    rr = rho(X.rs)
+    return [
+        PackedPage(X, {rc.pack(add(X.twist(rc.dual_highest_weight(X.levi, lam), g.twist), rr)): n
+                       for lam, n in g.decomp(X).items()}, -g.twist - dex)
+        for g in (pages[f - p] for p in range(f // 2 + 1, f + 1))
+    ]
 
 
 def tensor_cohomology(X: HomSpace, page, t: int, char: rc.PackedChar, extremes) -> Dict[int, int]:

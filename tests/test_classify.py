@@ -356,6 +356,9 @@ def test_the_emptiness_table_agrees_with_the_koszul_route():
         loci += [(parse_homspace(e.space), dict(e.weights)) for e in excluded]
     G2P2 = parse_homspace("G2/P2")
     loci.append((G2P2, {(0, 0): 1, (0, 1): 1}))  # the trivial summand O(0)
+    # the mirror of the spinor entry under the outer automorphism of E6
+    E6P6 = parse_homspace("E6/P6")
+    loci.append((E6P6, {(1, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, 3): 1, (0, 0, 0, 0, 0, 4): 1}))
     for X, weights in loci:
         Z = ZeroLocus(X, BundleSum.make(X, weights))
         assert hodge.empty_reason(X, Z.bundle.summands) is not None

@@ -440,6 +440,21 @@ def test_empty_locus_is_refused(argv, capsys):
     assert err == f"error: {reason}; the locus is empty\n"
 
 
+def test_both_forms_of_the_spinor_locus_are_refused_alike(capsys):
+    # the outer automorphism of E6 maps E6/P1 with w6 onto E6/P6 with w1
+    errs = []
+    for argv in (["hodge", "E6/P1", "w6 + O(3) + O(4)", "--d", "4"],
+                 ["hodge", "E6/P6", "w1 + O(3) + O(4)", "--d", "4"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errs.append(err)
+    assert errs[0] == errs[1] == (
+        "error: a general global section of this rank-10 spinor-type bundle on the "
+        "Cayley plane vanishes nowhere; the locus is empty\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["dex", "G2/P1", "[1,-1]"],
     ["bwb", "G2/P1", "[1,-1]"],

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from itertools import product
 from math import comb
 from operator import add
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwbforge import cache
+from bwbforge import cache, koszul
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology, bwb
 from bwbforge.cli import main
@@ -21,6 +23,7 @@ from bwbforge.koszul import (
     e1_page,
     restricted_cohomology,
     wedge_dual_chars,
+    wedge_dual_pages,
 )
 from bwbforge.rootdata import rho, to_dominant_chamber
 
@@ -29,6 +32,7 @@ from char_helpers import (
     char_of_decomp,
     decomp_dim,
     decompose,
+    koszul_dual_pages_oracle,
     page_form,
     tensor_cohomology,
     wedge_decomps,
@@ -436,6 +440,51 @@ def test_wedge_duality_matches_full_exterior_table(space, weights):
     full = rc.exterior_char_table(Z.bundle.dual().char(), f, Z.space.rs.rank)
     assert wedge_dual_chars(Z) == full
     assert wedge_decomps(Z) == [decompose(Z.space.levi, ch) for ch in full]
+
+
+# the Table loci, the E7/P1 fourfold, and BD (A5/P2) and DV (A9/P6) of the
+# classical half, whose Levi duals move fields
+KOSZUL_DUAL_LOCI = TABLE_LOCI + [
+    ("E7/P1", {w(7, i7=1): 2, w(7, i1=1): 5}),
+    ("A5/P2", {(3, 0, 0, 0, 0): 1}),
+    ("A9/P6", {w(9, i3=1): 1}),
+]
+
+
+@pytest.mark.parametrize("space,weights", KOSZUL_DUAL_LOCI)
+def test_packed_koszul_duality_matches_the_tuple_oracle(space, weights):
+    # the top half of the pages, packed key to packed key, field by field
+    Z = mk(space, weights)
+    top = wedge_dual_pages(Z)[Z.bundle.rank // 2 + 1 :]
+    want = koszul_dual_pages_oracle(Z)
+    assert len(top) == len(want) == Z.bundle.rank - Z.bundle.rank // 2
+    for got, page in zip(top, want):
+        assert [getattr(got, s) for s in PackedPage.__slots__] == [
+            getattr(page, s) for s in PackedPage.__slots__
+        ]
+
+
+def test_page_build_never_calls_dual_highest_weight(monkeypatch):
+    # Koszul duality maps packed keys by repcalc.dual_kernel; the tuple
+    # dual_highest_weight is the tests' oracle, off the page build
+    tree = ast.parse(pathlib.Path(koszul.__file__).read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "dual_highest_weight" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == [], f"koszul.py calls dual_highest_weight at lines {calls}"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dual_highest_weight called in the page build")
+
+    monkeypatch.setattr(rc, "dual_highest_weight", refuse)
+    monkeypatch.setattr(cache, "_dir", None)
+    cache.clear()
+    # A9/P4: -w_0 of the Levi A3 x A5 swaps nodes 1 and 3, 5 and 9, 6 and 8
+    Z = mk("A9/P4", {w(9, i7=1): 1})
+    assert len(wedge_dual_pages(Z)) == Z.bundle.rank + 1 == 21
 
 
 @pytest.mark.parametrize("space,weights", TABLE_LOCI)

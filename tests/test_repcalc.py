@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bwbforge import cache
 from bwbforge import repcalc as rc
 from bwbforge.classify import exceptional_spaces, search_spaces
+from bwbforge.homspace import parse_homspace
+from bwbforge.koszul import PackedPage
 from bwbforge.rootdata import (
     RootSystem,
     add,
@@ -689,3 +691,61 @@ def test_dual_highest_weight_is_the_dominant_representative_of_minus_lam(ctx, da
         for i in range(1, ctx.rs.rank + 1)
     )
     assert rc.dual_highest_weight(ctx, lam) == dominant_rep(ctx, tuple(-c for c in lam))
+
+
+# -- the packed dual ---------------------------------------------------------------
+
+
+def test_dual_kernel_is_the_dual_highest_weight_on_every_search_space():
+    # -w_0^L permutes the Levi fields and sends w_k to -w_k, which the range
+    # check of a dual page rests on, and every entry D_ki of its k row is at
+    # most 6; the kernel maps pack(w_i + rho) to pack(-w_0^L w_i + rho), twice
+    # back to itself
+    spaces = pairs = 0
+    for X in search_spaces("all", 11):
+        rank, k, rr, dual = X.rs.rank, X.k - 1, rho(X.rs), rc.dual_kernel(X.levi)
+        columns = []
+        for i in range(rank):
+            lam = tuple(int(j == i) for j in range(rank))
+            columns.append(rc.dual_highest_weight(X.levi, lam))
+            y = rc.pack(add(lam, rr))
+            assert dual(y) == rc.pack(add(columns[i], rr)) and dual(dual(y)) == y, (str(X), i)
+            pairs += 1
+        levi = sorted([(j, c) for j, c in enumerate(col) if j != k and c]
+                      for i, col in enumerate(columns) if i != k)
+        assert levi == [[(j, 1)] for j in range(rank) if j != k], str(X)
+        assert columns[k] == tuple(-int(j == k) for j in range(rank)), str(X)
+        assert max(abs(col[k]) for col in columns) <= 6, str(X)
+        spaces += 1
+    assert (spaces, pairs) == (284, 2174)
+
+
+@given(st.sampled_from(_EXCEPTIONAL_LEVIS + [rc.full_context(rs) for rs in (E6, E7, F4, G2)]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_dual_kernel_is_the_dual_highest_weight_on_dominant_weights(ctx, data):
+    lam = tuple(
+        data.draw(st.integers(0, 5) if i in ctx.levi else st.integers(-9, 9))
+        for i in range(1, ctx.rs.rank + 1)
+    )
+    rr, dual = rho(ctx.rs), rc.dual_kernel(ctx)
+    y = rc.pack(add(lam, rr))
+    assert dual(y) == rc.pack(add(rc.dual_highest_weight(ctx, lam), rr))
+    assert dual(dual(y)) == y
+
+
+def test_a_dual_page_past_the_field_is_refused():
+    # A2/P1: the k field of -w_0^L (y - rho) + rho is 3 - y_1 - y_2, the last
+    # value of the field, -2^15, at y = (2771, 30000), and one past it at
+    # (2772, 30000); y = rho = (1, 1) keeps the box of each page wide
+    X, twist, dex = parse_homspace("A2/P1"), 2, 1
+    edge = PackedPage(X, {rc.pack((2771, 30000)): 1, rc.pack((1, 1)): 1}, twist)
+    lams = [X.twist(sub(y, rho(X.rs)), twist) for y in ((2771, 30000), (1, 1))]
+    want = {X.twist(rc.dual_highest_weight(X.levi, lam), -dex): 1 for lam in lams}
+    assert edge.dual(X, dex).decomp(X) == want
+    past = PackedPage(X, {rc.pack((2772, 30000)): 1, rc.pack((1, 1)): 1}, twist)
+    with pytest.raises(rc.WeightRangeError) as refusal:
+        past.dual(X, dex)
+    # the bounds carry the new twist -2 - 1; the bare kernel would alias
+    assert refusal.value.bounds == ((-32772, 1), (-2, 30000))
+    assert rc.unpack(rc.dual_kernel(X.levi)(rc.pack((2772, 30000))), 2) != (-32769, 30000)
