@@ -17,7 +17,8 @@ and no page is unpacked but the right factor of each product step.
 ``e1_page`` reads each E_1 entry off by Brauer-Klimyk on the Levi side,
 per irreducible piece E_mu of E and p on those same pages, and Bott's
 theorem once per irreducible of each product, so no tensor product is
-ever expanded.  ``PackedPage.decomp`` is a page's tuple view {lambda: m}.
+ever expanded.  A module read, there or in a product step, is range-checked
+once over the hull of its pages.  ``PackedPage.decomp`` is a page's tuple view.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -173,13 +174,6 @@ class PackedPage:
         rank, rr, zero, t = X.rs.rank, rho(X.rs), rc.pack_zero(X.rs.rank), self.twist
         return {X.twist(sub(rc.unpack(s + zero, rank), rr), t): n for s, n, _ in self.pairs}
 
-    def times(self, X: HomSpace, tensor: rc.LeviTensor, t: int, key, char: rc.PackedChar, extremes):
-        """``LeviTensor.products`` with M of ``char``, its weights in ``extremes``, in O(t)."""
-        line = X.line(t + self.twist)
-        lo = [a + b + c for a, b, c in zip(self.lo, extremes[0], line)]
-        hi = [a + b + c for a, b, c in zip(self.hi, extremes[1], line)]
-        return tensor.products(key, char, self.pairs, rc.packed_offset(line), lo, hi)
-
     def dual(self, X: HomSpace, dex: int) -> "PackedPage":
         """The page of the duals twisted by O(-dex): dual(lambda + T w_k) = dual(lambda) - T w_k, so
         ``rc.dual_kernel`` maps each key and the twist T turns into -T - dex.  An image that would
@@ -259,6 +253,29 @@ def _exterior_pages(X: HomSpace, lam: Weight, copies: int, kmax: int) -> List[Pa
     return [PackedPage(X, rc.decompose_character(levi, ch), c * t) for c, ch in enumerate(table)]
 
 
+def _hull(X: HomSpace, steps) -> Tuple[Weight, Weight]:
+    """The box lo..hi of lambda + rho + T w_k over the pages of ``steps``, (page, T, back): per
+    coordinate the least lo and the greatest hi.  It leaves the field iff the box of a page does."""
+    los, his = zip(*[(X.twist(page.lo, t), X.twist(page.hi, t)) for page, t, _ in steps])
+    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+
+
+def _reader(X: HomSpace, tensor: rc.LeviTensor, key, char: rc.PackedChar, t: int, steps, hull):
+    """``tensor.reader`` of V_L(mu) (x) the pages of ``steps``, (page, T, back), ``char`` the
+    weights of V_L(mu), in O(t): one range check, of their ``hull``.  A box past the field is
+    refused with the absolute bounds, each page's twist ``back`` put back."""
+    line, extremes = X.line(t), rc.char_extremes(char, X.rs.rank)
+
+    def box(lo, hi):
+        return [tuple(map(sum, zip(end, e, line))) for end, e in zip((lo, hi), extremes)]
+
+    try:
+        return tensor.reader(key, char, *box(*hull))
+    except rc.WeightRangeError:
+        bounds = box(*_hull(X, [(page, T + back, 0) for page, T, back in steps]))
+        raise rc.WeightRangeError.of_sum(*bounds) from None
+
+
 def _graded_product(
     X: HomSpace, left: List[PackedPage], right: List[PackedPage], kmax: int
 ) -> List[PackedPage]:
@@ -268,12 +285,13 @@ def _graded_product(
     ``left``: each packed highest weight of that page reads its product with
     V_L(nu0) off the ``levi_tensor`` rows, twisted by t, and adds it packed,
     relative to the twist of its degree: the middle of the twists of the
-    pairs of pages that reach it.  Degrees above both tops together are
-    empty, and are dropped.  A sum that leaves the field is refused with
-    its weights, that twist put back.
+    pairs of pages that reach it, range-checked once per nu over the hull of
+    ``left``.  Degrees above both tops together are empty, and are dropped.
+    A sum that leaves the field is refused with the bounds of that hull, each
+    page's twist put back.
     """
-    levi, tensor, rank, k = X.levi, rc.LeviTensor(X.levi), X.rs.rank, X.k - 1
-    top = min(len(left) + len(right) - 2, kmax)
+    levi, tensor, k = X.levi, rc.LeviTensor(X.levi), X.k - 1
+    top, unit = min(len(left) + len(right) - 2, kmax), rc.packed_offset(X.line(1))
     twists = []
     for d in range(top + 1):
         reach = [left[a].twist + right[d - a].twist
@@ -281,20 +299,21 @@ def _graded_product(
         twists.append((min(reach) + max(reach)) // 2)
     sums: List[rc.PackedChar] = [{} for _ in twists]
     for c in range(min(len(right) - 1, top) + 1):
+        # left[a] lands in degree c + a, packed relative to the twist of that degree
+        steps = [(page, page.twist - t, t) for page, t in zip(left, twists[c:])]
+        hull = _hull(X, steps)
         for nu, n in right[c].decomp(X).items():
             nu0 = X.twist(nu, -nu[k])
             char = rc.char_irr(levi, nu0)
-            extremes, key = rc.char_extremes(char, rank), rc.pack(nu0)
-            for target, page, twist in zip(sums[c:], left, twists[c:]):
-                try:
-                    for s, ns, entry in page.times(X, tensor, nu[k] - twist, key, char, extremes):
-                        terms = iter(entry)
-                        for dy, m in zip(terms, terms):
-                            y = s + dy
-                            target[y] = target.get(y, 0) + n * ns * m
-                except rc.WeightRangeError as exc:
-                    bounds = (X.twist(b, twist) for b in exc.bounds)
-                    raise rc.WeightRangeError.of_sum(*bounds) from None
+            rows, fill = _reader(X, tensor, rc.pack(nu0), char, nu[k], steps, hull)
+            for target, (page, t, _) in zip(sums[c:], steps):
+                shift = (nu[k] + t) * unit
+                for s, ns, s0 in page.pairs:
+                    s += shift
+                    terms = iter(rows.get(s0) or fill(s, s0))
+                    for dy, m in zip(terms, terms):
+                        y = s + dy
+                        target[y] = target.get(y, 0) + n * ns * m
     return [PackedPage(X, shifts, twist) for shifts, twist in zip(sums, twists)]
 
 
@@ -458,10 +477,11 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
 
     Brauer-Klimyk on the Levi side, per irreducible E_mu of gr_j E and p:
     with mu = mu0 + t w_k and mu0[k] = 0, V_L(mu) is V_L(mu0) twisted by the
-    L-character w_k, so ``PackedPage.times`` reads V_L(mu0) times the page of
-    Lambda^p F^* from ``wedge_dual_pages`` off the ``levi_tensor`` rows of
-    pack(mu0), twisted by t; a page of lines needs only the weight mu0.  Bott's
-    theorem then runs once per irreducible y of the product (``bott_kernel``,
+    L-character w_k, so V_L(mu0) times the page of Lambda^p F^* from
+    ``wedge_dual_pages`` is read off the ``levi_tensor`` rows of pack(mu0),
+    twisted by t; a page of lines needs only the weight mu0, one range check
+    per E_mu its pages of lines, one the others.  Bott's theorem then runs
+    once per irreducible y of the product (``bott_kernel``,
     memoised in ``table("bwb", X)``): n * m * dim V_G in degree q, the number of
     negative coroot pairings, or nothing on a wall.  A sum leaving the packed
     field raises ``repcalc.WeightRangeError``, and a negative total (E was no
@@ -473,20 +493,28 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
         E = BundleSum.make(X, {(0,) * rank: 1})
     pages = wedge_dual_pages(Z)
     tensor, bwbs, bott = rc.LeviTensor(levi), _cache.table("bwb", X), rc.bott_kernel(X.group)
+    unit = rc.packed_offset(X.line(1))
+    # the pages of lines, then the others: one hull each, read against every E_mu
+    groups = {lines: [(page, page.twist, 0) for page in pages if page.lines == lines]
+              for lines in dict.fromkeys(page.lines for page in pages)}
+    hulls = {lines: _hull(X, steps) for lines, steps in groups.items()}
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(E.gradeds):
         for mu, mult in graded:
             check_p_dominant(X, mu)
             t, mu0 = mu[k], X.twist(mu, -mu[k])
-            key = rc.pack(mu0)
-            point, module = ({key: 1}, (mu0, mu0)), None
+            key, reads = rc.pack(mu0), {}
+            for lines, steps in groups.items():
+                # a page of lines needs only the weight mu0
+                char = {key: 1} if lines else rc.char_irr(levi, mu0)
+                reads[lines] = _reader(X, tensor, key, char, t, steps, hulls[lines])
             for p, page in enumerate(pages):
-                if module is None and not page.lines:
-                    char = rc.char_irr(levi, mu0)
-                    module = char, rc.char_extremes(char, rank)
+                rows, fill = reads[page.lines]
+                shift = (page.twist + t) * unit
                 row: Dict[int, int] = {}
-                for s, n, entry in page.times(X, tensor, t, key, *(point if page.lines else module)):
-                    terms = iter(entry)
+                for s, n, s0 in page.pairs:
+                    s += shift
+                    terms = iter(rows.get(s0) or fill(s, s0))
                     for dy, m in zip(terms, terms):
                         y = s + dy
                         got = bwbs.get(y, False)  # None marks a wall

@@ -161,6 +161,7 @@ def pack_zero(rank: int) -> int:
     return pack((0,) * rank)
 
 
+@lru_cache(maxsize=None)
 def levi_mask(ctx: Context) -> int:
     """The packed fields of the coordinates in ``ctx.levi``: x & mask zeroes the others."""
     return sum(_MASK << (_BITS * (i - 1)) for i in ctx.levi)
@@ -409,7 +410,7 @@ class LeviTensor:
     """V_L(lambda) (x) V_L(mu) by Brauer-Klimyk, memoised in ``table("levi_tensor", ctx)``:
     pack(mu), then the Levi fields s0 of pack(lambda + rho), maps to the
     ``climb_tally`` entry (dy, m, ...).  W_L fixes the omitted w_j (Humphreys 10.3), so
-    each shift s with that Levi part yields y = s + dy.  Tables and climb rows are fetched once."""
+    each shift s with that Levi part yields y = s + dy, read by ``reader`` after one range check."""
 
     def __init__(self, ctx: Context):
         self.ctx, self.twist_free, self.climb_rows = ctx, _twist_free(ctx), _climb_rows(ctx)
@@ -429,23 +430,24 @@ class LeviTensor:
             return {}, -1, 0
         return self.climbs, mask, zero
 
-    def products(self, key, char: PackedChar, pairs, twist: int, lo: Weight, hi: Weight):
-        """(s, n, (dy, m, ...)) per (s - twist, n, s0) of ``pairs``, lo..hi bounding each s + nu.
-
-        ``key`` packs the highest weight of the module of ``char``; with None, or past
-        the carry bound, the entries stay in this call.  m < 0 raises."""
+    def reader(self, key, char: PackedChar, lo: Weight, hi: Weight):
+        """One ``climb_keys`` of lo..hi, bounding every s + nu read: the rows s0 -> entry of
+        ``key``, pack(mu) of the module of ``char`` (None: this call's), and fill(s, s0), the
+        ``climb_tally`` entry of s (m < 0 raises), kept under s0 unless past the carry bound, where
+        x itself keys the climb.  No entry of a genuine module is empty, so a read is
+        ``rows.get(s0) or fill(s, s0)``."""
         climbs, mask, zero = self.climb_keys(lo, hi)
         rows = {} if key is None or mask == -1 else self.rows.setdefault(key, {})
-        for s, n, s0 in pairs:
-            s += twist
-            s0 = s if mask == -1 else s0
-            entry = rows.get(s0)
-            if entry is None:
-                entry = climb_tally(self.ctx, char, s, climbs, mask, zero, self.climb_rows)
-                if any(m < 0 for m in entry[1::2]):
-                    raise AssertionError("negative multiplicity: input was not a character")
+
+        def fill(s: int, s0: int) -> Tuple[int, ...]:
+            entry = climb_tally(self.ctx, char, s, climbs, mask, zero, self.climb_rows)
+            if any(m < 0 for m in entry[1::2]):
+                raise AssertionError("negative multiplicity: input was not a character")
+            if mask != -1:
                 rows[s0] = entry
-            yield s, n, entry
+            return entry
+
+        return rows, fill
 
 
 def decompose_character(ctx: Context, char: PackedChar) -> PackedChar:
@@ -458,7 +460,7 @@ def decompose_character(ctx: Context, char: PackedChar) -> PackedChar:
         return {}
     rr, (lo, hi) = rho(ctx.rs), char_extremes(char, ctx.rs.rank)
     s, lo, hi = packed_offset(rr), add(lo, rr), add(hi, rr)
-    ((_, _, entry),) = LeviTensor(ctx).products(None, char, [(s, 1, s)], 0, lo, hi)
+    entry = LeviTensor(ctx).reader(None, char, lo, hi)[1](s, s)
     return {s + dy: m for dy, m in zip(entry[::2], entry[1::2])}
 
 

@@ -57,11 +57,21 @@ def tensor_cohomology(X: HomSpace, page, t: int, char: rc.PackedChar, extremes) 
     """Dimensions of H^q(X, E(t) (x) M), E the ``koszul.PackedPage`` ``page``, M the L-module of
     ``char`` with its weights in ``extremes``: the oracle of the E1 read of ``koszul.e1_page``.
 
-    Brauer-Klimyk by ``page.times``, its rows kept in this call, then Bott's theorem per
+    The page alone is range-checked, then Brauer-Klimyk by ``repcalc.climb_tally`` per highest
+    weight, every x climbed on its own (no key, no table; m < 0 raises), then Bott's theorem per
     irreducible y straight from ``repcalc.bott_kernel``, with no ``table("bwb", X)``.
     """
+    line = X.line(t + page.twist)
+    lo, hi = ([a + b + c for a, b, c in zip(end, e, line)]
+              for end, e in zip((page.lo, page.hi), extremes))
+    rc.check_packable(lo, hi)
+    off, rows = rc.packed_offset(line), rc._climb_rows(X.levi)
     bott, out = rc.bott_kernel(X.group), {}
-    for s, n, entry in page.times(X, rc.LeviTensor(X.levi), t, None, char, extremes):
+    for s, n, _ in page.pairs:
+        s += off
+        entry = rc.climb_tally(X.levi, char, s, {}, -1, 0, rows)
+        if any(m < 0 for m in entry[1::2]):
+            raise AssertionError("negative multiplicity: input was not a character")
         for dy, m in zip(entry[::2], entry[1::2]):
             got = bott(s + dy)
             if got is not None:
@@ -96,7 +106,7 @@ def decompose(ctx: rc.Context, char: rc.PackedChar, shift=None) -> rc.IrrDecomp:
     else:
         lift, (lo, hi) = add(shift, rr), rc.char_extremes(char, ctx.rs.rank)
         s, lo, hi = rc.packed_offset(lift), add(lo, lift), add(hi, lift)
-        ((_, _, entry),) = rc.LeviTensor(ctx).products(None, char, [(s, 1, s)], 0, lo, hi)
+        entry = rc.LeviTensor(ctx).reader(None, char, lo, hi)[1](s, s)
         packed = {s + dy: m for dy, m in zip(entry[::2], entry[1::2])}
     return {sub(rc.unpack(y, ctx.rs.rank), rr): m for y, m in packed.items()}
 

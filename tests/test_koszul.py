@@ -692,6 +692,97 @@ def test_restricted_cohomology_refuses_the_wedge_overflow():
         restricted_cohomology(Z, None)
 
 
+def _pages_leave_the_field(Z, mu):
+    """Whether a page of Lambda^* F^* times V_L(mu0) in O(t) leaves the field, each page alone:
+    its lo..hi, the extremes of V_L(mu0) (of the weight mu0 on a page of lines), its twist and t."""
+    X = Z.space
+    t, mu0 = mu[X.k - 1], X.twist(mu, -mu[X.k - 1])
+    module = rc.char_extremes(rc.char_irr(X.levi, mu0), X.rs.rank)
+    for page in wedge_dual_pages(Z):
+        lo, hi = (mu0, mu0) if page.lines else module
+        line = X.line(t + page.twist)
+        try:
+            rc.check_packable(list(map(add, map(add, page.lo, lo), line)),
+                              list(map(add, map(add, page.hi, hi), line)))
+        except rc.WeightRangeError:
+            return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(locus=st.sampled_from(SWEEP_LOCI), parts=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+       t=st.one_of(st.integers(-2**15 - 40, -2**15 + 40), st.integers(2**15 - 40, 2**15 + 40)))
+def test_e1_page_at_the_edges_of_the_field_refuses_exactly_past_a_page(locus, parts, t):
+    # one range check over the hull of the pages refuses exactly when one page alone would
+    Z = mk(*locus)
+    E = _random_sum(Z, [(*parts, t)])
+    (mu, _), = E.summands
+    try:
+        got = e1_page(Z, E)
+    except rc.WeightRangeError:
+        got = "refused"
+    want = "refused" if _pages_leave_the_field(Z, mu) else _per_weight_entries(Z, E)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.integers(1, 40000),
+       gap=st.one_of(st.integers(1, 3), st.integers(65520, 65550)))
+def test_wedge_pages_of_two_lines_at_the_edge_refuse_exactly_past_a_page(a, gap):
+    # Lambda^1 of O(-a) + O(-b) is packed relative to the middle m of -a and -b, one
+    # page per line of F^*: its k field 1 - a - m or 1 - b - m must fit
+    b = a + gap
+    X = parse_homspace("G2/P2")
+    Z = mk("G2/P2", {(0, a): 1, (0, b): 1})
+    middle = (-a - b) // 2
+    try:
+        for s in (-a - middle, -b - middle):
+            rc.check_packable((1, 1 + s), (1, 1 + s))
+        want = [{(0, 0): 1}, {(0, -a): 1, (0, -b): 1}, {X.line(-a - b): 1}]
+    except rc.WeightRangeError:
+        want = "refused"
+    cache.clear()
+    try:
+        got = [page.decomp(X) for page in wedge_dual_pages(Z)]
+    except rc.WeightRangeError:
+        got = "refused"
+    assert got == want
+
+
+def test_one_range_check_per_module_not_per_page(monkeypatch):
+    # e1_page checks each irreducible piece of E at most twice (its pages of lines,
+    # then the others), and a product step each irreducible of its right factor once
+    checks = []
+    climb_keys = rc.LeviTensor.climb_keys
+
+    def counted(self, lo, hi):
+        checks.append((lo, hi))
+        return climb_keys(self, lo, hi)
+
+    assert not hasattr(PackedPage, "times") and not hasattr(rc.LeviTensor, "products")
+    monkeypatch.setattr(cache, "_dir", None)
+    monkeypatch.setattr(rc.LeviTensor, "climb_keys", counted)
+    graded_product = koszul._graded_product
+    steps = []
+
+    def product(X, left, right, kmax):
+        before, top = len(checks), min(len(left) + len(right) - 2, kmax)
+        out = graded_product(X, left, right, kmax)
+        irreducibles = sum(len(page.pairs) for page in right[: min(len(right) - 1, top) + 1])
+        steps.append((len(checks) - before, irreducibles))
+        return out
+
+    monkeypatch.setattr(koszul, "_graded_product", product)
+    cache.clear()
+    Z = mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1})
+    wedge_dual_pages(Z)
+    assert len(steps) == 4 and all(0 < n <= right for n, right in steps)
+    E = omega_filtration(Z.space).twist(Z.space, 1)
+    del checks[:]
+    e1_page(Z, E)
+    assert 0 < len(checks) <= 2 * sum(len(g) for g in E.gradeds)
+
+
 # -- wedge decompositions built from the summands of F ----------------------------
 
 SUM_SPACES = (

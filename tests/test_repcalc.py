@@ -578,9 +578,10 @@ def _levi_part(ctx, x):
 def _table_tally(ctx, key, char, shifts, lo, hi):
     """The same sum read off the ``levi_tensor`` table under ``key``; shifts are rho-shifted."""
     pairs = [(rc.packed_offset(s), n, _levi_part(ctx, s)) for s, n in shifts]
+    rows, fill = rc.LeviTensor(ctx).reader(key, char, lo, hi)
     tally = {}
-    for shift, n, entry in rc.LeviTensor(ctx).products(key, char, pairs, 0, lo, hi):
-        terms = iter(entry)
+    for shift, n, s0 in pairs:
+        terms = iter(rows.get(s0) or fill(shift, s0))
         for dy, m in zip(terms, terms):
             tally[shift + dy] = tally.get(shift + dy, 0) + n * m
     return {y: m for y, m in tally.items() if m}
