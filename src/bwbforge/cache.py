@@ -13,9 +13,10 @@ counts the entries of every table, :func:`namespace_entries` per
 namespace, and :func:`clear` empties them all.
 
 :func:`memo` keeps its results in ``table(namespace)``, keyed by the key
-object: ``char`` (Levi and group characters) and ``wedge_decomps`` (the
-packed pages of the wedge powers of F^*, ``koszul.wedge_dual_pages``, per
-locus).  The ``wedge_chars`` namespace fills only when
+object: ``char`` (Levi and group characters) and ``wedge_decomps`` (per
+locus, ``koszul.read_plan``: the packed pages of the wedge powers of the
+module summands of F^*, the twists of its lines and the hulls the E_1
+read range-checks).  The ``wedge_chars`` namespace fills only when
 ``koszul.wedge_dual_chars`` is called, which no engine route does.  When a
 cache directory is attached (:func:`set_cache_dir`, which the CLI's
 ``--cache`` calls; no environment variable is read), a miss is also

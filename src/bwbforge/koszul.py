@@ -6,19 +6,25 @@ Tensoring with any bundle E and taking hypercohomology computes H^*(Z, E|_Z)
 purely from Borel-Weil-Bott data.
 
 The wedge powers are packed pages, {pack(lambda + rho): m} and a twist out
-of the fields, per degree: Lambda(A + B) = Lambda(A) (x) Lambda(B), so
-``wedge_dual_pages`` multiplies the exterior powers of each irreducible
-summand of F^*, the m copies of a line O(-t) as one, into a running product
-by Brauer-Klimyk, up to half the rank f, keeping every weight packed;
-Koszul duality, Lambda^{f-p} F^* = (Lambda^p F^*)^* (x) det F^*, gives the
-rest, once per locus, by one packed affine map per weight
-(``repcalc.dual_kernel``).  No character of a whole Lambda^p F^* is built,
-and no page is unpacked but the right factor of each product step.
-``e1_page`` reads each E_1 entry off by Brauer-Klimyk on the Levi side,
-per irreducible piece E_mu of E and p on those same pages, and Bott's
-theorem once per irreducible of each product, so no tensor product is
-ever expanded.  A module read, there or in a product step, is range-checked
-once over the hull of its pages.  ``PackedPage.decomp`` is a page's tuple view.
+of the fields, per degree.  F = F' + lines, F' the module summands:
+Lambda(A + B) = Lambda(A) (x) Lambda(B), so ``read_plan`` multiplies the
+exterior powers of each module summand of F'^* into a running product by
+Brauer-Klimyk, up to half the rank f' of F', keeping every weight packed;
+Koszul duality, Lambda^{f'-a} F'^* = (Lambda^a F'^*)^* (x) det F'^*, gives
+the rest, once per locus, by one packed affine map per weight
+(``repcalc.dual_kernel``).  The lines enter no product: Lambda^c of
+O(t_1)^{m_1} + ... is the polynomial of twists prod_i sum_c C(m_i, c)
+O(-c t_i), so Lambda^p F^* is the sum over a + c = p of its terms times
+Lambda^a F'^*.  No character of a whole Lambda^p F^* is built, and no page
+is unpacked but the right factor of each product step.  ``e1_page`` reads
+each E_1 entry off by Brauer-Klimyk on the Levi side, per irreducible piece
+E_mu of E, page a and term of the lines, on those same pages, the term a
+twist of the read, and Bott's theorem once per irreducible of each
+product, so no tensor product is ever expanded.  A module read, there or in
+a product step, is range-checked once over the hull of its pages; a page of
+lines needs only the weight mu0, and no climb.  ``wedge_dual_pages`` merges
+the pages of Lambda^p F^* themselves, for ``ext``; ``PackedPage.decomp`` is
+a page's tuple view.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -36,7 +42,8 @@ reported as bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import comb
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import cache as _cache
 from . import repcalc as rc
@@ -218,7 +225,7 @@ class ZeroLocus:
 def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     """Characters of Lambda^p F^* for p = 0..rank(F).
 
-    No engine route calls it: the E1 page reads only ``wedge_dual_pages``,
+    No engine route calls it: the E1 page reads only the ``read_plan``,
     built from the summands of F.  The benchmark warms its ``restrict-mix``
     loci through this name, and the tests keep it as their per-weight oracle.
 
@@ -244,36 +251,37 @@ def wedge_dual_chars(Z: ZeroLocus) -> List[rc.PackedChar]:
     return _cache.memo("wedge_chars", (str(Z.space), Z.bundle.summands), compute)
 
 
-def _exterior_pages(X: HomSpace, lam: Weight, copies: int, kmax: int) -> List[PackedPage]:
-    """Pages of Lambda^c (V_L(lam)^copies), c <= kmax: for lam = lam0 + t w_k, the per-weight
-    product of ``copies`` times each weight of V_L(lam0), decomposed, twisted by c t."""
+def _exterior_pages(X: HomSpace, lam: Weight, kmax: int) -> List[PackedPage]:
+    """Pages of Lambda^c V_L(lam), c <= kmax: for lam = lam0 + t w_k, the exterior powers of the
+    weights of V_L(lam0), decomposed, twisted by c t.  Only modules come here: a line is a term."""
     levi, t, lam0 = X.levi, lam[X.k - 1], X.twist(lam, -lam[X.k - 1])
-    char = {v: copies * n for v, n in rc.char_irr(levi, lam0).items()}
-    table = rc.exterior_char_table(char, min(copies * rc.weyl_dim(levi, lam0), kmax), X.rs.rank)
+    char = rc.char_irr(levi, lam0)
+    table = rc.exterior_char_table(char, min(rc.weyl_dim(levi, lam0), kmax), X.rs.rank)
     return [PackedPage(X, rc.decompose_character(levi, ch), c * t) for c, ch in enumerate(table)]
 
 
 def _hull(X: HomSpace, steps) -> Tuple[Weight, Weight]:
-    """The box lo..hi of lambda + rho + T w_k over the pages of ``steps``, (page, T, back): per
+    """The box lo..hi of lambda + rho + T w_k over the pages of ``steps``, (page, T, _): per
     coordinate the least lo and the greatest hi.  It leaves the field iff the box of a page does."""
     los, his = zip(*[(X.twist(page.lo, t), X.twist(page.hi, t)) for page, t, _ in steps])
     return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
 
 
-def _reader(X: HomSpace, tensor: rc.LeviTensor, key, char: rc.PackedChar, t: int, steps, hull):
-    """``tensor.reader`` of V_L(mu) (x) the pages of ``steps``, (page, T, back), ``char`` the
-    weights of V_L(mu), in O(t): one range check, of their ``hull``.  A box past the field is
-    refused with the absolute bounds, each page's twist ``back`` put back."""
-    line, extremes = X.line(t), rc.char_extremes(char, X.rs.rank)
+def _box(X: HomSpace, hull, extremes, t: int) -> List[Weight]:
+    """The box of lambda + rho + nu + t w_k, lambda + rho over ``hull`` and nu over ``extremes``."""
+    line = X.line(t)
+    return [tuple(map(sum, zip(end, e, line))) for end, e in zip(hull, extremes)]
 
-    def box(lo, hi):
-        return [tuple(map(sum, zip(end, e, line))) for end, e in zip((lo, hi), extremes)]
 
-    try:
-        return tensor.reader(key, char, *box(*hull))
-    except rc.WeightRangeError:
-        bounds = box(*_hull(X, [(page, T + back, 0) for page, T, back in steps]))
-        raise rc.WeightRangeError.of_sum(*bounds) from None
+def _middle_twists(left: Sequence[int], right: Sequence[int], kmax: int) -> List[int]:
+    """The twist of each degree 0..kmax of a graded product of pages twisted ``left`` and
+    ``right``: the middle of the twists of the pairs of pages that reach it."""
+    out = []
+    for d in range(min(len(left) + len(right) - 2, kmax) + 1):
+        reach = [left[a] + right[d - a]
+                 for a in range(max(0, d + 1 - len(right)), min(d, len(left) - 1) + 1)]
+        out.append((min(reach) + max(reach)) // 2)
+    return out
 
 
 def _graded_product(
@@ -284,28 +292,28 @@ def _graded_product(
     Brauer-Klimyk per irreducible nu = nu0 + t w_k of ``right`` and page of
     ``left``: each packed highest weight of that page reads its product with
     V_L(nu0) off the ``levi_tensor`` rows, twisted by t, and adds it packed,
-    relative to the twist of its degree: the middle of the twists of the
-    pairs of pages that reach it, range-checked once per nu over the hull of
-    ``left``.  Degrees above both tops together are empty, and are dropped.
-    A sum that leaves the field is refused with the bounds of that hull, each
-    page's twist put back.
+    relative to the twist of its degree (``_middle_twists``), range-checked
+    once per nu over the hull of ``left``.  Degrees above both tops together
+    are empty, and are dropped.  A sum that leaves the field is refused with
+    the bounds of that hull, each page's twist put back.
     """
-    levi, tensor, k = X.levi, rc.LeviTensor(X.levi), X.k - 1
-    top, unit = min(len(left) + len(right) - 2, kmax), rc.packed_offset(X.line(1))
-    twists = []
-    for d in range(top + 1):
-        reach = [left[a].twist + right[d - a].twist
-                 for a in range(max(0, d + 1 - len(right)), min(d, len(left) - 1) + 1)]
-        twists.append((min(reach) + max(reach)) // 2)
+    levi, tensor, k, rank = X.levi, rc.LeviTensor(X.levi), X.k - 1, X.rs.rank
+    twists = _middle_twists([page.twist for page in left], [page.twist for page in right], kmax)
+    unit = rc.packed_offset(X.line(1))
     sums: List[rc.PackedChar] = [{} for _ in twists]
-    for c in range(min(len(right) - 1, top) + 1):
+    for c in range(min(len(right), len(twists))):
         # left[a] lands in degree c + a, packed relative to the twist of that degree
         steps = [(page, page.twist - t, t) for page, t in zip(left, twists[c:])]
         hull = _hull(X, steps)
         for nu, n in right[c].decomp(X).items():
             nu0 = X.twist(nu, -nu[k])
             char = rc.char_irr(levi, nu0)
-            rows, fill = _reader(X, tensor, rc.pack(nu0), char, nu[k], steps, hull)
+            extremes = rc.char_extremes(char, rank)
+            try:
+                rows, fill = tensor.reader(rc.pack(nu0), char, *_box(X, hull, extremes, nu[k]))
+            except rc.WeightRangeError:
+                absolute = _hull(X, [(page, T + back, 0) for page, T, back in steps])
+                raise rc.WeightRangeError.of_sum(*_box(X, absolute, extremes, nu[k])) from None
             for target, (page, t, _) in zip(sums[c:], steps):
                 shift = (nu[k] + t) * unit
                 for s, ns, s0 in page.pairs:
@@ -317,41 +325,118 @@ def _graded_product(
     return [PackedPage(X, shifts, twist) for shifts, twist in zip(sums, twists)]
 
 
-def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
-    """Pages {pack(lambda + rho): m} of Lambda^p F^*, p = 0..rank(F), memoised per locus.
+def _line_terms(X: HomSpace, lines) -> Tuple[Tuple[int, int, int], ...]:
+    """(c, T, C) of the lines O(t_i)^{m_i} of F: Lambda^c of their duals holds O(T) C times, the
+    polynomial prod_i sum_c C(m_i, c) O(-c t_i), terms of one (c, T) merged."""
+    terms = {(0, 0): 1}
+    for lam, m in lines:
+        t, out = lam[X.k - 1], {}
+        for (c, T), n in terms.items():
+            for i in range(m + 1):
+                out[c + i, T - i * t] = out.get((c + i, T - i * t), 0) + n * comb(m, i)
+        terms = out
+    return tuple((c, T, n) for (c, T), n in terms.items())
+
+
+class ReadPlan(NamedTuple):
+    """How ``e1_page`` reads Lambda^* F^* of a locus, F = F' + lines, its ``wedge_decomps`` memo.
+
+    ``pages`` are those of Lambda^a F'^*, a = 0..rank F', of the module summands alone; ``terms``
+    the (c, T, C) of the lines, ``_line_terms``, so Lambda^p F^* is the sum over a + c = p of C
+    copies of page a twisted by O(T); ``hulls`` maps ``page.lines`` to the box of
+    lambda + rho + (page.twist + T) w_k over every (page, T) of that group.
+    """
+
+    pages: Tuple[PackedPage, ...]
+    terms: Tuple[Tuple[int, int, int], ...]
+    hulls: Dict[bool, Tuple[Weight, Weight]]
+
+
+def read_plan(Z: ZeroLocus) -> ReadPlan:
+    """The ``ReadPlan`` of Z, memoised per locus in ``wedge_decomps``.
 
     Lambda(A + B) = Lambda(A) (x) Lambda(B) as graded modules, so degrees up
-    to f // 2 are a running product over the summands of F^*, lines as much
-    as modules: each contributes its ``_exterior_pages``, multiplied in by
-    ``_graded_product``, and no character of the whole Lambda^p F^* is built.
-    det F^*, the sum of the weights of the summands, is checked against the
-    closed-form O(-dex F).  Degree f - p is the dual of degree p twisted by
-    det F^*, ``PackedPage.dual``, packed key to packed key.  The memo is
-    ``wedge_decomps``.
+    to f' // 2, f' = rank F', are a running product over the module summands
+    of F^*: each contributes its ``_exterior_pages``, multiplied in by
+    ``_graded_product``, and no character of the whole Lambda^a F'^* is
+    built.  det F'^*, the sum of the weights of the summands, is checked
+    against the closed-form O(-dex F').  Degree f' - a is the dual of degree
+    a twisted by det F'^*, ``PackedPage.dual``, packed key to packed key.
+    The lines enter no product: they are the twists of ``terms``.
     """
 
     def compute():
-        X, levi, dex, k = Z.space, Z.space.levi, Z.bundle.dex, Z.space.k - 1
-        f, half, rank, rr = Z.bundle.rank, Z.bundle.rank // 2, Z.space.rs.rank, rho(Z.space.rs)
+        X, levi, k = Z.space, Z.space.levi, Z.space.k - 1
+        rank, rr = X.rs.rank, rho(X.rs)
+        lines = [(lam, m) for lam, m in Z.bundle.summands if rc.weyl_dim(levi, lam) == 1]
+        modules = BundleSum(X, tuple(s for s in Z.bundle.summands if s not in lines))
+        f, half, dex = modules.rank, modules.rank // 2, modules.dex
         det, graded = (0,) * rank, [PackedPage(X, {rc.pack(rr): 1})]
         # a product step climbs dim V_L(nu) weights per running highest
         # weight, 2^dim V per Lambda V: the largest V goes first
-        for lam, m in sorted(Z.bundle.dual().summands, key=lambda s: -rc.weyl_dim(levi, s[0])):
+        for lam, m in sorted(modules.dual().summands, key=lambda s: -rc.weyl_dim(levi, s[0])):
             for v, mult in rc.char_irr(levi, X.twist(lam, -lam[k])).items():
                 det = add(det, tuple(m * mult * c for c in rc.unpack(v, rank)))
             det = X.twist(det, m * rc.weyl_dim(levi, lam) * lam[k])
-            # the m copies of a line are one factor, one weight of multiplicity m;
-            # a module's are m factors, as Lambda(V^m) has C(m dim V, c) weights
-            copies = m if rc.weyl_dim(levi, lam) == 1 else 1
-            powers = _exterior_pages(X, lam, copies, half)
-            for _ in range(m // copies):
+            powers = _exterior_pages(X, lam, half)
+            for _ in range(m):
                 # times the trivial module, the factor itself: no character
                 # of its Levi modules, which can be large, is built
                 graded = powers if len(graded) == 1 else _graded_product(X, graded, powers, half)
-        assert det == X.line(-dex), "det F^* is not O(-dex F)"
-        return graded + [graded[f - p].dual(X, dex) for p in range(half + 1, f + 1)]
+        assert det == X.line(-dex), "det F'^* is not O(-dex F')"
+        pages = graded + [graded[f - a].dual(X, dex) for a in range(half + 1, f + 1)]
+        terms = _line_terms(X, lines)
+        steps: Dict[bool, list] = {}
+        for page in pages:
+            steps.setdefault(page.lines, []).extend((page, page.twist + T, 0) for _, T, _ in terms)
+        return ReadPlan(tuple(pages), terms, {group: _hull(X, s) for group, s in steps.items()})
 
     return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)
+
+
+def _wedge_twists(Z: ZeroLocus) -> List[int]:
+    """The twist each page of Lambda^p F^* is packed relative to, the one a running product with
+    the lines as factors gives it, so a page fits the field exactly when that product's does:
+    ``_middle_twists`` over the summands of F^*, largest first, a module's m copies as m factors
+    of pages c t and a line's as one of pages C(m, c) O(c t), up to f // 2; above, -T - dex F of
+    degree f - p, by Koszul duality."""
+    X, levi, k, f = Z.space, Z.space.levi, Z.space.k - 1, Z.bundle.rank
+    twists, half = [0], f // 2
+    for lam, m in sorted(Z.bundle.dual().summands, key=lambda s: -rc.weyl_dim(levi, s[0])):
+        dim = rc.weyl_dim(levi, lam)
+        for top in [m] if dim == 1 else [dim] * m:
+            right = [c * lam[k] for c in range(min(top, half) + 1)]
+            twists = right if len(twists) == 1 else _middle_twists(twists, right, half)
+    return twists + [-twists[f - p] - Z.bundle.dex for p in range(half + 1, f + 1)]
+
+
+def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
+    """Pages {pack(lambda + rho): m} of Lambda^p F^*, p = 0..rank(F), for ``ext`` and the tests.
+
+    The packed shift-merge of the ``read_plan``: degree p is the sum over
+    a + c = p of C times page a of Lambda^a F'^* twisted by O(T), each term
+    (c, T, C) of the lines, shifted into the twist ``_wedge_twists`` gives
+    its degree; no climb and no Levi read.  A page past the field is refused
+    with its bounds, each constituent's twist put back.
+    """
+    X, plan = Z.space, read_plan(Z)
+    zero, unit = rc.pack_zero(X.rs.rank), rc.packed_offset(X.line(1))
+    out = []
+    for p, twist in enumerate(_wedge_twists(Z)):
+        parts = [(page, page.twist + T - twist, n) for a, page in enumerate(plan.pages)
+                 for c, T, n in plan.terms if a + c == p]
+        try:
+            rc.check_packable(*_hull(X, parts))
+        except rc.WeightRangeError:
+            absolute = _hull(X, [(page, T + twist, 0) for page, T, _ in parts])
+            raise rc.WeightRangeError.of_sum(*absolute) from None
+        shifts: rc.PackedChar = {}
+        for page, T, n in parts:
+            shift = zero + T * unit
+            for s, ns, _ in page.pairs:
+                shifts[s + shift] = shifts.get(s + shift, 0) + n * ns
+        out.append(PackedPage(X, shifts, twist))
+    return out
 
 
 # -- hypercohomology bookkeeping ---------------------------------------------
@@ -475,13 +560,15 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
 def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], int]:
     """The Koszul E_1 page of E|_Z: {(p, j, q): dim H^q(X, Lambda^p F^* (x) gr_j E)}.
 
-    Brauer-Klimyk on the Levi side, per irreducible E_mu of gr_j E and p:
-    with mu = mu0 + t w_k and mu0[k] = 0, V_L(mu) is V_L(mu0) twisted by the
-    L-character w_k, so V_L(mu0) times the page of Lambda^p F^* from
-    ``wedge_dual_pages`` is read off the ``levi_tensor`` rows of pack(mu0),
-    twisted by t; a page of lines needs only the weight mu0, one range check
-    per E_mu its pages of lines, one the others.  Bott's theorem then runs
-    once per irreducible y of the product (``bott_kernel``,
+    Brauer-Klimyk on the Levi side, per irreducible E_mu of gr_j E and page a
+    of the ``read_plan``: with mu = mu0 + t w_k and mu0[k] = 0, V_L(mu) is
+    V_L(mu0) twisted by the L-character w_k, so V_L(mu0) times the page of
+    Lambda^a F'^* is read off the twist-free ``levi_tensor`` rows of pack(mu0)
+    once per term (c, T, C) of the lines, shifted by (page twist + T + t) w_k,
+    and added C times at p = a + c.  A page of lines needs only the weight
+    mu0: each of its reads is y = s + shift + pack(mu0), no climb and no fill.
+    One range check per E_mu and group of the plan, of its hull.  Bott's
+    theorem then runs once per irreducible y of the product (``bott_kernel``,
     memoised in ``table("bwb", X)``): n * m * dim V_G in degree q, the number of
     negative coroot pairings, or nothing on a wall.  A sum leaving the packed
     field raises ``repcalc.WeightRangeError``, and a negative total (E was no
@@ -491,40 +578,42 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     k, rank, levi = X.k - 1, X.rs.rank, X.levi
     if E is None:
         E = BundleSum.make(X, {(0,) * rank: 1})
-    pages = wedge_dual_pages(Z)
+    plan = read_plan(Z)
     tensor, bwbs, bott = rc.LeviTensor(levi), _cache.table("bwb", X), rc.bott_kernel(X.group)
-    unit = rc.packed_offset(X.line(1))
-    # the pages of lines, then the others: one hull each, read against every E_mu
-    groups = {lines: [(page, page.twist, 0) for page in pages if page.lines == lines]
-              for lines in dict.fromkeys(page.lines for page in pages)}
-    hulls = {lines: _hull(X, steps) for lines, steps in groups.items()}
+    # every lambda + rho of a page of lines has the Levi fields of rho
+    unit, flat = rc.packed_offset(X.line(1)), rc.pack(rho(X.rs)) & rc.levi_mask(levi)
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(E.gradeds):
         for mu, mult in graded:
             check_p_dominant(X, mu)
             t, mu0 = mu[k], X.twist(mu, -mu[k])
             key, reads = rc.pack(mu0), {}
-            for lines, steps in groups.items():
-                # a page of lines needs only the weight mu0
-                char = {key: 1} if lines else rc.char_irr(levi, mu0)
-                reads[lines] = _reader(X, tensor, key, char, t, steps, hulls[lines])
-            for p, page in enumerate(pages):
+            for lines, hull in plan.hulls.items():
+                if lines:
+                    rc.check_packable(*_box(X, hull, (mu0, mu0), t))
+                    reads[lines] = {flat: (key, 1)}, None
+                else:
+                    char = rc.char_irr(levi, mu0)
+                    box = _box(X, hull, rc.char_extremes(char, rank), t)
+                    reads[lines] = tensor.reader(key, char, *box)
+            for a, page in enumerate(plan.pages):
                 rows, fill = reads[page.lines]
-                shift = (page.twist + t) * unit
-                row: Dict[int, int] = {}
-                for s, n, s0 in page.pairs:
-                    s += shift
-                    terms = iter(rows.get(s0) or fill(s, s0))
-                    for dy, m in zip(terms, terms):
-                        y = s + dy
-                        got = bwbs.get(y, False)  # None marks a wall
-                        if got is False:
-                            got = bwbs[y] = bott(y)
-                        if got is not None:
-                            q, dim = got
-                            row[q] = row.get(q, 0) + n * m * dim
-                for q, n in row.items():
-                    entries[(p, j, q)] = entries.get((p, j, q), 0) + mult * n
+                for c, T, C in plan.terms:
+                    shift = (page.twist + T + t) * unit
+                    row: Dict[int, int] = {}
+                    for s, n, s0 in page.pairs:
+                        s += shift
+                        terms = iter(rows.get(s0) or fill(s, s0))
+                        for dy, m in zip(terms, terms):
+                            y = s + dy
+                            got = bwbs.get(y, False)  # None marks a wall
+                            if got is False:
+                                got = bwbs[y] = bott(y)
+                            if got is not None:
+                                q, dim = got
+                                row[q] = row.get(q, 0) + n * m * dim
+                    for q, n in row.items():
+                        entries[(a + c, j, q)] = entries.get((a + c, j, q), 0) + mult * C * n
     if any(v < 0 for v in entries.values()):
         raise AssertionError("negative multiplicity: input was not a character")
     return dict(sorted(entries.items()))

@@ -8,15 +8,18 @@ characters and dimensions of formal sums, tensor products, wedge and
 symmetric powers decomposed again, the packed page form of a
 decomposition, the tuple view ``wedge_decomps`` of the wedge pages of a
 locus) serve the tests and the oracles built on them.  ``freudenthal``,
-``dominant_rep`` and ``koszul_dual_pages_oracle`` are oracles of engine
-routines; ``serre_dual_weight`` names the Serre-duality partner of an
-irreducible bundle.
+``dominant_rep``, ``koszul_dual_pages_oracle`` and
+``running_product_pages_oracle`` are oracles of engine routines;
+``serre_dual_weight`` names the Serre-duality partner of an irreducible
+bundle.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Dict, List
 
+from bwbforge import koszul
 from bwbforge import repcalc as rc
 from bwbforge.homspace import HomSpace, fano_index
 from bwbforge.koszul import PackedPage, ZeroLocus, wedge_dual_pages
@@ -38,7 +41,7 @@ def wedge_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
 
 
 def koszul_dual_pages_oracle(Z: ZeroLocus) -> List[PackedPage]:
-    """Pages of Lambda^p F^*, p > f // 2, by Koszul duality on tuples: ``PackedPage.dual``'s oracle.
+    """Pages of Lambda^p F^*, p > f // 2, by Koszul duality on tuples: the top half's oracle.
 
     Degree f - p is (Lambda^p F^*)^* (x) det F^*, det F^* = O(-dex F), each highest weight
     unpacked, dualised by ``repcalc.dual_highest_weight`` and packed again:
@@ -51,6 +54,28 @@ def koszul_dual_pages_oracle(Z: ZeroLocus) -> List[PackedPage]:
                        for lam, n in g.decomp(X).items()}, -g.twist - dex)
         for g in (pages[f - p] for p in range(f // 2 + 1, f + 1))
     ]
+
+
+def running_product_pages_oracle(Z: ZeroLocus) -> List[PackedPage]:
+    """Pages of Lambda^p F^*, p = 0..f, with the lines as factors: ``wedge_dual_pages``'s oracle.
+
+    Every summand of F^*, largest first, multiplies its pages into a running product by
+    ``koszul._graded_product`` up to f // 2: a module's m copies one at a time, the m copies of a
+    line O(t) as one factor of pages C(m, c) O(c t).  Degree f - p is the dual of degree p
+    twisted by det F^* = O(-dex F), ``PackedPage.dual``.
+    """
+    X, levi, k, rr = Z.space, Z.space.levi, Z.space.k - 1, rho(Z.space.rs)
+    f, half, dex = Z.bundle.rank, Z.bundle.rank // 2, Z.bundle.dex
+    graded = [PackedPage(X, {rc.pack(rr): 1})]
+    for lam, m in sorted(Z.bundle.dual().summands, key=lambda s: -rc.weyl_dim(levi, s[0])):
+        if rc.weyl_dim(levi, lam) == 1:
+            factors = [[PackedPage(X, {rc.pack(rr): comb(m, c)}, c * lam[k])
+                        for c in range(min(m, half) + 1)]]
+        else:
+            factors = [koszul._exterior_pages(X, lam, half)] * m
+        for powers in factors:
+            graded = powers if len(graded) == 1 else koszul._graded_product(X, graded, powers, half)
+    return graded + [graded[f - p].dual(X, dex) for p in range(half + 1, f + 1)]
 
 
 def tensor_cohomology(X: HomSpace, page, t: int, char: rc.PackedChar, extremes) -> Dict[int, int]:

@@ -56,14 +56,15 @@ def test_entry_with_a_foreign_stamp_inside_is_not_read(disk):
 def test_memory_entries_count_every_table():
     cache.clear()
     X = parse_homspace("G2/P2")
-    Z = ZeroLocus(X, BundleSum.make(X, {X.line(3): 1}))
+    # a page of lines reads no Levi row: the module w1 of F is what climbs
+    Z = ZeroLocus(X, BundleSum.make(X, {(1, 0): 1, X.line(3): 1}))
     restricted_cohomology(Z, BundleSum.make(X, {X.line(-3): 1}))
     climb = len(cache.table("climb", X.levi))
     assert climb > 0
     assert cache.stats()["memory_entries"] >= climb + len(cache.table("wedge_decomps"))
     # levi_tensor nests its rows per module: the rows are what is counted,
     # here two rows of one module from a second locus
-    Z = ZeroLocus(X, BundleSum.make(X, {(1, 1): 1}))
+    Z = ZeroLocus(X, BundleSum.make(X, {(1, 1): 2}))
     restricted_cohomology(Z, BundleSum.make(X, {(1, 0): 1}))
     rows = sum(map(len, cache.table("levi_tensor", X.levi).values()))
     assert rows > len(cache.table("levi_tensor", X.levi))
@@ -79,7 +80,8 @@ def test_restricted_cohomology_shares_the_levi_climb_table():
     # the E1 page climbs into the same per-context table as decompose_character
     cache.clear()
     X = parse_homspace("G2/P2")
-    Z = ZeroLocus(X, BundleSum.make(X, {X.line(3): 1}))
+    # a page of lines reads no Levi row: the module w1 of F is what climbs
+    Z = ZeroLocus(X, BundleSum.make(X, {(1, 0): 1, X.line(3): 1}))
     restricted_cohomology(Z, BundleSum.make(X, {X.line(-3): 1}))
     assert "bott" not in cache.namespace_entries()
     assert cache.table("climb", X.levi)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bwbforge import cache, koszul
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology, bwb
-from bwbforge.cli import main
+from bwbforge.cli import main, parse_bundle
 from bwbforge.hodge import EmptyLocusError, h0_row, omega_filtration
 from bwbforge.homspace import dimension, fano_index, gradation, parse_homspace
 from bwbforge.koszul import (
@@ -34,6 +34,7 @@ from char_helpers import (
     decompose,
     koszul_dual_pages_oracle,
     page_form,
+    running_product_pages_oracle,
     tensor_cohomology,
     wedge_decomps,
 )
@@ -451,6 +452,12 @@ KOSZUL_DUAL_LOCI = TABLE_LOCI + [
 ]
 
 
+def _fields(page):
+    """The fields of a ``PackedPage``, its pairs as a map: their order is the order of a merge."""
+    return [{s: (n, s0) for s, n, s0 in page.pairs} if name == "pairs" else getattr(page, name)
+            for name in PackedPage.__slots__]
+
+
 @pytest.mark.parametrize("space,weights", KOSZUL_DUAL_LOCI)
 def test_packed_koszul_duality_matches_the_tuple_oracle(space, weights):
     # the top half of the pages, packed key to packed key, field by field
@@ -459,9 +466,65 @@ def test_packed_koszul_duality_matches_the_tuple_oracle(space, weights):
     want = koszul_dual_pages_oracle(Z)
     assert len(top) == len(want) == Z.bundle.rank - Z.bundle.rank // 2
     for got, page in zip(top, want):
-        assert [getattr(got, s) for s in PackedPage.__slots__] == [
-            getattr(page, s) for s in PackedPage.__slots__
-        ]
+        assert _fields(got) == _fields(page)
+
+
+# loci whose lines carry several twists: E6/P2 w6 + O(1)^3 + O(2) + w1,
+# E6/P1 O(1)^10 + O(2) and G2/P1 O(1) + O(3) + O(2)^2
+TWISTED_LINE_LOCI = [
+    ("E6/P2", {w(6, i6=1): 1, w(6, i2=1): 3, w(6, i2=2): 1, w(6, i1=1): 1}),
+    ("E6/P1", {w(6, i1=1): 10, w(6, i1=2): 1}),
+    ("G2/P1", {(1, 0): 1, (3, 0): 1, (2, 0): 2}),
+]
+
+
+@pytest.mark.parametrize("space,weights", KOSZUL_DUAL_LOCI + TWISTED_LINE_LOCI)
+def test_assembled_pages_match_the_running_product_with_lines_as_factors(space, weights):
+    # the shift-merge of the read plan against the running product that multiplies
+    # each line type in as one factor, field by field, every degree
+    Z = mk(space, weights)
+    got, want = wedge_dual_pages(Z), running_product_pages_oracle(Z)
+    assert len(got) == len(want) == Z.bundle.rank + 1
+    for page, oracle in zip(got, want):
+        assert _fields(page) == _fields(oracle)
+
+
+@pytest.mark.parametrize("space,weights", TWISTED_LINE_LOCI + [TABLE_LOCI[1], TABLE_LOCI[0]])
+def test_line_terms_are_the_line_polynomial(space, weights):
+    # prod (1 + x y^-t)^m over the lines O(t)^m of F, expanded one factor at a time
+    Z = mk(space, weights)
+    X = Z.space
+    want = {(0, 0): 1}
+    for lam, m in Z.bundle.summands:
+        if rc.weyl_dim(X.levi, lam) == 1:
+            for _ in range(m):
+                step = dict(want)
+                for (c, T), n in want.items():
+                    step[c + 1, T - lam[X.k - 1]] = step.get((c + 1, T - lam[X.k - 1]), 0) + n
+                want = step
+    terms = koszul.read_plan(Z).terms
+    assert {(c, T): n for c, T, n in terms} == want and len(terms) == len(want)
+    if space == "G2/P1":
+        # O(-1) O(-3) and O(-2)^2 meet in one term
+        assert (2, -4, 2) in terms
+
+
+def test_no_product_step_multiplies_a_factor_of_lines(monkeypatch):
+    # lines enter the E1 read as twists: every right factor of a product step is a module's
+    graded_product, rights = koszul._graded_product, []
+
+    def product(X, left, right, kmax):
+        rights.append(all(page.lines for page in right))
+        return graded_product(X, left, right, kmax)
+
+    monkeypatch.setattr(cache, "_dir", None)
+    monkeypatch.setattr(koszul, "_graded_product", product)
+    cache.clear()
+    for space, weights in TABLE_LOCI + TWISTED_LINE_LOCI + DUALITY_LOCI[-3:]:
+        Z = mk(space, weights)
+        e1_page(Z, None)
+        wedge_dual_pages(Z)
+    assert rights and not any(rights)
 
 
 def test_page_build_never_calls_dual_highest_weight(monkeypatch):
@@ -569,7 +632,7 @@ def test_brauer_klimyk_page_matches_convolution_oracle(space, weights):
         assert e1_page(Z, E) == _oracle_entries(Z, E)
 
 
-@pytest.mark.parametrize("space,weights", TABLE_LOCI)
+@pytest.mark.parametrize("space,weights", TABLE_LOCI + TWISTED_LINE_LOCI)
 def test_e1_page_matches_per_weight_route(space, weights):
     # summing per Levi irreducible before Borel-Weil-Bott changes no entry
     Z = mk(space, weights)
@@ -590,7 +653,10 @@ def test_e1_page_reads_levi_tensor_rows_other_loci_filled(space, weights):
         if other[0] == space and other[1] != weights:
             e1_page(mk(*other), omega.twist(X, 1))
     e1_page(Z, omega.twist(X, -1))
-    assert cache.table("levi_tensor", X.levi)
+    # a page of lines reads no row: a space whose loci are all lines fills none
+    modules = any(not page.lines for other in TABLE_LOCI if other[0] == space
+                  for page in koszul.read_plan(mk(*other)).pages)
+    assert bool(cache.table("levi_tensor", X.levi)) == modules
     E = omega.twist(X, 1)
     assert e1_page(Z, E) == _per_weight_entries(Z, E)
 
@@ -693,19 +759,21 @@ def test_restricted_cohomology_refuses_the_wedge_overflow():
 
 
 def _pages_leave_the_field(Z, mu):
-    """Whether a page of Lambda^* F^* times V_L(mu0) in O(t) leaves the field, each page alone:
-    its lo..hi, the extremes of V_L(mu0) (of the weight mu0 on a page of lines), its twist and t."""
-    X = Z.space
+    """Whether a constituent of Lambda^* F^* times V_L(mu0) in O(t) leaves the field, each alone:
+    page a of Lambda^a F'^* in the read plan twisted by each term O(T) of the lines, its lo..hi,
+    the extremes of V_L(mu0) (of the weight mu0 on a page of lines), its twist, T and t."""
+    X, plan = Z.space, koszul.read_plan(Z)
     t, mu0 = mu[X.k - 1], X.twist(mu, -mu[X.k - 1])
     module = rc.char_extremes(rc.char_irr(X.levi, mu0), X.rs.rank)
-    for page in wedge_dual_pages(Z):
+    for page in plan.pages:
         lo, hi = (mu0, mu0) if page.lines else module
-        line = X.line(t + page.twist)
-        try:
-            rc.check_packable(list(map(add, map(add, page.lo, lo), line)),
-                              list(map(add, map(add, page.hi, hi), line)))
-        except rc.WeightRangeError:
-            return True
+        for _, T, _ in plan.terms:
+            line = X.line(t + page.twist + T)
+            try:
+                rc.check_packable(list(map(add, map(add, page.lo, lo), line)),
+                                  list(map(add, map(add, page.hi, hi), line)))
+            except rc.WeightRangeError:
+                return True
     return False
 
 
@@ -723,6 +791,20 @@ def test_e1_page_at_the_edges_of_the_field_refuses_exactly_past_a_page(locus, pa
         got = "refused"
     want = "refused" if _pages_leave_the_field(Z, mu) else _per_weight_entries(Z, E)
     assert got == want
+
+
+@pytest.mark.parametrize("space,F,E", [
+    ("G2/P2", "w11 + O(1)", "w11(32766)"), ("G2/P2", "w11 + O(1)", "w111(32765)"),
+    ("G2/P1", "w2 + O(1)", "w2(32765)"), ("G2/P1", "w2 + O(1)", "w2(32766)"),
+])
+def test_a_line_constituent_is_read_against_the_weight_mu0(space, F, E):
+    # Lambda^1 F^* holds the module F'^* and the line O(-1): the line is read against
+    # mu0 alone, which fits where V_L(mu0) would leave the field
+    X = parse_homspace(space)
+    Z, E = ZeroLocus(X, parse_bundle(X, F)), parse_bundle(X, E)
+    (mu, _), = E.summands
+    assert not _pages_leave_the_field(Z, mu)
+    assert e1_page(Z, E) == _per_weight_entries(Z, E)
 
 
 @settings(max_examples=40, deadline=None)
@@ -750,8 +832,9 @@ def test_wedge_pages_of_two_lines_at_the_edge_refuse_exactly_past_a_page(a, gap)
 
 
 def test_one_range_check_per_module_not_per_page(monkeypatch):
-    # e1_page checks each irreducible piece of E at most twice (its pages of lines,
-    # then the others), and a product step each irreducible of its right factor once
+    # e1_page checks each irreducible piece of E at most twice (once for its pages of
+    # modules; a page of lines reads no Levi row), and a product step each irreducible
+    # of its right factor once
     checks = []
     climb_keys = rc.LeviTensor.climb_keys
 
@@ -776,11 +859,19 @@ def test_one_range_check_per_module_not_per_page(monkeypatch):
     cache.clear()
     Z = mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1})
     wedge_dual_pages(Z)
-    assert len(steps) == 4 and all(0 < n <= right for n, right in steps)
+    # three steps multiply the four copies of w6; the line O(1) is no step
+    assert len(steps) == 3 and all(0 < n <= right for n, right in steps)
     E = omega_filtration(Z.space).twist(Z.space, 1)
     del checks[:]
     e1_page(Z, E)
-    assert 0 < len(checks) <= 2 * sum(len(g) for g in E.gradeds)
+    count = len(checks)
+    assert 0 < count <= 2 * sum(len(g) for g in E.gradeds)
+    # more line terms, as many checks
+    more = mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1, w(6, i3=2): 1})
+    assert len(koszul.read_plan(more).terms) > len(koszul.read_plan(Z).terms)
+    del checks[:]
+    e1_page(more, E)
+    assert len(checks) == count
 
 
 # -- wedge decompositions built from the summands of F ----------------------------
