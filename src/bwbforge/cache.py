@@ -14,7 +14,7 @@ namespace, and :func:`clear` empties them all.
 
 :func:`memo` keeps its results in ``table(namespace)``, keyed by the key
 object: ``char`` (Levi and group characters) and ``wedge_decomps`` (per
-locus, ``koszul.read_plan``: the packed pages of the wedge powers of the
+bundle F, ``koszul.read_plan``: the packed pages of the wedge powers of the
 module summands of F^*, the twists of its lines and the hulls the E_1
 read range-checks).  The ``wedge_chars`` namespace fills only when
 ``koszul.wedge_dual_chars`` is called, which no engine route does.  When a

@@ -53,7 +53,7 @@ from .koszul import (
     ZeroLocus,
     restricted_cohomology,
     w_digits_ambiguous,
-    wedge_dual_pages,
+    wedge_decomp,
 )
 from .rootdata import Weight, parse_root_system, positive_roots
 
@@ -214,7 +214,7 @@ def _ext(args) -> Reply:
     F = parse_bundle(X, args.bundle)
     if not 0 <= args.p <= F.rank:
         raise ParseError(f"wedge degree {args.p} out of range 0..{F.rank}")
-    dec = wedge_dual_pages(ZeroLocus(X, F))[args.p].decomp(X)
+    dec = wedge_decomp(F, args.p)
     rows = [
         {"weight": _weight_str(lam), "multiplicity": m,
          "rank": rc.weyl_dim(X.levi, lam)}

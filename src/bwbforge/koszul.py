@@ -11,20 +11,20 @@ Lambda(A + B) = Lambda(A) (x) Lambda(B), so ``read_plan`` multiplies the
 exterior powers of each module summand of F'^* into a running product by
 Brauer-Klimyk, up to half the rank f' of F', keeping every weight packed;
 Koszul duality, Lambda^{f'-a} F'^* = (Lambda^a F'^*)^* (x) det F'^*, gives
-the rest, once per locus, by one packed affine map per weight
+the rest, once per F, by one packed affine map per weight
 (``repcalc.dual_kernel``).  The lines enter no product: Lambda^c of
 O(t_1)^{m_1} + ... is the polynomial of twists prod_i sum_c C(m_i, c)
 O(-c t_i), so Lambda^p F^* is the sum over a + c = p of its terms times
-Lambda^a F'^*.  No character of a whole Lambda^p F^* is built, and no page
-is unpacked but the right factor of each product step.  ``e1_page`` reads
-each E_1 entry off by Brauer-Klimyk on the Levi side, per irreducible piece
-E_mu of E, page a and term of the lines, on those same pages, the term a
-twist of the read, and Bott's theorem once per irreducible of each
-product, so no tensor product is ever expanded.  A module read, there or in
+Lambda^a F'^*.  No character of a whole Lambda^p F^* is built, and the E_1
+route unpacks no page but the right factor of each product step.
+``e1_page`` reads each E_1 entry off by Brauer-Klimyk on the Levi side, per
+irreducible piece E_mu of E, page a and term of the lines, on those same
+pages, the term a twist of the read, and Bott's theorem once per
+irreducible of each product, so no tensor product is ever expanded.  A module read, there or in
 a product step, is range-checked once over the hull of its pages; a page of
-lines needs only the weight mu0, and no climb.  ``wedge_dual_pages`` merges
-the pages of Lambda^p F^* themselves, for ``ext``; ``PackedPage.decomp`` is
-a page's tuple view.
+lines needs only the weight mu0, and no climb.  ``wedge_decomp`` sums the
+tuple views of those pages, ``PackedPage.decomp``, twisted by the terms, into
+Lambda^p F^* itself, for ``ext``.
 
 F must be generated by its sections, or the Koszul complex does not
 resolve O_Z: ``ZeroLocus`` refuses a summand whose weight is not
@@ -339,7 +339,7 @@ def _line_terms(X: HomSpace, lines) -> Tuple[Tuple[int, int, int], ...]:
 
 
 class ReadPlan(NamedTuple):
-    """How ``e1_page`` reads Lambda^* F^* of a locus, F = F' + lines, its ``wedge_decomps`` memo.
+    """How ``e1_page`` reads Lambda^* F^*, F = F' + lines, its ``wedge_decomps`` memo.
 
     ``pages`` are those of Lambda^a F'^*, a = 0..rank F', of the module summands alone; ``terms``
     the (c, T, C) of the lines, ``_line_terms``, so Lambda^p F^* is the sum over a + c = p of C
@@ -352,8 +352,8 @@ class ReadPlan(NamedTuple):
     hulls: Dict[bool, Tuple[Weight, Weight]]
 
 
-def read_plan(Z: ZeroLocus) -> ReadPlan:
-    """The ``ReadPlan`` of Z, memoised per locus in ``wedge_decomps``.
+def read_plan(F: BundleSum) -> ReadPlan:
+    """The ``ReadPlan`` of F, memoised per bundle in ``wedge_decomps``.
 
     Lambda(A + B) = Lambda(A) (x) Lambda(B) as graded modules, so degrees up
     to f' // 2, f' = rank F', are a running product over the module summands
@@ -366,10 +366,10 @@ def read_plan(Z: ZeroLocus) -> ReadPlan:
     """
 
     def compute():
-        X, levi, k = Z.space, Z.space.levi, Z.space.k - 1
+        X, levi, k = F.X, F.X.levi, F.X.k - 1
         rank, rr = X.rs.rank, rho(X.rs)
-        lines = [(lam, m) for lam, m in Z.bundle.summands if rc.weyl_dim(levi, lam) == 1]
-        modules = BundleSum(X, tuple(s for s in Z.bundle.summands if s not in lines))
+        lines = [(lam, m) for lam, m in F.summands if rc.weyl_dim(levi, lam) == 1]
+        modules = BundleSum(X, tuple(s for s in F.summands if s not in lines))
         f, half, dex = modules.rank, modules.rank // 2, modules.dex
         det, graded = (0,) * rank, [PackedPage(X, {rc.pack(rr): 1})]
         # a product step climbs dim V_L(nu) weights per running highest
@@ -391,51 +391,18 @@ def read_plan(Z: ZeroLocus) -> ReadPlan:
             steps.setdefault(page.lines, []).extend((page, page.twist + T, 0) for _, T, _ in terms)
         return ReadPlan(tuple(pages), terms, {group: _hull(X, s) for group, s in steps.items()})
 
-    return _cache.memo("wedge_decomps", (str(Z.space), Z.bundle.summands), compute)
+    return _cache.memo("wedge_decomps", (str(F.X), F.summands), compute)
 
 
-def _wedge_twists(Z: ZeroLocus) -> List[int]:
-    """The twist each page of Lambda^p F^* is packed relative to, the one a running product with
-    the lines as factors gives it, so a page fits the field exactly when that product's does:
-    ``_middle_twists`` over the summands of F^*, largest first, a module's m copies as m factors
-    of pages c t and a line's as one of pages C(m, c) O(c t), up to f // 2; above, -T - dex F of
-    degree f - p, by Koszul duality."""
-    X, levi, k, f = Z.space, Z.space.levi, Z.space.k - 1, Z.bundle.rank
-    twists, half = [0], f // 2
-    for lam, m in sorted(Z.bundle.dual().summands, key=lambda s: -rc.weyl_dim(levi, s[0])):
-        dim = rc.weyl_dim(levi, lam)
-        for top in [m] if dim == 1 else [dim] * m:
-            right = [c * lam[k] for c in range(min(top, half) + 1)]
-            twists = right if len(twists) == 1 else _middle_twists(twists, right, half)
-    return twists + [-twists[f - p] - Z.bundle.dex for p in range(half + 1, f + 1)]
-
-
-def wedge_dual_pages(Z: ZeroLocus) -> List[PackedPage]:
-    """Pages {pack(lambda + rho): m} of Lambda^p F^*, p = 0..rank(F), for ``ext`` and the tests.
-
-    The packed shift-merge of the ``read_plan``: degree p is the sum over
-    a + c = p of C times page a of Lambda^a F'^* twisted by O(T), each term
-    (c, T, C) of the lines, shifted into the twist ``_wedge_twists`` gives
-    its degree; no climb and no Levi read.  A page past the field is refused
-    with its bounds, each constituent's twist put back.
-    """
-    X, plan = Z.space, read_plan(Z)
-    zero, unit = rc.pack_zero(X.rs.rank), rc.packed_offset(X.line(1))
-    out = []
-    for p, twist in enumerate(_wedge_twists(Z)):
-        parts = [(page, page.twist + T - twist, n) for a, page in enumerate(plan.pages)
-                 for c, T, n in plan.terms if a + c == p]
-        try:
-            rc.check_packable(*_hull(X, parts))
-        except rc.WeightRangeError:
-            absolute = _hull(X, [(page, T + twist, 0) for page, T, _ in parts])
-            raise rc.WeightRangeError.of_sum(*absolute) from None
-        shifts: rc.PackedChar = {}
-        for page, T, n in parts:
-            shift = zero + T * unit
-            for s, ns, _ in page.pairs:
-                shifts[s + shift] = shifts.get(s + shift, 0) + n * ns
-        out.append(PackedPage(X, shifts, twist))
+def wedge_decomp(F: BundleSum, p: int) -> rc.IrrDecomp:
+    """{lambda: m} of Lambda^p F^*, for ``ext`` and the tests: the sum over the terms (c, T, C)
+    of the lines of C times page p - c of the ``read_plan``, unpacked and twisted by O(T)."""
+    X, plan, out = F.X, read_plan(F), {}
+    for c, T, C in plan.terms:
+        if 0 <= p - c < len(plan.pages):
+            for lam, n in plan.pages[p - c].decomp(X).items():
+                lam = X.twist(lam, T)
+                out[lam] = out.get(lam, 0) + C * n
     return out
 
 
@@ -456,9 +423,6 @@ class ZCohomology:
     bounds: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
 
-_INF = 10**30
-
-
 def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomology:
     """Cancel E_1 entries forced by the abutment and certify what survives.
 
@@ -471,11 +435,12 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
 
     Per connected component of the possible-differential graph, the total
     rank y_n of all differentials between degrees n and n+1 obeys
-    y_{n-1} + y_n = E(n) at illegal degrees and <= E(n) at legal ones.
-    Interval propagation over these aggregates certifies each surviving
-    degree whose value is independent of the undetermined ranks; anything
-    else is reported as per-degree bounds.  Dropping the per-entry rank
-    caps only enlarges the feasible set, so a certified value is sound.
+    y_{n-1} + y_n = E(n) at illegal degrees and <= E(n) at legal ones, and
+    y_n <= min(E(n), E(n+1)), since a rank exceeds neither its source nor
+    its target.  Interval propagation over these aggregates certifies each
+    surviving degree whose value is independent of the undetermined ranks;
+    anything else is reported as per-degree bounds.  Dropping the per-entry
+    rank caps only enlarges the feasible set, so a certified value is sound.
     """
     keys = [k for k, v in entries.items() if v]
     by_degree: Dict[int, List[Tuple[int, int, int]]] = {}
@@ -515,7 +480,8 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
         linked = linked_of.get(c, set())
         # y[n]: total differential rank between degrees n and n+1
         y: Dict[int, Tuple[int, int]] = {
-            n: ((0, _INF) if n in linked else (0, 0)) for n in set(E) | {m - 1 for m in E}
+            n: ((0, min(E[n], E[n + 1])) if n in linked else (0, 0))
+            for n in set(E) | {m - 1 for m in E}
         }
         changed = True
         while changed:
@@ -578,7 +544,7 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     k, rank, levi = X.k - 1, X.rs.rank, X.levi
     if E is None:
         E = BundleSum.make(X, {(0,) * rank: 1})
-    plan = read_plan(Z)
+    plan = read_plan(Z.bundle)
     tensor, bwbs, bott = rc.LeviTensor(levi), _cache.table("bwb", X), rc.bott_kernel(X.group)
     # every lambda + rho of a page of lines has the Levi fields of rho
     unit, flat = rc.packed_offset(X.line(1)), rc.pack(rho(X.rs)) & rc.levi_mask(levi)

@@ -6,8 +6,8 @@ tuple view ``decompose`` of ``repcalc.decompose_character``, with the
 optional Brauer-Klimyk shift of the tests, weight multisets,
 characters and dimensions of formal sums, tensor products, wedge and
 symmetric powers decomposed again, the packed page form of a
-decomposition, the tuple view ``wedge_decomps`` of the wedge pages of a
-locus) serve the tests and the oracles built on them.  ``freudenthal``,
+decomposition, the tuple views ``wedge_decomps`` of the wedge powers of
+the bundle of a locus) serve the tests and the oracles built on them.  ``freudenthal``,
 ``dominant_rep``, ``koszul_dual_pages_oracle`` and
 ``running_product_pages_oracle`` are oracles of engine routines;
 ``serre_dual_weight`` names the Serre-duality partner of an irreducible
@@ -22,7 +22,7 @@ from typing import Dict, List
 from bwbforge import koszul
 from bwbforge import repcalc as rc
 from bwbforge.homspace import HomSpace, fano_index
-from bwbforge.koszul import PackedPage, ZeroLocus, wedge_dual_pages
+from bwbforge.koszul import BundleSum, PackedPage, ZeroLocus
 from bwbforge.rootdata import Weight, add, integral_weight_gram, rho, simple_root_weight, sub
 
 
@@ -36,19 +36,21 @@ def page_form(X: HomSpace, decomp: rc.IrrDecomp) -> rc.PackedChar:
 
 
 def wedge_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
-    """{lambda: m} of Lambda^p F^*, p = 0..rank(F), unpacked from ``koszul.wedge_dual_pages``."""
-    return [page.decomp(Z.space) for page in wedge_dual_pages(Z)]
+    """{lambda: m} of Lambda^p F^*, p = 0..rank(F), by ``koszul.wedge_decomp``."""
+    return [koszul.wedge_decomp(Z.bundle, p) for p in range(Z.bundle.rank + 1)]
 
 
-def koszul_dual_pages_oracle(Z: ZeroLocus) -> List[PackedPage]:
-    """Pages of Lambda^p F^*, p > f // 2, by Koszul duality on tuples: the top half's oracle.
+def koszul_dual_pages_oracle(F: BundleSum) -> List[PackedPage]:
+    """Pages of Lambda^a F'^*, a > f' // 2, F' the module summands of F, by Koszul duality on
+    tuples: the oracle of the top half of ``koszul.read_plan(F).pages``.
 
-    Degree f - p is (Lambda^p F^*)^* (x) det F^*, det F^* = O(-dex F), each highest weight
+    Degree f' - a is (Lambda^a F'^*)^* (x) det F'^*, det F'^* = O(-dex F'), each highest weight
     unpacked, dualised by ``repcalc.dual_highest_weight`` and packed again:
     dual(lam + T w_k) = dual(lam) - T w_k, so a page twist T turns into -T - dex.
     """
-    X, pages, f, dex = Z.space, wedge_dual_pages(Z), Z.bundle.rank, Z.bundle.dex
-    rr = rho(X.rs)
+    X, pages, rr = F.X, koszul.read_plan(F).pages, rho(F.X.rs)
+    modules = BundleSum(X, tuple(s for s in F.summands if rc.weyl_dim(X.levi, s[0]) > 1))
+    f, dex = modules.rank, modules.dex
     return [
         PackedPage(X, {rc.pack(add(X.twist(rc.dual_highest_weight(X.levi, lam), g.twist), rr)): n
                        for lam, n in g.decomp(X).items()}, -g.twist - dex)
@@ -57,7 +59,7 @@ def koszul_dual_pages_oracle(Z: ZeroLocus) -> List[PackedPage]:
 
 
 def running_product_pages_oracle(Z: ZeroLocus) -> List[PackedPage]:
-    """Pages of Lambda^p F^*, p = 0..f, with the lines as factors: ``wedge_dual_pages``'s oracle.
+    """Pages of Lambda^p F^*, p = 0..f, with the lines as factors: ``koszul.wedge_decomp``'s oracle.
 
     Every summand of F^*, largest first, multiplies its pages into a running product by
     ``koszul._graded_product`` up to f // 2: a module's m copies one at a time, the m copies of a

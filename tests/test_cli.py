@@ -214,15 +214,34 @@ def test_twists_past_the_packed_field_still_answer(capsys):
     assert dims == [480180026668616737000, 0, 0, 479940002666616667000]
 
 
-def test_a_wedge_page_wider_than_the_field_is_refused(capsys):
-    # Lambda^1 F^* holds O(-1) and O(-70000): no page twist brings both into a
-    # 16-bit field, so ext refuses, as every E1 page of this locus does
-    assert main(["ext", "G2/P2", "O(1) + O(70000)", "1"]) == 1
+def test_a_wedge_power_wider_than_the_field_prints_but_its_e1_page_is_refused(capsys):
+    # Lambda^1 F^* holds O(-1) and O(-70000): ext sums the twisted lines as
+    # tuples and prints them, while an E1 page of this locus leaves the field
+    assert main(["ext", "G2/P2", "O(1) + O(70000)", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "L^1 F* = E[0,-70000]^1 + E[0,-1]^1"
+    assert main(["cohomology", "G2/P2", "O(1) + O(70000)", "--restrict", "O(0)"]) == 1
     err = capsys.readouterr().err
     assert "do not fit 16-bit packed coordinates" in err
-    # the refusal names the rho-shifted weight of O(-70000) itself, not its
-    # offset from the twist its degree is packed relative to
-    assert "(1, -69999)" in err
+    # the refusal names the rho-shifted weight of Lambda^2 F^* = O(-70001)
+    # itself, not its offset from the twist of a page
+    assert "(1, -70000)..(1, 1)" in err
+
+
+@pytest.mark.parametrize("argv,want,refusal", [
+    # rank 6 exceeds dim G2/P2 = 5: no locus, but Lambda^2 F^* exists
+    (["ext", "G2/P2", "O(1)^6", "2"], "L^2 F* = E[0,-2]^15",
+     "bundle rank exceeds the ambient dimension"),
+    # P-dominant, not G-dominant: no sections, but a bundle with wedge powers
+    (["ext", "G2/P2", "w1(-1)", "1"], "L^1 F* = E[1,0]^1", "has no Koszul resolution"),
+    (["ext", "G2/P2", "w1(-1)", "2"], "L^2 F* = E[0,1]^1", "has no Koszul resolution"),
+])
+def test_ext_reads_the_wedge_powers_of_any_bundle(argv, want, refusal, capsys):
+    # ext builds no zero locus, so F needs no sections and no room in X; a
+    # restriction to the locus still refuses it
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == want
+    assert main(["cohomology", *argv[1:3], "--restrict", "O(0)"]) == 1
+    assert refusal in capsys.readouterr().err
 
 
 def test_hodge_command_json():

@@ -23,7 +23,6 @@ from bwbforge.koszul import (
     e1_page,
     restricted_cohomology,
     wedge_dual_chars,
-    wedge_dual_pages,
 )
 from bwbforge.rootdata import rho, to_dominant_chamber
 
@@ -60,7 +59,7 @@ def w(rank, **kw):
 
 def wedge_decomp(Z, p):
     """Lambda^p F^* decomposed into irreducibles, as ``bwbforge ext`` prints it."""
-    return wedge_decomps(Z)[p]
+    return koszul.wedge_decomp(Z.bundle, p)
 
 
 def test_bundle_sum_validation():
@@ -460,11 +459,12 @@ def _fields(page):
 
 @pytest.mark.parametrize("space,weights", KOSZUL_DUAL_LOCI)
 def test_packed_koszul_duality_matches_the_tuple_oracle(space, weights):
-    # the top half of the pages, packed key to packed key, field by field
-    Z = mk(space, weights)
-    top = wedge_dual_pages(Z)[Z.bundle.rank // 2 + 1 :]
-    want = koszul_dual_pages_oracle(Z)
-    assert len(top) == len(want) == Z.bundle.rank - Z.bundle.rank // 2
+    # the top half of the pages of the module summands, packed key to packed key, field by field
+    F = mk(space, weights).bundle
+    pages = koszul.read_plan(F).pages
+    f = len(pages) - 1
+    top, want = pages[f // 2 + 1 :], koszul_dual_pages_oracle(F)
+    assert len(top) == len(want) == f - f // 2
     for got, page in zip(top, want):
         assert _fields(got) == _fields(page)
 
@@ -480,13 +480,12 @@ TWISTED_LINE_LOCI = [
 
 @pytest.mark.parametrize("space,weights", KOSZUL_DUAL_LOCI + TWISTED_LINE_LOCI)
 def test_assembled_pages_match_the_running_product_with_lines_as_factors(space, weights):
-    # the shift-merge of the read plan against the running product that multiplies
-    # each line type in as one factor, field by field, every degree
+    # the read plan summed over its line terms against the running product that
+    # multiplies each line type in as one factor, every degree
     Z = mk(space, weights)
-    got, want = wedge_dual_pages(Z), running_product_pages_oracle(Z)
-    assert len(got) == len(want) == Z.bundle.rank + 1
-    for page, oracle in zip(got, want):
-        assert _fields(page) == _fields(oracle)
+    want = [page.decomp(Z.space) for page in running_product_pages_oracle(Z)]
+    assert len(want) == Z.bundle.rank + 1
+    assert [koszul.wedge_decomp(Z.bundle, p) for p in range(len(want))] == want
 
 
 @pytest.mark.parametrize("space,weights", TWISTED_LINE_LOCI + [TABLE_LOCI[1], TABLE_LOCI[0]])
@@ -502,7 +501,7 @@ def test_line_terms_are_the_line_polynomial(space, weights):
                 for (c, T), n in want.items():
                     step[c + 1, T - lam[X.k - 1]] = step.get((c + 1, T - lam[X.k - 1]), 0) + n
                 want = step
-    terms = koszul.read_plan(Z).terms
+    terms = koszul.read_plan(Z.bundle).terms
     assert {(c, T): n for c, T, n in terms} == want and len(terms) == len(want)
     if space == "G2/P1":
         # O(-1) O(-3) and O(-2)^2 meet in one term
@@ -522,8 +521,8 @@ def test_no_product_step_multiplies_a_factor_of_lines(monkeypatch):
     cache.clear()
     for space, weights in TABLE_LOCI + TWISTED_LINE_LOCI + DUALITY_LOCI[-3:]:
         Z = mk(space, weights)
+        koszul.read_plan(Z.bundle)
         e1_page(Z, None)
-        wedge_dual_pages(Z)
     assert rights and not any(rights)
 
 
@@ -547,7 +546,7 @@ def test_page_build_never_calls_dual_highest_weight(monkeypatch):
     cache.clear()
     # A9/P4: -w_0 of the Levi A3 x A5 swaps nodes 1 and 3, 5 and 9, 6 and 8
     Z = mk("A9/P4", {w(9, i7=1): 1})
-    assert len(wedge_dual_pages(Z)) == Z.bundle.rank + 1 == 21
+    assert len(koszul.read_plan(Z.bundle).pages) == Z.bundle.rank + 1 == 21
 
 
 @pytest.mark.parametrize("space,weights", TABLE_LOCI)
@@ -655,7 +654,7 @@ def test_e1_page_reads_levi_tensor_rows_other_loci_filled(space, weights):
     e1_page(Z, omega.twist(X, -1))
     # a page of lines reads no row: a space whose loci are all lines fills none
     modules = any(not page.lines for other in TABLE_LOCI if other[0] == space
-                  for page in koszul.read_plan(mk(*other)).pages)
+                  for page in koszul.read_plan(mk(*other).bundle).pages)
     assert bool(cache.table("levi_tensor", X.levi)) == modules
     E = omega.twist(X, 1)
     assert e1_page(Z, E) == _per_weight_entries(Z, E)
@@ -762,7 +761,7 @@ def _pages_leave_the_field(Z, mu):
     """Whether a constituent of Lambda^* F^* times V_L(mu0) in O(t) leaves the field, each alone:
     page a of Lambda^a F'^* in the read plan twisted by each term O(T) of the lines, its lo..hi,
     the extremes of V_L(mu0) (of the weight mu0 on a page of lines), its twist, T and t."""
-    X, plan = Z.space, koszul.read_plan(Z)
+    X, plan = Z.space, koszul.read_plan(Z.bundle)
     t, mu0 = mu[X.k - 1], X.twist(mu, -mu[X.k - 1])
     module = rc.char_extremes(rc.char_irr(X.levi, mu0), X.rs.rank)
     for page in plan.pages:
@@ -810,25 +809,15 @@ def test_a_line_constituent_is_read_against_the_weight_mu0(space, F, E):
 @settings(max_examples=40, deadline=None)
 @given(a=st.integers(1, 40000),
        gap=st.one_of(st.integers(1, 3), st.integers(65520, 65550)))
-def test_wedge_pages_of_two_lines_at_the_edge_refuse_exactly_past_a_page(a, gap):
-    # Lambda^1 of O(-a) + O(-b) is packed relative to the middle m of -a and -b, one
-    # page per line of F^*: its k field 1 - a - m or 1 - b - m must fit
+def test_wedge_powers_of_two_lines_past_the_edge_are_answered(a, gap):
+    # the lines of F are twists of the trivial page, kept out of the fields: Lambda^* of
+    # O(-a) + O(-b) is answered however far apart a and b lie
     b = a + gap
     X = parse_homspace("G2/P2")
     Z = mk("G2/P2", {(0, a): 1, (0, b): 1})
-    middle = (-a - b) // 2
-    try:
-        for s in (-a - middle, -b - middle):
-            rc.check_packable((1, 1 + s), (1, 1 + s))
-        want = [{(0, 0): 1}, {(0, -a): 1, (0, -b): 1}, {X.line(-a - b): 1}]
-    except rc.WeightRangeError:
-        want = "refused"
     cache.clear()
-    try:
-        got = [page.decomp(X) for page in wedge_dual_pages(Z)]
-    except rc.WeightRangeError:
-        got = "refused"
-    assert got == want
+    got = [koszul.wedge_decomp(Z.bundle, p) for p in range(3)]
+    assert got == [{(0, 0): 1}, {(0, -a): 1, (0, -b): 1}, {X.line(-a - b): 1}]
 
 
 def test_one_range_check_per_module_not_per_page(monkeypatch):
@@ -858,7 +847,7 @@ def test_one_range_check_per_module_not_per_page(monkeypatch):
     monkeypatch.setattr(koszul, "_graded_product", product)
     cache.clear()
     Z = mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1})
-    wedge_dual_pages(Z)
+    koszul.read_plan(Z.bundle)
     # three steps multiply the four copies of w6; the line O(1) is no step
     assert len(steps) == 3 and all(0 < n <= right for n, right in steps)
     E = omega_filtration(Z.space).twist(Z.space, 1)
@@ -868,7 +857,7 @@ def test_one_range_check_per_module_not_per_page(monkeypatch):
     assert 0 < count <= 2 * sum(len(g) for g in E.gradeds)
     # more line terms, as many checks
     more = mk("E6/P3", {w(6, i6=1): 4, w(6, i3=1): 1, w(6, i3=2): 1})
-    assert len(koszul.read_plan(more).terms) > len(koszul.read_plan(Z).terms)
+    assert len(koszul.read_plan(more.bundle).terms) > len(koszul.read_plan(Z.bundle).terms)
     del checks[:]
     e1_page(more, E)
     assert len(checks) == count
@@ -1021,6 +1010,23 @@ def test_restricted_serre_duality_and_euler_characteristic(locus, parts):
     if got.status == "exact":
         chi = sum((-1) ** q * v for q, v in enumerate(got.dims))
         assert chi == sum((-1) ** (q - p) * v for (p, _, q), v in e1_page(Z, E).items())
+
+
+@pytest.mark.parametrize("E,dual,h0", [
+    ("O(1000)", "O(-1000)", 7000014000002),
+    ("w3(5000)", "w3(-5003)", 35042019604200340),
+])
+def test_serre_duality_holds_for_e1_entries_past_any_fixed_rank_cap(E, dual, h0):
+    # the E1 entries pass 10^30 here: each differential rank is bounded by the
+    # entries at its ends, so both sides of Serre duality answer, mirrored
+    X = parse_homspace("F4/P4")
+    Z = ZeroLocus(X, parse_bundle(X, "w1 + O(1)^4"))
+    E = parse_bundle(X, E)
+    assert Z.is_canonical_trivial() and E.dual() == parse_bundle(X, dual)
+    assert max(e1_page(Z, E).values()) > 10**30
+    got, mirror = restricted_cohomology(Z, E), restricted_cohomology(Z, E.dual())
+    assert got.status == mirror.status == "exact"
+    assert got.dims == mirror.dims[::-1] == [h0, 0, 0, 0, 0]
 
 
 # -- the spectral solve against every differential rank its constraints allow ----
