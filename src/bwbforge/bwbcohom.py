@@ -11,8 +11,7 @@ the same recipe off coroot pairings (``repcalc.bott_kernel``), in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, NamedTuple
 
 from . import repcalc as rc
 from .homspace import HomSpace
@@ -25,15 +24,14 @@ def check_p_dominant(X: HomSpace, lam: Weight):
         raise rc.NonDominantError(f"weight {lam} is not P{X.k}-dominant")
 
 
-@dataclass
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """Cohomology of a direct sum of irreducible bundles on X.
 
     ``entries`` maps each degree to {dominant G-weight: multiplicity}.
     """
 
     X: HomSpace
-    entries: Dict[int, Dict[Weight, int]] = field(default_factory=dict)
+    entries: Dict[int, Dict[Weight, int]]
 
     def add_entry(self, q: int, hw: Weight, mult: int = 1):
         row = self.entries.setdefault(q, {})
@@ -60,7 +58,7 @@ def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
     the reference that ``repcalc.bott_kernel`` on the E1 page agrees with.
     """
     check_p_dominant(X, lam)
-    table = CohomologyTable(X)
+    table = CohomologyTable(X, {})
     got = rc.climb(X.group, add(lam, rho(X.rs)))
     if got is not None:
         q, dom = got
@@ -70,7 +68,7 @@ def bwb(X: HomSpace, lam: Weight) -> CohomologyTable:
 
 def bundle_cohomology(X: HomSpace, bundle: rc.IrrDecomp) -> CohomologyTable:
     """Cohomology of a completely reducible bundle: direct sums are exact."""
-    table = CohomologyTable(X)
+    table = CohomologyTable(X, {})
     for lam, mult in sorted(bundle.items()):
         piece = bwb(X, lam)
         for q, row in piece.entries.items():

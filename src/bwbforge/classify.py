@@ -15,9 +15,8 @@ citation recorded, by ``hodge.empty_reason``: the one table of such summands
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import hodge
 from . import repcalc as rc
@@ -112,8 +111,7 @@ def admissible_summands(
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """A numeric solution of rank(F) = dim - d, dex(F) = iota."""
 
     space: HomSpace
@@ -163,16 +161,14 @@ class CandidatePair:
         return repr(min(variants))
 
 
-@dataclass
-class ExclusionRecord:
+class ExclusionRecord(NamedTuple):
     space: str
     weights: Tuple[Tuple[Weight, int], ...]
     reason: str
     citation: str
 
 
-@dataclass
-class SpaceSearch:
+class SpaceSearch(NamedTuple):
     space: HomSpace
     candidates: List[CandidatePair]
     excluded: List[ExclusionRecord]
@@ -254,8 +250,7 @@ def enumerate_candidates(X: HomSpace, d: int) -> SpaceSearch:
     return SpaceSearch(X, candidates, excluded, False)
 
 
-@dataclass
-class ClassifyRow:
+class ClassifyRow(NamedTuple):
     space: str
     dim: int
     iota: int
@@ -263,7 +258,7 @@ class ClassifyRow:
     weights: Tuple[Tuple[Weight, int], ...]
     d: int
     orbit_tag: str
-    hodge: Dict[str, Optional[int]] = field(default_factory=dict)
+    hodge: Dict[str, Optional[int]]
     status: str = "exact"
     note: str = ""
 
@@ -279,8 +274,7 @@ def _hodge_fields(Z: ZeroLocus) -> Tuple[Dict[str, Optional[int]], str]:
     return out, "exact" if dia.complete() else "ambiguous"
 
 
-@dataclass
-class ClassifyReport:
+class ClassifyReport(NamedTuple):
     d: int
     rows: List[ClassifyRow]
     excluded: List[ExclusionRecord]

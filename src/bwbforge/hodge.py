@@ -25,8 +25,7 @@ unknown determines it.  No particular map is ever assumed to vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .homspace import HomSpace, gradation
 from .koszul import FilteredBundle, ZCohomology, ZeroLocus, restricted_cohomology
@@ -84,8 +83,7 @@ def _conormal_les(a: Sequence[Cell], b: Sequence[Cell], c: Sequence[Cell]) -> Li
     return out
 
 
-@dataclass
-class ChaseReport:
+class ChaseReport(NamedTuple):
     """Audit trail of an exact-sequence chase.
 
     ``sequences`` holds the interleaved long exact sequences (integers for
@@ -169,7 +167,7 @@ def h1_row(Z: ZeroLocus, row0: ZCohomology) -> ZCohomology:
     """h^{1,q}(Z), the unknowns ``h1_chase_report`` solves from row 0."""
     solved = h1_chase_report(Z, row0).solved
     dims = [solved.get(f"x{q}") for q in range(Z.d + 1)]
-    return ZCohomology(Z.d, dims, "exact" if None not in dims else "ambiguous")
+    return ZCohomology(Z.d, dims, "exact" if None not in dims else "ambiguous", {})
 
 
 def h22_chase_report(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> ChaseReport:
@@ -199,8 +197,7 @@ def h22_chase_report(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> Chas
     return ChaseReport([], known, {"chi": chi, "h22": value}, True)
 
 
-@dataclass
-class HodgeDiamond:
+class HodgeDiamond(NamedTuple):
     """The h^{p,q} array of a d-fold with per-cell provenance flags.
 
     ``blocked`` maps a named cell left undetermined (``"h22"``) to the
@@ -209,9 +206,9 @@ class HodgeDiamond:
     """
 
     d: int
-    h: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
-    flags: Dict[Tuple[int, int], str] = field(default_factory=dict)
-    blocked: Dict[str, str] = field(default_factory=dict)
+    h: Dict[Tuple[int, int], Optional[int]]
+    flags: Dict[Tuple[int, int], str]
+    blocked: Dict[str, str]
 
     def set(self, p: int, q: int, value: Optional[int], flag: str):
         self.h[(p, q)] = value
@@ -254,7 +251,7 @@ def assemble(
         row0 = h0_row(Z)
     if row1 is None:
         row1 = h1_row(Z, row0)
-    dia = HodgeDiamond(d)
+    dia = HodgeDiamond(d, {}, {}, {})
     for p, row in enumerate((row0, row1)):
         for q, v in enumerate(row.dims):
             dia.set(p, q, v, "computed" if v is not None else "ambiguous")

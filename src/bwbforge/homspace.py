@@ -10,9 +10,8 @@ underlying Levi module, so that det(E_lambda) = O(dex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import repcalc as rc
 from .rootdata import (
@@ -24,16 +23,20 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class HomSpace:
-    """G/P_k for the k-th maximal parabolic of a simple group."""
-
+class _HomSpace(NamedTuple):
     rs: RootSystem
     k: int
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.rs.rank:
-            raise ValueError(f"parabolic index {self.k} out of range for {self.rs}")
+
+class HomSpace(_HomSpace):
+    """G/P_k for the k-th maximal parabolic of a simple group."""
+
+    __slots__ = ()
+
+    def __new__(cls, rs: RootSystem, k: int):
+        if not 1 <= k <= rs.rank:
+            raise ValueError(f"parabolic index {k} out of range for {rs}")
+        return super().__new__(cls, rs, k)
 
     def __str__(self):
         return f"{self.rs}/P{self.k}"
@@ -97,8 +100,7 @@ def depth(X: HomSpace) -> int:
     return max(b[X.k - 1] for b in nilradical_roots(X))
 
 
-@dataclass(frozen=True)
-class GradedCotangent:
+class GradedCotangent(NamedTuple):
     """Graded pieces of Omega_{G/P}, deepest piece first (the subbundle end).
 
     ``pieces[j]`` is the decomposition into irreducible bundles E_lambda of

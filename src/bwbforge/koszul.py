@@ -41,7 +41,6 @@ reported as bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -58,8 +57,7 @@ def w_digits_ambiguous(digits: str, rank: int) -> bool:
     return any(10 <= int(digits[i : i + 2]) <= rank for i in range(len(digits) - 1))
 
 
-@dataclass(frozen=True)
-class BundleSum:
+class BundleSum(NamedTuple):
     """Completely reducible equivariant bundle: multiset of P-dominant weights.
 
     Twists are absorbed into the weights: E_lambda(t) is stored as
@@ -132,8 +130,7 @@ class BundleSum:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class FilteredBundle:
+class FilteredBundle(NamedTuple):
     """Equivariant bundle given by its graded pieces, subbundle end first.
 
     The cohomology of such a bundle E on X is the Koszul route with F = 0:
@@ -195,24 +192,29 @@ class PackedPage:
         return PackedPage(X, {dual(s + zero): n for s, n, _ in self.pairs}, twist)
 
 
-@dataclass(frozen=True)
-class ZeroLocus:
-    """Zero locus of a general global section of ``bundle`` inside ``space``."""
-
+class _ZeroLocus(NamedTuple):
     space: HomSpace
     bundle: BundleSum
 
-    def __post_init__(self):
-        if self.bundle.X != self.space:
+
+class ZeroLocus(_ZeroLocus):
+    """Zero locus of a general global section of ``bundle`` inside ``space``."""
+
+    __slots__ = ()
+
+    def __new__(cls, space: HomSpace, bundle: BundleSum):
+        if bundle.X != space:
             raise ValueError("bundle lives on a different space")
-        for lam, _ in self.bundle.summands:
-            if not rc.is_context_dominant(self.space.group, lam):
+        for lam, _ in bundle.summands:
+            if not rc.is_context_dominant(space.group, lam):
                 raise ValueError(
-                    f"summand {lam} is not {self.space.rs}-dominant: it has no "
+                    f"summand {lam} is not {space.rs}-dominant: it has no "
                     "sections, so its zero locus has no Koszul resolution"
                 )
+        self = super().__new__(cls, space, bundle)
         if self.d < 0:
             raise ValueError("bundle rank exceeds the ambient dimension")
+        return self
 
     @property
     def d(self) -> int:
@@ -409,8 +411,7 @@ def wedge_decomp(F: BundleSum, p: int) -> rc.IrrDecomp:
 # -- hypercohomology bookkeeping ---------------------------------------------
 
 
-@dataclass
-class ZCohomology:
+class ZCohomology(NamedTuple):
     """H^q(Z, E|_Z) dimensions for q = 0..d, with an exactness status.
 
     ``dims[q]`` is None for a degree the degree-bookkeeping could not pin
@@ -419,8 +420,8 @@ class ZCohomology:
 
     d: int
     dims: List[Optional[int]]
-    status: str = "exact"  # "exact" | "ambiguous"
-    bounds: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    status: str  # "exact" | "ambiguous"
+    bounds: Dict[int, Tuple[int, int]]
 
 
 def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomology:

@@ -38,11 +38,10 @@ per-coordinate extremes of the sum with ``check_packable``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from operator import lshift, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cache as _cache
 from .rootdata import (
@@ -82,8 +81,12 @@ class WeightRangeError(ValueError):
         return exc
 
 
-@dataclass(frozen=True)
-class Context:
+class _Context(NamedTuple):
+    rs: RootSystem
+    levi: Tuple[int, ...]
+
+
+class Context(_Context):
     """Reductive context: the ambient group restricted to ``levi`` nodes.
 
     ``levi`` is a sorted tuple of 1-based simple-root indices; the full set
@@ -91,14 +94,14 @@ class Context:
     P_k.
     """
 
-    rs: RootSystem
-    levi: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(i < 1 or i > self.rs.rank for i in self.levi):
+    def __new__(cls, rs: RootSystem, levi: Tuple[int, ...]):
+        if any(i < 1 or i > rs.rank for i in levi):
             raise ValueError("levi indices out of range")
-        if tuple(sorted(set(self.levi))) != self.levi:
+        if tuple(sorted(set(levi))) != levi:
             raise ValueError("levi indices must be sorted and unique")
+        return super().__new__(cls, rs, levi)
 
     @property
     def is_full(self) -> bool:

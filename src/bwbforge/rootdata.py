@@ -29,11 +29,10 @@ matrix of the invariant form on weights is summed from the coroots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 Weight = Tuple[int, ...]
 Root = Tuple[int, ...]
@@ -45,28 +44,31 @@ class RootDataError(ValueError):
     """Invalid family/rank combination or malformed weight input."""
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """A simple root system ``family`` of the given ``rank`` (Bourbaki labels)."""
-
+class _RootSystem(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise RootDataError(f"unknown family {self.family!r}")
-        r = self.rank
+
+class RootSystem(_RootSystem):
+    """A simple root system ``family`` of the given ``rank`` (Bourbaki labels)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise RootDataError(f"unknown family {family!r}")
         ok = {
-            "A": r >= 1,
-            "B": r >= 2,
-            "C": r >= 2,
-            "D": r >= 3,
-            "E": r in (6, 7, 8),
-            "F": r == 4,
-            "G": r == 2,
-        }[self.family]
+            "A": rank >= 1,
+            "B": rank >= 2,
+            "C": rank >= 2,
+            "D": rank >= 3,
+            "E": rank in (6, 7, 8),
+            "F": rank == 4,
+            "G": rank == 2,
+        }[family]
         if not ok:
-            raise RootDataError(f"rank {r} not admissible for family {self.family}")
+            raise RootDataError(f"rank {rank} not admissible for family {family}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -236,8 +238,7 @@ def integral_weight_gram(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(x // g for x in row) for row in G)
 
 
-@dataclass(frozen=True)
-class ChamberResult:
+class ChamberResult(NamedTuple):
     """Outcome of pushing a weight into the dominant chamber.
 
     ``singular`` weights lie on a wall (some Weyl image has a zero

@@ -218,7 +218,7 @@ def test_chi_formula_consistency():
 
 
 def test_chi_trivial_arithmetic():
-    dia = HodgeDiamond(4)
+    dia = HodgeDiamond(4, {}, {}, {})
     for p in range(5):
         for q in range(5):
             dia.set(p, q, 0, "computed")
@@ -246,8 +246,8 @@ def test_h22_requires_fourfold():
 def test_diamond_fills_a_cell_from_its_mirror():
     # explicit rows on a threefold: (0,1) is open, (1,0) is known
     Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
-    row0 = ZCohomology(3, [1, None, 0, 1], "ambiguous")
-    row1 = ZCohomology(3, [0, 1, 73, 0], "exact")
+    row0 = ZCohomology(3, [1, None, 0, 1], "ambiguous", {})
+    row1 = ZCohomology(3, [0, 1, 73, 0], "exact", {})
     dia = assemble(Z, row0, row1)
     assert dia.get(0, 1) == 0 and dia.flags[(0, 1)] == "symmetry-forced"
     assert dia.get(3, 2) == 0 and dia.flags[(1, 0)] == "computed"
@@ -256,8 +256,8 @@ def test_diamond_fills_a_cell_from_its_mirror():
 
 def test_diamond_refuses_conflicting_mirror_cells():
     Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
-    row0 = ZCohomology(3, [1, 0, 0, 1], "exact")
-    row1 = ZCohomology(3, [7, 1, 73, 0], "exact")
+    row0 = ZCohomology(3, [1, 0, 0, 1], "exact", {})
+    row1 = ZCohomology(3, [7, 1, 73, 0], "exact", {})
     with pytest.raises(ChaseStuckError, match="symmetry violated"):
         assemble(Z, row0, row1)
 
