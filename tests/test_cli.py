@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -373,6 +374,64 @@ def test_csv_format():
 def test_main_entrypoint_direct():
     assert main(["dim", "G2/P1"]) == 0
     assert main(["dex", "G2/P1", "[1,-1]"]) == 1  # not P-dominant
+
+
+# -- the heap freeze of main ---------------------------------------------------
+
+
+def fresh_python(code):
+    """Standard output of ``code`` run in a fresh interpreter that imports this engine."""
+    src = str(pathlib.Path(koszul.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_main_freezes_the_import_heap_once_per_process():
+    counts = fresh_python(
+        "import contextlib, gc, io\n"
+        "from bwbforge import cli\n"
+        "seen = [gc.get_freeze_count()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['dim', 'G2/P1'], ['hodge', 'G2/P2', 'O(3)', '--d', '4']):\n"
+        "        assert cli.main(argv) == 0\n"
+        "        seen.append(gc.get_freeze_count())\n"
+        "print(*seen)\n"
+    ).split()
+    before, first, second = map(int, counts)
+    # a frozen object can still be freed by its reference count, so the count
+    # may fall; a second freeze would add everything made since the first
+    assert before == 0 < first and second <= first
+
+
+def test_library_calls_freeze_nothing():
+    count = fresh_python(
+        "import gc\n"
+        "import bwbforge.cli\n"
+        "from bwbforge import hodge, koszul\n"
+        "from bwbforge.cli import parse_bundle\n"
+        "from bwbforge.homspace import parse_homspace\n"
+        "X = parse_homspace('E6/P2')\n"
+        "Z = koszul.ZeroLocus(X, parse_bundle(X, 'w6 + O(1)^5 + w1'))\n"
+        "assert koszul.restricted_cohomology(Z, None).status == 'exact'\n"
+        "assert hodge.assemble(Z).complete()\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    assert count.strip() == "0"
+
+
+def test_only_main_freezes_the_heap():
+    callers = []
+    for path in sorted(pathlib.Path(koszul.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "freeze" or (
+                    isinstance(node, ast.Name) and node.id == "freeze"):
+                callers.append((path.name, [f.name for f in defs
+                                            if f.lineno <= node.lineno <= f.end_lineno]))
+    assert callers == [("cli.py", ["main"])]
 
 
 def test_classify_d4_pairs_via_cli():

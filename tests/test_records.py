@@ -69,6 +69,39 @@ def test_refused_records_keep_their_exception_and_message(build, exc, message):
     assert type(info.value) is exc and str(info.value) == message
 
 
+def _bad_fields():
+    """Each refusal above as a valid record and the fields that spoil it."""
+    E6 = RootSystem("E", 6)
+    X, Y = HomSpace(E6, 2), HomSpace(E6, 1)
+    Z = ZeroLocus(X, BundleSum.make(X, {X.fundamental(6): 1, X.line(1): 5, X.fundamental(1): 1}))
+    return [
+        (E6, {"rank": 9}, RootDataError, "rank 9 not admissible for family E"),
+        (E6, {"family": "X", "rank": 3}, RootDataError, "unknown family 'X'"),
+        (X.levi, {"levi": (2, 1)}, ValueError, "levi indices must be sorted and unique"),
+        (X.levi, {"levi": (0, 1)}, ValueError, "levi indices out of range"),
+        (X, {"k": 0}, ValueError, "parabolic index 0 out of range for E6"),
+        (Z, {"bundle": BundleSum.make(Y, {Y.line(1): 1})}, ValueError,
+         "bundle lives on a different space"),
+        (Z, {"bundle": BundleSum(X, ((X.twist(X.fundamental(1), -1), 1),))}, ValueError,
+         "summand (1, -1, 0, 0, 0, 0) is not E6-dominant: it has no sections, "
+         "so its zero locus has no Koszul resolution"),
+        (Z, {"bundle": BundleSum.make(X, {X.line(1): 22})}, ValueError,
+         "bundle rank exceeds the ambient dimension"),
+    ]
+
+
+@pytest.mark.parametrize("route", ["_make", "_replace"])
+@pytest.mark.parametrize("good,bad,exc,message", _bad_fields())
+def test_make_and_replace_refuse_what_the_constructor_refuses(route, good, bad, exc, message):
+    fields = {**good._asdict(), **bad}
+    cls = type(good)
+    with pytest.raises(exc) as info:
+        cls._make(fields.values()) if route == "_make" else good._replace(**bad)
+    assert type(info.value) is exc and str(info.value) == message
+    # the same fields, unspoilt, go through both routes to an equal record
+    assert cls._make(good) == good._replace() == good and type(cls._make(good)) is cls
+
+
 def _plan_fields(plan):
     pages = [[getattr(page, name) for name in PackedPage.__slots__] for page in plan.pages]
     return plan.terms, plan.hulls, pages
