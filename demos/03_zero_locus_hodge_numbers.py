@@ -54,3 +54,7 @@ Zbd = ZeroLocus(gr26, BundleSum.make(gr26, {(3, 0, 0, 0, 0): 1}))
 s = h0_row(Zbd)
 print("S^3 U* on Gr(2,6): h(O_Z) =", s.dims, "->",
       "the hyperkaehler row" if is_hyperkaehler(s.dims) else "not hyperkaehler")
+# one d_1 of the F^*|_Z page stays open, so the chase bounds the h^{1,q}
+# row instead of certifying it; the K3^[2] values 21, 0, 21 lie inside
+bd1 = h1_row(Zbd, s)
+print("h^{1,q} =", bd1.dims, "with bounds", bd1.bounds, "and chi(Omega^1_Z) =", bd1.chi)

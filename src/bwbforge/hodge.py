@@ -16,11 +16,11 @@ h^{2,2} is reported as blocked.  Each row is a ``koszul.ZCohomology``, the
 same dimensions-with-a-status the Koszul solve returns; a row function is
 handed the rows it reads, and never recomputes them.
 
-``h1_chase_report`` is the one h^{1,q} chase, and ``h1_row`` reads its
-solved unknowns.  It runs through one small solver: an exact sequence whose
-entries are known integers or named unknowns splits at its zero entries
-into segments with vanishing alternating sum, and a segment with a single
-unknown determines it.  No particular map is ever assumed to vanish.
+``h1_chase_report`` is the one h^{1,q} chase, and ``h1_row`` reads its cells
+and bounds off it.  ``solve_exact_system`` runs it on ``koszul.narrow``, the
+integer interval kernel of the spectral solve: each term of the sequence is
+the sum of the ranks of its two maps, and the Euler characteristics of the
+restricted sheaves are rows too.  No map is ever assumed to vanish.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .homspace import HomSpace, gradation
-from .koszul import FilteredBundle, ZCohomology, ZeroLocus, restricted_cohomology
+from .koszul import FilteredBundle, Row, ZCohomology, ZeroLocus, narrow, restricted_cohomology
 from .rootdata import Weight
 
 Cell = Union[int, str]  # a known dimension or the name of an unknown
@@ -46,41 +46,27 @@ class ChaseStuckError(RuntimeError):
     pass
 
 
-def solve_exact_system(seq: List[Cell]) -> Tuple[Dict[str, int], bool]:
-    """Solve for the unknowns of one exact sequence, 0-terminated on both ends.
+Interval = Tuple[int, int]
 
-    Each unknown may appear once, so solving one segment changes no other
-    and a single pass over the segments finds every forced value.  Returns
-    the solved unknowns and whether everything was determined.
+
+def solve_exact_system(terms: Sequence[Interval], chis: Sequence[Tuple[Sequence[int], int]]
+                       ) -> List[Interval]:
+    """Narrow the terms of an exact sequence 0 -> t_0 -> t_1 -> ... -> t_m -> 0.
+
+    ``terms[i]`` is the interval t_i lies in, and each (indices, chi) of
+    ``chis`` says that the alternating sum of the terms at ``indices`` is chi.
+    With r_i >= 0 the rank of t_i -> t_{i+1}, exactness is t_i = r_{i-1} + r_i;
+    ``koszul.narrow`` propagates these rows and the Euler rows to a fixpoint
+    and returns the narrowed interval of each term.  No map is assumed to
+    vanish, and AssertionError means no exact sequence fits.
     """
-    names = [c for c in seq if isinstance(c, str)]
-    if len(set(names)) != len(names):
-        raise ValueError(f"an unknown repeats in {seq}")
-    values: Dict[str, int] = {}
-    segment: List[Cell] = []
-    for cell in [*seq, 0]:
-        if cell != 0:
-            segment.append(cell)
-            continue
-        unknowns = [i for i, c in enumerate(segment) if isinstance(c, str)]
-        if len(unknowns) == 1:
-            # the alternating sum of the segment vanishes
-            i = unknowns[0]
-            total = sum((-1) ** j * c for j, c in enumerate(segment) if j != i)
-            val = -total * (-1) ** i
-            if val < 0:
-                raise ChaseStuckError(f"exact sequence forces {segment[i]} = {val} < 0")
-            values[segment[i]] = val
-        segment = []
-    return values, len(values) == len(names)
-
-
-def _conormal_les(a: Sequence[Cell], b: Sequence[Cell], c: Sequence[Cell]) -> List[Cell]:
-    """Interleave rows of H^q(A), H^q(B), H^q(C) for 0 -> A -> B -> C -> 0."""
-    out: List[Cell] = []
-    for qa, qb, qc in zip(a, b, c):
-        out.extend([qa, qb, qc])
-    return out
+    m = len(terms)
+    lo = [t[0] for t in terms] + [0] * (m - 1)
+    hi = [t[1] for t in terms] + [min(terms[i][1], terms[i + 1][1]) for i in range(m - 1)]
+    rows: List[Row] = [((i,), [m + j for j in (i - 1, i) if 0 <= j < m - 1], 0) for i in range(m)]
+    rows += [(indices[0::2], indices[1::2], chi) for indices, chi in chis]
+    narrow(lo, hi, rows)
+    return list(zip(lo[:m], hi[:m]))
 
 
 class ChaseReport(NamedTuple):
@@ -88,14 +74,14 @@ class ChaseReport(NamedTuple):
 
     ``sequences`` holds the interleaved long exact sequences (integers for
     known dimensions, names for unknowns), ``known`` the symmetry-forced
-    seed values and any Euler characteristics read off, ``solved`` every
-    unknown the chase determined.  A value appears in ``solved`` only if it
-    is forced by exactness plus the recorded zero cells.
+    seeds and the Euler characteristics read off, ``solved`` every unknown
+    that exactness and the recorded cells pin, ``bounds`` every other.
     """
 
     sequences: List[List[Cell]]
     known: Dict[str, int]
     solved: Dict[str, int]
+    bounds: Dict[str, Interval]
     complete: bool
 
 
@@ -142,32 +128,37 @@ def is_hyperkaehler(row0: Sequence[Optional[int]]) -> bool:
 def h1_chase_report(Z: ZeroLocus, row0: ZCohomology) -> ChaseReport:
     """The conormal chase 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0 with its audit trail.
 
-    When row 0 is not exact nothing is solved.  When F^*|_Z is only bounded,
-    Omega_X|_Z is not computed; when either is, only the seeds are known.
+    Its long exact sequence runs over a_0, b_0, x_0, ..., a_d, b_d, x_d, the
+    h^q of the three sheaves.  a_q and b_q lie in the intervals their
+    spectral solves certified, and their alternating sums are their exact
+    Euler characteristics ``chi_a`` and ``chi_b``.  x_0 = h^{0,1} and
+    x_d = h^{0,d-1} are seeded from row 0, the other x_q are free; the
+    interval chase ``solve_exact_system`` narrows them all.
     """
     d = Z.d
-    if row0.status != "exact":
-        return ChaseReport([], {}, {}, False)
+    a, b = (restricted_cohomology(Z, E) for E in (Z.bundle.dual(), omega_filtration(Z.space)))
+    A, B, R = ([zc.bounds.get(q, (v, v)) for q, v in enumerate(zc.dims)] for zc in (a, b, row0))
+    free = (0, sum(hi for _, hi in A + B))  # x_q <= b_q + a_{q+1}
+    cells = [cell for q in range(d + 1) for cell in (A[q], B[q], free)]
     # conjugation: h^{1,0} = h^{0,1}; Serre duality: h^{1,d} = h^{d-1,0} = h^{0,d-1}
-    known = {"x0": row0.dims[1], f"x{d}": row0.dims[d - 1]}
-    a = restricted_cohomology(Z, Z.bundle.dual())
-    if a.status != "exact":
-        return ChaseReport([], known, {}, False)
-    b = restricted_cohomology(Z, omega_filtration(Z.space))
-    if b.status != "exact":
-        return ChaseReport([], known, {}, False)
-    cells: List[Cell] = [f"x{q}" for q in range(d + 1)]
-    seq = _conormal_les(a.dims, b.dims, [known.get(c, c) for c in cells])
-    values, complete = solve_exact_system(seq)
-    values.update(known)
-    return ChaseReport([seq], known, values, complete)
+    cells[2], cells[-1] = R[1], R[d - 1]
+    names = [f"{s}{q}" for q in range(d + 1) for s in "abx"]
+    known = {n: lo for n, (lo, hi) in zip(names, cells) if n in ("x0", f"x{d}") and lo == hi}
+    seq: List[Cell] = [lo if lo == hi and n[0] != "x" else n for n, (lo, hi) in zip(names, cells)]
+    got = solve_exact_system(cells, [(range(0, len(cells), 3), a.chi),
+                                     (range(1, len(cells), 3), b.chi)])
+    solved = {n: lo for n, c, (lo, hi) in zip(names, seq, got) if lo == hi and c == n}
+    bounds = {n: t for n, t in zip(names, got) if t[0] != t[1]}
+    return ChaseReport([seq], {**known, "chi_a": a.chi, "chi_b": b.chi}, solved, bounds, not bounds)
 
 
 def h1_row(Z: ZeroLocus, row0: ZCohomology) -> ZCohomology:
-    """h^{1,q}(Z), the unknowns ``h1_chase_report`` solves from row 0."""
-    solved = h1_chase_report(Z, row0).solved
-    dims = [solved.get(f"x{q}") for q in range(Z.d + 1)]
-    return ZCohomology(Z.d, dims, "exact" if None not in dims else "ambiguous", {})
+    """h^{1,q}(Z), the cells x_q that ``h1_chase_report`` solves or bounds from row 0."""
+    rep = h1_chase_report(Z, row0)
+    dims = [rep.solved.get(f"x{q}") for q in range(Z.d + 1)]
+    bounds = {q: rep.bounds[f"x{q}"] for q in range(Z.d + 1) if dims[q] is None}
+    return ZCohomology(Z.d, dims, "ambiguous" if bounds else "exact", bounds,
+                       rep.known["chi_b"] - rep.known["chi_a"])
 
 
 def h22_chase_report(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> ChaseReport:
@@ -189,12 +180,12 @@ def h22_chase_report(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> Chas
         "x1": row1.dims[2],  # h^{2,1} = h^{1,2}
         "x3": row1.dims[2],  # h^{2,3} = h^{3,2} = h^{1,2}
         "x4": row0.dims[2],  # h^{2,4} = h^{4,2} = h^{0,2}
-        "chi_O": sum((-1) ** q * v for q, v in enumerate(row0.dims)),
-        "chi_Omega1": sum((-1) ** q * v for q, v in enumerate(row1.dims)),
+        "chi_O": row0.chi,
+        "chi_Omega1": row1.chi,
     }
     chi = 22 * known["chi_O"] - 4 * known["chi_Omega1"]
     value = chi - known["x0"] + known["x1"] + known["x3"] - known["x4"]
-    return ChaseReport([], known, {"chi": chi, "h22": value}, True)
+    return ChaseReport([], known, {"chi": chi, "h22": value}, {}, True)
 
 
 class HodgeDiamond(NamedTuple):

@@ -32,11 +32,11 @@ G-dominant, since such a summand has no sections at all.
 A rank-0 F gives Z = X and a page with only p = 0, and that is how the
 cohomology of a filtered bundle on X itself is computed.
 
-Degeneration of the spectral sequence is never assumed: the bookkeeping
-solver below cancels entries only where the abutment forces it (total
-degrees outside 0..dim Z must die) and certifies exact dimensions only when
-no differential between surviving entries can be nonzero.  Anything else is
-reported as bounds.
+Degeneration of the spectral sequence is never assumed: ``_spectral_solve``
+cancels entries only where the abutment forces it (total degrees outside
+0..dim Z must die), and certifies a dimension only where every rank the
+integer interval kernel ``narrow`` allows gives it; ``hodge`` chases the
+conormal sequence on the same kernel.  Anything else is reported as bounds.
 """
 
 from __future__ import annotations
@@ -416,13 +416,49 @@ class ZCohomology(NamedTuple):
     """H^q(Z, E|_Z) dimensions for q = 0..d, with an exactness status.
 
     ``dims[q]`` is None for a degree the degree-bookkeeping could not pin
-    down; ``bounds`` then carries (lower, upper) for that degree.
+    down; ``bounds`` then carries (lower, upper) for that degree.  ``chi`` is
+    the Euler characteristic, exact whatever the differentials are.
     """
 
     d: int
     dims: List[Optional[int]]
     status: str  # "exact" | "ambiguous"
     bounds: Dict[int, Tuple[int, int]]
+    chi: int
+
+
+Row = Tuple[Sequence[int], Sequence[int], int]
+
+
+def narrow(lo: List[int], hi: List[int], rows: Sequence[Row]) -> None:
+    """Narrow the integer intervals lo[i]..hi[i] in place to a fixpoint of ``rows``.
+
+    A row (plus, minus, total) says that the values of ``plus`` less those of
+    ``minus`` sum to ``total``.  With ``up`` the total less the least that sum
+    can be and ``down`` the greatest less the total, a value of ``plus`` lies
+    within ``up`` of its lower end and ``down`` of its upper one, a value of
+    ``minus`` the other way round.  Every integer filling of the rows stays
+    inside; a row with ``up`` or ``down`` negative has none: AssertionError.
+    """
+    order, changed = list(rows), True
+    while changed:
+        changed = False
+        for plus, minus, total in order:
+            up, down = total, -total
+            for i in plus:
+                up -= lo[i]
+                down += hi[i]
+            for i in minus:
+                up += hi[i]
+                down -= lo[i]
+            if up < 0 or down < 0:
+                raise AssertionError("no filling meets the rows")
+            for side, rise, fall in ((plus, up, down), (minus, down, up)):
+                for i in side:
+                    low, high = lo[i], hi[i]
+                    if high > low + rise or low < high - fall:
+                        lo[i], hi[i], changed = max(low, high - fall), min(high, low + rise), True
+        order.reverse()  # a chain of rows settles in a sweep each way
 
 
 def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomology:
@@ -436,13 +472,14 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
     strictly lowers (p, j); entries with n outside 0..dim Z must die.
 
     Per connected component of the possible-differential graph, the total
-    rank y_n of all differentials between degrees n and n+1 obeys
-    y_{n-1} + y_n = E(n) at illegal degrees and <= E(n) at legal ones, and
-    y_n <= min(E(n), E(n+1)), since a rank exceeds neither its source nor
-    its target.  Interval propagation over these aggregates certifies each
-    surviving degree whose value is independent of the undetermined ranks;
-    anything else is reported as per-degree bounds.  Dropping the per-entry
-    rank caps only enlarges the feasible set, so a certified value is sound.
+    rank y_n of all differentials between degrees n and n+1 and the
+    survivors h_n of degree n obey the rows y_{n-1} + y_n + h_n = E(n) of
+    ``narrow``, with h_n = 0 at illegal degrees, and y_n <= min(E(n), E(n+1)),
+    since a rank exceeds neither its source nor its target.  A component no
+    differential reaches survives whole.  Each degree is the sum of its
+    survivors; where their intervals close it is certified, and anything
+    else is reported as per-degree bounds.  Dropping the per-entry rank caps
+    only enlarges the feasible set, so a certified value is sound.
     """
     keys = [k for k, v in entries.items() if v]
     by_degree: Dict[int, List[Tuple[int, int, int]]] = {}
@@ -461,68 +498,40 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
 
     for s, t in edges:
         root[find(s)] = find(t)
-    components: Dict[Tuple[int, int, int], List[Tuple[int, int, int]]] = {}
+    components: Dict[Tuple[int, int, int], Dict[int, int]] = {}  # root -> {n: E(n)}
     for k in keys:
-        components.setdefault(find(k), []).append(k)
+        E = components.setdefault(find(k), {})
+        E[k[2] - k[0]] = E.get(k[2] - k[0], 0) + entries[k]
     linked_of: Dict[Tuple[int, int, int], set] = {}
     for s, _ in edges:
         linked_of.setdefault(find(s), set()).add(s[2] - s[0])
 
-    total: Dict[int, Tuple[int, int]] = {}  # degree -> (lo, hi) of survivors
-
-    def add_interval(n, lo, hi):
-        a, b = total.get(n, (0, 0))
-        total[n] = (a + lo, b + hi)
-
-    for c, members in components.items():
-        E: Dict[int, int] = {}
-        for k in members:
-            n = k[2] - k[0]
-            E[n] = E.get(n, 0) + entries[k]
-        linked = linked_of.get(c, set())
-        # y[n]: total differential rank between degrees n and n+1
-        y: Dict[int, Tuple[int, int]] = {
-            n: ((0, min(E[n], E[n + 1])) if n in linked else (0, 0))
-            for n in set(E) | {m - 1 for m in E}
-        }
-        changed = True
-        while changed:
-            changed = False
-            for n, e in E.items():
-                illegal = not 0 <= n <= d
-                l0, h0 = y.get(n - 1, (0, 0))
-                l1, h1 = y.get(n, (0, 0))
-                # y_{n-1} + y_n == e at illegal degrees, <= e at legal ones
-                new0 = (max(l0, e - h1) if illegal else l0, min(h0, e - l1))
-                new1 = (max(l1, e - h0) if illegal else l1, min(h1, e - l0))
-                if new0[0] > new0[1] or new1[0] > new1[1]:
-                    raise AssertionError("inconsistent spectral bookkeeping")
-                if (n - 1) in y and new0 != (l0, h0):
-                    y[n - 1] = new0
-                    changed = True
-                if n in y and new1 != (l1, h1):
-                    y[n] = new1
-                    changed = True
+    # the intervals, rows, and (degree n, index of the survivors h_n of one component)
+    lo, hi, rows, reads = [], [], [], []
+    for c, E in components.items():
+        y = {n: len(lo) + i for i, n in enumerate(linked_of.get(c, ()))}
+        lo += [0] * len(y)
+        hi += [min(E[n], E[n + 1]) for n in y]
         for n, e in E.items():
-            l0, h0 = y.get(n - 1, (0, 0))
-            l1, h1 = y.get(n, (0, 0))
-            if not 0 <= n <= d:
-                if l0 + l1 > e or h0 + h1 < e:
-                    raise AssertionError("illegal degree cannot be cancelled")
-                continue
-            add_interval(n, max(0, e - h0 - h1), e - l0 - l1)
-
-    dims: List[Optional[int]] = [0] * (d + 1)
-    bounds: Dict[int, Tuple[int, int]] = {}
-    status = "exact"
-    for n, (lo, hi) in sorted(total.items()):
-        if lo == hi:
-            dims[n] = lo
-        else:
-            dims[n] = None
-            bounds[n] = (lo, hi)
-            status = "ambiguous"
-    return ZCohomology(d, dims, status, bounds)
+            plus = [y[m] for m in (n - 1, n) if m in y]
+            if 0 <= n <= d:
+                # with no differential at n, all of E(n) survives and needs no row
+                reads.append((n, len(lo)))
+                lo.append(0 if plus else e)
+                hi.append(e)
+                if not plus:
+                    continue
+                plus.append(len(lo) - 1)
+            rows.append((plus, (), e))
+    narrow(lo, hi, rows)
+    low, high = [0] * (d + 1), [0] * (d + 1)
+    for n, i in reads:
+        low[n] += lo[i]
+        high[n] += hi[i]
+    bounds = {n: (a, b) for n, (a, b) in enumerate(zip(low, high)) if a != b}
+    dims: List[Optional[int]] = [None if n in bounds else low[n] for n in range(d + 1)]
+    chi = sum(v if (q - p) % 2 == 0 else -v for (p, _, q), v in entries.items())
+    return ZCohomology(d, dims, "ambiguous" if bounds else "exact", bounds, chi)
 
 
 def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], int]:

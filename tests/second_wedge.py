@@ -13,15 +13,17 @@ each irreducible of the other factor.
 
 ``kernel_chase`` splits the same sequence at the kernel of its last map and
 chases the two short exact sequences instead; it needs every restricted
-bundle exact, and stalls where one is only bounded.
+bundle exact, and stalls where one is only bounded.  It runs on its own
+solver, ``solve_segment_cells``, a segment rule that shares no code with
+the interval chase of ``hodge``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from bwbforge import repcalc as rc
-from bwbforge.hodge import AmbiguousCohomologyError, Cell, _conormal_les, solve_exact_system
+from bwbforge.hodge import AmbiguousCohomologyError
 from bwbforge.homspace import HomSpace, gradation, nilradical_roots
 from bwbforge.koszul import (
     BundleSum,
@@ -35,6 +37,42 @@ from bwbforge.koszul import (
 from bwbforge.rootdata import Weight, root_to_weight
 
 from char_helpers import decompose, tensor_char
+
+Cell = Union[int, str]  # a known dimension or the name of an unknown
+
+
+def solve_segment_cells(seq: List[Cell]) -> Dict[str, int]:
+    """The unknowns one exact sequence, 0-terminated on both ends, forces.
+
+    The sequence splits at its zero cells into segments with vanishing
+    alternating sum, and a segment with a single unknown determines it.
+    Each unknown may appear once, so one pass over the segments finds every
+    forced value; a negative one raises ValueError.
+    """
+    names = [c for c in seq if isinstance(c, str)]
+    if len(set(names)) != len(names):
+        raise ValueError(f"an unknown repeats in {seq}")
+    values: Dict[str, int] = {}
+    segment: List[Cell] = []
+    for cell in [*seq, 0]:
+        if cell != 0:
+            segment.append(cell)
+            continue
+        unknowns = [i for i, c in enumerate(segment) if isinstance(c, str)]
+        if len(unknowns) == 1:
+            i = unknowns[0]
+            total = sum((-1) ** j * c for j, c in enumerate(segment) if j != i)
+            val = -total * (-1) ** i
+            if val < 0:
+                raise ValueError(f"exact sequence forces {segment[i]} = {val} < 0")
+            values[segment[i]] = val
+        segment = []
+    return values
+
+
+def conormal_les(a: Sequence[Cell], b: Sequence[Cell], c: Sequence[Cell]) -> List[Cell]:
+    """Interleave rows of H^q(A), H^q(B), H^q(C) for 0 -> A -> B -> C -> 0."""
+    return [cell for row in zip(a, b, c) for cell in row]
 
 
 def graded_module_char(X: HomSpace, ell: int) -> rc.PackedChar:
@@ -129,14 +167,14 @@ def kernel_chase(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> Tuple[Di
     c = dims(omega_square(Z), "Omega^2|_Z")
     x = [row0.dims[2], row1.dims[2], "h22", row1.dims[2], row0.dims[2]]
     k = [f"k{q}" for q in range(5)]
-    return solve_sequences([_conormal_les(a, b, k), _conormal_les(k, c, x)])
+    return solve_sequences([conormal_les(a, b, k), conormal_les(k, c, x)])
 
 
 def solve_sequences(sequences: List[List[Cell]]) -> Tuple[Dict[str, int], bool]:
     """Solve exact sequences that share unknowns, to a fixpoint.
 
     Each pass substitutes the values found so far and solves every sequence
-    once more with ``solve_exact_system``; it stops when a pass finds nothing
+    once more with ``solve_segment_cells``; it stops when a pass finds nothing
     new.  Returns the solved unknowns and whether everything was determined.
     """
     values: Dict[str, int] = {}
@@ -144,8 +182,8 @@ def solve_sequences(sequences: List[List[Cell]]) -> Tuple[Dict[str, int], bool]:
     while progress:
         progress = False
         for seq in sequences:
-            solved, _ = solve_exact_system([values.get(c, c) if isinstance(c, str) else c
-                                            for c in seq])
+            solved = solve_segment_cells([values.get(c, c) if isinstance(c, str) else c
+                                          for c in seq])
             progress |= bool(solved)
             values.update(solved)
     names = {c for seq in sequences for c in seq if isinstance(c, str)}

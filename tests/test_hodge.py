@@ -2,12 +2,15 @@ import ast
 import json
 import pathlib
 import re
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwbforge import hodge
 from bwbforge import repcalc as rc
-from bwbforge.cli import main
+from bwbforge.cli import main, parse_bundle
 from bwbforge.hodge import (
     AmbiguousCohomologyError,
     ChaseStuckError,
@@ -59,39 +62,90 @@ def w(rank, **kw):
 
 
 def test_solver_single_unknown_segment():
-    values, done = solve_exact_system([0, 1, "x", 0])
-    assert done and values == {"x": 1}
-    values, done = solve_exact_system(["x", 272, 14, 0])
-    assert done and values == {"x": 258}
+    # an unknown between known terms: t_i = r_{i-1} + r_i pins it
+    assert solve_exact_system([(0, 0), (1, 1), (0, 9), (0, 0)], []) == [(0, 0), (1, 1), (1, 1), (0, 0)]
+    got = solve_exact_system([(0, 300), (272, 272), (14, 14), (0, 0)], [])
+    assert got[0] == (258, 258)
 
 
 def test_solver_needs_two_sequences():
-    # the kernel chase's fixpoint: k is pinned by the second sequence, then x
-    # resolves in the first
+    # the kernel chase's fixpoint in the oracle: k is pinned by the second
+    # sequence, then x resolves in the first
     seqs = [[1, "x", "k"], ["k", 91, 0]]
     values, done = second_wedge.solve_sequences(seqs)
     assert done and values == {"k": 91, "x": 92}
     # one sequence alone leaves x open
-    assert solve_exact_system(seqs[0]) == ({}, False)
+    assert second_wedge.solve_segment_cells(seqs[0]) == {}
 
 
-def test_solver_reports_stuck_unknowns():
-    values, done = solve_exact_system(["a", 5, "b"])
-    assert not done and values == {}
+def test_solver_bounds_what_it_cannot_pin():
+    # a -> 5 -> b: only a + b = 5 is known, so each stays a bound
+    assert solve_exact_system([(0, 9), (5, 5), (0, 9)], []) == [(0, 5), (5, 5), (0, 5)]
+    # an Euler row a - b = 5 closes both; a - b = 1 only narrows, since the
+    # solver propagates intervals and eliminates no row against another
+    assert solve_exact_system([(0, 9), (5, 5), (0, 9)], [((0, 2), 5)]) == [(5, 5), (5, 5), (0, 0)]
+    assert solve_exact_system([(0, 9), (5, 5), (0, 9)], [((0, 2), 1)]) == [(1, 5), (5, 5), (0, 4)]
 
 
 def test_solver_rejects_negative_forcing():
-    with pytest.raises(ChaseStuckError):
-        solve_exact_system(["x", 3, 5, 0])
+    # x -> 3 -> 5 -> 0 would need x = -2
+    with pytest.raises(AssertionError):
+        solve_exact_system([(0, 9), (3, 3), (5, 5), (0, 0)], [])
 
 
-def test_solver_refuses_a_repeated_unknown():
-    # each unknown appears once in the conormal sequence; a repeat would
-    # need a second pass with the first value substituted
-    with pytest.raises(ValueError, match="repeats"):
-        solve_exact_system(["x", 3, 0, "x", 3, 0])
-    with pytest.raises(ValueError, match="repeats"):
-        solve_exact_system([1, "x", "k", 0, "k", 91, 0])
+def test_solver_pins_two_unknowns_of_one_segment_by_euler():
+    # t0 in [0, 1] and t1 in [1, 2] share a segment; their Euler row t0 - t1 = -2
+    # pins both, and then t2 = t1 - t0
+    got = solve_exact_system([(0, 1), (1, 2), (0, 9)], [((0, 1), -2)])
+    assert got == [(0, 0), (2, 2), (2, 2)]
+
+
+def _exact_fillings(terms, chis):
+    """Every filling of the terms by an exact sequence meeting the Euler rows: ranks r_i >= 0
+    of t_i -> t_{i+1}, with t_i = r_{i-1} + r_i, each ranging up to the ends it joins."""
+    m, out = len(terms), set()
+    for ranks in product(*(range(min(terms[i][1], terms[i + 1][1]) + 1) for i in range(m - 1))):
+        r = (0, *ranks, 0)
+        t = tuple(r[i] + r[i + 1] for i in range(m))
+        if all(lo <= v <= hi for v, (lo, hi) in zip(t, terms)) and all(
+            sum(-t[i] if j % 2 else t[i] for j, i in enumerate(indices)) == chi
+            for indices, chi in chis
+        ):
+            out.add(t)
+    return out
+
+
+@st.composite
+def exact_systems(draw):
+    """Intervals around an exact sequence's terms, and Euler rows over some of them, each its
+    true value or off by one: about a third of the systems have no filling."""
+    ranks = draw(st.lists(st.integers(0, 3), min_size=0, max_size=4))
+    r = (0, *ranks, 0)
+    true = [r[i] + r[i + 1] for i in range(len(r) - 1)]
+    terms = [(max(0, t - draw(st.integers(0, 2))), t + draw(st.integers(-1, 2))) for t in true]
+    terms = [(lo, max(lo, hi)) for lo, hi in terms]
+    chis = []
+    for _ in range(draw(st.integers(0, 2))):
+        indices = sorted(draw(st.sets(st.integers(0, len(true) - 1), min_size=1)))
+        chi = sum(-true[i] if j % 2 else true[i] for j, i in enumerate(indices))
+        chis.append((indices, chi + draw(st.sampled_from((0, 0, 1, -1)))))
+    return terms, chis
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=exact_systems())
+def test_exact_system_against_every_filling(system):
+    terms, chis = system
+    fillings = _exact_fillings(terms, chis)
+    try:
+        got = solve_exact_system(terms, chis)
+    except AssertionError:
+        # refused only when no exact sequence fits
+        assert not fillings
+        return
+    assert len(got) == len(terms)
+    for n, (lo, hi) in enumerate(got):
+        assert all(lo <= t[n] <= hi for t in fillings)
 
 
 # -- h^{0,q} -------------------------------------------------------------------
@@ -131,6 +185,44 @@ def test_h1_rows_g2():
 def test_h1_row_e6p1_lines():
     Z = mk("E6/P1", {w(6, i1=1): 12})
     assert h1_row(Z, h0_row(Z)).dims == [0, 1, 0, 102, 0]
+
+
+# rows the interval chase closes or bounds where a single-unknown segment rule
+# could not: (space, bundle, h^{1,*} row, its bounds, h^{2,2}); the exceptional
+# rows, F4/P4 and F4/P1 with h^{1,3} = 87 among them, are in TABLE1_ENGINE
+CHASE_ROWS = [
+    # Omega_X|_Z is only bounded; its Euler row and the sequence pin it
+    ("C6/P3", "O(2)^2 + w1^6", [0, 1, 0, 143, 0], {}, 620),
+    # both sheaves exact, two unknowns in one segment
+    ("A6/P2", "O(1) + w1(1) + w11", [0, 1, None, None, 0], {2: (0, 1), 3: (97, 98)}, None),
+]
+
+
+@pytest.mark.parametrize("space,bundle,dims,bounds,h22", CHASE_ROWS)
+def test_interval_chase_rows(space, bundle, dims, bounds, h22):
+    X = parse_homspace(space)
+    Z = ZeroLocus(X, parse_bundle(X, bundle))
+    row0 = h0_row(Z)
+    row1 = h1_row(Z, row0)
+    assert row0.dims == [1, 0, 0, 0, 1]
+    assert (row1.dims, row1.bounds) == (dims, bounds)
+    assert row1.status == ("ambiguous" if bounds else "exact")
+    assert assemble(Z, row0, row1).get(2, 2) == h22
+
+
+@pytest.mark.parametrize("space,bundle", [("A5/P2", "[3,0,0,0,0]"), ("A9/P4", "w7")])
+def test_hyperkaehler_h1_rows_stay_bounds(space, bundle):
+    # Beauville-Donagi and Debarre-Voisin: each bound holds the K3^[2] row
+    # 21, 0, 21, and none closes (one d_1 of the F^*|_Z page stays open)
+    X = parse_homspace(space)
+    Z = ZeroLocus(X, parse_bundle(X, bundle))
+    row0 = h0_row(Z)
+    row1 = h1_row(Z, row0)
+    assert is_hyperkaehler(row0.dims) and row1.chi == -42
+    assert row1.status == "ambiguous" and row1.dims == [0, None, None, None, 0]
+    for q, v in zip((1, 2, 3), (21, 0, 21)):
+        lo, hi = row1.bounds[q]
+        assert lo <= v <= hi and lo < hi
 
 
 # -- h^{2,2} and diamonds -------------------------------------------------------
@@ -246,8 +338,8 @@ def test_h22_requires_fourfold():
 def test_diamond_fills_a_cell_from_its_mirror():
     # explicit rows on a threefold: (0,1) is open, (1,0) is known
     Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
-    row0 = ZCohomology(3, [1, None, 0, 1], "ambiguous", {})
-    row1 = ZCohomology(3, [0, 1, 73, 0], "exact", {})
+    row0 = ZCohomology(3, [1, None, 0, 1], "ambiguous", {1: (0, 1)}, 0)
+    row1 = ZCohomology(3, [0, 1, 73, 0], "exact", {}, 72)
     dia = assemble(Z, row0, row1)
     assert dia.get(0, 1) == 0 and dia.flags[(0, 1)] == "symmetry-forced"
     assert dia.get(3, 2) == 0 and dia.flags[(1, 0)] == "computed"
@@ -256,8 +348,8 @@ def test_diamond_fills_a_cell_from_its_mirror():
 
 def test_diamond_refuses_conflicting_mirror_cells():
     Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
-    row0 = ZCohomology(3, [1, 0, 0, 1], "exact", {})
-    row1 = ZCohomology(3, [7, 1, 73, 0], "exact", {})
+    row0 = ZCohomology(3, [1, 0, 0, 1], "exact", {}, 0)
+    row1 = ZCohomology(3, [7, 1, 73, 0], "exact", {}, 79)
     with pytest.raises(ChaseStuckError, match="symmetry violated"):
         assemble(Z, row0, row1)
 
@@ -380,7 +472,8 @@ def test_chase_reports_expose_the_audit_trail():
     Z = mk("G2/P2", {(0, 3): 1})
     rep = h1_chase_report(Z, h0_row(Z))
     assert rep.complete and rep.solved["x3"] == 258
-    assert rep.known == {"x0": 0, "x4": 0}
+    assert rep.known == {"x0": 0, "x4": 0, "chi_a": 272, "chi_b": 13}
+    assert rep.bounds == {} and rep.sequences[0][-6:] == [0, 0, "x3", 272, 14, "x4"]
     assert len(rep.sequences) == 1 and undetermined(rep) == []
     rep = h22_chase_report(Z, *rows(Z))
     assert rep.complete and rep.sequences == [] and undetermined(rep) == []
@@ -389,8 +482,9 @@ def test_chase_reports_expose_the_audit_trail():
     assert rep.solved == {"chi": 1080, "h22": 1080}
 
 
-def test_h1_chase_stops_at_a_bounded_conormal_bundle(monkeypatch):
-    # Beauville-Donagi: F^*|_Z is only bounded, so Omega_X|_Z is never computed
+def test_h1_chase_bounds_beauville_donagi(monkeypatch):
+    # Beauville-Donagi: F^*|_Z is only bounded, and the chase still computes
+    # Omega_X|_Z and returns bounds that hold the K3^[2] row 21, 0, 21
     Z = mk("A5/P2", {(3, 0, 0, 0, 0): 1})
     row0 = h0_row(Z)
     restricted = []
@@ -401,8 +495,26 @@ def test_h1_chase_stops_at_a_bounded_conormal_bundle(monkeypatch):
 
     monkeypatch.setattr("bwbforge.hodge.restricted_cohomology", counted)
     rep = h1_chase_report(Z, row0)
-    assert restricted == [Z.bundle.dual()]
-    assert rep.known == {"x0": 0, "x4": 0} and rep.solved == {} and not rep.complete
+    assert restricted == [Z.bundle.dual(), omega_filtration(Z.space)]
+    assert rep.known == {"x0": 0, "x4": 0, "chi_a": 75, "chi_b": 33}
+    assert rep.solved == {"x0": 0, "x4": 0} and not rep.complete
+    assert rep.bounds == {"x1": (21, 57), "a2": (20, 56), "x2": (0, 36), "a3": (0, 36),
+                          "x3": (20, 21)}
+    row1 = h1_row(Z, row0)
+    assert row1.status == "ambiguous" and row1.chi == -42
+    assert row1.dims == [0, None, None, None, 0]
+    assert row1.bounds == {1: (21, 57), 2: (0, 36), 3: (20, 21)}
+
+
+def test_h1_chase_seeds_a_bounded_row0_by_its_intervals():
+    # a row 0 bounded at h^{0,1} seeds x_0 with that interval; exactness
+    # between H^0(Omega_X|_Z) = 0 and H^1(F^*|_Z) = 0 then closes it
+    Z = mk("G2/P2", {(0, 3): 1})
+    row0 = ZCohomology(4, [1, None, 0, 0, 1], "ambiguous", {1: (0, 1)}, 2)
+    rep = h1_chase_report(Z, row0)
+    assert rep.known == {"x4": 0, "chi_a": 272, "chi_b": 13}
+    assert rep.solved["x0"] == 0 and rep.complete
+    assert h1_row(Z, row0).dims == [0, 1, 0, 258, 0]
 
 
 def test_the_row_refusals_live_in_hodge():
