@@ -58,3 +58,7 @@ print("S^3 U* on Gr(2,6): h(O_Z) =", s.dims, "->",
 # row instead of certifying it; the K3^[2] values 21, 0, 21 lie inside
 bd1 = h1_row(Zbd, s)
 print("h^{1,q} =", bd1.dims, "with bounds", bd1.bounds, "and chi(Omega^1_Z) =", bd1.chi)
+# h^{2,2} reads only h^{0,2} and h^{1,2}, so the bounded h^{1,2} leaves it an
+# interval; the K3^[2] value 276 lies inside
+report = h22_chase_report(Zbd, s, bd1)
+print("h^{2,2} lies in", list(report.bounds["h22"]), "from h^{1,2} in", list(report.bounds["x1"]))

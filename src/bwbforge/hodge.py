@@ -11,9 +11,11 @@ Hodge symmetry and Serre duality.  For a fourfold with trivial canonical
 bundle h^{2,2} is read off rows 0 and 1: Libgober-Wood (Topology 1990) with
 c_1 = 0 and Serre duality gives
 chi(Omega^2_Z) = 22 chi(O_Z) - 4 chi(Omega^1_Z), and
-h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}.  On any other fourfold
-h^{2,2} is reported as blocked.  Each row is a ``koszul.ZCohomology``, the
-same dimensions-with-a-status the Koszul solve returns; a row function is
+h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}, an interval when h^{0,2}
+or h^{1,2} is one; on any other fourfold it is blocked.  Each row is a
+``koszul.ZCohomology``, the dimensions-with-a-status the Koszul solve
+returns, read as one interval per cell (``intervals``); ``assemble`` gives
+each cell of the diamond the meet of its symmetry orbit.  A row function is
 handed the rows it reads, and never recomputes them.
 
 ``h1_chase_report`` is the one h^{1,q} chase, and ``h1_row`` reads its cells
@@ -47,6 +49,11 @@ class ChaseStuckError(RuntimeError):
 
 
 Interval = Tuple[int, int]
+
+
+def intervals(zc: ZCohomology) -> List[Interval]:
+    """The interval of each degree of ``zc``: its certified value twice, or its bounds."""
+    return [zc.bounds.get(q, (v, v)) for q, v in enumerate(zc.dims)]
 
 
 def solve_exact_system(terms: Sequence[Interval], chis: Sequence[Tuple[Sequence[int], int]]
@@ -131,13 +138,14 @@ def h1_chase_report(Z: ZeroLocus, row0: ZCohomology) -> ChaseReport:
     Its long exact sequence runs over a_0, b_0, x_0, ..., a_d, b_d, x_d, the
     h^q of the three sheaves.  a_q and b_q lie in the intervals their
     spectral solves certified, and their alternating sums are their exact
-    Euler characteristics ``chi_a`` and ``chi_b``.  x_0 = h^{0,1} and
-    x_d = h^{0,d-1} are seeded from row 0, the other x_q are free; the
-    interval chase ``solve_exact_system`` narrows them all.
+    Euler characteristics ``chi_a`` and ``chi_b``, and that of the x_q is
+    chi_b - chi_a, a row exactness implies but ``narrow`` cannot derive.
+    x_0 = h^{0,1} and x_d = h^{0,d-1} are seeded from row 0, the other x_q
+    are free; the interval chase ``solve_exact_system`` narrows them all.
     """
     d = Z.d
     a, b = (restricted_cohomology(Z, E) for E in (Z.bundle.dual(), omega_filtration(Z.space)))
-    A, B, R = ([zc.bounds.get(q, (v, v)) for q, v in enumerate(zc.dims)] for zc in (a, b, row0))
+    A, B, R = map(intervals, (a, b, row0))
     free = (0, sum(hi for _, hi in A + B))  # x_q <= b_q + a_{q+1}
     cells = [cell for q in range(d + 1) for cell in (A[q], B[q], free)]
     # conjugation: h^{1,0} = h^{0,1}; Serre duality: h^{1,d} = h^{d-1,0} = h^{0,d-1}
@@ -145,8 +153,8 @@ def h1_chase_report(Z: ZeroLocus, row0: ZCohomology) -> ChaseReport:
     names = [f"{s}{q}" for q in range(d + 1) for s in "abx"]
     known = {n: lo for n, (lo, hi) in zip(names, cells) if n in ("x0", f"x{d}") and lo == hi}
     seq: List[Cell] = [lo if lo == hi and n[0] != "x" else n for n, (lo, hi) in zip(names, cells)]
-    got = solve_exact_system(cells, [(range(0, len(cells), 3), a.chi),
-                                     (range(1, len(cells), 3), b.chi)])
+    chis = (a.chi, b.chi, b.chi - a.chi)
+    got = solve_exact_system(cells, [(range(i, len(cells), 3), chi) for i, chi in enumerate(chis)])
     solved = {n: lo for n, c, (lo, hi) in zip(names, seq, got) if lo == hi and c == n}
     bounds = {n: t for n, t in zip(names, got) if t[0] != t[1]}
     return ChaseReport([seq], {**known, "chi_a": a.chi, "chi_b": b.chi}, solved, bounds, not bounds)
@@ -164,36 +172,35 @@ def h1_row(Z: ZeroLocus, row0: ZCohomology) -> ZCohomology:
 def h22_chase_report(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> ChaseReport:
     """h^{2,2} from chi(Omega^2_Z) = 22 chi_O - 4 chi_Omega1, with its inputs.
 
-    chi_O and chi_Omega1 are the alternating sums of rows 0 and 1; the cells
-    h^{2,q}, q != 2, are forced from the same rows, and
+    chi_O and chi_Omega1 are the exact Euler characteristics of rows 0 and 1;
+    the cells h^{2,q}, q != 2, are h^{0,2} and h^{1,2} by symmetry, and
     chi(Omega^2_Z) = x0 - x1 + h22 - x3 + x4 leaves h22 the one unknown.
-    The Libgober-Wood identity behind chi(Omega^2_Z) needs c_1(Z) = 0.
+    Each input is read as its interval: h22 is ``solved`` when h^{0,2} and
+    h^{1,2} are certified, and otherwise lies in ``bounds["h22"]``, cut at
+    0 below, next to the bounded inputs.  Libgober-Wood needs c_1(Z) = 0.
     """
     if Z.d != 4:
         raise ValueError("h22 is computed for fourfolds")
-    if row0.status != "exact" or row1.status != "exact":
-        raise AmbiguousCohomologyError("h22 needs exact h^{0,q} and h^{1,q} rows")
     if not Z.is_canonical_trivial():
         raise AmbiguousCohomologyError("h22 needs a trivial canonical bundle")
-    known = {
-        "x0": row0.dims[2],  # h^{2,0} = h^{0,2}
-        "x1": row1.dims[2],  # h^{2,1} = h^{1,2}
-        "x3": row1.dims[2],  # h^{2,3} = h^{3,2} = h^{1,2}
-        "x4": row0.dims[2],  # h^{2,4} = h^{4,2} = h^{0,2}
-        "chi_O": row0.chi,
-        "chi_Omega1": row1.chi,
-    }
-    chi = 22 * known["chi_O"] - 4 * known["chi_Omega1"]
-    value = chi - known["x0"] + known["x1"] + known["x3"] - known["x4"]
-    return ChaseReport([], known, {"chi": chi, "h22": value}, {}, True)
+    h02, h12 = intervals(row0)[2], intervals(row1)[2]
+    # h^{2,0} = h^{2,4} = h^{0,2} and h^{2,1} = h^{2,3} = h^{1,2}
+    cells = {"x0": h02, "x1": h12, "x3": h12, "x4": h02}
+    known = {n: lo for n, (lo, hi) in cells.items() if lo == hi}
+    chi = 22 * row0.chi - 4 * row1.chi
+    h22 = (max(0, chi - 2 * h02[1] + 2 * h12[0]), chi - 2 * h02[0] + 2 * h12[1])
+    bounds = {n: c for n, c in {**cells, "h22": h22}.items() if c[0] != c[1]}
+    solved = {"chi": chi, "h22": h22[0]} if not bounds else {"chi": chi}
+    known.update(chi_O=row0.chi, chi_Omega1=row1.chi)
+    return ChaseReport([], known, solved, bounds, not bounds)
 
 
 class HodgeDiamond(NamedTuple):
     """The h^{p,q} array of a d-fold with per-cell provenance flags.
 
     ``blocked`` maps a named cell left undetermined (``"h22"``) to the
-    reason: h^{2,2} needs exact h^{0,q} and h^{1,q} rows and a trivial
-    canonical bundle.
+    reason: a nontrivial canonical bundle, or the interval h^{2,2} lies in
+    and the bounded h^{0,2} or h^{1,2} it comes from.
     """
 
     d: int
@@ -209,20 +216,12 @@ class HodgeDiamond(NamedTuple):
         return self.h.get((p, q))
 
     def complete(self) -> bool:
-        return all(
-            self.h.get((p, q)) is not None
-            for p in range(self.d + 1)
-            for q in range(self.d + 1)
-        )
+        return all(v is not None for row in self.rows() for v in row)
 
     def euler_characteristic(self) -> Optional[int]:
         if not self.complete():
             return None
-        return sum(
-            (-1) ** (p + q) * self.h[(p, q)]
-            for p in range(self.d + 1)
-            for q in range(self.d + 1)
-        )
+        return sum((-1) ** (p + q) * v for (p, q), v in self.h.items())
 
     def rows(self) -> List[List[Optional[int]]]:
         return [[self.h.get((p, q)) for q in range(self.d + 1)] for p in range(self.d + 1)]
@@ -231,42 +230,42 @@ class HodgeDiamond(NamedTuple):
 def assemble(
     Z: ZeroLocus, row0: Optional[ZCohomology] = None, row1: Optional[ZCohomology] = None
 ) -> HodgeDiamond:
-    """Full Hodge diamond of Z (d = 3 or 4) with symmetry-forced filling.
+    """Full Hodge diamond of Z (d = 3 or 4), each cell the meet of its orbit's intervals.
 
-    Rows 0 and 1 are computed unless the caller already has them.
+    The orbit of (p, q) under conjugation and Serre duality is (q, p),
+    (d - p, d - q) and (d - q, d - p).  Rows 0 and 1 and, on a fourfold,
+    h^{2,2} give intervals; a cell is certified when the meet of those in
+    its orbit is a point: ``computed`` (``euler-characteristic`` for h^{2,2})
+    if its own interval is one, ``symmetry-forced`` if only the meet is.  An
+    empty meet raises ChaseStuckError.  Rows 0 and 1 are computed unless the
+    caller already has them.
     """
     d = Z.d
     if d not in (3, 4):
         raise ValueError("diamond assembly implemented for 3- and 4-folds")
-    if row0 is None:
-        row0 = h0_row(Z)
-    if row1 is None:
-        row1 = h1_row(Z, row0)
+    row0 = h0_row(Z) if row0 is None else row0
+    row1 = h1_row(Z, row0) if row1 is None else row1
+    own = {(p, q): c for p, row in enumerate((row0, row1)) for q, c in enumerate(intervals(row))}
     dia = HodgeDiamond(d, {}, {}, {})
-    for p, row in enumerate((row0, row1)):
-        for q, v in enumerate(row.dims):
-            dia.set(p, q, v, "computed" if v is not None else "ambiguous")
     if d == 4:
         try:
-            h = h22_chase_report(Z, row0, row1).solved["h22"]
-            dia.set(2, 2, h, "euler-characteristic")
+            rep = h22_chase_report(Z, row0, row1)
+            own[2, 2] = lo, hi = rep.bounds.get("h22") or (rep.solved["h22"],) * 2
+            if lo != hi:
+                bounded = " and ".join(f"h^{{{p},2}} in {list(own[p, 2])}" for p in (0, 1)
+                                       if own[p, 2][0] != own[p, 2][1])
+                dia.blocked["h22"] = f"h22 in {[lo, hi]} from bounded {bounded}"
         except AmbiguousCohomologyError as exc:
-            dia.set(2, 2, None, "ambiguous")
             dia.blocked["h22"] = str(exc)
-    # symmetry closure: h^{p,q} = h^{q,p} = h^{d-p,d-q}; each orbit is
-    # closed under these maps, so one pass fills every cell a value reaches
     for p in range(d + 1):
         for q in range(d + 1):
-            v = dia.get(p, q)
-            if v is None:
-                continue
-            for pp, qq in ((q, p), (d - p, d - q), (d - q, d - p)):
-                if dia.get(pp, qq) is None:
-                    dia.set(pp, qq, v, "symmetry-forced")
-                elif dia.get(pp, qq) != v:
-                    raise ChaseStuckError(f"diamond symmetry violated at ({pp},{qq})")
-    for p in range(d + 1):
-        for q in range(d + 1):
-            if (p, q) not in dia.h:
-                dia.set(p, q, None, "ambiguous")
+            meet = [own[c] for c in {(p, q), (q, p), (d - p, d - q), (d - q, d - p)} if c in own]
+            lo = max((c[0] for c in meet), default=None)
+            hi = min((c[1] for c in meet), default=None)
+            if meet and lo > hi:
+                raise ChaseStuckError(f"diamond symmetry violated at ({p},{q})")
+            flag = ("ambiguous" if not meet or lo != hi
+                    else "symmetry-forced" if own.get((p, q)) != (lo, hi)
+                    else "euler-characteristic" if (p, q) == (2, 2) else "computed")
+            dia.set(p, q, None if flag == "ambiguous" else lo, flag)
     return dia

@@ -600,12 +600,6 @@ def dual_extremes(ctx: Context, lo: Sequence[int], hi: Sequence[int]) -> Tuple[W
     return tuple(out[0]), tuple(out[1])
 
 
-def dual_highest_weight(ctx: Context, lam: Weight) -> Weight:
-    """Highest weight -w_0 lam of the dual module."""
-    _require_dominant(ctx, lam)
-    return dual_extremes(ctx, lam, lam)[0]
-
-
 @lru_cache(maxsize=None)
 def dual_kernel(ctx: Context) -> Callable[[int], int]:
     """pack(lam + rho) -> pack(-w_0 lam + rho), one sum of rank products as in ``bott_kernel``:

@@ -8,7 +8,7 @@ characters and dimensions of formal sums, tensor products, wedge and
 symmetric powers decomposed again, the packed page form of a
 decomposition, the tuple views ``wedge_decomps`` of the wedge powers of
 the bundle of a locus) serve the tests and the oracles built on them.  ``freudenthal``,
-``dominant_rep``, ``koszul_dual_pages_oracle`` and
+``dominant_rep``, ``dual_highest_weight``, ``koszul_dual_pages_oracle`` and
 ``running_product_pages_oracle`` are oracles of engine routines;
 ``serre_dual_weight`` names the Serre-duality partner of an irreducible
 bundle.
@@ -35,6 +35,11 @@ def page_form(X: HomSpace, decomp: rc.IrrDecomp) -> rc.PackedChar:
     return {rc.pack(add(lam, rho(X.rs))): n for lam, n in decomp.items()}
 
 
+def dual_highest_weight(ctx: rc.Context, lam: Weight) -> Weight:
+    """Highest weight -w_0 lam of the dual module, the one-point box of ``repcalc.dual_extremes``."""
+    return rc.dual_extremes(ctx, lam, lam)[0]
+
+
 def wedge_decomps(Z: ZeroLocus) -> List[rc.IrrDecomp]:
     """{lambda: m} of Lambda^p F^*, p = 0..rank(F), by ``koszul.wedge_decomp``."""
     return [koszul.wedge_decomp(Z.bundle, p) for p in range(Z.bundle.rank + 1)]
@@ -45,14 +50,14 @@ def koszul_dual_pages_oracle(F: BundleSum) -> List[PackedPage]:
     tuples: the oracle of the top half of ``koszul.read_plan(F).pages``.
 
     Degree f' - a is (Lambda^a F'^*)^* (x) det F'^*, det F'^* = O(-dex F'), each highest weight
-    unpacked, dualised by ``repcalc.dual_highest_weight`` and packed again:
+    unpacked, dualised by ``dual_highest_weight`` and packed again:
     dual(lam + T w_k) = dual(lam) - T w_k, so a page twist T turns into -T - dex.
     """
     X, pages, rr = F.X, koszul.read_plan(F).pages, rho(F.X.rs)
     modules = BundleSum(X, tuple(s for s in F.summands if rc.weyl_dim(X.levi, s[0]) > 1))
     f, dex = modules.rank, modules.dex
     return [
-        PackedPage(X, {rc.pack(add(X.twist(rc.dual_highest_weight(X.levi, lam), g.twist), rr)): n
+        PackedPage(X, {rc.pack(add(X.twist(dual_highest_weight(X.levi, lam), g.twist), rr)): n
                        for lam, n in g.decomp(X).items()}, -g.twist - dex)
         for g in (pages[f - p] for p in range(f // 2 + 1, f + 1))
     ]
@@ -268,4 +273,4 @@ def freudenthal(ctx: rc.Context, lam: Weight) -> Dict[Weight, int]:
 
 def serre_dual_weight(X: HomSpace, lam: Weight) -> Weight:
     """Highest weight of K_X (x) E_lambda^*, the Serre-duality partner."""
-    return X.twist(rc.dual_highest_weight(X.levi, lam), -fano_index(X))
+    return X.twist(dual_highest_weight(X.levi, lam), -fano_index(X))

@@ -134,7 +134,7 @@ def euler_characteristic(Z: ZeroLocus, E: RestrictableBundle) -> int:
     Every differential raises the total degree q - p by one, so the sum is
     the same on every page and on the abutment, whatever the differentials.
     """
-    return sum((-1) ** (q - p) * n for (p, _, q), n in e1_page(Z, E).items())
+    return sum((-1) ** abs(q - p) * n for (p, _, q), n in e1_page(Z, E).items())
 
 
 def h22(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> int:

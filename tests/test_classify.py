@@ -13,7 +13,7 @@ from bwbforge.homspace import dex, dimension, fano_index, parse_homspace
 from bwbforge.koszul import BundleSum, ZeroLocus, restricted_cohomology
 
 import enumeration_oracle as oracle
-from char_helpers import tensor_decompose
+from char_helpers import dual_highest_weight, tensor_decompose
 
 
 def w(rank, **kw):
@@ -295,7 +295,7 @@ def test_e6p2_w1_and_w6_bundles_are_not_isomorphic():
     w1, w6 = w(6, i1=1), w(6, i6=1)
 
     def h0_hom(a, b):
-        hom = tensor_decompose(X.levi, {rc.dual_highest_weight(X.levi, a): 1}, {b: 1})
+        hom = tensor_decompose(X.levi, {dual_highest_weight(X.levi, a): 1}, {b: 1})
         return bundle_cohomology(X, hom).dims().get(0, 0)
 
     assert h0_hom(w1, w6) == 0

@@ -5,7 +5,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bwbforge import hodge
@@ -280,10 +280,15 @@ def test_diamond_keeps_the_reason_h22_is_blocked():
     assert dia.get(2, 2) == 336 and dia.flags[(2, 2)] == "euler-characteristic"
     assert dia.blocked == {}
     assert assemble(mk("G2/P2", {(0, 3): 1})).blocked == {}
-    # only inexact rows 0 and 1 block h^{2,2}: the Beauville-Donagi fourfold
+    # a bounded h^{1,2} bounds h^{2,2}: the Beauville-Donagi fourfold, whose
+    # K3^[2] value 276 = 234 - 2 + 2 * 22 lies inside
     dia = assemble(mk("A5/P2", {(3, 0, 0, 0, 0): 1}))
     assert dia.get(2, 2) is None and dia.flags[(2, 2)] == "ambiguous"
-    assert dia.blocked == {"h22": "h22 needs exact h^{0,q} and h^{1,q} rows"}
+    assert dia.blocked == {"h22": "h22 in [232, 304] from bounded h^{1,2} in [0, 36]"}
+    # a dimension: chi(Omega^2_Z) - 2 h^{0,2} = -12 would be the lower end
+    X = parse_homspace("B5/P4")
+    dia = assemble(ZeroLocus(X, parse_bundle(X, "w1 + w11")))
+    assert dia.blocked == {"h22": "h22 in [0, 1152] from bounded h^{1,2} in [0, 582]"}
 
 
 def test_diamond_symmetry_everywhere():
@@ -352,6 +357,74 @@ def test_diamond_refuses_conflicting_mirror_cells():
     row1 = ZCohomology(3, [7, 1, 73, 0], "exact", {}, 79)
     with pytest.raises(ChaseStuckError, match="symmetry violated"):
         assemble(Z, row0, row1)
+
+
+def orbit(d, p, q):
+    """The cells conjugation and Serre duality tie to (p, q) on a d-fold."""
+    return {(p, q), (q, p), (d - p, d - q), (d - q, d - p)}
+
+
+def zrow(d, values, bounds):
+    """A row holding ``values``, the cells of ``bounds`` widened to their intervals."""
+    dims = [None if q in bounds else v for q, v in enumerate(values)]
+    chi = sum((-1) ** q * v for q, v in enumerate(values))
+    return ZCohomology(d, dims, "ambiguous" if bounds else "exact", bounds, chi)
+
+
+# a threefold and a fourfold with trivial K_Z: assemble reads only d and K_Z off them
+ORBIT_LOCI = {3: ("G2/P1", {(2, 0): 1, (3, 0): 1}), 4: ("G2/P2", {(0, 3): 1})}
+
+
+@st.composite
+def widened_diamonds(draw):
+    """(d, true diamond, bounds of rows 0 and 1): each bound holds its true value.
+
+    On the fourfold h^{2,2} is the Libgober-Wood value of the true rows.
+    """
+    d = draw(st.sampled_from((3, 4)))
+    true = {}
+    for p, q in product(range(d + 1), repeat=2):
+        rep = min(orbit(d, p, q))
+        true[p, q] = true[rep] if rep in true else draw(st.integers(0, 60))
+    if d == 4:
+        chi0, chi1 = (sum((-1) ** q * true[p, q] for q in range(5)) for p in (0, 1))
+        true[2, 2] = 22 * chi0 - 4 * chi1 - 2 * true[0, 2] + 2 * true[1, 2]
+        assume(true[2, 2] >= 0)
+    bounds = [{}, {}]
+    for p, q in product((0, 1), range(d + 1)):
+        v = true[p, q]
+        if draw(st.booleans()):
+            lo, hi = draw(st.integers(0, v)), draw(st.integers(v, v + 9))
+            if lo < hi:
+                bounds[p][q] = (lo, hi)
+    return d, true, bounds
+
+
+@given(widened_diamonds())
+@settings(max_examples=200, deadline=None)
+def test_orbit_meet_keeps_the_true_diamond(case):
+    d, true, bounds = case
+    row0, row1 = (zrow(d, [true[p, q] for q in range(d + 1)], bounds[p]) for p in (0, 1))
+    dia = assemble(mk(*ORBIT_LOCI[d]), row0, row1)
+    points = {(p, q) for p, q in product((0, 1), range(d + 1)) if q not in bounds[p]}
+    if d == 4 and 2 not in bounds[0] and 2 not in bounds[1]:
+        points.add((2, 2))
+    for (p, q), v in true.items():
+        assert dia.get(p, q) in (None, v), (p, q)
+        assert dia.get(p, q) == v or not orbit(d, p, q) & points, (p, q)
+        assert (dia.get(p, q) is None) == (dia.flags[p, q] == "ambiguous")
+
+
+@given(widened_diamonds(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_orbit_meet_refuses_conflicting_points(case, data):
+    # h^{1,0} against h^{0,1}, or h^{1,d} against h^{0,d-1}
+    d, true, _ = case
+    values = [[true[p, q] for q in range(d + 1)] for p in (0, 1)]
+    q = data.draw(st.sampled_from((0, d)))
+    values[1][q] += data.draw(st.integers(1, 5))
+    with pytest.raises(ChaseStuckError, match="symmetry violated"):
+        assemble(mk(*ORBIT_LOCI[d]), zrow(d, values[0], {}), zrow(d, values[1], {}))
 
 
 # -- engine values for the reference classification tables ----------------------
@@ -612,6 +685,78 @@ def test_h22_satisfies_cy4_riemann_roch(space, weights, h22_expected):
     assert h22_chase_report(Z, r0, r1).solved["h22"] == value == h22_expected
     h11, h21, h31 = r1.dims[1], r1.dims[2], r1.dims[3]
     assert value == 2 * (22 + 2 * h11 + 2 * h31 - h21)
+
+
+def test_the_euler_row_of_omega_z_closes_the_conormal_chase():
+    # B4/P4 O(3)^2 + w1: exactness and the Euler rows of F^*|_Z and
+    # Omega_X|_Z leave h^{1,1} in [1, 3]; chi(Omega^1_Z) = chi_b - chi_a = -386
+    # pins it to 2, and the rows then pin h^{2,2}
+    X = parse_homspace("B4/P4")
+    Z = ZeroLocus(X, parse_bundle(X, "O(3)^2 + w1"))
+    row0 = h0_row(Z)
+    row1 = h1_row(Z, row0)
+    assert row0.dims == [2, 0, 0, 0, 2]
+    assert (row1.dims, row1.status, row1.chi) == ([0, 2, 0, 384, 0], "exact", -386)
+    dia = assemble(Z, row0, row1)
+    assert dia.complete() and dia.get(2, 2) == 1632
+
+
+# the 26 rows of classify --d 4 --family all --max-rank 6 that the Euler row of
+# Omega_Z certifies; the five with h^{0,*} = 0 are empty loci
+EULER_ROW_CERTIFIED = [
+    ("B4/P3", "w4 + w44 + w1"),
+    ("B4/P4", "O(3)^2 + w1"),
+    ("B4/P4", "O(2) + O(4) + w1"),
+    ("B4/P4", "O(1) + O(5) + w1"),
+    ("B5/P4", "w5(1) + w1^3"),
+    ("B5/P4", "O(1) + O(2) + w1^3"),
+    ("B5/P5", "O(1)^4 + O(2)^2 + w1"),
+    ("B5/P5", "O(1)^5 + O(3) + w1"),
+    ("B5/P5", "O(6) + w1^2"),
+    ("B6/P4", "O(1) + O(2) + w1^5"),
+    ("B6/P5", "w6^2 + O(1)^2 + w1^3"),
+    ("B6/P5", "O(3) + w1^4"),
+    ("B6/P6", "O(1)^2 + O(2)^3 + w1^2"),
+    ("B6/P6", "O(1)^3 + O(2) + O(3) + w1^2"),
+    ("B6/P6", "O(1)^4 + O(4) + w1^2"),
+    ("C4/P2", "w3 + O(1)^3"),
+    ("C4/P2", "w3 + O(2) + w1"),
+    ("C4/P2", "w3 + w11"),
+    ("C5/P2", "w3 + O(1) + w1^2"),
+    ("D5/P3", "w5 + w55 + w1^2"),
+    ("D5/P3", "w55 + w4 + w1^2"),
+    ("D5/P3", "w5 + w44 + w1^2"),
+    ("D5/P3", "w4 + w44 + w1^2"),
+    ("D6/P4", "w6(1) + w1^4"),
+    ("D6/P4", "w5(1) + w1^4"),
+    ("D6/P4", "O(1) + O(2) + w1^4"),
+]
+
+
+@pytest.mark.parametrize("space,bundle", EULER_ROW_CERTIFIED)
+def test_h22_of_the_orbit_meet_is_the_second_wedge_value(space, bundle):
+    X = parse_homspace(space)
+    Z = ZeroLocus(X, parse_bundle(X, bundle))
+    row0 = h0_row(Z)
+    row1 = h1_row(Z, row0)
+    dia = assemble(Z, row0, row1)
+    assert dia.complete() and dia.flags[(2, 2)] == "euler-characteristic"
+    assert dia.get(2, 2) == second_wedge.h22(Z, row0, row1)
+
+
+def test_a_certified_h12_pins_h22_past_a_bounded_h11():
+    # B5/P5 O(1) + w1 + w1(1): h^{1,1} and h^{1,3} stay bounds, but h^{2,2}
+    # reads only h^{0,2} and h^{1,2}; the second wedge agrees
+    X = parse_homspace("B5/P5")
+    Z = ZeroLocus(X, parse_bundle(X, "O(1) + w1 + w1(1)"))
+    row0 = h0_row(Z)
+    row1 = h1_row(Z, row0)
+    assert row1.dims[2] == 0 and row1.bounds == {1: (1, 3), 3: (203, 205)}
+    rep = h22_chase_report(Z, row0, row1)
+    assert rep.complete and rep.solved["h22"] == 912 == second_wedge.h22(Z, row0, row1)
+    dia = assemble(Z, row0, row1)
+    assert dia.get(2, 2) == 912 and dia.flags[(2, 2)] == "euler-characteristic"
+    assert dia.get(1, 1) is None and dia.blocked == {}
 
 
 # -- the two-sequence kernel chase, an oracle for h^{2,2} --------------------

@@ -528,20 +528,12 @@ def test_no_product_step_multiplies_a_factor_of_lines(monkeypatch):
 
 def test_page_build_never_calls_dual_highest_weight(monkeypatch):
     # Koszul duality maps packed keys by repcalc.dual_kernel; the tuple
-    # dual_highest_weight is the tests' oracle, off the page build
-    tree = ast.parse(pathlib.Path(koszul.__file__).read_text())
-    calls = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and "dual_highest_weight" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
-    assert calls == [], f"koszul.py calls dual_highest_weight at lines {calls}"
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dual_highest_weight called in the page build")
-
-    monkeypatch.setattr(rc, "dual_highest_weight", refuse)
+    # dual_highest_weight is the tests' oracle in char_helpers, and no engine
+    # module names it
+    src = pathlib.Path(koszul.__file__).parent
+    named = [path.name for path in sorted(src.glob("*.py")) if "dual_highest_weight" in path.read_text()]
+    assert named == [], f"{named} name dual_highest_weight"
+    assert not hasattr(rc, "dual_highest_weight")
     monkeypatch.setattr(cache, "_dir", None)
     cache.clear()
     # A9/P4: -w_0 of the Levi A3 x A5 swaps nodes 1 and 3, 5 and 9, 6 and 8

@@ -29,6 +29,7 @@ from char_helpers import (
     decomp_dim,
     decompose,
     dominant_rep,
+    dual_highest_weight,
     exterior_power,
     freudenthal,
     symmetric_power,
@@ -233,9 +234,9 @@ def test_weight_multiset_levi_invariance():
 
 
 def test_dual_highest_weight_anchors():
-    assert rc.dual_highest_weight(rc.levi_context(F4, 4), (1, 0, 0, 0)) == (1, 0, 0, -2)
-    assert rc.dual_highest_weight(rc.full_context(E6), (0,) * 6) == (0,) * 6
-    assert rc.dual_highest_weight(rc.full_context(E6), w(6, i1=1)) == w(6, i6=1)
+    assert dual_highest_weight(rc.levi_context(F4, 4), (1, 0, 0, 0)) == (1, 0, 0, -2)
+    assert dual_highest_weight(rc.full_context(E6), (0,) * 6) == (0,) * 6
+    assert dual_highest_weight(rc.full_context(E6), w(6, i1=1)) == w(6, i6=1)
 
 
 def test_dual_involution_and_dimension():
@@ -245,8 +246,8 @@ def test_dual_involution_and_dimension():
         lam = tuple(
             rng.randint(0, 2) if i != 1 else rng.randint(-2, 2) for i in range(6)
         )
-        dual = rc.dual_highest_weight(ctx, lam)
-        assert rc.dual_highest_weight(ctx, dual) == lam
+        dual = dual_highest_weight(ctx, lam)
+        assert dual_highest_weight(ctx, dual) == lam
         assert rc.weyl_dim(ctx, dual) == rc.weyl_dim(ctx, lam)
 
 
@@ -676,7 +677,7 @@ def test_dual_highest_weight_matches_the_climbing_oracle_on_every_search_space()
     for X in search_spaces("all", 11):
         for i in range(1, X.rs.rank + 1):
             lam = tuple(int(j == i) for j in range(1, X.rs.rank + 1))
-            assert rc.dual_highest_weight(X.levi, lam) == dominant_rep(
+            assert dual_highest_weight(X.levi, lam) == dominant_rep(
                 X.levi, tuple(-c for c in lam)
             ), (str(X), i)
             pairs += 1
@@ -691,7 +692,7 @@ def test_dual_highest_weight_is_the_dominant_representative_of_minus_lam(ctx, da
         data.draw(st.integers(0, 5) if i in ctx.levi else st.integers(-9, 9))
         for i in range(1, ctx.rs.rank + 1)
     )
-    assert rc.dual_highest_weight(ctx, lam) == dominant_rep(ctx, tuple(-c for c in lam))
+    assert dual_highest_weight(ctx, lam) == dominant_rep(ctx, tuple(-c for c in lam))
 
 
 # -- the packed dual ---------------------------------------------------------------
@@ -708,7 +709,7 @@ def test_dual_kernel_is_the_dual_highest_weight_on_every_search_space():
         columns = []
         for i in range(rank):
             lam = tuple(int(j == i) for j in range(rank))
-            columns.append(rc.dual_highest_weight(X.levi, lam))
+            columns.append(dual_highest_weight(X.levi, lam))
             y = rc.pack(add(lam, rr))
             assert dual(y) == rc.pack(add(columns[i], rr)) and dual(dual(y)) == y, (str(X), i)
             pairs += 1
@@ -731,7 +732,7 @@ def test_dual_kernel_is_the_dual_highest_weight_on_dominant_weights(ctx, data):
     )
     rr, dual = rho(ctx.rs), rc.dual_kernel(ctx)
     y = rc.pack(add(lam, rr))
-    assert dual(y) == rc.pack(add(rc.dual_highest_weight(ctx, lam), rr))
+    assert dual(y) == rc.pack(add(dual_highest_weight(ctx, lam), rr))
     assert dual(dual(y)) == y
 
 
@@ -742,7 +743,7 @@ def test_a_dual_page_past_the_field_is_refused():
     X, twist, dex = parse_homspace("A2/P1"), 2, 1
     edge = PackedPage(X, {rc.pack((2771, 30000)): 1, rc.pack((1, 1)): 1}, twist)
     lams = [X.twist(sub(y, rho(X.rs)), twist) for y in ((2771, 30000), (1, 1))]
-    want = {X.twist(rc.dual_highest_weight(X.levi, lam), -dex): 1 for lam in lams}
+    want = {X.twist(dual_highest_weight(X.levi, lam), -dex): 1 for lam in lams}
     assert edge.dual(X, dex).decomp(X) == want
     past = PackedPage(X, {rc.pack((2772, 30000)): 1, rc.pack((1, 1)): 1}, twist)
     with pytest.raises(rc.WeightRangeError) as refusal:
