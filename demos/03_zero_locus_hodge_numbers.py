@@ -33,13 +33,14 @@ print("h^{0,q} =", row0.dims, "->",
 row1 = h1_row(Z, row0)
 print("h^{1,q} =", row1.dims)
 report = h1_chase_report(Z, row0)
-print("  conormal chase solved:", dict(sorted(report.solved.items())))
+print("  conormal chase solved:",
+      {n: lo for n, (lo, hi) in sorted(report.cells.items()) if lo == hi})
 
 report = h22_chase_report(Z, row0, row1)
 print("Euler characteristics of rows 0 and 1:",
       {k: v for k, v in report.known.items() if k.startswith("chi")})
-print("chi(Omega^2_Z) = 22 chi_O - 4 chi_Omega1 =", report.solved["chi"],
-      "-> h^{2,2} =", report.solved["h22"])
+print("chi(Omega^2_Z) = 22 chi_O - 4 chi_Omega1 =", report.cells["chi"][0],
+      "-> h^{2,2} =", report.cells["h22"][0])
 
 dia = assemble(Z)
 print("full diamond:")
@@ -61,4 +62,8 @@ print("h^{1,q} =", bd1.dims, "with bounds", bd1.bounds, "and chi(Omega^1_Z) =", 
 # h^{2,2} reads only h^{0,2} and h^{1,2}, so the bounded h^{1,2} leaves it an
 # interval; the K3^[2] value 276 lies inside
 report = h22_chase_report(Zbd, s, bd1)
-print("h^{2,2} lies in", list(report.bounds["h22"]), "from h^{1,2} in", list(report.bounds["x1"]))
+print("h^{2,2} lies in", list(report.cells["h22"]), "from h^{1,2} in", list(report.cells["x1"]))
+# the diamond keeps the meet of each cell's symmetry orbit, a point or bounds
+dia = assemble(Zbd, s, bd1)
+print("open cells of the diamond:",
+      {pq: list(c) for pq, c in sorted(dia.cells.items()) if c[0] != c[1]})

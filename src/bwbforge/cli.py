@@ -402,9 +402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _hodge.AmbiguousCohomologyError as exc:
-        print(f"error: ambiguous result: {exc}", file=sys.stderr)
-        return 1
     sys.stdout.write(out)
     if args.verbose:
         st = _cache.stats()

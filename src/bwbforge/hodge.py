@@ -12,16 +12,17 @@ bundle h^{2,2} is read off rows 0 and 1: Libgober-Wood (Topology 1990) with
 c_1 = 0 and Serre duality gives
 chi(Omega^2_Z) = 22 chi(O_Z) - 4 chi(Omega^1_Z), and
 h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}, an interval when h^{0,2}
-or h^{1,2} is one; on any other fourfold it is blocked.  Each row is a
-``koszul.ZCohomology``, the dimensions-with-a-status the Koszul solve
-returns, read as one interval per cell (``intervals``); ``assemble`` gives
-each cell of the diamond the meet of its symmetry orbit.  A row function is
-handed the rows it reads, and never recomputes them.
+or h^{1,2} is one; on any other fourfold it is blocked.  Each number is
+kept once, as an interval (lo, hi) that is a point where certified: a row is
+a ``koszul.ZCohomology``, one interval per cell as the Koszul solve returns
+it, and ``ChaseReport`` and ``HodgeDiamond`` hold theirs in ``cells`` too;
+``assemble`` gives each cell of the diamond the meet of its symmetry orbit.
+A row function is handed the rows it reads, and never recomputes them.
 
 ``h1_chase_report`` is the one h^{1,q} chase, and ``h1_row`` reads its cells
-and bounds off it.  ``solve_exact_system`` runs it on ``koszul.narrow``, the
-integer interval kernel of the spectral solve: each term of the sequence is
-the sum of the ranks of its two maps, and the Euler characteristics of the
+off it.  ``solve_exact_system`` runs it on ``koszul.narrow``, the integer
+interval kernel of the spectral solve: each term of the sequence is the sum
+of the ranks of its two maps, and the Euler characteristics of the
 restricted sheaves are rows too.  No map is ever assumed to vanish.
 """
 
@@ -51,11 +52,6 @@ class ChaseStuckError(RuntimeError):
 Interval = Tuple[int, int]
 
 
-def intervals(zc: ZCohomology) -> List[Interval]:
-    """The interval of each degree of ``zc``: its certified value twice, or its bounds."""
-    return [zc.bounds.get(q, (v, v)) for q, v in enumerate(zc.dims)]
-
-
 def solve_exact_system(terms: Sequence[Interval], chis: Sequence[Tuple[Sequence[int], int]]
                        ) -> List[Interval]:
     """Narrow the terms of an exact sequence 0 -> t_0 -> t_1 -> ... -> t_m -> 0.
@@ -81,15 +77,13 @@ class ChaseReport(NamedTuple):
 
     ``sequences`` holds the interleaved long exact sequences (integers for
     known dimensions, names for unknowns), ``known`` the symmetry-forced
-    seeds and the Euler characteristics read off, ``solved`` every unknown
-    that exactness and the recorded cells pin, ``bounds`` every other.
+    seeds and the Euler characteristics read off, and ``cells`` the interval
+    of every unknown, a point where exactness and the recorded cells pin it.
     """
 
     sequences: List[List[Cell]]
     known: Dict[str, int]
-    solved: Dict[str, int]
-    bounds: Dict[str, Interval]
-    complete: bool
+    cells: Dict[str, Interval]
 
 
 def omega_filtration(X: HomSpace) -> FilteredBundle:
@@ -145,7 +139,7 @@ def h1_chase_report(Z: ZeroLocus, row0: ZCohomology) -> ChaseReport:
     """
     d = Z.d
     a, b = (restricted_cohomology(Z, E) for E in (Z.bundle.dual(), omega_filtration(Z.space)))
-    A, B, R = map(intervals, (a, b, row0))
+    A, B, R = a.cells, b.cells, row0.cells
     free = (0, sum(hi for _, hi in A + B))  # x_q <= b_q + a_{q+1}
     cells = [cell for q in range(d + 1) for cell in (A[q], B[q], free)]
     # conjugation: h^{1,0} = h^{0,1}; Serre duality: h^{1,d} = h^{d-1,0} = h^{0,d-1}
@@ -155,17 +149,14 @@ def h1_chase_report(Z: ZeroLocus, row0: ZCohomology) -> ChaseReport:
     seq: List[Cell] = [lo if lo == hi and n[0] != "x" else n for n, (lo, hi) in zip(names, cells)]
     chis = (a.chi, b.chi, b.chi - a.chi)
     got = solve_exact_system(cells, [(range(i, len(cells), 3), chi) for i, chi in enumerate(chis)])
-    solved = {n: lo for n, c, (lo, hi) in zip(names, seq, got) if lo == hi and c == n}
-    bounds = {n: t for n, t in zip(names, got) if t[0] != t[1]}
-    return ChaseReport([seq], {**known, "chi_a": a.chi, "chi_b": b.chi}, solved, bounds, not bounds)
+    unknowns = {n: t for n, c, t in zip(names, seq, got) if c == n}
+    return ChaseReport([seq], {**known, "chi_a": a.chi, "chi_b": b.chi}, unknowns)
 
 
 def h1_row(Z: ZeroLocus, row0: ZCohomology) -> ZCohomology:
     """h^{1,q}(Z), the cells x_q that ``h1_chase_report`` solves or bounds from row 0."""
     rep = h1_chase_report(Z, row0)
-    dims = [rep.solved.get(f"x{q}") for q in range(Z.d + 1)]
-    bounds = {q: rep.bounds[f"x{q}"] for q in range(Z.d + 1) if dims[q] is None}
-    return ZCohomology(Z.d, dims, "ambiguous" if bounds else "exact", bounds,
+    return ZCohomology(tuple(rep.cells[f"x{q}"] for q in range(Z.d + 1)),
                        rep.known["chi_b"] - rep.known["chi_a"])
 
 
@@ -175,45 +166,44 @@ def h22_chase_report(Z: ZeroLocus, row0: ZCohomology, row1: ZCohomology) -> Chas
     chi_O and chi_Omega1 are the exact Euler characteristics of rows 0 and 1;
     the cells h^{2,q}, q != 2, are h^{0,2} and h^{1,2} by symmetry, and
     chi(Omega^2_Z) = x0 - x1 + h22 - x3 + x4 leaves h22 the one unknown.
-    Each input is read as its interval: h22 is ``solved`` when h^{0,2} and
-    h^{1,2} are certified, and otherwise lies in ``bounds["h22"]``, cut at
-    0 below, next to the bounded inputs.  Libgober-Wood needs c_1(Z) = 0.
+    Each input is read as its interval, and ``cells`` holds chi, h22 (cut
+    at 0 below, a point when h^{0,2} and h^{1,2} are certified or the cut
+    closes it) and the bounded inputs.  Libgober-Wood needs c_1(Z) = 0.
     """
     if Z.d != 4:
         raise ValueError("h22 is computed for fourfolds")
     if not Z.is_canonical_trivial():
         raise AmbiguousCohomologyError("h22 needs a trivial canonical bundle")
-    h02, h12 = intervals(row0)[2], intervals(row1)[2]
+    h02, h12 = row0.cells[2], row1.cells[2]
     # h^{2,0} = h^{2,4} = h^{0,2} and h^{2,1} = h^{2,3} = h^{1,2}
-    cells = {"x0": h02, "x1": h12, "x3": h12, "x4": h02}
-    known = {n: lo for n, (lo, hi) in cells.items() if lo == hi}
+    inputs = {"x0": h02, "x1": h12, "x3": h12, "x4": h02}
+    known = {n: lo for n, (lo, hi) in inputs.items() if lo == hi}
+    cells = {n: c for n, c in inputs.items() if c[0] != c[1]}
     chi = 22 * row0.chi - 4 * row1.chi
-    h22 = (max(0, chi - 2 * h02[1] + 2 * h12[0]), chi - 2 * h02[0] + 2 * h12[1])
-    bounds = {n: c for n, c in {**cells, "h22": h22}.items() if c[0] != c[1]}
-    solved = {"chi": chi, "h22": h22[0]} if not bounds else {"chi": chi}
+    cells.update(chi=(chi, chi), h22=(max(0, chi - 2 * h02[1] + 2 * h12[0]),
+                                      chi - 2 * h02[0] + 2 * h12[1]))
     known.update(chi_O=row0.chi, chi_Omega1=row1.chi)
-    return ChaseReport([], known, solved, bounds, not bounds)
+    return ChaseReport([], known, cells)
 
 
 class HodgeDiamond(NamedTuple):
     """The h^{p,q} array of a d-fold with per-cell provenance flags.
 
-    ``blocked`` maps a named cell left undetermined (``"h22"``) to the
-    reason: a nontrivial canonical bundle, or the interval h^{2,2} lies in
-    and the bounded h^{0,2} or h^{1,2} it comes from.
+    ``cells[p, q]`` is the interval h^{p,q} lies in, a point where it is
+    certified, or None where no row reaches the cell; ``get`` and ``rows``
+    read the points.  ``blocked`` maps a named cell left undetermined
+    (``"h22"``) to the reason: a nontrivial canonical bundle, or the
+    interval h^{2,2} lies in and the bounded h^{0,2} or h^{1,2} it comes from.
     """
 
     d: int
-    h: Dict[Tuple[int, int], Optional[int]]
+    cells: Dict[Tuple[int, int], Optional[Interval]]
     flags: Dict[Tuple[int, int], str]
     blocked: Dict[str, str]
 
-    def set(self, p: int, q: int, value: Optional[int], flag: str):
-        self.h[(p, q)] = value
-        self.flags[(p, q)] = flag
-
     def get(self, p: int, q: int) -> Optional[int]:
-        return self.h.get((p, q))
+        c = self.cells.get((p, q))
+        return c[0] if c and c[0] == c[1] else None
 
     def complete(self) -> bool:
         return all(v is not None for row in self.rows() for v in row)
@@ -221,10 +211,11 @@ class HodgeDiamond(NamedTuple):
     def euler_characteristic(self) -> Optional[int]:
         if not self.complete():
             return None
-        return sum((-1) ** (p + q) * v for (p, q), v in self.h.items())
+        return sum((-1) ** (p + q) * v for p, row in enumerate(self.rows())
+                   for q, v in enumerate(row))
 
     def rows(self) -> List[List[Optional[int]]]:
-        return [[self.h.get((p, q)) for q in range(self.d + 1)] for p in range(self.d + 1)]
+        return [[self.get(p, q) for q in range(self.d + 1)] for p in range(self.d + 1)]
 
 
 def assemble(
@@ -236,21 +227,21 @@ def assemble(
     (d - p, d - q) and (d - q, d - p).  Rows 0 and 1 and, on a fourfold,
     h^{2,2} give intervals; a cell is certified when the meet of those in
     its orbit is a point: ``computed`` (``euler-characteristic`` for h^{2,2})
-    if its own interval is one, ``symmetry-forced`` if only the meet is.  An
-    empty meet raises ChaseStuckError.  Rows 0 and 1 are computed unless the
-    caller already has them.
+    if its own interval is one, ``symmetry-forced`` if only the meet is.  The
+    diamond keeps every meet in ``cells``, an open one flagged ``ambiguous``.
+    An empty meet raises ChaseStuckError.  Rows 0 and 1 are computed unless
+    the caller already has them.
     """
     d = Z.d
     if d not in (3, 4):
         raise ValueError("diamond assembly implemented for 3- and 4-folds")
     row0 = h0_row(Z) if row0 is None else row0
     row1 = h1_row(Z, row0) if row1 is None else row1
-    own = {(p, q): c for p, row in enumerate((row0, row1)) for q, c in enumerate(intervals(row))}
+    own = {(p, q): c for p, row in enumerate((row0, row1)) for q, c in enumerate(row.cells)}
     dia = HodgeDiamond(d, {}, {}, {})
     if d == 4:
         try:
-            rep = h22_chase_report(Z, row0, row1)
-            own[2, 2] = lo, hi = rep.bounds.get("h22") or (rep.solved["h22"],) * 2
+            own[2, 2] = lo, hi = h22_chase_report(Z, row0, row1).cells["h22"]
             if lo != hi:
                 bounded = " and ".join(f"h^{{{p},2}} in {list(own[p, 2])}" for p in (0, 1)
                                        if own[p, 2][0] != own[p, 2][1])
@@ -260,12 +251,11 @@ def assemble(
     for p in range(d + 1):
         for q in range(d + 1):
             meet = [own[c] for c in {(p, q), (q, p), (d - p, d - q), (d - q, d - p)} if c in own]
-            lo = max((c[0] for c in meet), default=None)
-            hi = min((c[1] for c in meet), default=None)
-            if meet and lo > hi:
+            cell = (max(c[0] for c in meet), min(c[1] for c in meet)) if meet else None
+            if cell and cell[0] > cell[1]:
                 raise ChaseStuckError(f"diamond symmetry violated at ({p},{q})")
-            flag = ("ambiguous" if not meet or lo != hi
-                    else "symmetry-forced" if own.get((p, q)) != (lo, hi)
-                    else "euler-characteristic" if (p, q) == (2, 2) else "computed")
-            dia.set(p, q, None if flag == "ambiguous" else lo, flag)
+            dia.cells[p, q] = cell
+            dia.flags[p, q] = ("ambiguous" if not cell or cell[0] != cell[1]
+                               else "symmetry-forced" if own.get((p, q)) != cell
+                               else "euler-characteristic" if (p, q) == (2, 2) else "computed")
     return dia

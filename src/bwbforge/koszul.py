@@ -413,18 +413,28 @@ def wedge_decomp(F: BundleSum, p: int) -> rc.IrrDecomp:
 
 
 class ZCohomology(NamedTuple):
-    """H^q(Z, E|_Z) dimensions for q = 0..d, with an exactness status.
+    """H^q(Z, E|_Z) for q = 0..d as one interval (lo, hi) per degree.
 
-    ``dims[q]`` is None for a degree the degree-bookkeeping could not pin
-    down; ``bounds`` then carries (lower, upper) for that degree.  ``chi`` is
-    the Euler characteristic, exact whatever the differentials are.
+    ``cells[q]`` is a point (v, v) where the spectral solve certified the
+    dimension, else the bounds it proved.  ``chi`` is the Euler
+    characteristic, exact whatever the differentials are.  ``dims`` (None
+    for an open degree), ``bounds`` and ``status`` are views of ``cells``.
     """
 
-    d: int
-    dims: List[Optional[int]]
-    status: str  # "exact" | "ambiguous"
-    bounds: Dict[int, Tuple[int, int]]
+    cells: Tuple[Tuple[int, int], ...]
     chi: int
+
+    @property
+    def dims(self) -> List[Optional[int]]:
+        return [lo if lo == hi else None for lo, hi in self.cells]
+
+    @property
+    def bounds(self) -> Dict[int, Tuple[int, int]]:
+        return {q: c for q, c in enumerate(self.cells) if c[0] != c[1]}
+
+    @property
+    def status(self) -> str:
+        return "ambiguous" if self.bounds else "exact"
 
 
 Row = Tuple[Sequence[int], Sequence[int], int]
@@ -477,8 +487,8 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
     ``narrow``, with h_n = 0 at illegal degrees, and y_n <= min(E(n), E(n+1)),
     since a rank exceeds neither its source nor its target.  A component no
     differential reaches survives whole.  Each degree is the sum of its
-    survivors; where their intervals close it is certified, and anything
-    else is reported as per-degree bounds.  Dropping the per-entry rank caps
+    survivors, and its cell the sum of their intervals: a point where it is
+    certified, the bounds otherwise.  Dropping the per-entry rank caps
     only enlarges the feasible set, so a certified value is sound.
     """
     keys = [k for k, v in entries.items() if v]
@@ -528,10 +538,8 @@ def _spectral_solve(entries: Dict[Tuple[int, int, int], int], d: int) -> ZCohomo
     for n, i in reads:
         low[n] += lo[i]
         high[n] += hi[i]
-    bounds = {n: (a, b) for n, (a, b) in enumerate(zip(low, high)) if a != b}
-    dims: List[Optional[int]] = [None if n in bounds else low[n] for n in range(d + 1)]
     chi = sum(v if (q - p) % 2 == 0 else -v for (p, _, q), v in entries.items())
-    return ZCohomology(d, dims, "ambiguous" if bounds else "exact", bounds, chi)
+    return ZCohomology(tuple(zip(low, high)), chi)
 
 
 def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], int]:

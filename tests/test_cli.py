@@ -586,6 +586,9 @@ GOLDEN = [
     (['--allow-bounds', '--format', 'json', 'hodge', 'F4/P4', 'w1 + O(1)^4', '--d', '4'], 0, '9ca7aaeea9b7c1902037253ff5ebdf349d6e03c47555e87193423f0ba626c929', ''),
     (['--allow-bounds', '--format', 'json', 'classify', '--d', '4', '--family', 'all', '--max-rank', '5'], 2, 'f715d4c436ca6355fe63a3175575e1c110b423ff6697c3de479c8034ab506e65', ''),
     (['--allow-bounds', '--format', 'json', 'hodge', 'A6/P2', 'O(1) + w1(1) + w11', '--d', '4'], 2, '98467f5e8a739b9333fe95d609c2fc6d9334ebf9d390d6b66788d56c8642b4e0', ''),
+    (['--allow-bounds', '--format', 'table', 'cohomology', 'A5/P2', 'w111', '--restrict', 'w111(-3)'], 2, 'c2a73b7257896e85b9823b4550236547a806fed40d81f4584e7ce5352fd96d9c', ''),
+    (['--allow-bounds', '--format', 'json', 'cohomology', 'A5/P2', 'w111', '--restrict', 'w111(-3)'], 2, '0e20c6ad93de0a25aa31cfe4a41da290140ef9b24ac8626ebe46107798a023bf', ''),
+    (['--allow-bounds', '--format', 'csv', 'cohomology', 'A5/P2', 'w111', '--restrict', 'w111(-3)'], 2, '04d43ca552b97bc9c896944209b5fc3f9cada794f0585c022ba5288ae52bda36', ''),
     (['dex', 'G2/P1', '[1,-1]'], 1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: weight (1, -1) is not P1-dominant\n'),
     (['--format', 'table', 'cache', 'clear'], 0, '279971c9c5b47364b7664359c7294c8528d6261b3df1dea2b5e94b4759e32430', ''),
     (['--format', 'json', 'cache', 'clear'], 0, '60a726e93ae78a9ef91f945e156d8ca81c506a4b136a80f18218e7c9668fdd1e', ''),

@@ -5,7 +5,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bwbforge import hodge
@@ -230,7 +230,7 @@ def test_hyperkaehler_h1_rows_stay_bounds(space, bundle):
 
 def test_h22_g2p2():
     Z = mk("G2/P2", {(0, 3): 1})
-    assert h22_chase_report(Z, *rows(Z)).solved["h22"] == 1080
+    assert h22_chase_report(Z, *rows(Z)).cells["h22"] == (1080, 1080)
     # intermediate checkpoint from the worked computation
     r = restricted_cohomology(Z, BundleSum.make(Z.space, {(0, -6): 1}))
     assert r.dims == [0, 0, 0, 0, 3269]
@@ -238,7 +238,7 @@ def test_h22_g2p2():
 
 def test_h22_g2p1_complete_intersection_crosscheck():
     Z = mk("G2/P1", {(5, 0): 1})
-    assert h22_chase_report(Z, *rows(Z)).solved["h22"] == 1472
+    assert h22_chase_report(Z, *rows(Z)).cells["h22"] == (1472, 1472)
     dia = assemble(Z)
     assert dia.euler_characteristic() == 2190
 
@@ -315,14 +315,14 @@ def test_chi_formula_consistency():
 
 
 def test_chi_trivial_arithmetic():
-    dia = HodgeDiamond(4, {}, {}, {})
-    for p in range(5):
-        for q in range(5):
-            dia.set(p, q, 0, "computed")
+    cells = {(p, q): (0, 0) for p in range(5) for q in range(5)}
     for p, q, v in [(0, 0, 1), (4, 4, 1), (0, 4, 1), (4, 0, 1),
                     (1, 1, 1), (3, 3, 1), (2, 2, 2)]:
-        dia.set(p, q, v, "computed")
-    assert dia.euler_characteristic() == 8
+        cells[p, q] = (v, v)
+    dia = HodgeDiamond(4, cells, {}, {})
+    assert dia.complete() and dia.euler_characteristic() == 8
+    cells[2, 2] = (2, 3)
+    assert not dia.complete() and dia.euler_characteristic() is None
 
 
 def test_threefold_chi_reporting():
@@ -343,8 +343,8 @@ def test_h22_requires_fourfold():
 def test_diamond_fills_a_cell_from_its_mirror():
     # explicit rows on a threefold: (0,1) is open, (1,0) is known
     Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
-    row0 = ZCohomology(3, [1, None, 0, 1], "ambiguous", {1: (0, 1)}, 0)
-    row1 = ZCohomology(3, [0, 1, 73, 0], "exact", {}, 72)
+    row0 = ZCohomology(((1, 1), (0, 1), (0, 0), (1, 1)), 0)
+    row1 = ZCohomology(((0, 0), (1, 1), (73, 73), (0, 0)), 72)
     dia = assemble(Z, row0, row1)
     assert dia.get(0, 1) == 0 and dia.flags[(0, 1)] == "symmetry-forced"
     assert dia.get(3, 2) == 0 and dia.flags[(1, 0)] == "computed"
@@ -353,8 +353,8 @@ def test_diamond_fills_a_cell_from_its_mirror():
 
 def test_diamond_refuses_conflicting_mirror_cells():
     Z = mk("G2/P1", {(2, 0): 1, (3, 0): 1})
-    row0 = ZCohomology(3, [1, 0, 0, 1], "exact", {}, 0)
-    row1 = ZCohomology(3, [7, 1, 73, 0], "exact", {}, 79)
+    row0 = zrow(3, [1, 0, 0, 1], {})
+    row1 = zrow(3, [7, 1, 73, 0], {})
     with pytest.raises(ChaseStuckError, match="symmetry violated"):
         assemble(Z, row0, row1)
 
@@ -365,14 +365,18 @@ def orbit(d, p, q):
 
 
 def zrow(d, values, bounds):
-    """A row holding ``values``, the cells of ``bounds`` widened to their intervals."""
-    dims = [None if q in bounds else v for q, v in enumerate(values)]
+    """A row of a d-fold holding ``values``, the cells of ``bounds`` widened to their intervals."""
+    assert len(values) == d + 1
     chi = sum((-1) ** q * v for q, v in enumerate(values))
-    return ZCohomology(d, dims, "ambiguous" if bounds else "exact", bounds, chi)
+    return ZCohomology(tuple(bounds.get(q, (v, v)) for q, v in enumerate(values)), chi)
 
 
 # a threefold and a fourfold with trivial K_Z: assemble reads only d and K_Z off them
 ORBIT_LOCI = {3: ("G2/P1", {(2, 0): 1, (3, 0): 1}), 4: ("G2/P2", {(0, 3): 1})}
+# rows 0 and 1 of a fourfold diamond whose h^{2,2} is 22 * 2 - 4 * 22 + 2 * 22 = 0
+CUT_ROWS = ([1, 0, 0, 0, 1], [0, 0, 22, 0, 0])
+CUT_DIAMOND = {(p, q): 0 if (p, q) == (2, 2) else CUT_ROWS[r[0]][r[1]]
+               for p, q in product(range(5), repeat=2) for r in [min(orbit(4, p, q))]}
 
 
 @st.composite
@@ -401,6 +405,7 @@ def widened_diamonds(draw):
 
 
 @given(widened_diamonds())
+@example((4, CUT_DIAMOND, [{}, {2: (20, 22)}]))
 @settings(max_examples=200, deadline=None)
 def test_orbit_meet_keeps_the_true_diamond(case):
     d, true, bounds = case
@@ -413,6 +418,19 @@ def test_orbit_meet_keeps_the_true_diamond(case):
         assert dia.get(p, q) in (None, v), (p, q)
         assert dia.get(p, q) == v or not orbit(d, p, q) & points, (p, q)
         assert (dia.get(p, q) is None) == (dia.flags[p, q] == "ambiguous")
+
+
+def test_a_bounded_h12_cut_to_a_point_h22_keeps_both():
+    # h^{1,2} in [20, 22] with chi(Omega^2_Z) = 22 * 2 - 4 * 22 = -44 puts
+    # h^{2,2} in [-4, 0]; the cut at 0 certifies it while h^{1,2} stays open
+    Z = mk(*ORBIT_LOCI[4])
+    row0, row1 = zrow(4, CUT_ROWS[0], {}), zrow(4, CUT_ROWS[1], {2: (20, 22)})
+    assert h22_chase_report(Z, row0, row1).cells == {
+        "x1": (20, 22), "x3": (20, 22), "chi": (-44, -44), "h22": (0, 0)}
+    dia = assemble(Z, row0, row1)
+    assert dia.get(2, 2) == 0 and dia.flags[2, 2] == "euler-characteristic"
+    assert dia.cells[1, 2] == dia.cells[2, 3] == (20, 22) and dia.get(1, 2) is None
+    assert dia.flags[1, 2] == "ambiguous" and dia.blocked == {}
 
 
 @given(widened_diamonds(), st.data())
@@ -537,22 +555,24 @@ def test_omega_filtration_matches_gradation():
 
 
 def undetermined(rep):
-    """The unknowns of a chase's sequences that it left unsolved."""
-    return sorted({c for seq in rep.sequences for c in seq if isinstance(c, str)} - set(rep.solved))
+    """The unknowns of a chase's sequences whose cell it left open."""
+    names = {c for seq in rep.sequences for c in seq if isinstance(c, str)}
+    return sorted(n for n in names if rep.cells[n][0] != rep.cells[n][1])
 
 
 def test_chase_reports_expose_the_audit_trail():
     Z = mk("G2/P2", {(0, 3): 1})
     rep = h1_chase_report(Z, h0_row(Z))
-    assert rep.complete and rep.solved["x3"] == 258
+    assert rep.cells["x3"] == (258, 258)
     assert rep.known == {"x0": 0, "x4": 0, "chi_a": 272, "chi_b": 13}
-    assert rep.bounds == {} and rep.sequences[0][-6:] == [0, 0, "x3", 272, 14, "x4"]
+    assert all(lo == hi for lo, hi in rep.cells.values())
+    assert rep.sequences[0][-6:] == [0, 0, "x3", 272, 14, "x4"]
     assert len(rep.sequences) == 1 and undetermined(rep) == []
     rep = h22_chase_report(Z, *rows(Z))
-    assert rep.complete and rep.sequences == [] and undetermined(rep) == []
+    assert rep.sequences == [] and undetermined(rep) == []
     assert rep.known == {"x0": 0, "x1": 0, "x3": 0, "x4": 0,
                          "chi_O": 2, "chi_Omega1": -259}
-    assert rep.solved == {"chi": 1080, "h22": 1080}
+    assert rep.cells == {"chi": (1080, 1080), "h22": (1080, 1080)}
 
 
 def test_h1_chase_bounds_beauville_donagi(monkeypatch):
@@ -570,9 +590,8 @@ def test_h1_chase_bounds_beauville_donagi(monkeypatch):
     rep = h1_chase_report(Z, row0)
     assert restricted == [Z.bundle.dual(), omega_filtration(Z.space)]
     assert rep.known == {"x0": 0, "x4": 0, "chi_a": 75, "chi_b": 33}
-    assert rep.solved == {"x0": 0, "x4": 0} and not rep.complete
-    assert rep.bounds == {"x1": (21, 57), "a2": (20, 56), "x2": (0, 36), "a3": (0, 36),
-                          "x3": (20, 21)}
+    assert rep.cells == {"x0": (0, 0), "x1": (21, 57), "a2": (20, 56), "x2": (0, 36),
+                         "a3": (0, 36), "x3": (20, 21), "x4": (0, 0)}
     row1 = h1_row(Z, row0)
     assert row1.status == "ambiguous" and row1.chi == -42
     assert row1.dims == [0, None, None, None, 0]
@@ -583,10 +602,10 @@ def test_h1_chase_seeds_a_bounded_row0_by_its_intervals():
     # a row 0 bounded at h^{0,1} seeds x_0 with that interval; exactness
     # between H^0(Omega_X|_Z) = 0 and H^1(F^*|_Z) = 0 then closes it
     Z = mk("G2/P2", {(0, 3): 1})
-    row0 = ZCohomology(4, [1, None, 0, 0, 1], "ambiguous", {1: (0, 1)}, 2)
+    row0 = zrow(4, [1, 0, 0, 0, 1], {1: (0, 1)})
     rep = h1_chase_report(Z, row0)
     assert rep.known == {"x4": 0, "chi_a": 272, "chi_b": 13}
-    assert rep.solved["x0"] == 0 and rep.complete
+    assert rep.cells["x0"] == (0, 0) and all(lo == hi for lo, hi in rep.cells.values())
     assert h1_row(Z, row0).dims == [0, 1, 0, 258, 0]
 
 
@@ -620,6 +639,27 @@ def test_the_row_refusals_live_in_hodge():
     assert not {"ExceptionEntry", "EXCEPTION_LIST", "NotPDominantError"} & set(names)
     assert "vanishes nowhere" not in (pathlib.Path(hodge.__file__).parent / "classify.py").read_text()
     assert "is_context_dominant" not in cli_calls
+
+
+def test_each_record_keeps_its_intervals_once_in_cells():
+    # a certified number is a point interval of ``cells``, a bounded one its
+    # bounds: no record keeps a second form, and nothing converts between them
+    assert ZCohomology._fields == ("cells", "chi")
+    assert hodge.ChaseReport._fields == ("sequences", "known", "cells")
+    assert HodgeDiamond._fields == ("d", "cells", "flags", "blocked")
+    functions, methods, handlers = set(), set(), set()
+    for path in sorted(pathlib.Path(hodge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                functions.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                methods |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "AmbiguousCohomologyError" in ast.dump(node.type):
+                    handlers.add(path.name)
+    assert "intervals" not in functions and "set" not in methods
+    # h22_chase_report raises the ambiguity refusal, and assemble alone catches it
+    assert handlers == {"hodge.py"}
 
 
 def test_h22_is_blocked_unless_the_canonical_bundle_is_trivial(capsys):
@@ -682,7 +722,7 @@ def test_h22_satisfies_cy4_riemann_roch(space, weights, h22_expected):
     r1 = h1_row(Z, r0)
     assert r0.dims == [1, 0, 0, 0, 1]
     value = second_wedge.h22(Z, r0, r1)
-    assert h22_chase_report(Z, r0, r1).solved["h22"] == value == h22_expected
+    assert h22_chase_report(Z, r0, r1).cells["h22"] == (value, value) == (h22_expected,) * 2
     h11, h21, h31 = r1.dims[1], r1.dims[2], r1.dims[3]
     assert value == 2 * (22 + 2 * h11 + 2 * h31 - h21)
 
@@ -753,7 +793,8 @@ def test_a_certified_h12_pins_h22_past_a_bounded_h11():
     row1 = h1_row(Z, row0)
     assert row1.dims[2] == 0 and row1.bounds == {1: (1, 3), 3: (203, 205)}
     rep = h22_chase_report(Z, row0, row1)
-    assert rep.complete and rep.solved["h22"] == 912 == second_wedge.h22(Z, row0, row1)
+    assert rep.cells == {"chi": (912, 912), "h22": (912, 912)}
+    assert second_wedge.h22(Z, row0, row1) == 912
     dia = assemble(Z, row0, row1)
     assert dia.get(2, 2) == 912 and dia.flags[(2, 2)] == "euler-characteristic"
     assert dia.get(1, 1) is None and dia.blocked == {}
@@ -782,7 +823,7 @@ def test_kernel_chase_agrees_with_euler_characteristic(space, weights, h22_expec
     r1 = h1_row(Z, r0)
     values, complete = second_wedge.kernel_chase(Z, r0, r1)
     assert complete
-    assert values["h22"] == h22_chase_report(Z, r0, r1).solved["h22"] == h22_expected
+    assert (values["h22"],) * 2 == h22_chase_report(Z, r0, r1).cells["h22"] == (h22_expected,) * 2
     cells = KERNEL_CELLS.get(space, {})
     assert {name: values[name] for name in cells} == cells
 
