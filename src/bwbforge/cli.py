@@ -9,30 +9,36 @@ Subcommands:
 * ``ext G/Pk BUNDLE P``            decomposition of Lambda^P F^*
 * ``cohomology G/Pk BUNDLE``       H^*(X, F), or H^*(Z_F, E|_Z) with --restrict E
 * ``hodge G/Pk BUNDLE --d {3,4}``  Hodge numbers of the zero locus
-* ``classify --d {3,4}``           the trivial-canonical-bundle search
+* ``classify --d {3,4}``           the trivial-canonical-bundle search; with
+  ``--family all`` also on classical groups of rank <= ``--max-rank`` (4);
+  ``--no-hodge`` lists the candidates without Hodge rows
 * ``cache {stats,clear}``          persistent cache control
+
+Shared flags, before or after the subcommand: ``--format {table,json,csv}``,
+``--cache DIR`` (a persistent cache), ``--allow-bounds`` (exit 2, not 1, when
+results are only bounded), ``-v/--verbose``; ``-h/--help`` prints this text.
 
 Bundle grammar: ``term (+ term)*`` with
 ``term := ( O(t) | w<indices> | [c1,...,cr] ) [ (twist) ] [ ^mult ]``;
 for example ``w6^4 + O(1)`` or ``w1^2 + O(1)^5`` or ``[3,0,0,0,0]``.
-Each subcommand is one handler in ``_HANDLERS``; it returns a :class:`Reply`
+One table, ``_COMMANDS``, gives each subcommand its handler, positionals and
+options; the handler returns a :class:`Reply`
 (results, table lines, status and, where it has them, space, bundle and
 citations), and ``main`` alone wraps that in the JSON envelope
 ``{space, bundle, results, status, citations}`` and writes it out.
 Output is deterministic byte-for-byte for fixed inputs and engine version.
-Exit codes: 0 exact, 2 ambiguous (with --allow-bounds), 1 error.
+Exit codes: 0 exact, 2 ambiguous (with --allow-bounds), 1 error, usage errors included.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import gc
 import io
 import json
 import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cache as _cache
@@ -122,6 +128,8 @@ def _emit(payload: dict, fmt: str, table_lines: List[str]) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt == "csv":
+        import csv  # only here: no other path writes CSV
+
         buf = io.StringIO()
         rows = payload.get("results", {}).get("rows")
         if rows:
@@ -133,20 +141,6 @@ def _emit(payload: dict, fmt: str, table_lines: List[str]) -> str:
             buf.write(json.dumps(payload, sort_keys=True) + "\n")
         return buf.getvalue()
     return "\n".join(table_lines) + "\n"
-
-
-def _common_options(parser, suppress: bool):
-    # shared flags are accepted both before and after the subcommand; the
-    # post-subcommand copies use SUPPRESS so they only override when given
-    d = (lambda v: argparse.SUPPRESS if suppress else v)
-    parser.add_argument("--format", choices=("table", "json", "csv"),
-                        default=d("table"))
-    parser.add_argument("--cache", default=d(None),
-                        help="persistent cache directory")
-    parser.add_argument("--allow-bounds", action="store_true",
-                        default=d(False),
-                        help="exit 2 instead of 1 when results are only bounded")
-    parser.add_argument("-v", "--verbose", action="store_true", default=d(False))
 
 
 class Reply(NamedTuple):
@@ -319,87 +313,141 @@ def _cache_cmd(args) -> Reply:
     return Reply({"cleared": True}, ["cache cleared"])
 
 
-_HANDLERS: Dict[str, Callable[[argparse.Namespace], Reply]] = {
-    "roots": _roots,
-    "dim": _dim,
-    "dex": _dex,
-    "bwb": _bwb,
-    "ext": _ext,
-    "cohomology": _cohomology,
-    "hodge": _hodge_cmd,
-    "classify": _classify_cmd,
-    "cache": _cache_cmd,
+class Arg(NamedTuple):
+    """A positional or an option of ``_COMMANDS``; ``type`` None makes a switch."""
+
+    type: Optional[Callable[[str], object]] = str
+    choices: Tuple = ()
+    default: object = None
+    required: bool = False
+
+
+_TEXT, _SWITCH, _D = Arg(), Arg(None, default=False), Arg(int, (3, 4), required=True)
+# accepted before and after the subcommand; the last one given wins
+_SHARED = {"--format": Arg(choices=("table", "json", "csv"), default="table"),
+           "--cache": _TEXT, "--allow-bounds": _SWITCH, "--verbose": _SWITCH}
+# name -> (handler, positionals, options): the one table that parses and dispatches
+_COMMANDS: Dict[str, Tuple[Callable[..., Reply], Dict[str, Arg], Dict[str, Arg]]] = {
+    "roots": (_roots, {"group": _TEXT}, {}),
+    "dim": (_dim, {"space": _TEXT}, {}),
+    "dex": (_dex, {"space": _TEXT, "weight": _TEXT}, {}),
+    "bwb": (_bwb, {"space": _TEXT, "weight": _TEXT}, {}),
+    "ext": (_ext, {"space": _TEXT, "bundle": _TEXT, "p": Arg(int)}, {}),
+    "cohomology": (_cohomology, {"space": _TEXT, "bundle": _TEXT}, {"--restrict": _TEXT}),
+    "hodge": (_hodge_cmd, {"space": _TEXT, "bundle": _TEXT}, {"--d": _D}),
+    "classify": (_classify_cmd, {}, {
+        "--d": _D, "--family": Arg(choices=("exceptional", "all"), default="exceptional"),
+        "--max-rank": Arg(int, default=4), "--no-hodge": _SWITCH}),
+    "cache": (_cache_cmd, {"action": Arg(choices=("stats", "clear"))}, {}),
 }
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+_HELP = re.compile(r"-v*h[vh]*$|--h(e(lp?)?)?$")
+
+
+def _option_names(tok: str, known: Dict[str, Arg]) -> List[str]:
+    """The options ``tok`` names, or [] when it is a word (a command or a value).
+
+    As argparse read them: a negative number is a word, ``-vv`` is ``-v``
+    twice, ``--opt[=value]`` names the option of ``known`` that ``--opt`` is
+    or uniquely begins, and an unknown option with a space in it is a word.
+    """
+    if tok[:1] != "-" or tok == "-" or _NUMBER.match(tok):
+        return []
+    if tok.strip("v") == "-":
+        return ["--verbose"] * (len(tok) - 1)
+    name = tok.partition("=")[0]
+    found = [name] if name in known else [n for n in known if n.startswith(name)]
+    if len(found) > 1 or not found and " " not in tok:
+        raise ParseError(f"ambiguous option {name}: {' or '.join(found)}" if found
+                         else f"unknown option {name}")
+    return found
+
+
+def _convert(name: str, arg: Arg, text: str):
+    try:
+        value = arg.type(text)
+    except ValueError:
+        raise ParseError(f"{name}: invalid {arg.type.__name__} value {text!r}") from None
+    if arg.choices and value not in arg.choices:
+        raise ParseError(f"{name}: {text!r} is not one of {', '.join(map(str, arg.choices))}")
+    return value
+
+
+def _parse(argv: Sequence[str]) -> Optional[Tuple[Callable, SimpleNamespace]]:
+    """Read ``argv`` by ``_SHARED`` and ``_COMMANDS``; None when it asks for help anywhere."""
+    if any(map(_HELP.match, argv[:argv.index("--") if "--" in argv else None])):
+        return None
+    known, given, words, rest = dict(_SHARED), {}, [], False
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--" and not rest:
+            rest = True  # every later token is a word
+            continue
+        options = [] if rest else _option_names(tok, known)
+        for opt in options:
+            arg = known[opt]
+            if arg.type is None:
+                if "=" in tok:
+                    raise ParseError(f"option {opt} takes no value")
+                given[opt] = True
+                continue
+            text = tok.partition("=")[2] if "=" in tok else next(tokens, None)
+            if "=" not in tok and (text in (None, "--") or _option_names(text, known)):
+                raise ParseError(f"option {opt} expects a value")
+            given[opt] = _convert(opt, arg, text)
+        if options:
+            continue
+        if not words:
+            if tok not in _COMMANDS:
+                raise ParseError(f"unknown command {tok!r} (choose from {', '.join(_COMMANDS)})")
+            known.update(_COMMANDS[tok][2])
+        words.append(tok)
+    if not words:
+        raise ParseError(f"no command given (choose from {', '.join(_COMMANDS)})")
+    name, *words = words
+    handler, spec, options = _COMMANDS[name]
+    if len(words) > len(spec):
+        raise ParseError(f"{name}: unexpected argument {words[len(spec)]!r}")
+    missing = list(spec)[len(words):] + [
+        opt for opt, arg in options.items() if arg.required and opt not in given]
+    if missing:
+        raise ParseError(f"{name}: missing {', '.join(missing)}")
+    values = {opt: given.get(opt, arg.default) for opt, arg in known.items()}
+    values.update((pos, _convert(pos, arg, text)) for (pos, arg), text in zip(spec.items(), words))
+    return handler, SimpleNamespace(**{k.lstrip("-").replace("-", "_"): v
+                                       for k, v in values.items()})
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand; return the exit code.
 
+    A usage error, like any other, prints one ``error:`` line and returns 1;
+    ``-h`` or ``--help`` anywhere prints the module docstring and returns 0.
+
     The first call in a process freezes the heap the imports left behind, so
     the cyclic collector, its collections at interpreter exit included, no
     longer walks the engine's modules, which live until exit anyway: the
     time from import to exit of a one-shot ``hodge`` call falls by a third.
-    The parser and everything a call builds stay collectable, and importing
-    the module freezes nothing.
+    Everything a call builds stays collectable, and importing the module
+    freezes nothing.
     """
     if not gc.get_freeze_count():
         gc.freeze()
-    ap = argparse.ArgumentParser(
-        prog="bwbforge",
-        description="Borel-Weil-Bott cohomology and trivial-canonical-bundle "
-        "searches on rational homogeneous varieties of Picard number one.",
-    )
-    _common_options(ap, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _common_options(common, suppress=True)
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=(
-        lambda **kw: argparse.ArgumentParser(parents=[common], **kw)))
-
-    sp = sub.add_parser("roots", help="positive roots of a simple group")
-    sp.add_argument("group")
-    sp = sub.add_parser("dim", help="dimension / Fano index / minimal embedding")
-    sp.add_argument("space")
-    sp = sub.add_parser("dex", help="rank and dex of an irreducible bundle")
-    sp.add_argument("space")
-    sp.add_argument("weight")
-    sp = sub.add_parser("bwb", help="Borel-Weil-Bott cohomology of E_lambda")
-    sp.add_argument("space")
-    sp.add_argument("weight")
-    sp = sub.add_parser("ext", help="decomposition of a wedge power of F^*")
-    sp.add_argument("space")
-    sp.add_argument("bundle")
-    sp.add_argument("p", type=int)
-    sp = sub.add_parser("cohomology", help="H^*(X, F) or H^*(Z_F, E|_Z)")
-    sp.add_argument("space")
-    sp.add_argument("bundle")
-    sp.add_argument("--restrict", metavar="E",
-                    help="restrict E to the zero locus of F and push through Koszul")
-    sp = sub.add_parser("hodge", help="Hodge numbers of the zero locus")
-    sp.add_argument("space")
-    sp.add_argument("bundle")
-    sp.add_argument("--d", type=int, required=True, choices=(3, 4))
-    sp = sub.add_parser("classify", help="search for trivial-canonical-bundle loci")
-    sp.add_argument("--d", type=int, required=True, choices=(3, 4))
-    sp.add_argument("--family", choices=("exceptional", "all"), default="exceptional")
-    sp.add_argument("--max-rank", type=int, default=4,
-                    help="rank cap for classical groups with --family all")
-    sp.add_argument("--no-hodge", action="store_true",
-                    help="emit the numeric candidates without Hodge rows")
-    sp = sub.add_parser("cache", help="persistent cache control")
-    sp.add_argument("action", choices=("stats", "clear"))
-
-    args = ap.parse_args(argv)
-    if args.cache:
-        _cache.set_cache_dir(args.cache)
-
     t0 = time.perf_counter()
     try:
-        reply = _HANDLERS[args.command](args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(__doc__ or "")
+            return 0
+        handler, args = parsed
+        if args.cache:
+            _cache.set_cache_dir(args.cache)
+        reply = handler(args)
         payload = {"space": reply.space, "bundle": reply.bundle,
                    "results": reply.results, "status": reply.status,
                    "citations": list(reply.citations)}
         out = _emit(payload, args.format, reply.lines)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(out)

@@ -233,13 +233,12 @@ def conv(a: PackedChar, b: PackedChar, rank: int) -> PackedChar:
 
 @lru_cache(maxsize=None)
 def context_positive_roots(ctx: Context) -> Tuple[Tuple[int, ...], ...]:
-    """Positive roots of the context, in ambient simple-root coordinates."""
-    levi = set(ctx.levi)
-    out = []
-    for beta in positive_roots(ctx.rs):
-        if all(c == 0 or (i + 1) in levi for i, c in enumerate(beta)):
-            out.append(beta)
-    return tuple(out)
+    """Positive roots of the context, in ambient simple-root coordinates.
+
+    A root is the context's iff it is zero at every omitted node.
+    """
+    omitted = [i for i in range(ctx.rs.rank) if i + 1 not in ctx.levi]
+    return tuple(b for b in positive_roots(ctx.rs) if not any(b[i] for i in omitted))
 
 
 @lru_cache(maxsize=None)

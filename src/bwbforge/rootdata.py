@@ -170,34 +170,30 @@ def positive_roots(rs: RootSystem) -> Tuple[Root, ...]:
 
     Generated by the closure algorithm over root strings, returned in a
     deterministic order: graded lexicographic by height, then coordinates.
+    Each root carries its pairings <beta, alpha_i^v>, so beta + alpha_j gets
+    its own by adding column j of the Cartan matrix.
     """
     r = rs.rank
     A = cartan_matrix(rs)
-    simple = [tuple(1 if m == i else 0 for m in range(r)) for i in range(r)]
-    roots = set(simple)
-    layer = list(simple)
+    columns = list(zip(*A))
+    pairings = {tuple(1 if m == i else 0 for m in range(r)): columns[i] for i in range(r)}
+    layer = list(pairings)
     while layer:
         nxt = []
         for beta in layer:
+            pb = pairings[beta]
             for i in range(r):
-                pairing = sum(beta[m] * A[i][m] for m in range(r))
                 # depth of the alpha_i string below beta
-                p = 0
-                probe = list(beta)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in roots:
-                        break
-                    p += 1
-                if p - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
+                p, down = 0, beta[i] - 1
+                while down >= 0 and beta[:i] + (down,) + beta[i + 1:] in pairings:
+                    p, down = p + 1, down - 1
+                if p > pb[i]:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in pairings:
+                        pairings[up] = add(pb, columns[i])
+                        nxt.append(up)
         layer = nxt
-    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+    return tuple(sorted(pairings, key=lambda v: (sum(v), v)))
 
 
 def root_to_weight(rs: RootSystem, beta: Root) -> Weight:

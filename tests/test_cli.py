@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from bwbforge import cache as _cache
-from bwbforge import koszul
+from bwbforge import cli, koszul
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology, bwb
 from bwbforge.classify import classify
@@ -320,6 +320,13 @@ def test_ambiguous_exit_codes():
     payload = json.loads(proc.stdout)
     assert payload["status"] == "ambiguous"
     assert payload["results"]["bounds"] == {"0": [0, 3], "1": [0, 3]}
+    # a usage error is an error, not an ambiguous answer, with or without the flag
+    proc = subprocess.run(
+        [sys.executable, "-m", "bwbforge.cli", "--allow-bounds", "hodge", "G2/P2", "O(3)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: hodge: missing --d\n"
 
 
 def test_classify_d3_command():
@@ -374,6 +381,90 @@ def test_csv_format():
 def test_main_entrypoint_direct():
     assert main(["dim", "G2/P1"]) == 0
     assert main(["dex", "G2/P1", "[1,-1]"]) == 1  # not P-dominant
+
+
+# -- the command line ------------------------------------------------------------
+
+
+def run_main(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``, which must not raise SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        pytest.fail(f"main({argv}) raised SystemExit({exc.code})")
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "no command given (choose from roots, dim, dex, bwb, ext, cohomology, hodge, "
+         "classify, cache)"),
+    (["--format", "json"], "no command given"),
+    (["bogus", "G2"], "unknown command 'bogus'"),
+    (["dim"], "dim: missing space"),
+    (["ext", "G2/P2", "O(1)"], "ext: missing p"),
+    (["dim", "G2/P1", "E6/P1"], "dim: unexpected argument 'E6/P1'"),
+    (["dim", "G2/P1", "--bogus"], "unknown option --bogus"),
+    (["dim", "G2/P1", "-x"], "unknown option -x"),
+    (["hodge", "G2/P2", "O(3)", "--d", "4", "--restrict", "O(0)"], "unknown option --restrict"),
+    (["classify", "--d", "3", "--f", "json"], "ambiguous option --f: --format or --family"),
+    (["dim", "G2/P1", "--format"], "option --format expects a value"),
+    (["cohomology", "G2/P2", "O(3)", "--restrict", "--verbose"], "option --restrict expects a value"),
+    (["dim", "G2/P1", "--verbose=yes"], "option --verbose takes no value"),
+    (["--format", "xml", "dim", "G2/P1"], "--format: 'xml' is not one of table, json, csv"),
+    (["classify", "--d", "5"], "--d: '5' is not one of 3, 4"),
+    (["cache", "empty"], "action: 'empty' is not one of stats, clear"),
+    (["ext", "G2/P2", "O(1)", "two"], "p: invalid int value 'two'"),
+    (["classify", "--d", "x"], "--d: invalid int value 'x'"),
+    (["hodge", "G2/P2", "O(3)"], "hodge: missing --d"),
+])
+def test_usage_errors_print_one_line_and_return_1(argv, message, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["hodge", "--help"], ["hodge", "-h"],
+                                  ["classify", "--d", "9", "--he"], ["-vh", "dim"]])
+def test_help_prints_the_module_docstring(argv, capsys):
+    assert run_main(argv, capsys) == (0, cli.__doc__, "")
+    nine = ["roots", "dim", "dex", "bwb", "ext", "cohomology", "hodge", "classify", "cache"]
+    assert list(cli._COMMANDS) == nine
+    assert all(f"* ``{name} " in cli.__doc__ for name in nine)
+
+
+def test_an_option_reads_its_value_inline_or_as_the_next_word(capsys):
+    spaced = run_main(["hodge", "G2/P2", "O(3)", "--d", "4", "--format", "json"], capsys)
+    inline = run_main(["hodge", "G2/P2", "O(3)", "--d=4", "--format=json"], capsys)
+    assert spaced == inline and spaced[0] == 0 and json.loads(spaced[1])["results"]["h22"] == 1080
+
+
+def test_a_unique_prefix_names_its_option(capsys):
+    argv = ["classify", "--d", "4", "--no-hodge", "--family", "all"]
+    whole = run_main([*argv, "--max-rank", "5", "--format", "json"], capsys)
+    short = run_main([*argv, "--max", "5", "--fo", "json"], capsys)
+    assert whole == short and whole[0] == 0
+    assert {r["space"] for r in json.loads(whole[1])["results"]["rows"]} >= {"A5/P2"}
+
+
+def test_negative_numbers_words_with_spaces_and_words_after_a_double_dash_are_values(capsys):
+    # -1 is the wedge degree, refused by ext itself, not an unknown option
+    code, out, err = run_main(["ext", "G2/P2", "O(1)", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: wedge degree -1 out of range 0..1\n")
+    # a dash word with a space reaches the bundle grammar
+    code, out, err = run_main(["cohomology", "G2/P2", "-O(1) + O(2)"], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: cannot parse bundle term '-O(1) '")
+    assert run_main(["dim", "--", "G2/P1"], capsys) == run_main(["dim", "G2/P1"], capsys)
+    code, out, err = run_main(["-vv", "dim", "G2/P1"], capsys)
+    assert (code, out) == (0, "dim=5 index=5 embed=P^6\n") and err.startswith("[")
+
+
+def test_a_cache_directory_that_cannot_be_made_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_cache, "_dir", None)
+    (tmp_path / "file").write_text("")
+    code, out, err = run_main(["--cache", str(tmp_path / "file" / "cache"), "dim", "G2/P1"], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert _cache.stats()["directory"] is None
 
 
 # -- the heap freeze of main ---------------------------------------------------
@@ -604,6 +695,19 @@ def test_golden_output(argv, code, digest, err, capsys, monkeypatch):
     out, got_err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert got_err == err
+
+
+@pytest.mark.parametrize("argv,code,digest,err", [c for c in GOLDEN if c[0][0].startswith("-")],
+                         ids=[" ".join(c[0]) for c in GOLDEN if c[0][0].startswith("-")])
+def test_golden_output_with_the_shared_flags_after_the_subcommand(argv, code, digest, err,
+                                                                 capsys, monkeypatch):
+    monkeypatch.setattr(_cache, "_dir", None)
+    at = next(i for i, tok in enumerate(argv) if tok in cli._COMMANDS)
+    moved = [argv[at], *argv[:at], *argv[at + 1:]]
+    assert moved != argv
+    assert main(moved) == code
+    out, got_err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), got_err) == (digest, err)
 
 
 def test_only_the_cache_flag_attaches_a_directory(tmp_path, monkeypatch, capsys):

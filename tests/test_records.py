@@ -30,16 +30,41 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
-def test_no_source_file_imports_dataclasses():
+def test_a_cli_job_loads_neither_argparse_gettext_locale_nor_csv():
+    # one table parses the command line, and only the csv format imports csv
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    probe = (
+        "import contextlib, io, sys\n"
+        "from bwbforge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['--format', 'json', 'hodge', 'G2/P2', 'O(3)', '--d', '4'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale', 'csv'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
+def importers_of(module):
+    """``file:line`` of each import of ``module`` under ``src/``."""
     importers = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
-            if any(n.split(".")[0] == "dataclasses" for n in names):
+            if any(n.split(".")[0] == module for n in names):
                 importers.append(f"{path.name}:{node.lineno}")
-    assert importers == []
+    return importers
+
+
+def test_no_source_file_imports_dataclasses():
+    assert importers_of("dataclasses") == []
+
+
+def test_no_source_file_imports_argparse():
+    assert importers_of("argparse") == []
 
 
 def _refusals():

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwbforge import repcalc as rc
 from bwbforge import rootdata
+from bwbforge.classify import search_spaces
 from bwbforge.rootdata import (
     ChamberResult,
     RootDataError,
@@ -123,6 +125,62 @@ def test_g2_positive_roots_contain_highest():
     assert (3, 2) in roots  # 3 alpha1 + 2 alpha2
     assert roots == tuple(sorted(roots, key=lambda v: (sum(v), v)))
     assert positive_roots(RootSystem("G", 2)) == roots  # idempotent regeneration
+
+
+def root_string_closure(rs):
+    """Positive roots by the root-string closure, each pairing summed from its Cartan row.
+
+    The oracle of ``positive_roots``, which carries the pairings instead.
+    """
+    r = rs.rank
+    A = cartan_matrix(rs)
+    simple = [tuple(1 if m == i else 0 for m in range(r)) for i in range(r)]
+    roots = set(simple)
+    layer = list(simple)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(r):
+                pairing = sum(beta[m] * A[i][m] for m in range(r))
+                # depth of the alpha_i string below beta
+                p = 0
+                probe = list(beta)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in roots:
+                        break
+                    p += 1
+                if p - pairing > 0:
+                    up = list(beta)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in roots:
+                        roots.add(cand)
+                        nxt.append(cand)
+        layer = nxt
+    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+
+
+CLOSURE_TYPES = [("A", n) for n in range(1, 12)] + [
+    (f, n) for f, lo in (("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 12)
+] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_TYPES)
+def test_positive_roots_equal_the_root_string_closure(family, rank):
+    rs = RootSystem(family, rank)
+    assert positive_roots(rs) == root_string_closure(rs)
+
+
+def test_context_roots_are_the_roots_zero_off_the_levi():
+    # every Levi of the rank-8 search, and each whole group
+    contexts = {X.levi for X in search_spaces("all", 8)}
+    contexts |= {rc.Context(c.rs, tuple(range(1, c.rs.rank + 1))) for c in contexts}
+    for ctx in contexts:
+        levi = set(ctx.levi)
+        want = tuple(b for b in positive_roots(ctx.rs)
+                     if all(c == 0 or (i + 1) in levi for i, c in enumerate(b)))
+        assert rc.context_positive_roots(ctx) == want, ctx
 
 
 def test_dominant_chamber_examples():
