@@ -3,8 +3,9 @@
 Every memo whose key holds a user weight lives here, in a plain dict per
 ``(namespace, owner)`` from :func:`table`: per context ``dim`` (Weyl
 dimensions), ``climb`` (packed rho-shifted weight with zero omitted
-coordinates -> packed dominant representative, negated for an odd climb,
-or None on a wall) and ``levi_tensor`` (``repcalc.LeviTensor``: rows
+coordinates and a negative Levi one, the only weights that need a reflection
+-> packed dominant representative, negated for an odd climb, or None on a
+wall) and ``levi_tensor`` (``repcalc.LeviTensor``: rows
 nested per module), per space ``bwb`` (packed rho-shifted Levi highest
 weight -> degree and dimension of its cohomology, or None on a wall, read
 off its coroot pairings by ``repcalc.bott_kernel``).

@@ -342,6 +342,7 @@ _COMMANDS: Dict[str, Tuple[Callable[..., Reply], Dict[str, Arg], Dict[str, Arg]]
 }
 _NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 _HELP = re.compile(r"-v*h[vh]*$|--h(e(lp?)?)?$")
+_heap_frozen = False  # whether a main of this process froze the heap
 
 
 def _option_names(tok: str, known: Dict[str, Arg]) -> List[str]:
@@ -429,10 +430,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     longer walks the engine's modules, which live until exit anyway: the
     time from import to exit of a one-shot ``hodge`` call falls by a third.
     Everything a call builds stays collectable, and importing the module
-    freezes nothing.
+    freezes nothing; a later call reads a flag, not the frozen heap's count.
     """
-    if not gc.get_freeze_count():
+    global _heap_frozen
+    if not _heap_frozen:
         gc.freeze()
+        _heap_frozen = True
     t0 = time.perf_counter()
     try:
         parsed = _parse(sys.argv[1:] if argv is None else argv)

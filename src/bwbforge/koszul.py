@@ -18,9 +18,9 @@ O(-c t_i), so Lambda^p F^* is the sum over a + c = p of its terms times
 Lambda^a F'^*.  No character of a whole Lambda^p F^* is built, and the E_1
 route unpacks no page but the right factor of each product step.
 ``e1_page`` reads each E_1 entry off by Brauer-Klimyk on the Levi side, per
-irreducible piece E_mu of E, page a and term of the lines, on those same
-pages, the term a twist of the read, and Bott's theorem once per
-irreducible of each product, so no tensor product is ever expanded.  A module read, there or in
+irreducible piece E_mu of E and page a, on those same pages, merged per page
+and graded piece, then Bott's theorem once per weight of that and term of the
+lines, a twist of the read: no tensor product is ever expanded.  A module read, there or in
 a product step, is range-checked once over the hull of its pages; a page of
 lines needs only the weight mu0, and no climb.  ``wedge_decomp`` sums the
 tuple views of those pages, ``PackedPage.decomp``, twisted by the terms, into
@@ -548,13 +548,13 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     Brauer-Klimyk on the Levi side, per irreducible E_mu of gr_j E and page a
     of the ``read_plan``: with mu = mu0 + t w_k and mu0[k] = 0, V_L(mu) is
     V_L(mu0) twisted by the L-character w_k, so V_L(mu0) times the page of
-    Lambda^a F'^* is read off the twist-free ``levi_tensor`` rows of pack(mu0)
-    once per term (c, T, C) of the lines, shifted by (page twist + T + t) w_k,
-    and added C times at p = a + c.  A page of lines needs only the weight
-    mu0: each of its reads is y = s + shift + pack(mu0), no climb and no fill.
-    One range check per E_mu and group of the plan, of its hull.  Bott's
-    theorem then runs once per irreducible y of the product (``bott_kernel``,
-    memoised in ``table("bwb", X)``): n * m * dim V_G in degree q, the number of
+    Lambda^a F'^* is read off the twist-free ``levi_tensor`` rows of pack(mu0),
+    shifted by (page twist + t) w_k, after one range check per E_mu and group of
+    the plan, of its hull; a page of lines needs only mu0, no climb and no fill.
+    One page at a time, the products of every E_mu of gr_j are added into one
+    packed character {x: mult * n * m}, read by Bott's theorem once per x and
+    term (c, T, C) of the lines at y = x + T w_k (``bott_kernel``, memoised in
+    ``table("bwb", X)``): C * dim V_G at p = a + c in degree q, the number of
     negative coroot pairings, or nothing on a wall.  A sum leaving the packed
     field raises ``repcalc.WeightRangeError``, and a negative total (E was no
     genuine module) AssertionError.  Only nonzero entries are kept, sorted.
@@ -569,6 +569,7 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
     unit, flat = rc.packed_offset(X.line(1)), rc.pack(rho(X.rs)) & rc.levi_mask(levi)
     entries: Dict[Tuple[int, int, int], int] = {}
     for j, graded in enumerate(E.gradeds):
+        readers = []
         for mu, mult in graded:
             check_p_dominant(X, mu)
             t, mu0 = mu[k], X.twist(mu, -mu[k])
@@ -581,24 +582,29 @@ def e1_page(Z: ZeroLocus, E: RestrictableBundle) -> Dict[Tuple[int, int, int], i
                     char = rc.char_irr(levi, mu0)
                     box = _box(X, hull, rc.char_extremes(char, rank), t)
                     reads[lines] = tensor.reader(key, char, *box)
-            for a, page in enumerate(plan.pages):
-                rows, fill = reads[page.lines]
-                for c, T, C in plan.terms:
-                    shift = (page.twist + T + t) * unit
-                    row: Dict[int, int] = {}
-                    for s, n, s0 in page.pairs:
-                        s += shift
-                        terms = iter(rows.get(s0) or fill(s, s0))
-                        for dy, m in zip(terms, terms):
-                            y = s + dy
-                            got = bwbs.get(y, False)  # None marks a wall
-                            if got is False:
-                                got = bwbs[y] = bott(y)
-                            if got is not None:
-                                q, dim = got
-                                row[q] = row.get(q, 0) + n * m * dim
-                    for q, n in row.items():
-                        entries[(a + c, j, q)] = entries.get((a + c, j, q), 0) + mult * C * n
+            readers.append((t, mult, reads))
+        for a, page in enumerate(plan.pages):
+            product: rc.PackedChar = {}  # page a times every E_mu of gr_j, term (0, 0, 1)
+            for t, mult, reads in readers:
+                (rows, fill), shift = reads[page.lines], (page.twist + t) * unit
+                for s, n, s0 in page.pairs:
+                    s += shift
+                    terms = iter(rows.get(s0) or fill(s, s0))
+                    for dy, m in zip(terms, terms):
+                        x = s + dy
+                        product[x] = product.get(x, 0) + mult * n * m
+            for c, T, C in plan.terms:
+                lift, row = T * unit, {}
+                for x, w in product.items():
+                    y = x + lift
+                    got = bwbs.get(y, False)  # None marks a wall
+                    if got is False:
+                        got = bwbs[y] = bott(y)
+                    if got is not None:
+                        q, dim = got
+                        row[q] = row.get(q, 0) + w * dim
+                for q, n in row.items():
+                    entries[(a + c, j, q)] = entries.get((a + c, j, q), 0) + C * n
     if any(v < 0 for v in entries.values()):
         raise AssertionError("negative multiplicity: input was not a character")
     return dict(sorted(entries.items()))

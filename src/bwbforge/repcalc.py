@@ -377,14 +377,17 @@ def signed_climb(ctx: Context, x: int, rows) -> Optional[int]:
 
 
 @lru_cache(maxsize=None)
-def _twist_free(ctx: Context) -> Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int], ...], int]:
+def _twist_free(ctx: Context) -> Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int], ...],
+                                       int, int, int, int]:
     """Levi-field mask, packed zero and indices of the omitted fields, (i, K_i) for
-    2 rho_L^v = sum_i K_i alpha_i^v, and max |<alpha_i, alpha_j^v>| over Levi i, omitted j."""
+    2 rho_L^v = sum_i K_i alpha_i^v, max |<alpha_i, alpha_j^v>| over Levi i, omitted j, and the
+    lanes of ``climb_tally``: flip (2^15 per Levi field, 1 per omitted), low (1 per field), high."""
     omitted = tuple(j - 1 for j in ctx.omitted())
-    mask = levi_mask(ctx)
-    zero = sum(_OFFSET << (_BITS * j) for j in omitted)
+    mask, high = levi_mask(ctx), pack_zero(ctx.rs.rank)
+    zero, low = sum(_OFFSET << (_BITS * j) for j in omitted), high >> (_BITS - 1)
     worst = max([-simple_root_weight(ctx.rs, i)[j] for i in ctx.levi for j in omitted], default=0)
-    return mask, zero, omitted, tuple((i, sum(col)) for i, col in weyl_kernel(ctx)[1]), worst
+    coefficients = tuple((i, sum(col)) for i, col in weyl_kernel(ctx)[1])
+    return mask, zero, omitted, coefficients, worst, (high & mask) | (low & ~mask), low, high
 
 
 _MISSING = object()
@@ -394,27 +397,35 @@ def climb_tally(ctx: Context, char: PackedChar, shift: int, climbs, mask, zero,
                 rows) -> Tuple[int, ...]:
     """Brauer-Klimyk for one shift: V(lambda) (x) M = sum m V(shift + dy - rho), flat (dy, m, ...).
 
-    ``shift`` packs lambda + rho as an offset.  Each x = shift + nu climbs along ``rows``
-    through ``climbs``, keyed by x0 = (x & mask) | zero: climb(x) = climb(x0) + (x - x0),
-    so dy = climb(x0) + nu - x0 depends on the Levi part of lambda only.
-    """
+    ``shift`` packs lambda + rho as an offset.  x = shift + nu, in u = (x & levi) ^ flip its Levi
+    coordinates in two's complement and 1 elsewhere, is dropped on a wall (a field of u is 0), is
+    dominant (dy = nu) with no sign bit, and else climbs along ``rows`` through ``climbs``, keyed
+    by x0 = (x & mask) | zero: climb(x) = climb(x0) + (x - x0), so dy = climb(x0) + nu - x0
+    depends on the Levi part of lambda only."""
+    levi, *_, flip, low, high = _twist_free(ctx)
     tally: Dict[int, int] = {}
     for v, m in char.items():
-        x0 = ((v + shift) & mask) | zero
-        y = climbs.get(x0, _MISSING)
-        if y is _MISSING:
-            y = climbs[x0] = signed_climb(ctx, x0, rows)
-        if y is not None:  # negated for an odd climb
-            dy = v - x0 + abs(y)
-            tally[dy] = tally.get(dy, 0) + (m if y > 0 else -m)
+        u = ((v + shift) & levi) ^ flip
+        if (u - low) & ~u & high:  # a Levi coordinate is 0
+            continue
+        if u & high:  # a Levi coordinate is negative: climb
+            x0 = ((v + shift) & mask) | zero
+            y = climbs.get(x0, _MISSING)
+            if y is _MISSING:
+                y = climbs[x0] = signed_climb(ctx, x0, rows)
+            if y is None:  # the wall of a root that is not simple
+                continue
+            v, m = v - x0 + abs(y), (m if y > 0 else -m)  # negated for an odd climb
+        tally[v] = tally.get(v, 0) + m
     return tuple(x for term in tally.items() if term[1] for x in term)
 
 
 class LeviTensor:
     """V_L(lambda) (x) V_L(mu) by Brauer-Klimyk, memoised in ``table("levi_tensor", ctx)``:
     pack(mu), then the Levi fields s0 of pack(lambda + rho), maps to the
-    ``climb_tally`` entry (dy, m, ...).  W_L fixes the omitted w_j (Humphreys 10.3), so
-    each shift s with that Levi part yields y = s + dy, read by ``reader`` after one range check."""
+    ``climb_tally`` entry (dy, m, ...), whose ``climb`` table keeps only the weights that need a
+    reflection.  W_L fixes the omitted w_j (Humphreys 10.3), so each shift s with that Levi part
+    yields y = s + dy, read by ``reader`` after one range check."""
 
     def __init__(self, ctx: Context):
         self.ctx, self.twist_free, self.climb_rows = ctx, _twist_free(ctx), _climb_rows(ctx)
@@ -428,7 +439,7 @@ class LeviTensor:
         Where that could take x or x0 below the field, x is the key, in a table of its own.
         """
         check_packable(lo, hi)
-        mask, zero, omitted, coefficients, worst = self.twist_free
+        mask, zero, omitted, coefficients, worst = self.twist_free[:5]
         drop = worst * sum(c * -lo[i] for i, c in coefficients if lo[i] < 0)
         if any(min(lo[j], 0) - drop < -_OFFSET for j in omitted):
             return {}, -1, 0

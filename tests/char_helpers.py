@@ -8,8 +8,9 @@ characters and dimensions of formal sums, tensor products, wedge and
 symmetric powers decomposed again, the packed page form of a
 decomposition, the tuple views ``wedge_decomps`` of the wedge powers of
 the bundle of a locus) serve the tests and the oracles built on them.  ``freudenthal``,
-``dominant_rep``, ``dual_highest_weight``, ``koszul_dual_pages_oracle`` and
-``running_product_pages_oracle`` are oracles of engine routines;
+``dominant_rep``, ``dual_highest_weight``, ``koszul_dual_pages_oracle``,
+``running_product_pages_oracle`` and ``e1_page_per_term`` are oracles of
+engine routines;
 ``serre_dual_weight`` names the Serre-duality partner of an irreducible
 bundle.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, List
 
-from bwbforge import koszul
+from bwbforge import cache, koszul
 from bwbforge import repcalc as rc
 from bwbforge.homspace import HomSpace, fano_index
 from bwbforge.koszul import BundleSum, PackedPage, ZeroLocus
@@ -110,6 +111,54 @@ def tensor_cohomology(X: HomSpace, page, t: int, char: rc.PackedChar, extremes) 
                 q, dim = got
                 out[q] = out.get(q, 0) + n * m * dim
     return out
+
+
+def e1_page_per_term(Z: ZeroLocus, E) -> Dict[tuple, int]:
+    """``koszul.e1_page`` read once per irreducible E_mu, page a and term (c, T, C) of the lines,
+    each product sent to Bott's theorem on its own: the oracle of the merged read.
+
+    The same range checks, ``levi_tensor`` rows and ``table("bwb", X)`` as the engine; the read
+    of E_mu, page a and term (c, T, C) is shifted by (page twist + T + t) w_k and added C times
+    at p = a + c.
+    """
+    X = Z.space
+    k, rank, levi = X.k - 1, X.rs.rank, X.levi
+    if E is None:
+        E = BundleSum.make(X, {(0,) * rank: 1})
+    plan = koszul.read_plan(Z.bundle)
+    tensor, bwbs, bott = rc.LeviTensor(levi), cache.table("bwb", X), rc.bott_kernel(X.group)
+    unit, flat = rc.packed_offset(X.line(1)), rc.pack(rho(X.rs)) & rc.levi_mask(levi)
+    entries: Dict[tuple, int] = {}
+    for j, graded in enumerate(E.gradeds):
+        for mu, mult in graded:
+            t, mu0 = mu[k], X.twist(mu, -mu[k])
+            key, reads = rc.pack(mu0), {}
+            for lines, hull in plan.hulls.items():
+                if lines:
+                    rc.check_packable(*koszul._box(X, hull, (mu0, mu0), t))
+                    reads[lines] = {flat: (key, 1)}, None
+                else:
+                    char = rc.char_irr(levi, mu0)
+                    box = koszul._box(X, hull, rc.char_extremes(char, rank), t)
+                    reads[lines] = tensor.reader(key, char, *box)
+            for a, page in enumerate(plan.pages):
+                rows, fill = reads[page.lines]
+                for c, T, C in plan.terms:
+                    shift, row = (page.twist + T + t) * unit, {}
+                    for s, n, s0 in page.pairs:
+                        s += shift
+                        terms = iter(rows.get(s0) or fill(s, s0))
+                        for dy, m in zip(terms, terms):
+                            y = s + dy
+                            got = bwbs.get(y, False)
+                            if got is False:
+                                got = bwbs[y] = bott(y)
+                            if got is not None:
+                                q, dim = got
+                                row[q] = row.get(q, 0) + n * m * dim
+                    for q, n in row.items():
+                        entries[(a + c, j, q)] = entries.get((a + c, j, q), 0) + mult * C * n
+    return dict(sorted((key, v) for key, v in entries.items() if v))
 
 
 def char_dim(char: rc.PackedChar) -> int:

@@ -4,8 +4,10 @@ import pickle
 import pytest
 
 from bwbforge import cache
+from bwbforge import repcalc as rc
 from bwbforge.homspace import parse_homspace
 from bwbforge.koszul import BundleSum, ZeroLocus, restricted_cohomology
+from bwbforge.rootdata import add, rho
 
 
 @pytest.fixture
@@ -56,12 +58,13 @@ def test_entry_with_a_foreign_stamp_inside_is_not_read(disk):
 def test_memory_entries_count_every_table():
     cache.clear()
     X = parse_homspace("G2/P2")
-    # a page of lines reads no Levi row: the module w1 of F is what climbs
+    # a page of lines reads no Levi row: the module w1 of F is what fills one
     Z = ZeroLocus(X, BundleSum.make(X, {(1, 0): 1, X.line(3): 1}))
     restricted_cohomology(Z, BundleSum.make(X, {X.line(-3): 1}))
-    climb = len(cache.table("climb", X.levi))
-    assert climb > 0
-    assert cache.stats()["memory_entries"] >= climb + len(cache.table("wedge_decomps"))
+    rows = sum(map(len, cache.table("levi_tensor", X.levi).values()))
+    bwb = len(cache.table("bwb", X))
+    assert rows > 0 and bwb > 0
+    assert cache.stats()["memory_entries"] >= rows + bwb + len(cache.table("wedge_decomps"))
     # levi_tensor nests its rows per module: the rows are what is counted,
     # here two rows of one module from a second locus
     Z = ZeroLocus(X, BundleSum.make(X, {(1, 1): 2}))
@@ -76,15 +79,27 @@ def test_memory_entries_count_every_table():
     assert cache.table("climb", X.levi) == {}
 
 
-def test_restricted_cohomology_shares_the_levi_climb_table():
-    # the E1 page climbs into the same per-context table as decompose_character
+def test_restricted_cohomology_shares_the_levi_climb_table(monkeypatch):
+    # the E1 page climbs into the same per-context table as decompose_character, and
+    # keeps there only the weights that need a reflection
     cache.clear()
     X = parse_homspace("G2/P2")
-    # a page of lines reads no Levi row: the module w1 of F is what climbs
     Z = ZeroLocus(X, BundleSum.make(X, {(1, 0): 1, X.line(3): 1}))
-    restricted_cohomology(Z, BundleSum.make(X, {X.line(-3): 1}))
+    # the weight -3 w1 of V_L(3 w1) takes a Levi coordinate of a page's lambda + rho below 0
+    restricted_cohomology(Z, BundleSum.make(X, {(3, 0): 1}))
     assert "bott" not in cache.namespace_entries()
-    assert cache.table("climb", X.levi)
+    climbs = dict(cache.table("climb", X.levi))
+    assert climbs
+    for x0 in climbs:
+        levi = [c for i, c in enumerate(rc.unpack(x0, X.rs.rank)) if i + 1 in X.levi.levi]
+        assert min(levi) < 0 and 0 not in levi
+    # decompose_character reads those entries: the weight -2 w1 of V_L(2 w1) shifted by
+    # rho_L has the Levi coordinate -1, as the page's read had
+    assert rc.unpack(next(iter(climbs)), X.rs.rank)[0] == -1
+    monkeypatch.setattr(rc, "signed_climb", lambda *args: pytest.fail("climbed again"))
+    got = rc.decompose_character(X.levi, rc.char_irr(X.levi, (2, 0)))
+    assert got == {rc.pack(add((2, 0), rho(X.rs))): 1}
+    assert cache.table("climb", X.levi) == climbs
 
 
 def test_clear_removes_temp_files_of_killed_writers(disk):

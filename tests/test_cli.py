@@ -496,6 +496,22 @@ def test_main_freezes_the_import_heap_once_per_process():
     assert before == 0 < first and second <= first
 
 
+def test_a_later_main_neither_counts_nor_freezes_the_heap():
+    # counting the frozen heap walks it: a later call reads the flag of the first
+    codes = fresh_python(
+        "import contextlib, gc, io\n"
+        "from bwbforge import cli\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('the frozen heap was touched again')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    first = cli.main(['dim', 'G2/P1'])\n"
+        "    gc.get_freeze_count = gc.freeze = refuse\n"
+        "    second = cli.main(['dim', 'G2/P1'])\n"
+        "print(first, second)\n"
+    )
+    assert codes.split() == ["0", "0"]
+
+
 def test_library_calls_freeze_nothing():
     count = fresh_python(
         "import gc\n"

@@ -31,6 +31,7 @@ from char_helpers import (
     char_of_decomp,
     decomp_dim,
     decompose,
+    e1_page_per_term,
     koszul_dual_pages_oracle,
     page_form,
     running_product_pages_oracle,
@@ -630,6 +631,34 @@ def test_e1_page_matches_per_weight_route(space, weights):
     X = Z.space
     for E in (None, Z.bundle.dual(), omega_filtration(X).twist(X, 1)):
         assert e1_page(Z, E) == _per_weight_entries(Z, E)
+
+
+def _assert_merged_read_is_the_read_per_term(Z, E):
+    # the same entries, and the same Bott lookups and Levi rows left in the tables
+    owners = {"bwb": Z.space, "levi_tensor": Z.space.levi}
+    cache.clear()
+    want = e1_page_per_term(Z, E)
+    tables = {ns: dict(cache.table(ns, owner)) for ns, owner in owners.items()}
+    cache.clear()
+    assert e1_page(Z, E) == want
+    assert tables == {ns: cache.table(ns, owner) for ns, owner in owners.items()}
+
+
+@pytest.mark.parametrize("space,weights", TABLE_LOCI + [
+    ("E7/P1", {w(7, i7=1): 2, w(7, i1=1): 5}), ("A5/P2", {(3, 0, 0, 0, 0): 1})])
+def test_e1_page_merged_per_page_matches_the_read_per_line_term(space, weights):
+    # one Bott read per weight of a page's product and line term, against one per E_mu, page
+    # and term; every Table locus (E6/P1 O(1)^12 of lines only among them) and Beauville-Donagi
+    Z = mk(space, weights)
+    for E in (None, Z.bundle.dual(), omega_filtration(Z.space)):
+        _assert_merged_read_is_the_read_per_term(Z, E)
+
+
+@pytest.mark.parametrize("space", ["G2/P1", "G2/P2", "F4/P4", "E6/P1", "E6/P2"])
+def test_e1_page_of_omega_x_twisted_on_x_itself_matches_the_read_per_line_term(space):
+    # a rank-0 F: Z = X, one page, one term
+    X = parse_homspace(space)
+    _assert_merged_read_is_the_read_per_term(mk(space, {}), omega_filtration(X).twist(X, 1))
 
 
 @pytest.mark.parametrize("space,weights", TABLE_LOCI)

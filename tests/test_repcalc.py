@@ -668,6 +668,66 @@ def test_twist_free_key_at_the_edge_of_the_field(x, want):
     assert cache.table("climb", ctx) == {}
 
 
+# -- the lane tests of climb_tally -------------------------------------------------
+
+_LANE_LEVIS = _EXCEPTIONAL_LEVIS + [
+    rc.levi_context(rs, k)
+    for rs in [RootSystem(f, r) for f, low in zip("ABCD", (1, 2, 2, 3)) for r in range(low, 5)]
+    for k in range(1, rs.rank + 1)
+]
+
+
+@st.composite
+def _lane_case(draw):
+    # Levi coordinates near 0, where walls and signs change, and near the ends of the field;
+    # the omitted ones anywhere in it, as x itself carries them on the carry-bound path
+    ctx = draw(st.sampled_from(_LANE_LEVIS))
+    near = st.one_of(st.integers(-3, 3), st.integers(-32768, -32760), st.integers(32760, 32767))
+    coordinate = [near if i in ctx.levi else st.integers(-32768, 32767)
+                  for i in range(1, ctx.rs.rank + 1)]
+    xs = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=6, unique=True))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * ctx.rs.rank))
+    return ctx, [(x, draw(st.integers(1, 3))) for x in xs], shift
+
+
+def _tuple_climb_tally(ctx, weights):
+    """{dominant: sum of (-1)^n m} over the tuple ``repcalc.climb`` of each weight, or "refused"
+    when a dominant representative leaves the packed field."""
+    tally = {}
+    for x, m in weights:
+        got = rc.climb(ctx, x)
+        if got is not None:
+            n, dominant = got
+            if any(not -32768 <= c < 32768 for c in dominant):
+                return "refused"
+            tally[dominant] = tally.get(dominant, 0) + (-m if n % 2 else m)
+    return {y: m for y, m in tally.items() if m}
+
+
+@given(_lane_case())
+@settings(max_examples=400, deadline=None)
+def test_climb_tally_lane_tests_equal_the_tuple_climb(case):
+    # walls and dominant weights are sorted by their lanes and never reach the climb table;
+    # every other weight climbs, on the keyed path and on the carry-bound one alike
+    ctx, weights, shift = case
+    rank, offset = ctx.rs.rank, rc.packed_offset(shift)
+    char = {rc.pack(x) - offset: m for x, m in weights}
+    lo, hi = (tuple(map(f, zip(*[x for x, _ in weights]))) for f in (min, max))
+    want = _tuple_climb_tally(ctx, weights)
+    cache.clear()
+    keyed = rc.LeviTensor(ctx).climb_keys(lo, hi)
+    for climbs, mask, zero in ({}, -1, 0), keyed:
+        try:
+            entry = rc.climb_tally(ctx, char, offset, climbs, mask, zero, rc._climb_rows(ctx))
+        except rc.WeightRangeError:
+            assert want == "refused"
+            continue
+        assert {rc.unpack(offset + dy, rank): m for dy, m in zip(entry[::2], entry[1::2])} == want
+        for x0 in climbs:
+            levi = [c for i, c in enumerate(rc.unpack(x0, rank)) if i + 1 in ctx.levi]
+            assert min(levi) < 0 and 0 not in levi
+
+
 # -- the dual highest weight -------------------------------------------------------
 
 
