@@ -1,16 +1,14 @@
-"""Search for zero loci with trivial canonical bundle over exceptional G/P.
+"""Search for zero loci with trivial canonical bundle over G/P_k of Picard number one.
 
 A candidate pair (G/P_k, F) for a d-fold must satisfy rank(F) = dim - d and
-dex(F) = Fano index exactly; the summand pool is every nonzero G-dominant
-weight within those caps.  dex/rank is linear in the weight, and that of a
-multiset lies between the least and greatest dex/rank of its summands, so
-the multiset search cuts each branch whose remaining budget leaves the slope
-range of the summands still to place.  At the root this rejects a whole
-space when even its best dex/rank exceeds iota/(dim - d), which is what
-kills all the E8 cases without enumerating multisets.  A bundle with a
-summand whose general sections vanish nowhere is excluded, its reason and
-citation recorded, by ``hodge.empty_reason``: the one table of such summands
-(``hodge.NOWHERE_VANISHING``) that ``hodge.h0_row`` refuses by as well.
+dex(F) = Fano index exactly, over every nonzero G-dominant summand within
+those caps.  ``enumerate_candidates`` cuts each branch by the dex/rank slope
+range of the summands still to place, which kills all the E8 cases without
+enumerating multisets.  A bundle with a summand whose general sections
+vanish nowhere is excluded, its reason and citation recorded, by
+``hodge.empty_reason``, which ``hodge.h0_row`` refuses by as well.  Pairs
+are counted up to ``rootdata.diagram_automorphisms``: ``exceptional_spaces``
+lists one k per node orbit, and ``CandidatePair.orbit_tag`` names the orbit.
 """
 
 from __future__ import annotations
@@ -20,25 +18,18 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import hodge
 from . import repcalc as rc
-from .homspace import HomSpace, dimension, fano_index, parse_homspace
+from .homspace import HomSpace, dimension, fano_index
 from .koszul import BundleSum, ZeroLocus
-from .rootdata import RootSystem, Weight
+from .rootdata import RootSystem, Weight, diagram_automorphisms, parse_root_system, permute_weight
 
 
 def exceptional_spaces() -> List[HomSpace]:
-    """The 25 exceptional G/P_k of Picard number one, up to the E6 symmetry.
+    """The 25 exceptional G/P_k of Picard number one: the least k of each node orbit.
 
-    E6/P5 and E6/P6 are projectively equivalent to E6/P3 and E6/P1 through
-    the outer automorphism and are therefore not listed separately.
+    G/P_k and G/P_{s(k)} are isomorphic for each diagram automorphism s.
     """
-    names = (
-        ["E6/P%d" % k for k in range(1, 5)]
-        + ["E7/P%d" % k for k in range(1, 8)]
-        + ["E8/P%d" % k for k in range(1, 9)]
-        + ["F4/P%d" % k for k in range(1, 5)]
-        + ["G2/P%d" % k for k in range(1, 3)]
-    )
-    return [parse_homspace(n) for n in names]
+    return [HomSpace(rs, i + 1) for rs in map(parse_root_system, ("E6", "E7", "E8", "F4", "G2"))
+            for i in range(rs.rank) if i == min(s[i] for s in diagram_automorphisms(rs))]
 
 
 def search_spaces(family: str, max_rank: int) -> List[HomSpace]:
@@ -125,40 +116,24 @@ class CandidatePair(NamedTuple):
         return ZeroLocus(self.space, self.bundle())
 
     def orbit_tag(self) -> str:
-        """Canonical form under the E6 diagram automorphism (1<->6, 3<->5).
+        """The least image (G/P_{s(k)}, s(weights)) over the diagram automorphisms s.
 
-        On the automorphism-fixed spaces (k = 2, 4) each summand is
-        canonicalised separately, so E_{w1} and E_{w6} get one tag.  They
-        are not isomorphic bundles: on E6/P2, h^0(Hom(E_{w1}, E_{w6})) = 0
-        while h^0(End E_{w1}) = 1.  The automorphism fixes
-        w6 + O(1)^5 + w1 and swaps w1^2 + O(1)^5 with w6^2 + O(1)^5, two
-        orbits; the tag folds all three into one, following the paper's
-        row numbering (rows 2, 2', 2''), which is what ``dedup_count``
-        counts.  On the other spaces the whole pair (space, bundle) maps to
-        its partner space.
+        One explicit E6 rule follows the paper's rows 2, 2', 2'', which
+        ``dedup_count`` counts: on E6/P2 and E6/P4, which every s fixes, each
+        summand folds on its own.  So w1^2, w1 + w6 and w6^2 (+ O(1)^5), two
+        orbits, share a tag, though on E6/P2 h^0(Hom(E_{w1}, E_{w6})) = 0.
         """
-        if self.space.rs != RootSystem("E", 6):
-            return repr((str(self.space), self.weights))
-        perm = (5, 1, 4, 3, 2, 0)  # image positions of w1..w6
-
-        def sigma(lam: Weight) -> Weight:
-            return tuple(lam[perm[i]] for i in range(6))
-
-        k2 = perm[self.space.k - 1] + 1
-        if k2 == self.space.k:
+        rs, k = self.space.rs, self.space.k
+        group = diagram_automorphisms(rs)
+        if rs == RootSystem("E", 6) and all(s[k - 1] == k - 1 for s in group):
             canon: Dict[Weight, int] = {}
             for lam, m in self.weights:
-                key = min(lam, sigma(lam))
+                key = min(permute_weight(s, lam) for s in group)
                 canon[key] = canon.get(key, 0) + m
             return repr((str(self.space), tuple(sorted(canon.items()))))
-        mapped: Dict[Weight, int] = {}
-        for lam, m in self.weights:
-            mapped[sigma(lam)] = mapped.get(sigma(lam), 0) + m
-        variants = [
-            (str(self.space), self.weights),
-            (f"E6/P{k2}", tuple(sorted(mapped.items()))),
-        ]
-        return repr(min(variants))
+        return repr(min((str(HomSpace(rs, s[k - 1] + 1)),
+                         tuple(sorted((permute_weight(s, lam), m) for lam, m in self.weights)))
+                        for s in group))
 
 
 class ExclusionRecord(NamedTuple):

@@ -3,27 +3,18 @@
 The rows, their empty-locus and ambiguity refusals live here; ``koszul``
 only solves.  The h^{0,q} row is the structure-sheaf cohomology, and
 ``h0_row`` refuses an F with a summand whose general section vanishes
-nowhere: a trivial one, or one listed in ``NOWHERE_VANISHING``.  Its locus
-is empty, and ``classify`` excludes it by the same ``empty_reason``.
-h^{1,q} comes from the long exact sequence of
+nowhere: a trivial one, or one a diagram automorphism maps onto an entry of
+``NOWHERE_VANISHING``.  Its locus is empty, and ``classify`` excludes it by
+the same ``empty_reason``.  h^{1,q} comes from the long exact sequence of
 0 -> F^*|_Z -> Omega_X|_Z -> Omega_Z -> 0, seeded with the values forced by
-Hodge symmetry and Serre duality.  For a fourfold with trivial canonical
-bundle h^{2,2} is read off rows 0 and 1: Libgober-Wood (Topology 1990) with
-c_1 = 0 and Serre duality gives
-chi(Omega^2_Z) = 22 chi(O_Z) - 4 chi(Omega^1_Z), and
-h^{2,2} = chi(Omega^2_Z) - 2 h^{0,2} + 2 h^{1,2}, an interval when h^{0,2}
-or h^{1,2} is one; on any other fourfold it is blocked.  Each number is
-kept once, as an interval (lo, hi) that is a point where certified: a row is
-a ``koszul.ZCohomology``, one interval per cell as the Koszul solve returns
-it, and ``ChaseReport`` and ``HodgeDiamond`` hold theirs in ``cells`` too;
-``assemble`` gives each cell of the diamond the meet of its symmetry orbit.
-A row function is handed the rows it reads, and never recomputes them.
-
-``h1_chase_report`` is the one h^{1,q} chase, and ``h1_row`` reads its cells
-off it.  ``solve_exact_system`` runs it on ``koszul.narrow``, the integer
-interval kernel of the spectral solve: each term of the sequence is the sum
-of the ranks of its two maps, and the Euler characteristics of the
-restricted sheaves are rows too.  No map is ever assumed to vanish.
+Hodge symmetry and Serre duality; ``solve_exact_system`` narrows it on
+``koszul.narrow``, the interval kernel of the spectral solve, and assumes
+no map to vanish.  For a fourfold with trivial canonical bundle h^{2,2} is
+read off rows 0 and 1 by Libgober-Wood (Topology 1990), and blocked on any
+other fourfold.  Each number is kept once, as an interval (lo, hi) that is a
+point where certified: a row is a ``koszul.ZCohomology``, and ``ChaseReport``
+and ``HodgeDiamond`` hold theirs in ``cells``.  A row function is handed the
+rows it reads, and never recomputes them.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .homspace import HomSpace, gradation
 from .koszul import FilteredBundle, Row, ZCohomology, ZeroLocus, narrow, restricted_cohomology
-from .rootdata import Weight
+from .rootdata import Weight, diagram_automorphisms, permute_weight
 
 Cell = Union[int, str]  # a known dimension or the name of an unknown
 
@@ -93,23 +84,28 @@ def omega_filtration(X: HomSpace) -> FilteredBundle:
 SPINOR = ("a general global section of this rank-10 spinor-type bundle on the Cayley plane "
           "vanishes nowhere", "nowhere-vanishing sections of the spinor bundle on the Cayley plane")
 # (space, summand) -> (reason, citation) of a summand whose general section
-# vanishes nowhere; the numbers themselves cannot see such geometric facts.
-# The outer automorphism of E6 maps E6/P1 with w6 onto E6/P6 with w1.
+# vanishes nowhere, one per orbit of the diagram automorphisms; the numbers
+# themselves cannot see such geometric facts.
 NOWHERE_VANISHING: Dict[Tuple[str, Weight], Tuple[str, str]] = {
     ("E6/P1", (0, 0, 0, 0, 0, 1)): SPINOR,
-    ("E6/P6", (1, 0, 0, 0, 0, 0)): SPINOR,
 }
 TRIVIAL = ("a trivial summand has constant nonzero general sections",
            "constant sections of the trivial bundle")
 
 
 def empty_reason(X: HomSpace, summands: Sequence[Tuple[Weight, int]]) -> Optional[Tuple[str, str]]:
-    """(reason, citation) of the first summand on X that is trivial or listed, else None."""
+    """(reason, citation) of the first summand on X that is trivial or listed, else None.
+
+    E_lambda on G/P_k is listed when the table holds some image E_{s(lambda)} on G/P_{s(k)}.
+    """
+    images = [(str(HomSpace(X.rs, s[X.k - 1] + 1)), s) for s in diagram_automorphisms(X.rs)]
     for lam, _ in summands:
         if not any(lam):
             return TRIVIAL
-        if (str(X), lam) in NOWHERE_VANISHING:
-            return NOWHERE_VANISHING[str(X), lam]
+        for space, s in images:
+            hit = NOWHERE_VANISHING.get((space, permute_weight(s, lam)))
+            if hit:
+                return hit
     return None
 
 

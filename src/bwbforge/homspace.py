@@ -69,7 +69,12 @@ def parse_homspace(text: str) -> HomSpace:
     parts = text.strip().split("/")
     if len(parts) != 2 or not parts[1].upper().startswith("P"):
         raise ValueError(f"cannot parse homogeneous space {text!r}")
-    return HomSpace(parse_root_system(parts[0]), int(parts[1][1:]))
+    rs = parse_root_system(parts[0])
+    try:
+        k = int(parts[1][1:])
+    except ValueError as exc:
+        raise ValueError(f"cannot parse homogeneous space {text!r}") from exc
+    return HomSpace(rs, k)
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +99,7 @@ def fano_index(X: HomSpace) -> int:
 
 
 def minimal_embedding_dim(X: HomSpace) -> int:
-    """N with X âŠ‚ P^N minimally: dim V_G(w_k) - 1."""
+    """N with X in P^N minimally: dim V_G(w_k) - 1."""
     return rc.weyl_dim(X.group, X.fundamental(X.k)) - 1
 
 

@@ -136,6 +136,28 @@ def cartan_matrix(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def diagram_automorphisms(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """The node permutations s (s[i] the image of node i) with A[s(i)][s(j)] = A[i][j].
+
+    Identity first.  Each edge of ``edges`` joins a placed node p to a new
+    node v, which goes to a free neighbour of s(p) with the same two entries.
+    """
+    A, r = cartan_matrix(rs), rs.rank
+    nbrs = [[j for j in range(r) if j != i and A[i][j]] for i in range(r)]
+    maps = [{0: t} for t in range(r)]  # maps[0] grows the identity
+    for a, b in rs.edges():
+        p, v = (a - 1, b - 1) if a - 1 in maps[0] else (b - 1, a - 1)
+        maps = [{**s, v: t} for s in maps for t in nbrs[s[p]]
+                if A[t][s[p]] == A[v][p] and A[s[p]][t] == A[p][v] and t not in s.values()]
+    return tuple(sorted(tuple(s[i] for i in range(r)) for s in maps))
+
+
+def permute_weight(s: Sequence[int], w: Weight) -> Weight:
+    """The image of ``w`` under the diagram automorphism s, which maps w_{i+1} to w_{s[i]+1}."""
+    return tuple(w[s.index(j)] for j in range(len(w)))
+
+
+@lru_cache(maxsize=None)
 def simple_root_weight(rs: RootSystem, i: int) -> Weight:
     """alpha_i (1-based) expressed in the fundamental-weight basis."""
     A = cartan_matrix(rs)

@@ -9,8 +9,9 @@ from bwbforge import classify as cl
 from bwbforge import hodge
 from bwbforge import repcalc as rc
 from bwbforge.bwbcohom import bundle_cohomology
-from bwbforge.homspace import dex, dimension, fano_index, parse_homspace
+from bwbforge.homspace import HomSpace, dex, dimension, fano_index, parse_homspace
 from bwbforge.koszul import BundleSum, ZeroLocus, restricted_cohomology
+from bwbforge.rootdata import diagram_automorphisms, permute_weight
 
 import enumeration_oracle as oracle
 from char_helpers import dual_highest_weight, tensor_decompose
@@ -287,6 +288,65 @@ def test_diagram_automorphism_orbits():
     assert len({r.orbit_tag for r in e6p3}) == 2
     # 12 rows fold into 10 tags, the paper's numbering (only the E6/P2 triple merges)
     assert len(rep.dedup_rows()) == 10
+
+
+def image(s, space, weights):
+    """(G/P_{s(k)}, s(weights)) of the pair on ``space``, the weights sorted."""
+    X = parse_homspace(space)
+    return (str(HomSpace(X.rs, s[X.k - 1] + 1)),
+            tuple(sorted((permute_weight(s, lam), m) for lam, m in weights)))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_rows_that_share_an_orbit_tag_share_their_hodge_fields(d):
+    # every fold is geometric: the pairs of one tag have one Hodge row and status
+    rep = cl.classify(cl.search_spaces("all", 5), d)
+    by_tag = {}
+    for r in rep.rows:
+        by_tag.setdefault(r.orbit_tag, []).append(r)
+    shared = [rows for rows in by_tag.values() if len(rows) > 1]
+    assert len(shared) == {3: 64, 4: 55}[d]
+    for rows in shared:
+        assert len({(tuple(sorted(r.hodge.items())), r.status) for r in rows}) == 1, rows
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_every_automorphism_image_of_a_classical_row_is_a_row(d):
+    rep = cl.classify(cl.search_spaces("all", 6), d, with_hodge=False)
+    pairs = {(r.space, r.weights) for r in rep.rows}
+    classical = [r for r in rep.rows if r.space[0] in "ABCD"]
+    assert classical
+    for r in classical:
+        for s in diagram_automorphisms(parse_homspace(r.space).rs):
+            assert image(s, r.space, r.weights) in pairs, (r.space, r.bundle, s)
+
+
+def test_beauville_donagi_and_debarre_voisin_each_have_one_tag():
+    def tag(space, lam):
+        return cl.CandidatePair(parse_homspace(space), ((lam, 1),), 4).orbit_tag()
+
+    bd = tag("A5/P2", w(5, i1=3))
+    assert bd == tag("A5/P4", w(5, i5=3))
+    dv = tag("A9/P6", w(9, i3=1))
+    assert dv == tag("A9/P4", w(9, i7=1))
+    assert bd != dv
+
+
+def test_the_emptiness_table_is_read_on_every_automorphism_image():
+    # one entry per orbit, and each image of an entry is refused with its reason
+    orbits = []
+    for (space, lam), hit in hodge.NOWHERE_VANISHING.items():
+        X = parse_homspace(space)
+        orbit = {image(s, space, ((lam, 1),)) for s in diagram_automorphisms(X.rs)}
+        for name, ((mu, _),) in orbit:
+            Y = parse_homspace(name)
+            assert hodge.empty_reason(Y, [(Y.line(1), 2), (mu, 1)]) == hit
+        orbits.append(orbit)
+    assert len(set().union(*orbits)) == sum(map(len, orbits))
+    assert len(orbits) == 1 and len(orbits[0]) == 2
+    E6P6 = parse_homspace("E6/P6")
+    assert hodge.empty_reason(E6P6, [(w(6, i1=1), 1)]) == hodge.SPINOR
+    assert hodge.empty_reason(E6P6, [(w(6, i6=1), 1)]) is None
 
 
 def test_e6p2_w1_and_w6_bundles_are_not_isomorphic():

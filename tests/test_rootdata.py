@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -17,8 +18,10 @@ from bwbforge.rootdata import (
     RootSystem,
     cartan_matrix,
     coroot_vector,
+    diagram_automorphisms,
     integral_weight_gram,
     parse_root_system,
+    permute_weight,
     positive_roots,
     reflect,
     rho,
@@ -170,6 +173,51 @@ CLOSURE_TYPES = [("A", n) for n in range(1, 12)] + [
 def test_positive_roots_equal_the_root_string_closure(family, rank):
     rs = RootSystem(family, rank)
     assert positive_roots(rs) == root_string_closure(rs)
+
+
+def automorphisms_by_brute_force(rs):
+    """Every node permutation s with A[s(i)][s(j)] = A[i][j], in lexicographic order.
+
+    The oracle of ``diagram_automorphisms``, which grows its maps along the edges.
+    """
+    A, r = cartan_matrix(rs), rs.rank
+    return tuple(s for s in itertools.permutations(range(r))
+                 if all(A[s[i]][s[j]] == A[i][j] for i in range(r) for j in range(r)))
+
+
+@pytest.mark.parametrize("family,rank", [(f, n) for f, n in CLOSURE_TYPES if n <= 7])
+def test_diagram_automorphisms_equal_the_brute_force_search(family, rank):
+    rs = RootSystem(family, rank)
+    assert diagram_automorphisms(rs) == automorphisms_by_brute_force(rs)
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_TYPES)
+def test_diagram_automorphisms_form_the_group_of_the_diagram(family, rank):
+    # reversal on A_r (r >= 2), r-1 <-> r on D_r with S_3 on D4, one
+    # involution on E6, nothing else
+    rs = RootSystem(family, rank)
+    group = diagram_automorphisms(rs)
+    order = {("A", 1): 1, ("D", 4): 6, ("E", 6): 2}.get((family, rank), 2 if family in "AD" else 1)
+    assert len(group) == len(set(group)) == order
+    assert group[0] == tuple(range(rank))
+    A = cartan_matrix(rs)
+    assert all(A[s[i]][s[j]] == A[i][j] for s in group for i in range(rank) for j in range(rank))
+    assert {tuple(s[t[i]] for i in range(rank)) for s in group for t in group} == set(group)
+    for s in group:
+        # s maps w_i to w_{s(i)} and alpha_i to alpha_{s(i)}, and acts as a group
+        for i in range(rank):
+            unit = tuple(int(m == i) for m in range(rank))
+            assert permute_weight(s, unit) == tuple(int(m == s[i]) for m in range(rank))
+            assert permute_weight(s, simple_root_weight(rs, i + 1)) == simple_root_weight(rs, s[i] + 1)
+        w = tuple(range(1, rank + 1))
+        for t in group:
+            composed = tuple(s[t[i]] for i in range(rank))
+            assert permute_weight(s, permute_weight(t, w)) == permute_weight(composed, w)
+
+
+def test_the_outer_automorphism_of_e6_swaps_1_6_and_3_5():
+    assert diagram_automorphisms(RootSystem("E", 6)) == ((0, 1, 2, 3, 4, 5), (5, 1, 4, 3, 2, 0))
+    assert permute_weight((5, 1, 4, 3, 2, 0), (1, 2, 3, 4, 5, 6)) == (6, 2, 5, 4, 3, 1)
 
 
 def test_context_roots_are_the_roots_zero_off_the_levi():
